@@ -6,9 +6,10 @@ test split at both levels, and scores the predictions.  Everything goes
 through the command surface, so this doubles as a smoke test of the artifact
 layout (manifests, checkpoints, prediction files, JSON reports).
 
-Runs in well under a minute.  The shipped defaults (400 training utterances,
-40 epochs) push phoneme and word F1 above 0.95; this scaled-down run lands
-lower but shows the same shape.
+Runs in well under a minute.  With the shipped defaults (400 training
+utterances, 40 epochs) one recorded run scored phoneme F1 0.991 and word F1
+0.822 on the test split; this scaled-down run lands lower but shows the same
+shape.
 """
 
 import json

@@ -29,7 +29,6 @@ __all__ = [
     "SynthUtterance",
     "load_wav",
     "write_wav",
-    "resample_linear",
     "split_long_waveform",
     "parse_alignment_file",
     "load_annotation",
@@ -41,6 +40,7 @@ __all__ = [
     "save_corpus",
     "read_manifest",
     "write_manifest",
+    "load_references",
 ]
 
 LEVELS = ("phoneme", "word")
@@ -120,19 +120,6 @@ def write_wav(path: str | Path, waveform: Waveform, encoding: str = "pcm16") -> 
         wavfile.write(path, waveform.sample_rate, waveform.samples)
     else:
         raise ValueError(f"unknown wav encoding {encoding!r}; use 'pcm16' or 'float32'")
-
-
-def resample_linear(waveform: Waveform, target_rate: int) -> Waveform:
-    """Linear-interpolation resampling: a crude fallback, not a proper filter."""
-    if target_rate <= 0:
-        raise ValueError(f"target rate must be positive, got {target_rate}")
-    if target_rate == waveform.sample_rate:
-        return waveform
-    n_out = int(round(waveform.samples.size * target_rate / waveform.sample_rate))
-    src_t = np.arange(waveform.samples.size) / waveform.sample_rate
-    dst_t = np.arange(n_out) / target_rate
-    out = np.interp(dst_t, src_t, waveform.samples.astype(np.float64)).astype(np.float32)
-    return Waveform(out, target_rate, id=waveform.id)
 
 
 def split_long_waveform(waveform: Waveform, max_seconds: float, silence_threshold: float = 0.01) -> list[Waveform]:
@@ -491,3 +478,20 @@ def read_manifest(path: str | Path) -> list[tuple[Path, Path, Path]]:
     if not records:
         raise ValueError(f"{path}: manifest is empty")
     return records
+
+
+def load_references(manifest: str | Path, level: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Reference times and durations per utterance of a manifest.
+
+    The final annotated end time doubles as the duration, so no audio needs
+    decoding.  An utterance with an empty annotation is an error.
+    """
+    refs: dict[str, np.ndarray] = {}
+    durations: dict[str, float] = {}
+    for wav, phn, wrd in read_manifest(manifest):
+        ann = load_annotation(phn if level == "phoneme" else wrd, level)
+        if ann.times.size == 0:
+            raise ValueError(f"{wav.stem}: empty {level} annotation")
+        refs[wav.stem] = ann.times
+        durations[wav.stem] = float(ann.times[-1])
+    return refs, durations

@@ -132,17 +132,9 @@ def segment_means(tape: dc.Tape, frames: dc.Tensor, weights: dc.Tensor) -> dc.Te
 
 @dataclass(frozen=True)
 class BoundaryGraph:
-    """All boundary-detection tensors for one utterance, ready for the losses."""
+    """What the rest of the pipeline reads from boundary detection."""
 
-    similarity: dc.Tensor       # adjacent-frame cosine, (L-1,)
     dissimilarity: dc.Tensor    # normalized, (L-1,)
-    narrow_peaks: dc.Tensor
-    wide_peaks: dc.Tensor
-    scores: dc.Tensor           # thresholded peak scores, (L-1,)
-    soft: dc.Tensor
-    hard: dc.Tensor
-    indicator: dc.Tensor        # straight-through, (L-1,)
-    weights: dc.Tensor          # (L, M)
     spans: tuple[tuple[int, int], ...]
     means: dc.Tensor            # (M, frame_dim)
 
@@ -153,9 +145,8 @@ class BoundaryGraph:
 
 def detect_segments(tape: dc.Tape, frames: dc.Tensor, thres: float) -> BoundaryGraph:
     """Run the full boundary chain on frame latents (L, frame_dim), L >= 2."""
-    sim, dissim = dissimilarity(tape, frames)
-    narrow, wide, scores = peak_scores(tape, dissim, thres)
-    soft, hard, indicator = boundary_indicators(tape, scores)
+    _, dissim = dissimilarity(tape, frames)
+    _, _, scores = peak_scores(tape, dissim, thres)
+    _, _, indicator = boundary_indicators(tape, scores)
     weights, spans = segment_weights(tape, indicator, frames.shape[0])
-    means = segment_means(tape, frames, weights)
-    return BoundaryGraph(sim, dissim, narrow, wide, scores, soft, hard, indicator, weights, spans, means)
+    return BoundaryGraph(dissim, spans, segment_means(tape, frames, weights))

@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import audio
 from . import infer
 from . import metrics
@@ -29,18 +27,11 @@ def _echo_config(out_dir: Path, payload: dict) -> None:
     (out_dir / "config_resolved.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _ref_mapping(manifest: Path, level: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Reference times and durations per utterance; the final annotated end
-    time doubles as the duration, so no audio needs decoding."""
-    refs: dict[str, np.ndarray] = {}
-    durations: dict[str, float] = {}
-    for wav, phn, wrd in audio.read_manifest(manifest):
-        ann = audio.load_annotation(phn if level == "phoneme" else wrd, level)
-        if ann.times.size == 0:
-            raise ValueError(f"{wav.stem}: empty {level} annotation")
-        refs[wav.stem] = ann.times
-        durations[wav.stem] = float(ann.times[-1])
-    return refs, durations
+def _profile_manifest(args) -> list[infer.UtteranceProfile]:
+    """Load the checkpoint once and profile every utterance of the manifest."""
+    net = model.load_checkpoint(args.ckpt)[0]
+    entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(args.manifest)]
+    return infer.profile_corpus(net, entries, workers=args.workers)
 
 
 def _cmd_synth(args) -> int:
@@ -73,8 +64,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_segment(args) -> int:
     out = Path(args.out)
-    entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(args.manifest)]
-    profiles = infer.profile_corpus(args.ckpt, entries, workers=args.workers)
+    profiles = _profile_manifest(args)
     cfg = infer.PeakPickConfig(prominence=args.prominence, level=args.level, normalize=args.normalize)
     preds = [infer.predict(p, cfg) for p in profiles]
     infer.write_predictions(preds, out, args.level)
@@ -88,7 +78,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_eval(args) -> int:
     preds = infer.read_predictions(args.pred)
-    refs, durations = _ref_mapping(args.ref, args.level)
+    refs, durations = audio.load_references(args.ref, args.level)
     report = metrics.evaluate(preds, refs, tolerance=args.tol, durations=durations,
                               per_utterance_average=args.per_utterance)
     print(metrics.format_report(report, label=args.level))
@@ -125,9 +115,8 @@ def _pct_cell(value: float | None) -> str:
 
 
 def _cmd_tune(args) -> int:
-    entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(args.manifest)]
-    profiles = infer.profile_corpus(args.ckpt, entries, workers=args.workers)
-    refs, durations = _ref_mapping(args.manifest, args.level)
+    profiles = _profile_manifest(args)
+    refs, durations = audio.load_references(args.manifest, args.level)
     result = infer.tune_prominence(profiles, refs, args.level, durations=durations, tolerance=args.tol)
     print(f"prominence {result.prominence:.2f}  r_value {_pct_cell(result.r_value)}")
     if args.out:

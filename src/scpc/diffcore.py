@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Every training-time computation in this package is expressed as a graph of
-primitive operations recorded on a :class:`Tape`.  The tape stores one node
-per executed op and replays the chain rule in exact reverse execution order,
-so gradients are deterministic for a fixed op sequence.  Only the small set
+Training and inference run the same primitive operations on a :class:`Tape`.
+The tape records a node only for an op with at least one grad-requiring input
+and replays the chain rule over those nodes in exact reverse execution order,
+so gradients are deterministic for a fixed op sequence.  Ops on constants
+alone, which is all of inference, record nothing.  Only the small set
 of operations the segmentation model actually needs is implemented; shapes
 are validated eagerly and mismatches raise with both offending shapes in the
 message.
@@ -38,8 +39,6 @@ __all__ = [
     "conv1d",
     "relu",
     "tanh",
-    "log",
-    "exp",
     "absolute",
     "minimum",
     "maximum",
@@ -125,9 +124,11 @@ class _Node:
 class Tape:
     """Records primitive ops and runs the chain rule in reverse order.
 
-    A tape is single-use: after :meth:`backward` it refuses further backward
-    calls until :meth:`reset` clears the stored gradients.  Tapes are not
-    thread-safe; confine each tape to one thread.
+    Only ops with a grad-requiring input are recorded.  A tape is single-use:
+    :meth:`backward` releases the recorded nodes, so the graph is freed by
+    reference counting once the caller drops its tensors, and a second
+    backward call is an error.  Tapes are not thread-safe; confine each tape
+    to one thread.
     """
 
     def __init__(self) -> None:
@@ -157,7 +158,8 @@ class Tape:
             if t.tape is not self:
                 raise ValueError("op mixes tensors from different tapes")
         out = Tensor(out_data, any(t.requires_grad for t in inputs), self, is_leaf=False)
-        self._nodes.append(_Node(inputs, out, vjp))
+        if out.requires_grad:
+            self._nodes.append(_Node(inputs, out, vjp))
         return out
 
     def backward(self, loss: Tensor) -> None:
@@ -172,7 +174,7 @@ class Tape:
         if loss.data.shape != ():
             raise ValueError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
         if self._spent:
-            raise RuntimeError("backward() already ran on this tape; call reset() first")
+            raise RuntimeError("backward() already ran on this tape; record a fresh graph on a new tape")
         self._spent = True
 
         loss.grad = np.ones((), dtype=loss.data.dtype)
@@ -193,14 +195,7 @@ class Tape:
             for inp in node.inputs:
                 if inp.is_leaf and inp.requires_grad and inp.grad is None:
                     inp.grad = np.zeros_like(inp.data)
-
-    def reset(self) -> None:
-        """Clear all gradients so backward may run again on the same graph."""
-        for node in self._nodes:
-            node.output.grad = None
-            for inp in node.inputs:
-                inp.grad = None
-        self._spent = False
+        self._nodes = []
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -420,15 +415,6 @@ def relu(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
     return _unary(x, out, lambda: 1 - out * out)
-
-
-def log(x: Tensor) -> Tensor:
-    return _unary(x, np.log(x.data), lambda: 1 / x.data)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return _unary(x, out, lambda: out)
 
 
 def absolute(x: Tensor) -> Tensor:

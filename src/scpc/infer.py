@@ -4,8 +4,9 @@ Phoneme boundaries are prominence-filtered peaks of the normalized
 dissimilarity between adjacent frame latents.  Word boundaries are peaks of
 the dissimilarity between each causal context state and the following
 segment latent, emitted at the end time of the segment the context has seen.
-Inference is forward-only: parameters enter the tape as constants and only
-the score curves are kept, so sweeping prominence never reruns the model.
+Inference is forward-only: parameters enter the tape as constants, so the
+tape records nothing and each intermediate is freed once consumed; only the
+score curves are kept, so sweeping prominence never reruns the model.
 """
 
 from __future__ import annotations
@@ -136,34 +137,38 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
     return UtteranceProfile(utt_id, dissim, word_scores, end_frames, graph.frames.shape[0], duration)
 
 
-_WORKER_NET: model.SCPCModel | None = None
-
-
-def _worker_init(ckpt_path: str) -> None:
-    global _WORKER_NET
-    _WORKER_NET = model.load_checkpoint(ckpt_path)[0]
-
-
-def _worker_profile(entry: tuple[str, str]) -> UtteranceProfile:
+def _profile_wav(net: model.SCPCModel, entry: tuple[str, str]) -> UtteranceProfile:
     wav_path, utt_id = entry
-    assert _WORKER_NET is not None
     wave = audio.load_wav(wav_path)
-    if wave.sample_rate != _WORKER_NET.config.sample_rate:
-        raise ValueError(f"{utt_id}: sample rate {wave.sample_rate} != model's {_WORKER_NET.config.sample_rate}; resample first")
-    return profile_utterance(_WORKER_NET, wave.samples, utt_id)
+    if wave.sample_rate != net.config.sample_rate:
+        raise ValueError(f"{utt_id}: sample rate {wave.sample_rate} != model's {net.config.sample_rate}; resample first")
+    return profile_utterance(net, wave.samples, utt_id)
 
 
-def profile_corpus(ckpt_path: str | Path, entries: list[tuple[str, str]], workers: int = 1) -> list[UtteranceProfile]:
+_POOL_NET: model.SCPCModel | None = None
+
+
+def _pool_init(net: model.SCPCModel) -> None:
+    global _POOL_NET
+    _POOL_NET = net
+
+
+def _pool_profile(entry: tuple[str, str]) -> UtteranceProfile:
+    assert _POOL_NET is not None
+    return _profile_wav(_POOL_NET, entry)
+
+
+def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers: int = 1) -> list[UtteranceProfile]:
     """Profiles for (wav_path, utterance_id) pairs, in input order.
 
-    With workers > 1 the model is loaded once per worker process; results are
-    identical to the sequential path.
+    Audio is read one utterance at a time, so only the profiles accumulate.
+    With workers > 1 each worker process receives the model once; results
+    are identical to the sequential path.
     """
     if workers <= 1:
-        _worker_init(str(ckpt_path))
-        return [_worker_profile(e) for e in entries]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=(str(ckpt_path),)) as pool:
-        return list(pool.map(_worker_profile, entries))
+        return [_profile_wav(net, e) for e in entries]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(net,)) as pool:
+        return list(pool.map(_pool_profile, entries))
 
 
 def _pick(scores: np.ndarray, cfg: PeakPickConfig) -> np.ndarray:

@@ -31,8 +31,6 @@ __all__ = [
     "LATENT_EPS",
     "ModelConfig",
     "SCPCModel",
-    "FrameSeq",
-    "SegmentSeq",
     "UtteranceGraph",
     "n_frames",
     "frame_latents",
@@ -78,25 +76,6 @@ class ModelConfig:
             raise ValueError(f"thres must be in [0, 1], got {self.thres}")
         if self.sample_rate != 16000:
             raise ValueError(f"only 16 kHz input is supported, got {self.sample_rate}; resample first")
-
-
-@dataclass(frozen=True)
-class FrameSeq:
-    """Frame latents for one utterance: row t covers 10 ms starting at t * hop."""
-
-    id: str
-    latents: np.ndarray   # (n_frames, frame_dim)
-    hop_s: float = FRAME_HOP_S
-
-
-@dataclass(frozen=True)
-class SegmentSeq:
-    """Segment latents plus the frame span each segment covers (half-open)."""
-
-    id: str
-    latents: np.ndarray                 # (n_segments, segment_dim)
-    spans: tuple[tuple[int, int], ...]  # frame index spans, half-open
-    context: np.ndarray | None = None   # (n_segments, segment_dim) causal states
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

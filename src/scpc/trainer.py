@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,8 +58,7 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     """Everything that determines a training run except the data itself."""
 
-    lr: float = 1e-3
-    optimizer: str = "adam"   # "adam" | "sgd"
+    lr: float = 1e-3          # Adam step size
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -76,8 +74,6 @@ class TrainConfig:
     checkpoint_interval: int = 1   # epochs between checkpoint writes
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.thres <= 1.0:
@@ -201,11 +197,7 @@ def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: _OptState, config: TrainConfig) -> None:
-    """One optimizer step; math in float64, storage in float32."""
-    if config.optimizer == "sgd":
-        for name in params:
-            params[name] = (params[name].astype(np.float64) - config.lr * grads[name]).astype(np.float32)
-        return
+    """One Adam step; math in float64, storage in float32."""
     state.t += 1
     bias1 = 1.0 - config.beta1 ** state.t
     bias2 = 1.0 - config.beta2 ** state.t
@@ -221,31 +213,9 @@ def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
 
 # ------------------------------------------------------------- validation
 
-_VAL_NET: model.SCPCModel | None = None
-
-
-def _val_init(net: model.SCPCModel) -> None:
-    global _VAL_NET
-    _VAL_NET = net
-
-
-def _val_profile(entry: tuple[str, np.ndarray]) -> infer.UtteranceProfile:
-    utt_id, samples = entry
-    assert _VAL_NET is not None
-    return infer.profile_utterance(_VAL_NET, samples, utt_id)
-
-
-def _profile_items(net: model.SCPCModel, items: list[TrainItem], workers: int) -> list[infer.UtteranceProfile]:
-    entries = [(it.id, it.samples) for it in items]
-    if workers <= 1:
-        return [infer.profile_utterance(net, s, i) for i, s in entries]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_val_init, initargs=(net,)) as pool:
-        return list(pool.map(_val_profile, entries))
-
-
-def _validate(net: model.SCPCModel, items: list[TrainItem], workers: int) -> tuple[float | None, float | None]:
+def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], items: list[TrainItem], workers: int) -> tuple[float | None, float | None]:
     """Pooled R-values at the default prominence, both levels."""
-    profiles = _profile_items(net, items, workers)
+    profiles = infer.profile_corpus(net, entries, workers)
     durations = {it.id: it.duration_s for it in items}
     preds_ph = {p.id: infer.phoneme_boundaries(p, infer.PeakPickConfig(level="phoneme")).times for p in profiles}
     preds_wd = {p.id: infer.word_boundaries(p, infer.PeakPickConfig(level="word")).times for p in profiles}
@@ -300,12 +270,16 @@ def train(
     if len(items) < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
     val_items = load_dataset(val_manifest_path) if val_manifest_path else []
+    val_entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(val_manifest_path)] if val_manifest_path else []
     min_frames = config.k_frame + 2
 
     if resume_from is not None:
         net, extras, echoed = model.load_checkpoint(resume_from)
         if echoed is None:
             raise ValueError(f"{resume_from}: checkpoint carries no training config; cannot resume")
+        unknown = sorted(set(echoed) - {f.name for f in dataclasses.fields(TrainConfig)})
+        if unknown:
+            raise ValueError(f"{resume_from}: checkpoint training config has unknown keys: {', '.join(unknown)}; cannot resume")
         stored = TrainConfig(**echoed)
         mismatched = [
             f.name for f in dataclasses.fields(TrainConfig)
@@ -386,7 +360,7 @@ def train(
                 "val_r_word": None,
             }
             if val_items:
-                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_items, workers)
+                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_items, workers)
             history.append(record)
             log.write(json.dumps(record) + "\n")
             log.flush()

@@ -6,7 +6,7 @@ vectorized segment extraction, finite-difference validation of every
 autodiff op plus the composite frame loss, end-to-end learning on the
 bundled synthetic corpus against matched baselines, sweep behavior, and an
 optional real-corpus recipe.  The synthetic end-to-end gate trains a full
-model and takes a few minutes; everything else is fast.
+model and took about 500 s on 2 cores; everything else is fast.
 """
 
 from __future__ import annotations
@@ -169,8 +169,6 @@ def _op_cases():
                                      lambda t, xs: dc.gather_rows(xs[0], np.array([0, 2, 2, 4])))),
         ("relu", lambda rng: ([away(rng, (3, 4))], lambda t, xs: dc.relu(xs[0]))),
         ("tanh", lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.tanh(xs[0]))),
-        ("log", lambda rng: ([rng.uniform(0.1, 2.0, (3, 4))], lambda t, xs: dc.log(xs[0]))),
-        ("exp", lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.exp(xs[0]))),
         ("absolute", lambda rng: ([away(rng, (3, 4))], lambda t, xs: dc.absolute(xs[0]))),
         ("minimum", lambda rng: (list(sep(rng, (3, 4))), lambda t, xs: dc.minimum(xs[0], xs[1]))),
         ("maximum", lambda rng: (list(sep(rng, (3, 4))), lambda t, xs: dc.maximum(xs[0], xs[1]))),
@@ -272,15 +270,6 @@ def _run_cli(*argv) -> None:
     assert code == 0, argv
 
 
-def _refs(manifest: Path, level: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    refs, durations = {}, {}
-    for wav, phn, wrd in audio.read_manifest(manifest):
-        ann = audio.load_annotation(phn if level == "phoneme" else wrd, level)
-        refs[wav.stem] = ann.times
-        durations[wav.stem] = float(ann.times[-1])
-    return refs, durations
-
-
 class TestSyntheticEndToEnd:
     """Train on the default synthetic corpus and clear fixed quality bars.
 
@@ -323,7 +312,7 @@ class TestSyntheticEndToEnd:
         # Matched random baseline: same boundary count per utterance, best of 5 draws.
         for level in ("phoneme", "word"):
             preds = infer.read_predictions(tmp_path / f"pred_{level}")
-            refs, durs = _refs(tmp_path / "test" / "manifest.tsv", level)
+            refs, durs = audio.load_references(tmp_path / "test" / "manifest.tsv", level)
             rand_f1 = max(
                 metrics.evaluate(
                     {u: metrics.random_boundaries(durs[u], len(preds[u]), np.random.default_rng([4242, s, i]))
@@ -332,7 +321,7 @@ class TestSyntheticEndToEnd:
                 for s in range(5))
             assert scores[level]["f1"] > rand_f1, f"{level}: {scores[level]['f1']:.3f} vs random {rand_f1:.3f}"
 
-        refs_ph, durs_ph = _refs(tmp_path / "test" / "manifest.tsv", "phoneme")
+        refs_ph, durs_ph = audio.load_references(tmp_path / "test" / "manifest.tsv", "phoneme")
         periodic = {u: metrics.periodic_boundaries(durs_ph[u], 0.040) for u in refs_ph}
         periodic_rv = metrics.evaluate(periodic, refs_ph, tolerance=0.020, durations=durs_ph).r_value
         assert scores["phoneme"]["r_value"] > periodic_rv

@@ -68,21 +68,6 @@ class TestWavIO:
             audio.Waveform(np.zeros(10, dtype=np.float64), 16000)
 
 
-class TestResample:
-    def test_length_scales(self, tiny_wave):
-        out = audio.resample_linear(tiny_wave, 8000)
-        assert out.sample_rate == 8000
-        assert out.samples.size == 800
-
-    def test_constant_signal_preserved(self):
-        wave = audio.Waveform(np.full(1000, 0.25, dtype=np.float32), 16000, id="c")
-        out = audio.resample_linear(wave, 44100)
-        np.testing.assert_allclose(out.samples, 0.25, atol=1e-6)
-
-    def test_identity_when_rate_matches(self, tiny_wave):
-        assert audio.resample_linear(tiny_wave, 16000) is tiny_wave
-
-
 class TestSplit:
     def test_short_input_untouched(self, tiny_wave):
         assert audio.split_long_waveform(tiny_wave, 10.0) == [tiny_wave]

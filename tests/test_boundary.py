@@ -263,7 +263,6 @@ class TestDetectSegments:
         graph = boundary.detect_segments(tape, z, thres=0.05)
         n_seg = graph.n_segments
         assert graph.means.shape == (n_seg, 8)
-        assert graph.weights.shape == (30, n_seg)
         assert graph.spans[0][0] == 0 and graph.spans[-1][1] == 30
         for (a, b), (c, d) in zip(graph.spans, graph.spans[1:]):
             assert b == c

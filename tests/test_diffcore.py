@@ -6,12 +6,18 @@ float64 at 100 random points, sampled away from subgradient kinks.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from helpers import numeric_grad, rel_err
 
+from scpc import audio, infer, model
 from scpc import diffcore as dc
+from scpc import objective as obj
 
 GRAD_TOL = 1e-4
 N_POINTS = 100
@@ -110,12 +116,6 @@ class TestNonlinearGrads:
 
     def test_tanh(self):
         run_gradcheck(lambda rng: ([rng.standard_normal(7)], lambda t, xs: dc.tanh(xs[0])))
-
-    def test_log(self):
-        run_gradcheck(lambda rng: ([rng.uniform(0.2, 3.0, size=6)], lambda t, xs: dc.log(xs[0])))
-
-    def test_exp(self):
-        run_gradcheck(lambda rng: ([rng.uniform(-2.0, 2.0, size=6)], lambda t, xs: dc.exp(xs[0])))
 
     def test_absolute(self):
         run_gradcheck(lambda rng: ([away_from(rng, (2, 4))], lambda t, xs: dc.absolute(xs[0])))
@@ -290,19 +290,8 @@ class TestTapeContracts:
         x = tape.tensor(2.0, requires_grad=True)
         loss = dc.mul(x, x)
         tape.backward(loss)
-        with pytest.raises(RuntimeError, match="reset"):
+        with pytest.raises(RuntimeError, match="already ran"):
             tape.backward(loss)
-
-    def test_reset_allows_second_backward(self):
-        tape = dc.Tape()
-        x = tape.tensor(2.0, requires_grad=True, dtype=np.float64)
-        loss = dc.mul(x, x)
-        tape.backward(loss)
-        first = x.grad.copy()
-        tape.reset()
-        assert x.grad is None
-        tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, first)
 
     def test_detached_tensor_rejected(self):
         tape_a = dc.Tape()
@@ -348,6 +337,64 @@ class TestTapeContracts:
         l2, g2 = run()
         np.testing.assert_array_equal(l1, l2)
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestGraphLifetime:
+    """The tape holds only what backward needs, and nothing after it.
+
+    The cyclic collector is off in these tests, so anything that stays alive
+    is held by a reference cycle or a live name, not by collector timing.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def _utterance():
+        spec = dataclasses.replace(audio.default_spec(seed=0), words_per_utterance=(2, 2))
+        return audio.generate_utterance(spec, 0).waveform.samples
+
+    def test_training_graph_freed_by_refcount_after_backward(self, monkeypatch):
+        conv_outputs = []
+        real_conv1d = dc.conv1d
+
+        def spy(x, weight, stride):
+            out = real_conv1d(x, weight, stride)
+            conv_outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(dc, "conv1d", spy)
+        net = model.SCPCModel.init(model.ModelConfig(frame_dim=8, segment_dim=8), seed=0)
+        tape = dc.Tape()
+        leaves = net.leaf_tensors(tape)
+        graph = model.analyze_utterance(tape, leaves, self._utterance(), thres=0.0)
+        total, _ = obj.utterance_loss(tape, graph.frames, graph.segments, graph.contexts,
+                                      obj.ContrastiveBatchSpec(4, 2), True, np.random.default_rng(0))
+        assert len(conv_outputs) == len(model.KERNELS)
+        assert all(ref() is not None for ref in conv_outputs)   # held for backward
+        tape.backward(total)
+        grads = {k: leaf.grad for k, leaf in leaves.items()}
+        del tape, leaves, graph, total
+        assert all(ref() is None for ref in conv_outputs)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_inference_records_no_nodes(self, monkeypatch):
+        lengths = []
+        real_record = dc.Tape._record
+
+        def spy(self, inputs, out_data, vjp):
+            out = real_record(self, inputs, out_data, vjp)
+            lengths.append(len(self._nodes))
+            return out
+
+        monkeypatch.setattr(dc.Tape, "_record", spy)
+        net = model.SCPCModel.init(model.ModelConfig(frame_dim=8, segment_dim=8), seed=0)
+        profile = infer.profile_utterance(net, self._utterance(), "u")
+        assert profile.dissimilarity.size > 0
+        assert lengths and max(lengths) == 0
 
 
 class TestConventions:

@@ -161,11 +161,9 @@ def test_profile_corpus_matches_sequential(small_net, tmp_path):
     spec = audio.default_spec(seed=9)
     utts = audio.generate_corpus(spec, 3)
     manifest = audio.save_corpus(utts, tmp_path / "data")
-    ckpt = tmp_path / "model.npz"
-    model.save_checkpoint(ckpt, small_net)
     entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(manifest)]
-    seq = infer.profile_corpus(ckpt, entries, workers=1)
-    par = infer.profile_corpus(ckpt, entries, workers=2)
+    seq = infer.profile_corpus(small_net, entries, workers=1)
+    par = infer.profile_corpus(small_net, entries, workers=2)
     assert [p.id for p in seq] == [p.id for p in par]
     for a, b in zip(seq, par):
         assert np.array_equal(a.dissimilarity, b.dissimilarity)
@@ -175,10 +173,8 @@ def test_profile_corpus_matches_sequential(small_net, tmp_path):
 def test_profile_corpus_rejects_wrong_rate(small_net, tmp_path):
     wav = tmp_path / "slow.wav"
     audio.write_wav(wav, audio.Waveform(np.zeros(8000, dtype=np.float32), 8000))
-    ckpt = tmp_path / "model.npz"
-    model.save_checkpoint(ckpt, small_net)
     with pytest.raises(ValueError, match="resample"):
-        infer.profile_corpus(ckpt, [(str(wav), "slow")], workers=1)
+        infer.profile_corpus(small_net, [(str(wav), "slow")], workers=1)
 
 
 # ----------------------------------------------------------------- tuning

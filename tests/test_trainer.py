@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from scpc import audio
+from scpc import cli
 from scpc import infer
 from scpc import model
 from scpc import trainer
@@ -72,15 +73,13 @@ def test_resolve_config_bad_value_names_key(tmp_path):
 
 
 def test_config_text_roundtrip(tmp_path):
-    cfg = dataclasses.replace(trainer.TrainConfig(), lr=0.003, optimizer="sgd", epochs=7)
+    cfg = dataclasses.replace(trainer.TrainConfig(), lr=0.003, k_seg=3, epochs=7)
     path = tmp_path / "echo.cfg"
     path.write_text(trainer.config_to_text(cfg))
     assert trainer.resolve_config(path, env={}) == cfg
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="optimizer"):
-        trainer.TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError, match="thres"):
         trainer.TrainConfig(thres=1.5)
     with pytest.raises(ValueError, match="add_nsc_epoch"):
@@ -173,6 +172,22 @@ def test_resume_rejects_changed_math(corpus, tmp_path):
         trainer.train(corpus[0], dataclasses.replace(TINY, epochs=2, lr=0.5), tmp_path / "b", resume_from=partial.checkpoint)
     with pytest.raises(ValueError, match="nothing to resume"):
         trainer.train(corpus[0], dataclasses.replace(TINY, epochs=1), tmp_path / "c", resume_from=partial.checkpoint)
+
+
+def test_resume_rejects_unknown_config_keys(run, corpus, tmp_path, capsys):
+    with np.load(run.checkpoint) as data:
+        arrays = dict(data)
+    echo = json.loads(str(arrays["config_json"]))
+    echo["train"]["optimizer"] = "adam"   # a key that checkpoints of older builds carry
+    arrays["config_json"] = np.asarray(json.dumps(echo))
+    old = tmp_path / "old.npz"
+    np.savez(old, **arrays)
+    with pytest.raises(ValueError, match="unknown keys: optimizer"):
+        trainer.train(corpus[0], dataclasses.replace(TINY, epochs=4), tmp_path / "a", resume_from=old)
+    code = cli.main(["train", "--manifest", str(corpus[0]), "--out", str(tmp_path / "b"), "--resume", str(old)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "optimizer" in err
 
 
 def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path):
