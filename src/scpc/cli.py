@@ -65,12 +65,11 @@ def _cmd_train(args) -> int:
 def _cmd_segment(args) -> int:
     out = Path(args.out)
     profiles = _profile_manifest(args)
-    cfg = infer.PeakPickConfig(prominence=args.prominence, level=args.level, normalize=args.normalize)
+    cfg = infer.PeakPickConfig(prominence=args.prominence, level=args.level)
     preds = [infer.predict(p, cfg) for p in profiles]
     infer.write_predictions(preds, out, args.level)
     _echo_config(out, {"command": "segment", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
-                       "level": args.level, "prominence": args.prominence, "normalize": args.normalize,
-                       "workers": args.workers})
+                       "level": args.level, "prominence": args.prominence, "workers": args.workers})
     total = sum(p.times.size for p in preds)
     print(f"wrote {len(preds)} boundary files ({total} boundaries) to {out}")
     return 0
@@ -158,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=infer.LEVELS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--prominence", type=float, default=infer.DEFAULT_PROMINENCE)
-    p.add_argument("--normalize", action="store_true", help="min-max scale scores per utterance")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_segment)
 

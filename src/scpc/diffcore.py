@@ -14,7 +14,8 @@ Conventions:
 * tensors hold float32 or float64 data; reductions accumulate in float64;
 * subgradients at kinks (relu, abs, min, max) take the left/zero branch;
 * integer index arguments (``gather_rows``, cross-entropy targets) are plain
-  numpy arrays, not tensors, and never receive gradients.
+  numpy arrays, not tensors, and never receive gradients;
+* ``conv1d`` is a whole encoder layer, relu(conv + bias), channels-last.
 """
 
 from __future__ import annotations
@@ -364,41 +365,45 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return x.tape._record((x,), out, vjp)
 
 
-def conv1d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
-    """Valid-mode strided 1-D convolution.
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
+    """One encoder layer: relu of a valid-mode strided 1-D convolution plus bias.
 
-    ``x`` has shape (c_in, t), ``weight`` has shape (c_out, c_in, k); the
-    result has shape (c_out, 1 + (t - k) // stride).  No padding is applied.
+    Channels-last: ``x`` has shape (t, c_in), ``weight`` (c_out, c_in, k) and
+    ``bias`` (c_out,); the result has shape (1 + (t - k) // stride, c_out).
+    No padding is applied.  The input gradient is skipped when ``x`` does not
+    require grad, as for raw audio.
     """
-    tape = _check_tape(x, weight)
-    if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise ValueError(f"conv1d: expected (c_in, t) and (c_out, c_in, k), got {x.data.shape} and {weight.data.shape}")
-    c_in, t = x.data.shape
-    c_out, c_in_w, k = weight.data.shape
-    if c_in != c_in_w:
-        raise ValueError(f"conv1d: channel mismatch between input {x.data.shape} and weight {weight.data.shape}")
+    tape = _check_tape(x, weight, bias)
+    if x.data.ndim != 2 or weight.data.ndim != 3 or weight.data.shape[1] != x.data.shape[1] or bias.data.shape != weight.data.shape[:1]:
+        raise ValueError(f"conv1d: expected (t, c_in), (c_out, c_in, k) and (c_out,), got {x.data.shape}, {weight.data.shape} and {bias.data.shape}")
+    t, c_in = x.data.shape
+    c_out, _, k = weight.data.shape
     if stride < 1:
         raise ValueError(f"conv1d: stride must be positive, got {stride}")
     if t < k:
         raise ValueError(f"conv1d: input length {t} shorter than kernel {k}")
     t_out = 1 + (t - k) // stride
 
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, :: stride, :]
-    # windows: (c_in, t_out, k); contract into (c_out, t_out).
+    # im2col: row i holds window i laid out (c_in, k), like the weight.
+    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=0)[::stride].reshape(t_out, c_in * k)
     w2 = weight.data.reshape(c_out, c_in * k)
-    cols = windows.transpose(1, 0, 2).reshape(t_out, c_in * k)
-    out = (cols @ w2.T).T.copy()
+    out = cols @ w2.T + bias.data
+    np.maximum(out, 0, out=out)
 
     def vjp(g):
-        # g: (c_out, t_out)
-        gw = (g @ cols).reshape(c_out, c_in, k)
-        contrib = (g.T @ w2).reshape(t_out, c_in, k)
+        g = g * (out > 0)   # relu: out > 0 exactly where the pre-activation is
+        gb = g.sum(axis=0, dtype=np.float64).astype(g.dtype)
+        gw = (g.T @ cols).reshape(c_out, c_in, k)
+        if not x.requires_grad:
+            return None, gw, gb
+        # col2im: tap j of every window adds into rows j, j + stride, ...
+        contrib = (g @ w2).reshape(t_out, c_in, k)
         gx = np.zeros_like(x.data)
         for j in range(k):
-            gx[:, j : j + stride * t_out : stride] += contrib[:, :, j].T
-        return gx, gw
+            gx[j : j + stride * t_out : stride] += contrib[:, :, j]
+        return gx, gw, gb
 
-    return tape._record((x, weight), out, vjp)
+    return tape._record((x, weight, bias), out, vjp)
 
 
 def _unary(x: Tensor, out: np.ndarray, dvdx: Callable[[], np.ndarray]) -> Tensor:

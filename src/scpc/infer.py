@@ -53,7 +53,6 @@ class PeakPickConfig:
 
     prominence: float = DEFAULT_PROMINENCE
     level: str = "phoneme"
-    normalize: bool = False   # min-max scale scores per utterance first
 
     def __post_init__(self):
         if self.prominence < 0:
@@ -171,17 +170,9 @@ def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers
         return list(pool.map(_pool_profile, entries))
 
 
-def _pick(scores: np.ndarray, cfg: PeakPickConfig) -> np.ndarray:
-    if cfg.normalize and scores.size:
-        lo, hi = scores.min(), scores.max()
-        scores = np.zeros_like(scores) if hi == lo else (scores - lo) / (hi - lo)
-    idx, _ = find_peaks(scores, prominence=cfg.prominence)
-    return idx
-
-
 def phoneme_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> PredictedBoundaries:
     """Peaks of the frame dissimilarity curve; junction t maps to t * 10 ms."""
-    idx = _pick(profile.dissimilarity, cfg)
+    idx, _ = find_peaks(profile.dissimilarity, prominence=cfg.prominence)
     times = (idx + 1) * model.FRAME_HOP_S
     return PredictedBoundaries(profile.id, "phoneme", times.astype(np.float64))
 
@@ -196,7 +187,7 @@ def word_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> Predicted
     m = profile.segment_end_frames.size
     if m < 3:
         return PredictedBoundaries(profile.id, "word", np.empty(0, dtype=np.float64))
-    idx = _pick(profile.word_scores, cfg)
+    idx, _ = find_peaks(profile.word_scores, prominence=cfg.prominence)
     times = profile.segment_end_frames[idx] * model.FRAME_HOP_S
     return PredictedBoundaries(profile.id, "word", times.astype(np.float64))
 
@@ -214,7 +205,6 @@ def tune_prominence(
     durations: dict[str, float] | None = None,
     tolerance: float = metrics.DEFAULT_TOLERANCE,
     grid: tuple[float, ...] = PROMINENCE_GRID,
-    normalize: bool = False,
 ) -> TuneResult:
     """Grid-search prominence maximizing the pooled R-value on a labeled set.
 
@@ -228,7 +218,7 @@ def tune_prominence(
     best_prom, best_rv, best_score = None, None, -np.inf
     rows = []
     for prom in grid:
-        cfg = PeakPickConfig(prominence=prom, level=level, normalize=normalize)
+        cfg = PeakPickConfig(prominence=prom, level=level)
         preds = {p.id: predict(p, cfg).times for p in profiles}
         report = metrics.evaluate(preds, refs, tolerance, durations)
         rows.append((prom, report.r_value))

@@ -3,7 +3,8 @@
 Three trainable blocks:
 
 * a strided convolutional frame encoder mapping raw 16 kHz samples to one
-  latent vector every 10 ms (five layers, 465-sample receptive field);
+  latent vector every 10 ms (five layers, 465-sample receptive field), each
+  layer one channels-last conv + bias + relu op;
 * a one-hidden-layer MLP re-encoding segment mean vectors;
 * a single-layer tanh recurrence producing a causal context state per segment.
 
@@ -124,14 +125,9 @@ def frame_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarr
     is responsible for the sample rate being 16 kHz.
     """
     n_frames(samples.size)  # validates length
-    x = tape.tensor(samples.reshape(1, -1))
-    n_layers = len(KERNELS)
-    for i, (k, s) in enumerate(zip(KERNELS, STRIDES)):
-        x = dc.conv1d(x, leaves[f"frame_conv{i}_w"], stride=s)     # (c_out, t)
-        x = dc.transpose(x)                                        # (t, c_out)
-        x = dc.relu(dc.add(x, leaves[f"frame_conv{i}_b"]))
-        if i < n_layers - 1:
-            x = dc.transpose(x)
+    x = tape.tensor(samples.reshape(-1, 1))   # (t, 1)
+    for i, s in enumerate(STRIDES):
+        x = dc.conv1d(x, leaves[f"frame_conv{i}_w"], leaves[f"frame_conv{i}_b"], stride=s)
     return dc.add(x, tape.constant(np.float32(LATENT_EPS)))
 
 
@@ -192,7 +188,8 @@ def save_checkpoint(path: str | Path, model: SCPCModel, extra_arrays: dict[str, 
 
 
 def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray], dict | None]:
-    """Read a checkpoint; returns (model, extra arrays, train config echo)."""
+    """Read a checkpoint, checking each parameter's name, shape and dtype against
+    its config; returns (model, extra arrays, train config echo)."""
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
         if "format_version" not in data or int(data["format_version"]) != CHECKPOINT_VERSION:
@@ -202,7 +199,11 @@ def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray],
         config = ModelConfig(**config_raw["model"])
         params = {k[len("param/") :]: data[k] for k in data.files if k.startswith("param/")}
         extras = {k[len("extra/") :]: data[k] for k in data.files if k.startswith("extra/")}
-    expected = set(SCPCModel.init(config, seed=0).params)
-    if set(params) != expected:
-        raise ValueError(f"{path}: checkpoint parameter set does not match this model (missing {sorted(expected - set(params))})")
+    expected = SCPCModel.init(config, seed=0).params
+    if set(params) != set(expected):
+        raise ValueError(f"{path}: checkpoint parameter set does not match this model (missing {sorted(set(expected) - set(params))})")
+    for name, ref in expected.items():
+        found = params[name]
+        if found.shape != ref.shape or found.dtype != ref.dtype:
+            raise ValueError(f"{path}: parameter {name} is {found.dtype} {found.shape}, expected {ref.dtype} {ref.shape}")
     return SCPCModel(config, params), extras, config_raw.get("train")

@@ -213,15 +213,15 @@ def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
 
 # ------------------------------------------------------------- validation
 
-def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], items: list[TrainItem], workers: int) -> tuple[float | None, float | None]:
-    """Pooled R-values at the default prominence, both levels."""
+def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, dict[str, np.ndarray]], workers: int) -> tuple[float | None, ...]:
+    """Pooled R-values at the default prominence, one per level of ``infer.LEVELS``."""
     profiles = infer.profile_corpus(net, entries, workers)
-    durations = {it.id: it.duration_s for it in items}
-    preds_ph = {p.id: infer.phoneme_boundaries(p, infer.PeakPickConfig(level="phoneme")).times for p in profiles}
-    preds_wd = {p.id: infer.word_boundaries(p, infer.PeakPickConfig(level="word")).times for p in profiles}
-    rep_ph = metrics.evaluate(preds_ph, {it.id: it.phoneme_times for it in items}, durations=durations)
-    rep_wd = metrics.evaluate(preds_wd, {it.id: it.word_times for it in items}, durations=durations)
-    return rep_ph.r_value, rep_wd.r_value
+    durations = {p.id: p.duration_s for p in profiles}
+    r_values = []
+    for level in infer.LEVELS:
+        preds = {p.id: infer.predict(p, infer.PeakPickConfig(level=level)).times for p in profiles}
+        r_values.append(metrics.evaluate(preds, refs[level], durations=durations).r_value)
+    return tuple(r_values)
 
 
 # --------------------------------------------------------------- training
@@ -269,8 +269,9 @@ def train(
     items = load_dataset(manifest_path)
     if len(items) < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
-    val_items = load_dataset(val_manifest_path) if val_manifest_path else []
+    # Validation holds only annotations; profile_corpus streams its audio each epoch.
     val_entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(val_manifest_path)] if val_manifest_path else []
+    val_refs = {level: audio.load_references(val_manifest_path, level)[0] for level in infer.LEVELS} if val_manifest_path else {}
     min_frames = config.k_frame + 2
 
     if resume_from is not None:
@@ -359,8 +360,8 @@ def train(
                 "val_r_phoneme": None,
                 "val_r_word": None,
             }
-            if val_items:
-                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_items, workers)
+            if val_entries:
+                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_refs, workers)
             history.append(record)
             log.write(json.dumps(record) + "\n")
             log.flush()

@@ -189,8 +189,8 @@ def _op_cases():
                                                                  lambda t, xs: dc.mean_axis(xs[0], axis=ax))))
     for stride in (1, 2, 3):
         cases.append((f"conv1d stride {stride}", lambda rng, s=stride: (
-            [rng.standard_normal((2, 17)), rng.standard_normal((3, 2, 4))],
-            lambda t, xs: dc.conv1d(xs[0], xs[1], s))))
+            list(op_checks.conv_case(rng, s)),
+            lambda t, xs: dc.conv1d(xs[0], xs[1], xs[2], s))))
     return cases
 
 

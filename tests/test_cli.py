@@ -119,6 +119,20 @@ def test_segment_and_eval_roundtrip(workspace, capsys):
     assert np.isfinite(report["f1"])
 
 
+def test_segment_rejects_wrong_shaped_checkpoint(workspace, tmp_path, capsys):
+    with np.load(workspace / "run" / "checkpoint.npz", allow_pickle=False) as data:
+        payload = {k: data[k] for k in data.files}
+    payload["param/frame_conv1_w"] = payload["param/frame_conv1_w"][:, :4]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **payload)
+    code = run_cli("segment", "--ckpt", bad, "--manifest", workspace / "val" / "manifest.tsv",
+                   "--level", "phoneme", "--out", tmp_path / "pred")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and "frame_conv1_w" in err and "(8, 4, 8)" in err and "(8, 8, 8)" in err
+
+
 def test_segment_word_level(workspace):
     pred_dir = workspace / "pred_word"
     code = run_cli("segment", "--ckpt", workspace / "run" / "checkpoint.npz",

@@ -185,28 +185,96 @@ class TestLinalgGrads:
         run_gradcheck(lambda rng: ([rng.standard_normal(4), rng.standard_normal(3)], lambda t, xs: dc.outer_sub(xs[0], xs[1])))
 
 
+def conv_reference(x, w, b, stride):
+    """Direct-loop pre-activation conv + bias in (t, c) layout."""
+    c_out, _, k = w.shape
+    t_out = 1 + (x.shape[0] - k) // stride
+    out = np.empty((t_out, c_out))
+    for i in range(t_out):
+        out[i] = np.einsum("jc,ocj->o", x[i * stride : i * stride + k], w) + b
+    return out
+
+
+def conv_case(rng, stride, t=17, c_in=2, c_out=3, k=4):
+    """Inputs (x, weight, bias) for the fused conv layer, float64.
+
+    Each channel's bias splits its pre-activations at the widest gap in their
+    middle half, so every case has rows on both sides of the relu; the case
+    asserts that no pre-activation lies within 1e-3 of the kink.
+    """
+    x = rng.standard_normal((t, c_in))
+    w = rng.standard_normal((c_out, c_in, k))
+    pre = conv_reference(x, w, np.zeros(c_out), stride)
+    v = np.sort(pre, axis=0)
+    lo, hi = v.shape[0] // 4, v.shape[0] - v.shape[0] // 4 - 1
+    split = lo + np.argmax(v[lo + 1 : hi + 1] - v[lo:hi], axis=0)
+    ch = np.arange(c_out)
+    b = -(v[split, ch] + v[split + 1, ch]) / 2
+    assert np.abs(pre + b).min() >= 1e-3, "pre-activation within 1e-3 of the relu kink"
+    return x, w, b
+
+
 class TestConv1dGrads:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_conv1d(self, stride):
         def build(rng):
-            x = rng.standard_normal((2, 17))
-            w = rng.standard_normal((3, 2, 4))
-            return [x, w], lambda t, xs: dc.conv1d(xs[0], xs[1], stride)
+            return list(conv_case(rng, stride)), lambda t, xs: dc.conv1d(xs[0], xs[1], xs[2], stride)
 
         run_gradcheck(build, n_points=40)
 
-    def test_conv1d_hand_case(self):
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_conv1d_matches_direct_loop(self, stride):
+        x, w, b = conv_case(np.random.default_rng(stride), stride)
         tape = dc.Tape()
-        x = tape.tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        w = tape.tensor(np.array([[[1.0, 1.0]]]))
-        out = dc.conv1d(x, w, stride=2)
-        np.testing.assert_allclose(out.data, [[3.0, 7.0]])
+        out = dc.conv1d(tape.tensor(x), tape.tensor(w), tape.tensor(b), stride)
+        np.testing.assert_allclose(out.data, np.maximum(conv_reference(x, w, b, stride), 0), rtol=1e-12, atol=1e-12)
+
+    def test_conv1d_hand_case(self):
+        # Windows [1, 2] and [3, 4]; channel 1 clips its first pre-activation (-1) to 0.
+        tape = dc.Tape()
+        x = tape.tensor(np.array([[1.0], [2.0], [3.0], [4.0]]), requires_grad=True)
+        w = tape.tensor(np.array([[[1.0, 1.0]], [[2.0, -1.0]]]), requires_grad=True)
+        b = tape.tensor(np.array([0.5, -1.0]), requires_grad=True)
+        out = dc.conv1d(x, w, b, stride=2)
+        np.testing.assert_array_equal(out.data, [[3.5, 0.0], [7.5, 1.0]])
+        tape.backward(dc.sum_axis(out, axis=None))
+        np.testing.assert_array_equal(b.grad, [2.0, 1.0])
+        np.testing.assert_array_equal(w.grad, [[[4.0, 6.0]], [[3.0, 4.0]]])
+        np.testing.assert_array_equal(x.grad, [[1.0], [1.0], [3.0], [0.0]])
+
+    def test_conv1d_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(0)
+        x0, w0, b0 = conv_case(rng, stride=2)
+        g = rng.standard_normal((7, 3))
+        grads = []
+        for x_requires_grad in (False, True):
+            tape = dc.Tape()
+            x = tape.tensor(x0, requires_grad=x_requires_grad)
+            w = tape.tensor(w0, requires_grad=True)
+            b = tape.tensor(b0, requires_grad=True)
+            out = dc.conv1d(x, w, b, stride=2)
+            tape.backward(dc.sum_axis(dc.mul(out, tape.constant(g)), axis=None))
+            grads.append((x.grad, w.grad, b.grad))
+        (gx_const, gw_const, gb_const), (gx, gw, gb) = grads
+        assert gx_const is None and gx is not None
+        np.testing.assert_array_equal(gw_const, gw)
+        np.testing.assert_array_equal(gb_const, gb)
 
     def test_conv1d_output_length(self):
         tape = dc.Tape()
-        x = tape.tensor(np.zeros((1, 100), dtype=np.float32))
+        x = tape.tensor(np.zeros((100, 1), dtype=np.float32))
         w = tape.tensor(np.zeros((4, 1, 10), dtype=np.float32))
-        assert dc.conv1d(x, w, stride=5).shape == (4, 19)
+        b = tape.tensor(np.zeros(4, dtype=np.float32))
+        assert dc.conv1d(x, w, b, stride=5).shape == (19, 4)
+
+    def test_conv1d_rejects_mismatched_shapes(self):
+        tape = dc.Tape()
+        x = tape.tensor(np.zeros((20, 2)))
+        w = tape.tensor(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match=r"expected \(t, c_in\)"):
+            dc.conv1d(tape.tensor(np.zeros((20, 3))), w, tape.tensor(np.zeros(4)), stride=1)
+        with pytest.raises(ValueError, match=r"expected \(t, c_in\)"):
+            dc.conv1d(x, w, tape.tensor(np.zeros(3)), stride=1)
 
 
 class TestCosineGrads:
@@ -361,8 +429,8 @@ class TestGraphLifetime:
         conv_outputs = []
         real_conv1d = dc.conv1d
 
-        def spy(x, weight, stride):
-            out = real_conv1d(x, weight, stride)
+        def spy(x, weight, bias, stride):
+            out = real_conv1d(x, weight, bias, stride)
             conv_outputs.append(weakref.ref(out.data))
             return out
 

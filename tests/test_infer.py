@@ -98,17 +98,6 @@ def test_prominence_above_max_gives_empty():
     assert out.times.size == 0
 
 
-def test_normalize_toggle_rescales_scores():
-    profile = make_profile(dissim=[0.0, 0.1, 0.0], n_frames=4)
-    raw = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.5))
-    scaled = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.5, normalize=True))
-    assert raw.times.size == 0
-    assert np.allclose(scaled.times, [0.020])
-    flat = make_profile(dissim=[0.3, 0.3, 0.3], n_frames=4)
-    out = infer.phoneme_boundaries(flat, infer.PeakPickConfig(prominence=0.0, normalize=True))
-    assert out.times.size == 0
-
-
 def test_predict_dispatches_on_level():
     profile = make_profile(dissim=[0.0, 1.0, 0.0], word=[0.1, 0.9, 0.2], ends=[0, 1, 2, 3], n_frames=4)
     assert infer.predict(profile, infer.PeakPickConfig(level="phoneme")).level == "phoneme"

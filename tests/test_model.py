@@ -53,6 +53,13 @@ class TestFrameEncoderGeometry:
         head = encode(m, samples[: 465 + 160 * 4])
         np.testing.assert_array_equal(head, full[:5])
 
+    def test_one_tape_node_per_layer(self):
+        # Each conv layer is one fused op; the LATENT_EPS add is the last node.
+        m = small_model()
+        tape = dc.Tape()
+        model.frame_latents(tape, m.leaf_tensors(tape), np.zeros(2000, dtype=np.float32))
+        assert len(tape._nodes) == len(model.KERNELS) + 1
+
     def test_silence_latents_nonzero(self):
         m = small_model()
         z = encode(m, np.zeros(2000, dtype=np.float32))
@@ -169,3 +176,22 @@ class TestCheckpoint:
         np.savez(path, **payload)
         with pytest.raises(ValueError, match="ctx_b"):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, corrupt, found", [
+        ("frame_conv1_w", lambda a: a[:, :, :-1], "(8, 8, 7)"),
+        ("seg_b1", lambda a: a.astype(np.float64), "float64"),
+    ])
+    def test_wrong_shape_or_dtype_rejected(self, tmp_path, name, corrupt, found):
+        m = small_model()
+        path = tmp_path / "ckpt.npz"
+        model.save_checkpoint(path, m)
+        with np.load(path, allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        payload[f"param/{name}"] = corrupt(payload[f"param/{name}"])
+        np.savez(path, **payload)
+        with pytest.raises(ValueError) as err:
+            model.load_checkpoint(path)
+        msg = str(err.value)
+        expected = m.params[name]
+        assert str(path) in msg and name in msg and found in msg
+        assert str(expected.shape) in msg and str(expected.dtype) in msg

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ def test_train_smoke(run):
         assert rec["l_nfc"] > 0
         assert rec["mean_segments"] >= 1
         assert "val_r_phoneme" in rec and "val_r_word" in rec
+
+
+def test_validation_streams_val_audio_once_per_epoch(corpus, tmp_path, monkeypatch):
+    val_dir = corpus[1].resolve().parent
+    real_load_wav = audio.load_wav
+    val_reads = []
+
+    def counting(path):
+        if Path(path).resolve().parent == val_dir:
+            val_reads.append(path)
+        return real_load_wav(path)
+
+    monkeypatch.setattr(audio, "load_wav", counting)
+    cfg = dataclasses.replace(TINY, epochs=2)
+    trainer.train(corpus[0], cfg, tmp_path / "out", corpus[1])
+    assert len(val_reads) == cfg.epochs * len(audio.read_manifest(corpus[1]))
 
 
 def test_checkpoint_carries_training_state(run):
