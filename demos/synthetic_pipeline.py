@@ -7,8 +7,8 @@ through the command surface, so this doubles as a smoke test of the artifact
 layout (manifests, checkpoints, prediction files, JSON reports).
 
 Runs in well under a minute.  With the shipped defaults (400 training
-utterances, 40 epochs) one recorded run scored phoneme F1 0.991 and word F1
-0.822 on the test split; this scaled-down run lands lower but shows the same
+utterances, 40 epochs) one recorded run scored phoneme F1 0.917 and word F1
+0.695 on the test split; this scaled-down run lands lower but shows the same
 shape.
 """
 

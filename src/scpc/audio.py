@@ -29,7 +29,6 @@ __all__ = [
     "SynthUtterance",
     "load_wav",
     "write_wav",
-    "split_long_waveform",
     "parse_alignment_file",
     "load_annotation",
     "default_spec",
@@ -122,86 +121,39 @@ def write_wav(path: str | Path, waveform: Waveform, encoding: str = "pcm16") -> 
         raise ValueError(f"unknown wav encoding {encoding!r}; use 'pcm16' or 'float32'")
 
 
-def split_long_waveform(waveform: Waveform, max_seconds: float, silence_threshold: float = 0.01) -> list[Waveform]:
-    """Split at quiet points so no piece exceeds ``max_seconds``.
+def parse_alignment_file(path: str | Path) -> np.ndarray:
+    """Boundary times (seconds) from a TIMIT-style alignment file.
 
-    Intended for corpora distributed as long recordings.  Frame RMS is scanned
-    at a 10 ms hop; each cut lands on the quietest frame in the tail of the
-    allowed window, falling back to a hard cut when nothing drops below
-    ``silence_threshold``.
-    """
-    if max_seconds <= 0:
-        raise ValueError(f"max_seconds must be positive, got {max_seconds}")
-    max_len = int(max_seconds * waveform.sample_rate)
-    if waveform.samples.size <= max_len:
-        return [waveform]
-
-    hop = max(1, waveform.sample_rate // 100)
-    pieces = []
-    start = 0
-    part = 0
-    x = waveform.samples
-    while x.size - start > max_len:
-        lo, hi = start + max_len // 2, start + max_len
-        frames = np.arange(lo, hi - hop, hop)
-        rms = np.sqrt([(x[f : f + hop].astype(np.float64) ** 2).mean() for f in frames])
-        quiet = frames[rms < silence_threshold]
-        cut = int(quiet[-1]) if quiet.size else hi
-        pieces.append(Waveform(x[start:cut].copy(), waveform.sample_rate, id=f"{waveform.id}_part{part}"))
-        start, part = cut, part + 1
-    pieces.append(Waveform(x[start:].copy(), waveform.sample_rate, id=f"{waveform.id}_part{part}"))
-    return pieces
-
-
-def parse_alignment_file(path: str | Path, fmt: str = "timit", sample_rate: int = 16000) -> np.ndarray:
-    """Extract boundary times (seconds) from an alignment file.
-
-    ``timit``: lines of ``<start_sample> <end_sample> <label>``; boundary
-    times are the segment end samples divided by ``sample_rate``, with
-    duplicate consecutive ends collapsed.  ``simple_times``: one boundary
-    time in seconds per line.
+    Lines are ``<start_sample> <end_sample> <label>`` at 16 kHz; boundary
+    times are the segment end samples divided by 16000, with duplicate
+    consecutive ends collapsed.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
     times: list[float] = []
-    if fmt == "timit":
-        prev_end = None
-        for n, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{n}: expected '<start> <end> <label>', got {line!r}")
-            try:
-                start, end = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{n}: non-integer sample index in {line!r}") from exc
-            if end <= start:
-                raise ValueError(f"{path}:{n}: empty or negative span [{start}, {end})")
-            if prev_end is not None and start < prev_end:
-                raise ValueError(f"{path}:{n}: span starts at {start}, before previous end {prev_end}")
-            prev_end = end
-            t = end / sample_rate
-            if not times or t > times[-1]:
-                times.append(t)
-    elif fmt == "simple_times":
-        for n, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                t = float(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{n}: expected one boundary time per line, got {line!r}") from exc
-            if times and t <= times[-1]:
-                raise ValueError(f"{path}:{n}: times must be strictly increasing")
+    prev_end = None
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{n}: expected '<start> <end> <label>', got {line!r}")
+        try:
+            start, end = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: non-integer sample index in {line!r}") from exc
+        if end <= start:
+            raise ValueError(f"{path}:{n}: empty or negative span [{start}, {end})")
+        if prev_end is not None and start < prev_end:
+            raise ValueError(f"{path}:{n}: span starts at {start}, before previous end {prev_end}")
+        prev_end = end
+        t = end / 16000
+        if not times or t > times[-1]:
             times.append(t)
-    else:
-        raise ValueError(f"unknown alignment format {fmt!r}; use 'timit' or 'simple_times'")
     return np.asarray(times, dtype=np.float64)
 
 
-def load_annotation(path: str | Path, level: str, fmt: str = "timit", sample_rate: int = 16000) -> BoundaryAnnotation:
-    return BoundaryAnnotation(Path(path).stem, level, parse_alignment_file(path, fmt, sample_rate))
+def load_annotation(path: str | Path, level: str) -> BoundaryAnnotation:
+    return BoundaryAnnotation(Path(path).stem, level, parse_alignment_file(path))
 
 
 # --- synthetic corpus ---------------------------------------------------

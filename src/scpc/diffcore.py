@@ -349,13 +349,17 @@ def narrow(x: Tensor, start: int, length: int, axis: int = 0) -> Tensor:
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows of ``x`` by an integer index array (no gradient to the index)."""
+    """Rows of ``x`` picked by an integer index of any shape (no gradient to the index).
+
+    The result has shape ``index.shape + x.shape[1:]``; repeated indices
+    accumulate their gradients.
+    """
     idx = np.asarray(index)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"gather_rows: index must be a 1-D integer array, got {idx.dtype} shape {idx.shape}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"gather_rows: index must be an integer array, got {idx.dtype} shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise ValueError(f"gather_rows: index out of range for {x.data.shape[0]} rows")
-    out = x.data[idx].copy()
+    out = x.data[idx]
 
     def vjp(g):
         full = np.zeros_like(x.data)
@@ -529,32 +533,35 @@ _COS_EPS = 1e-8
 
 
 def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two vectors, or row-wise of two equal-shape matrices.
+    """Cosine similarity along the last axis.
 
-    An epsilon of 1e-8 in the denominator guards near-zero norms; an exactly
-    zero vector is rejected because its direction is undefined.
+    ``a`` and ``b`` are two vectors, two equal-shape matrices (row-wise), or
+    an (n, d) matrix against an (n, c, d) stack, which scores row i of ``a``
+    against each of the c rows of ``b[i]`` and returns (n, c).  An epsilon
+    of 1e-8 in the denominator guards near-zero norms; an exactly zero vector
+    is rejected because its direction is undefined.
     """
     tape = _check_tape(a, b)
-    if a.data.shape != b.data.shape or a.data.ndim not in (1, 2):
-        raise ValueError(f"cosine_sim: expected matching vectors or matrices, got {a.data.shape} and {b.data.shape}")
-    ax = a.data.ndim - 1
-    na = np.linalg.norm(a.data, axis=ax)
-    nb = np.linalg.norm(b.data, axis=ax)
+    sa, sb = a.data.shape, b.data.shape
+    stacked = len(sa) == 2 and len(sb) == 3 and (sb[0], sb[2]) == sa
+    if not (stacked or (sa == sb and len(sa) in (1, 2))):
+        raise ValueError(f"cosine_sim: expected matching vectors or matrices, or (n, d) against (n, c, d), got {sa} and {sb}")
+    ad = a.data[:, None, :] if stacked else a.data
+    na = np.linalg.norm(ad, axis=-1)
+    nb = np.linalg.norm(b.data, axis=-1)
     if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("cosine_sim: zero vector has no direction")
-    dot = (a.data * b.data).sum(axis=ax, dtype=np.float64).astype(a.data.dtype)
+    dot = (ad * b.data).sum(axis=-1, dtype=np.float64).astype(a.data.dtype)
     denom = (na * nb + _COS_EPS).astype(a.data.dtype)
     out = dot / denom
 
     def vjp(g):
-        if a.data.ndim == 1:
-            ga = g * (b.data / denom - (dot / denom**2) * nb * a.data / na)
-            gb = g * (a.data / denom - (dot / denom**2) * na * b.data / nb)
-        else:
-            gc = (g / denom)[:, None]
-            sc = (g * dot / denom**2)[:, None]
-            ga = gc * b.data - sc * (nb / na)[:, None] * a.data
-            gb = gc * a.data - sc * (na / nb)[:, None] * b.data
+        gc = (g / denom)[..., None]
+        sc = (g * dot / denom**2)[..., None]
+        ga = gc * b.data - sc * (nb / na)[..., None] * ad
+        gb = gc * ad - sc * (na / nb)[..., None] * b.data
+        if stacked:
+            ga = ga.sum(axis=1, dtype=np.float64)
         return ga.astype(a.data.dtype), gb.astype(b.data.dtype)
 
     return tape._record((a, b), np.asarray(out), vjp)

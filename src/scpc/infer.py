@@ -181,12 +181,9 @@ def word_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> Predicted
     """Peaks of the context-vs-next-segment dissimilarity, at segment end times.
 
     A peak at junction t marks the end of segment t: the last frame index of
-    that segment times the frame hop.  Fewer than three segments cannot carry
-    an interior peak, so nothing is emitted.
+    that segment times the frame hop.  Fewer than three segments give at
+    most two scores, which hold no interior peak, so nothing is emitted.
     """
-    m = profile.segment_end_frames.size
-    if m < 3:
-        return PredictedBoundaries(profile.id, "word", np.empty(0, dtype=np.float64))
     idx, _ = find_peaks(profile.word_scores, prominence=cfg.prominence)
     times = profile.segment_end_frames[idx] * model.FRAME_HOP_S
     return PredictedBoundaries(profile.id, "word", times.astype(np.float64))

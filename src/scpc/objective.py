@@ -1,9 +1,12 @@
 """Contrastive training objectives at the frame and segment level.
 
-Both losses are softmax cross-entropies over cosine similarities: an anchor
-must pick its true successor out of distractors drawn uniformly without
-replacement from the same utterance.  Frame anchors predict the next frame
-latent; segment anchors are causal context states predicting the next segment
+Both losses are the same noise-contrastive estimate: an anchor must pick its
+true successor out of k distractors drawn uniformly without replacement from
+the same utterance.  One integer table of shape (n - 1, k + 1) holds every
+anchor's candidates, the positive in column 0; the candidates are gathered in
+one op and scored by cosine similarity in one op, so a loss records the same
+five tape nodes for any k.  Frame anchors predict the next frame latent;
+segment anchors are causal context states predicting the next segment
 latent.  The segment loss joins the total only from a configured epoch
 onward, giving the frame encoder a head start.
 """
@@ -17,25 +20,12 @@ import numpy as np
 from . import diffcore as dc
 
 __all__ = [
-    "ContrastiveBatchSpec",
     "LossReport",
     "sample_distractors",
     "nfc_loss",
     "nsc_loss",
     "utterance_loss",
 ]
-
-
-@dataclass(frozen=True)
-class ContrastiveBatchSpec:
-    """Distractor counts for the two losses."""
-
-    k_frame: int = 10
-    k_seg: int = 5
-
-    def __post_init__(self):
-        if self.k_frame < 1 or self.k_seg < 0:
-            raise ValueError(f"need k_frame >= 1 and k_seg >= 0, got {self.k_frame}, {self.k_seg}")
 
 
 @dataclass(frozen=True)
@@ -49,39 +39,37 @@ class LossReport:
     n_segment_anchors: int
 
 
-def sample_distractors(rng: np.random.Generator, n_items: int, anchors: np.ndarray, positives: np.ndarray, k: int) -> np.ndarray:
-    """Per-anchor distractor indices: k draws without replacement.
+def sample_distractors(rng: np.random.Generator, n_items: int, k: int) -> np.ndarray:
+    """Distractor indices for the anchors 0 .. n_items - 2, shape (n_items - 1, k).
 
-    Row i samples uniformly from range(n_items) minus {anchors[i],
-    positives[i]}.  Implemented with random keys so the generator consumption
-    depends only on the shape, keeping runs bit-reproducible.
+    Row i holds k distinct draws from range(n_items) minus {i, i + 1}, its
+    anchor and positive; every k-subset is equally likely.  Floyd's algorithm,
+    vectorised over rows, draws k indices from the n_items - 2 others in one
+    ``rng.integers`` call and shifts them past the anchor and the positive,
+    in O(n_items * k) memory and O(n_items * k^2) time; the draw depends on
+    nothing but the generator, n_items and k.
     """
-    n_rows = anchors.size
-    if k > n_items - 2:
+    n = n_items - 2
+    if k < 0 or k > n:
         raise ValueError(f"cannot draw {k} distractors from {n_items} items minus anchor and positive")
-    keys = rng.random((n_rows, n_items))
-    rows = np.arange(n_rows)
-    keys[rows, anchors] = np.inf
-    keys[rows, positives] = np.inf
-    if k == 0:
-        return np.empty((n_rows, 0), dtype=np.int64)
-    return np.argpartition(keys, k - 1, axis=1)[:, :k].astype(np.int64)
+    top = np.arange(n - k, n)
+    out = rng.integers(0, top + 1, size=(n_items - 1, k))
+    for c in range(1, k):
+        taken = (out[:, :c] == out[:, c : c + 1]).any(axis=1)
+        out[taken, c] = top[c]
+    return out + 2 * (out >= np.arange(n_items - 1)[:, None])
 
 
-def _successor_loss(tape: dc.Tape, anchors: dc.Tensor, pool: dc.Tensor, pool_positive_idx: np.ndarray, distractor_idx: np.ndarray) -> dc.Tensor:
-    """Mean cross-entropy of picking the positive among sampled candidates.
+def _successor_loss(sources: dc.Tensor, pool: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor:
+    """Mean cross-entropy of each source row i < n - 1 picking pool row i + 1.
 
-    ``anchors`` is (A, dim); candidate column 0 is the positive (rows of
-    ``pool`` at ``pool_positive_idx``), the remaining columns are distractor
-    rows; similarities are cosine.
+    The candidates of anchor i are pool rows: the positive i + 1, then k
+    distractors; similarities are cosine.
     """
-    n_anchors = anchors.shape[0]
-    cols = [dc.reshape(dc.cosine_sim(anchors, dc.gather_rows(pool, pool_positive_idx)), (n_anchors, 1))]
-    for j in range(distractor_idx.shape[1]):
-        cand = dc.gather_rows(pool, distractor_idx[:, j])
-        cols.append(dc.reshape(dc.cosine_sim(anchors, cand), (n_anchors, 1)))
-    logits = dc.concat(cols, axis=1)
-    losses = dc.softmax_cross_entropy_with_index(logits, np.zeros(n_anchors, dtype=np.int64))
+    n = pool.shape[0]
+    table = np.column_stack([np.arange(1, n), sample_distractors(rng, n, k)])
+    logits = dc.cosine_sim(dc.narrow(sources, 0, n - 1), dc.gather_rows(pool, table))
+    losses = dc.softmax_cross_entropy_with_index(logits, np.zeros(n - 1, dtype=np.int64))
     return dc.mean_axis(losses)
 
 
@@ -95,12 +83,7 @@ def nfc_loss(tape: dc.Tape, frames: dc.Tensor, k: int, rng: np.random.Generator)
     n = frames.shape[0]
     if n < k + 2:
         raise ValueError(f"utterance has {n} frames; next-frame loss needs at least k + 2 = {k + 2}")
-    anchors = dc.narrow(frames, 0, n - 1)
-    anchor_idx = np.arange(n - 1)
-    positive_idx = anchor_idx + 1
-    didx = sample_distractors(rng, n, anchor_idx, positive_idx, k)
-    loss = _successor_loss(tape, anchors, frames, positive_idx, didx)
-    return loss, n - 1
+    return _successor_loss(frames, frames, k, rng), n - 1
 
 
 def nsc_loss(tape: dc.Tape, segments: dc.Tensor, contexts: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Tensor | None, int]:
@@ -117,26 +100,21 @@ def nsc_loss(tape: dc.Tape, segments: dc.Tensor, contexts: dc.Tensor, k: int, rn
     if m < 2:
         return None, 0
     k_eff = min(k, m - 2)
-    anchors = dc.narrow(contexts, 0, m - 1)
-    anchor_idx = np.arange(m - 1)
-    positive_idx = anchor_idx + 1
-    didx = sample_distractors(rng, m, anchor_idx, positive_idx, k_eff)
-    loss = _successor_loss(tape, anchors, segments, positive_idx, didx)
-    return loss, m - 1
+    return _successor_loss(contexts, segments, k_eff, rng), m - 1
 
 
-def utterance_loss(tape: dc.Tape, frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, spec: ContrastiveBatchSpec, nsc_active: bool, rng: np.random.Generator) -> tuple[dc.Tensor, LossReport]:
+def utterance_loss(tape: dc.Tape, frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, k_frame: int, k_seg: int, nsc_active: bool, rng: np.random.Generator) -> tuple[dc.Tensor, LossReport]:
     """Total objective for one utterance: frame loss plus, once active, the
     segment loss.
 
     The segment branch is not even built while inactive, so early epochs pay
     no graph cost for it.
     """
-    nfc, n_frame = nfc_loss(tape, frames, spec.k_frame, rng)
+    nfc, n_frame = nfc_loss(tape, frames, k_frame, rng)
     nsc: dc.Tensor | None = None
     n_seg = 0
     if nsc_active:
-        nsc, n_seg = nsc_loss(tape, segments, contexts, spec.k_seg, rng)
+        nsc, n_seg = nsc_loss(tape, segments, contexts, k_seg, rng)
     if nsc is not None:
         total = dc.add(nfc, nsc)
         nsc_val = float(nsc.data)

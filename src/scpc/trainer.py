@@ -29,7 +29,6 @@ __all__ = [
     "ENV_PREFIX",
     "SWEEP_GRIDS",
     "TrainConfig",
-    "TrainItem",
     "TrainResult",
     "DivergenceError",
     "parse_config_text",
@@ -151,27 +150,15 @@ def resolve_config(path: str | Path | None = None, env: dict | None = None, over
 
 # ------------------------------------------------------------------- data
 
-@dataclass(frozen=True)
-class TrainItem:
-    """One utterance held in memory with both reference boundary levels."""
-
-    id: str
-    samples: np.ndarray
-    phoneme_times: np.ndarray
-    word_times: np.ndarray
-    duration_s: float
-
-
-def load_dataset(manifest_path: str | Path) -> list[TrainItem]:
-    items = []
-    for wav_path, phn_path, wrd_path in audio.read_manifest(manifest_path):
+def load_dataset(manifest_path: str | Path) -> list[audio.Waveform]:
+    """The training audio of a manifest; its annotations are never read."""
+    waves = []
+    for wav_path, _, _ in audio.read_manifest(manifest_path):
         wave = audio.load_wav(wav_path)
         if wave.sample_rate != 16000:
             raise ValueError(f"{wav_path}: sample rate {wave.sample_rate} != 16000; resample first")
-        phoneme = audio.load_annotation(phn_path, "phoneme")
-        word = audio.load_annotation(wrd_path, "word")
-        items.append(TrainItem(wav_path.stem, wave.samples, phoneme.times, word.times, wave.samples.size / wave.sample_rate))
-    return items
+        waves.append(wave)
+    return waves
 
 
 # -------------------------------------------------------------- optimizer
@@ -302,7 +289,6 @@ def train(
         state = _OptState(0, {k: np.zeros_like(p) for k, p in net.params.items()}, {k: np.zeros_like(p) for k, p in net.params.items()})
 
     params = dict(net.params)
-    spec = obj.ContrastiveBatchSpec(config.k_frame, config.k_seg)
     ckpt_path = out / "checkpoint.npz"
     metrics_path = out / "metrics.jsonl"
     history: list[dict] = []
@@ -327,7 +313,7 @@ def train(
                     leaves = {k: tape.tensor(p, requires_grad=True) for k, p in params.items()}
                     graph = model.analyze_utterance(tape, leaves, item.samples, config.thres)
                     rng = np.random.default_rng([config.seed, epoch, int(idx)])
-                    total, report = obj.utterance_loss(tape, graph.frames, graph.segments, graph.contexts, spec, nsc_active, rng)
+                    total, report = obj.utterance_loss(tape, graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
                     if not np.isfinite(report.total):
                         raise DivergenceError(f"non-finite loss on utterance {item.id} in epoch {epoch}; last-good checkpoint retained")
                     tape.backward(total)

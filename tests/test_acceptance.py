@@ -167,6 +167,8 @@ def _op_cases():
         ("narrow", lambda rng: ([rng.standard_normal((5, 3))], lambda t, xs: dc.narrow(xs[0], 1, 3))),
         ("gather_rows", lambda rng: ([rng.standard_normal((5, 3))],
                                      lambda t, xs: dc.gather_rows(xs[0], np.array([0, 2, 2, 4])))),
+        ("gather_rows 2-D index", lambda rng: ([rng.standard_normal((5, 3))],
+                                               lambda t, xs: dc.gather_rows(xs[0], np.array([[0, 2, 1], [4, 4, 3]])))),
         ("relu", lambda rng: ([away(rng, (3, 4))], lambda t, xs: dc.relu(xs[0]))),
         ("tanh", lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.tanh(xs[0]))),
         ("absolute", lambda rng: ([away(rng, (3, 4))], lambda t, xs: dc.absolute(xs[0]))),
@@ -179,6 +181,8 @@ def _op_cases():
                                    lambda t, xs: dc.outer_sub(xs[0], xs[1]))),
         ("cosine_sim", lambda rng: ([_unit_rows(rng, 3, 4), _unit_rows(rng, 3, 4)],
                                     lambda t, xs: dc.cosine_sim(xs[0], xs[1]))),
+        ("cosine_sim stacked", lambda rng: ([_unit_rows(rng, 3, 4), _unit_rows(rng, 6, 4).reshape(3, 2, 4)],
+                                            lambda t, xs: dc.cosine_sim(xs[0], xs[1]))),
         ("softmax xent", lambda rng: ([rng.standard_normal((4, 3))],
                                       lambda t, xs: dc.softmax_cross_entropy_with_index(xs[0], np.array([0, 2, 1, 2])))),
     ]
@@ -280,6 +284,7 @@ class TestSyntheticEndToEnd:
     an every-40 ms periodic predictor.
     """
 
+    @pytest.mark.slow
     def test_trained_model_clears_quality_bars(self, tmp_path):
         for split, n, start in (("train", 400, 0), ("val", 50, 400), ("test", 50, 450)):
             _run_cli("synth", "--out", tmp_path / split, "--n", n, "--start-index", start)

@@ -68,32 +68,17 @@ class TestWavIO:
             audio.Waveform(np.zeros(10, dtype=np.float64), 16000)
 
 
-class TestSplit:
-    def test_short_input_untouched(self, tiny_wave):
-        assert audio.split_long_waveform(tiny_wave, 10.0) == [tiny_wave]
-
-    def test_pieces_respect_max_and_content(self):
-        rng = np.random.default_rng(3)
-        loud = rng.uniform(-0.8, 0.8, 16000 * 4).astype(np.float32)
-        loud[20000:22000] = 0.0001  # a quiet gap for the splitter to find
-        wave = audio.Waveform(loud, 16000, id="long")
-        pieces = audio.split_long_waveform(wave, 2.0, silence_threshold=0.01)
-        assert len(pieces) >= 2
-        assert all(p.samples.size <= 2 * 16000 for p in pieces)
-        np.testing.assert_array_equal(np.concatenate([p.samples for p in pieces]), wave.samples)
-
-
 class TestAlignmentParsing:
     def test_timit_end_times(self, tmp_path):
         path = tmp_path / "x.phn"
         path.write_text("0 1600 a\n1600 4800 b\n")
-        times = audio.parse_alignment_file(path, "timit", sample_rate=16000)
+        times = audio.parse_alignment_file(path)
         np.testing.assert_allclose(times, [0.1, 0.3])
 
     def test_timit_duplicate_ends_collapsed(self, tmp_path):
         path = tmp_path / "x.phn"
         path.write_text("0 100 a\n100 200 b\n200 200000 c\n")
-        times = audio.parse_alignment_file(path, "timit")
+        times = audio.parse_alignment_file(path)
         assert times.size == 3
         assert np.all(np.diff(times) > 0)
 
@@ -101,36 +86,19 @@ class TestAlignmentParsing:
         path = tmp_path / "x.phn"
         path.write_text("0 100 a\nnot a line\n")
         with pytest.raises(ValueError, match=r":2:"):
-            audio.parse_alignment_file(path, "timit")
+            audio.parse_alignment_file(path)
 
     def test_timit_nonmonotone_rejected(self, tmp_path):
         path = tmp_path / "x.phn"
         path.write_text("0 300 a\n100 400 b\n")
         with pytest.raises(ValueError, match=r":2:.*before previous end"):
-            audio.parse_alignment_file(path, "timit")
+            audio.parse_alignment_file(path)
 
     def test_timit_empty_span_rejected(self, tmp_path):
         path = tmp_path / "x.phn"
         path.write_text("100 100 a\n")
         with pytest.raises(ValueError, match="empty or negative"):
-            audio.parse_alignment_file(path, "timit")
-
-    def test_simple_times(self, tmp_path):
-        path = tmp_path / "x.times"
-        path.write_text("0.125000\n0.480000\n")
-        np.testing.assert_allclose(audio.parse_alignment_file(path, "simple_times"), [0.125, 0.48])
-
-    def test_simple_times_must_increase(self, tmp_path):
-        path = tmp_path / "x.times"
-        path.write_text("0.5\n0.25\n")
-        with pytest.raises(ValueError, match="strictly increasing"):
-            audio.parse_alignment_file(path, "simple_times")
-
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "x"
-        path.write_text("")
-        with pytest.raises(ValueError, match="unknown alignment format"):
-            audio.parse_alignment_file(path, "ctm")
+            audio.parse_alignment_file(path)
 
     def test_load_annotation(self, tmp_path):
         path = tmp_path / "utt7.phn"
@@ -258,9 +226,9 @@ class TestCorpusIO:
         assert len(records) == 3
         wav0 = audio.load_wav(records[0][0])
         assert wav0.sample_rate == 16000
-        phn_times = audio.parse_alignment_file(records[0][1], "timit")
+        phn_times = audio.parse_alignment_file(records[0][1])
         np.testing.assert_allclose(phn_times, utts[0].phoneme.times)
-        wrd_times = audio.parse_alignment_file(records[0][2], "timit")
+        wrd_times = audio.parse_alignment_file(records[0][2])
         np.testing.assert_allclose(wrd_times, utts[0].word.times)
 
     def test_disjoint_splits_by_index(self):

@@ -181,6 +181,24 @@ class TestLinalgGrads:
 
         run_gradcheck(build)
 
+    def test_gather_rows_2d_index(self):
+        def build(rng):
+            x = rng.standard_normal((5, 3))
+            idx = rng.integers(0, 5, size=(4, 3))
+            return [x], lambda t, xs: dc.gather_rows(xs[0], idx)
+
+        run_gradcheck(build)
+
+    def test_gather_rows_output_shape(self):
+        tape = dc.Tape()
+        x = tape.tensor(np.arange(12.0).reshape(4, 3))
+        idx = np.array([[3, 0], [1, 1], [2, 3]])
+        out = dc.gather_rows(x, idx)
+        assert out.shape == (3, 2, 3)
+        np.testing.assert_array_equal(out.data, x.data[idx])
+        with pytest.raises(ValueError, match="integer"):
+            dc.gather_rows(x, np.zeros((2, 2)))
+
     def test_outer_sub(self):
         run_gradcheck(lambda rng: ([rng.standard_normal(4), rng.standard_normal(3)], lambda t, xs: dc.outer_sub(xs[0], xs[1])))
 
@@ -302,6 +320,28 @@ class TestCosineGrads:
         b = tape.tensor([1.0, 0.0])
         with pytest.raises(ValueError, match="zero vector"):
             dc.cosine_sim(a, b)
+
+    def test_stacked(self):
+        run_gradcheck(lambda rng: ([rng.standard_normal((4, 3)) + 0.2, rng.standard_normal((4, 2, 3)) + 0.2], lambda t, xs: dc.cosine_sim(xs[0], xs[1])))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_matches_each_column_bitwise(self, dtype):
+        rng = np.random.default_rng(5)
+        tape = dc.Tape()
+        a = tape.tensor(rng.standard_normal((6, 64)).astype(dtype))
+        b = tape.tensor(rng.standard_normal((6, 11, 64)).astype(dtype))
+        stacked = dc.cosine_sim(a, b).data
+        assert stacked.shape == (6, 11) and stacked.dtype == dtype
+        for c in range(11):
+            column = dc.cosine_sim(a, tape.tensor(np.ascontiguousarray(b.data[:, c]))).data
+            np.testing.assert_array_equal(stacked[:, c], column)
+
+    def test_rejects_mismatched_shapes(self):
+        tape = dc.Tape()
+        with pytest.raises(ValueError, match=r"\(n, c, d\)"):
+            dc.cosine_sim(tape.tensor(np.ones((4, 3))), tape.tensor(np.ones((4, 2, 2))))
+        with pytest.raises(ValueError, match=r"\(n, c, d\)"):
+            dc.cosine_sim(tape.tensor(np.ones((4, 3))), tape.tensor(np.ones((3, 3))))
 
 
 class TestSoftmaxCrossEntropy:
@@ -440,7 +480,7 @@ class TestGraphLifetime:
         leaves = net.leaf_tensors(tape)
         graph = model.analyze_utterance(tape, leaves, self._utterance(), thres=0.0)
         total, _ = obj.utterance_loss(tape, graph.frames, graph.segments, graph.contexts,
-                                      obj.ContrastiveBatchSpec(4, 2), True, np.random.default_rng(0))
+                                      4, 2, True, np.random.default_rng(0))
         assert len(conv_outputs) == len(model.KERNELS)
         assert all(ref() is not None for ref in conv_outputs)   # held for backward
         tape.backward(total)

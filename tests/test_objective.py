@@ -2,13 +2,16 @@
 
 Hand-built latent geometries pin exact loss values (uniform similarities
 give log(K+1); two-candidate setups give log(1 + e^margin)).  Distractor
-sampling is checked for exclusion, determinism, and rough uniformity, and
-composite finite-difference checks cover the full loss graphs.
+sampling is checked for exclusion, determinism, uniformity over indices and
+over k-subsets, generator consumption and linear memory; composite
+finite-difference checks cover the full loss graphs, and tape-node counts pin
+one gathered candidate table per loss.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,75 +30,89 @@ def f64(tape, arr):
 
 # ---------------------------------------------------------------- sampling
 
-def test_spec_defaults_and_validation():
-    spec = obj.ContrastiveBatchSpec()
-    assert spec.k_frame == 10 and spec.k_seg == 5
-    with pytest.raises(ValueError):
-        obj.ContrastiveBatchSpec(k_frame=0)
-    with pytest.raises(ValueError):
-        obj.ContrastiveBatchSpec(k_seg=-1)
-
-
 def test_sample_distractors_exact_complement():
     # k = n - 2 forces every row to be exactly the complement of {anchor, positive}.
-    rng = np.random.default_rng(0)
-    anchors = np.arange(11)
-    positives = anchors + 1
-    out = obj.sample_distractors(rng, 12, anchors, positives, 10)
-    assert out.shape == (11, 10)
+    out = obj.sample_distractors(np.random.default_rng(0), 12, 10)
+    assert out.shape == (11, 10) and out.dtype == np.int64
     for i in range(11):
-        assert set(out[i]) == set(range(12)) - {anchors[i], positives[i]}
+        assert set(out[i]) == set(range(12)) - {i, i + 1}
 
 
 def test_sample_distractors_excludes_and_dedups():
-    rng = np.random.default_rng(1)
-    anchors = np.arange(30)
-    positives = anchors + 1
-    out = obj.sample_distractors(rng, 31, anchors, positives, 7)
+    out = obj.sample_distractors(np.random.default_rng(1), 31, 7)
+    assert out.shape == (30, 7)
     for i in range(30):
         row = out[i]
         assert len(set(row.tolist())) == 7
-        assert anchors[i] not in row and positives[i] not in row
+        assert i not in row and i + 1 not in row
         assert row.min() >= 0 and row.max() < 31
 
 
 def test_sample_distractors_deterministic():
-    anchors = np.arange(9)
-    positives = anchors + 1
-    a = obj.sample_distractors(np.random.default_rng(42), 10, anchors, positives, 4)
-    b = obj.sample_distractors(np.random.default_rng(42), 10, anchors, positives, 4)
-    c = obj.sample_distractors(np.random.default_rng(43), 10, anchors, positives, 4)
+    a = obj.sample_distractors(np.random.default_rng(42), 10, 4)
+    b = obj.sample_distractors(np.random.default_rng(42), 10, 4)
+    c = obj.sample_distractors(np.random.default_rng(43), 10, 4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_distractors_roughly_uniform():
+    # Row 2 of 8 items draws one of the six indices outside {2, 3}.
     rng = np.random.default_rng(7)
     counts = np.zeros(8, dtype=int)
     n_draws = 6000
     for _ in range(n_draws):
-        idx = obj.sample_distractors(rng, 8, np.array([2]), np.array([3]), 1)
-        counts[idx[0, 0]] += 1
+        counts[obj.sample_distractors(rng, 8, 1)[2, 0]] += 1
     assert counts[2] == 0 and counts[3] == 0
     valid = counts[[0, 1, 4, 5, 6, 7]]
     # expected 1000 per index; +-200 is over 6 sigma
     assert valid.min() > 800 and valid.max() < 1200
 
 
+def test_sample_distractors_k_subsets_uniform():
+    # Row 0 of 7 items draws 2 of {2, ..., 6}: each of the 10 pairs is equally likely.
+    rng = np.random.default_rng(8)
+    counts: dict[tuple[int, int], int] = {}
+    for _ in range(6000):
+        pair = tuple(sorted(obj.sample_distractors(rng, 7, 2)[0].tolist()))
+        counts[pair] = counts.get(pair, 0) + 1
+    assert sorted(counts) == [(a, b) for a in range(2, 7) for b in range(a + 1, 7)]
+    # expected 600 per pair; +-200 is over 8 sigma
+    assert all(abs(n - 600) <= 200 for n in counts.values()), counts
+
+
 def test_sample_distractors_k_too_large():
     with pytest.raises(ValueError, match="distractors"):
-        obj.sample_distractors(np.random.default_rng(0), 5, np.array([0]), np.array([1]), 4)
+        obj.sample_distractors(np.random.default_rng(0), 5, 4)
 
 
-def test_sample_distractors_k_zero_consumes_rng_identically():
-    anchors, positives = np.array([0, 1]), np.array([1, 2])
-    r0 = np.random.default_rng(5)
-    out = obj.sample_distractors(r0, 6, anchors, positives, 0)
-    assert out.shape == (2, 0) and out.dtype == np.int64
-    r1 = np.random.default_rng(5)
-    obj.sample_distractors(r1, 6, anchors, positives, 3)
-    # generator state depends only on the key-matrix shape, not on k
-    assert r0.random() == r1.random()
+def test_sample_distractors_negative_k():
+    with pytest.raises(ValueError, match="distractors"):
+        obj.sample_distractors(np.random.default_rng(0), 5, -1)
+
+
+@pytest.mark.parametrize("n_items, k", [(6, 0), (6, 3), (6, 4), (50, 10)])
+def test_sample_distractors_draws_once_per_shape(n_items, k):
+    # The whole draw is one integers call of shape (n_items - 1, k), bounded
+    # per column by Floyd's algorithm; k = 0 leaves the generator untouched.
+    r0, r1 = np.random.default_rng(5), np.random.default_rng(5)
+    obj.sample_distractors(r0, n_items, k)
+    r1.integers(0, np.arange(n_items - 2 - k, n_items - 2) + 1, size=(n_items - 1, k))
+    assert r0.bit_generator.state == r1.bit_generator.state
+    if k == 0:
+        assert r0.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def test_sample_distractors_memory_linear():
+    # An L x L key matrix for 4000 items would take 128 MB; the table is 4000 x 10.
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        obj.sample_distractors(rng, 4000, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -------------------------------------------------------------- frame loss
@@ -142,6 +159,38 @@ def test_nfc_gradient_matches_fd():
     tape.backward(loss)
     num = numeric_grad(f, [base])[0]
     assert rel_err(x.grad, num) <= 1e-4
+
+
+def test_nfc_matches_per_column_loop(monkeypatch):
+    # Reference: one gather and one cosine per candidate column, concatenated.
+    base = np.random.default_rng(4).normal(size=(12, 5)).astype(np.float32)
+    table = obj.sample_distractors(np.random.default_rng(6), 12, 3)
+    monkeypatch.setattr(obj, "sample_distractors", lambda rng, n_items, k: table)
+
+    tape = dc.Tape()
+    x = tape.tensor(base, requires_grad=True)
+    loss, _ = obj.nfc_loss(tape, x, 3, np.random.default_rng(0))
+    tape.backward(loss)
+
+    ref_tape = dc.Tape()
+    xr = ref_tape.tensor(base, requires_grad=True)
+    anchors = dc.narrow(xr, 0, 11)
+    columns = [np.arange(1, 12)] + [table[:, j] for j in range(3)]
+    cols = [dc.reshape(dc.cosine_sim(anchors, dc.gather_rows(xr, c)), (11, 1)) for c in columns]
+    ref = dc.mean_axis(dc.softmax_cross_entropy_with_index(dc.concat(cols, axis=1), np.zeros(11, dtype=np.int64)))
+    ref_tape.backward(ref)
+
+    assert loss.data == ref.data
+    np.testing.assert_allclose(x.grad, xr.grad, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("k", [2, 10])
+def test_nfc_records_five_tape_nodes(k):
+    # narrow, gather_rows, cosine_sim, cross-entropy, mean: one of each for any k
+    tape = dc.Tape()
+    frames = f64(tape, np.random.default_rng(0).normal(size=(30, 4)))
+    obj.nfc_loss(tape, frames, k, np.random.default_rng(1))
+    assert len(tape._nodes) == 5
 
 
 # ------------------------------------------------------------ segment loss
@@ -211,6 +260,15 @@ def test_nsc_gradient_matches_fd():
     assert rel_err(c.grad, nums[1]) <= 1e-4
 
 
+@pytest.mark.parametrize("k", [0, 5])
+def test_nsc_records_five_tape_nodes(k):
+    tape = dc.Tape()
+    rng = np.random.default_rng(2)
+    segments, contexts = f64(tape, rng.normal(size=(9, 4))), f64(tape, rng.normal(size=(9, 4)))
+    obj.nsc_loss(tape, segments, contexts, k, np.random.default_rng(3))
+    assert len(tape._nodes) == 5
+
+
 # ------------------------------------------------------------- total loss
 
 def _tiny_graph(tape):
@@ -223,8 +281,7 @@ def _tiny_graph(tape):
 def test_utterance_loss_inactive_skips_segment_branch():
     tape = dc.Tape()
     frames, segments, contexts = _tiny_graph(tape)
-    spec = obj.ContrastiveBatchSpec(k_frame=1, k_seg=1)
-    total, report = obj.utterance_loss(tape, frames, segments, contexts, spec, False, np.random.default_rng(0))
+    total, report = obj.utterance_loss(tape, frames, segments, contexts, 1, 1, False, np.random.default_rng(0))
     assert report.nsc is None
     assert report.total == report.nfc == float(total.data)
     assert report.n_frame_anchors == 2 and report.n_segment_anchors == 0
@@ -233,8 +290,7 @@ def test_utterance_loss_inactive_skips_segment_branch():
 def test_utterance_loss_active_adds_both():
     tape = dc.Tape()
     frames, segments, contexts = _tiny_graph(tape)
-    spec = obj.ContrastiveBatchSpec(k_frame=1, k_seg=1)
-    total, report = obj.utterance_loss(tape, frames, segments, contexts, spec, True, np.random.default_rng(0))
+    total, report = obj.utterance_loss(tape, frames, segments, contexts, 1, 1, True, np.random.default_rng(0))
     nfc_expected = (np.log1p(np.exp(-2.0)) + np.log1p(np.exp(2.0))) / 2
     nsc_expected = (np.log1p(np.exp(-1.0)) + np.log1p(np.exp(1.0))) / 2
     assert abs(report.nfc - nfc_expected) <= 1e-6
@@ -260,7 +316,7 @@ def test_full_model_all_parameters_receive_gradient():
     assert m >= 3, f"expected several segments at thres 0, got {m}"
     total, report = obj.utterance_loss(
         tape, graph.frames, graph.segments, graph.contexts,
-        obj.ContrastiveBatchSpec(), True, np.random.default_rng(0))
+        10, 5, True, np.random.default_rng(0))
     assert np.isfinite(report.total)
     assert report.nsc is not None
     tape.backward(total)

@@ -85,6 +85,10 @@ def test_train_config_validation():
         trainer.TrainConfig(thres=1.5)
     with pytest.raises(ValueError, match="add_nsc_epoch"):
         trainer.TrainConfig(add_nsc_epoch=-1)
+    with pytest.raises(ValueError, match="k_frame"):
+        trainer.TrainConfig(k_frame=0)
+    with pytest.raises(ValueError, match="k_seg"):
+        trainer.TrainConfig(k_seg=-1)
 
 
 # -------------------------------------------------------------------- data
@@ -98,14 +102,16 @@ def corpus(tmp_path_factory):
     return train_manifest, val_manifest
 
 
-def test_load_dataset(corpus):
-    items = trainer.load_dataset(corpus[0])
-    assert len(items) == 10
-    for it in items:
-        assert it.samples.dtype == np.float32
-        assert it.duration_s == it.samples.size / 16000
-        assert it.phoneme_times[-1] == pytest.approx(it.duration_s)
-        assert it.word_times.size <= it.phoneme_times.size
+def test_load_dataset(corpus, tmp_path):
+    waves = trainer.load_dataset(corpus[0])
+    assert [w.id for w in waves] == [wav.stem for wav, _, _ in audio.read_manifest(corpus[0])]
+    for w in waves:
+        assert w.samples.dtype == np.float32 and w.sample_rate == 16000
+    # Annotations must exist but are never parsed for training.
+    bad = tmp_path / "bad.phn"
+    bad.write_text("not a line\n")
+    audio.write_manifest([(wav, bad, bad) for wav, _, _ in audio.read_manifest(corpus[0])], tmp_path / "manifest.tsv")
+    assert len(trainer.load_dataset(tmp_path / "manifest.tsv")) == len(waves)
 
 
 # ---------------------------------------------------------------- training
