@@ -22,6 +22,7 @@ from scpc import audio
 from scpc import diffcore as dc
 from scpc import model
 from scpc import objective as obj
+from scpc import trainer
 
 
 def f64(tape, arr):
@@ -29,6 +30,16 @@ def f64(tape, arr):
 
 
 # ---------------------------------------------------------------- sampling
+
+def test_spec_defaults_and_validation():
+    # The distractor counts fed to utterance_loss live on TrainConfig.
+    config = trainer.TrainConfig()
+    assert config.k_frame == 10 and config.k_seg == 5
+    with pytest.raises(ValueError, match="k_frame"):
+        trainer.TrainConfig(k_frame=0)
+    with pytest.raises(ValueError, match="k_seg"):
+        trainer.TrainConfig(k_seg=-1)
+
 
 def test_sample_distractors_exact_complement():
     # k = n - 2 forces every row to be exactly the complement of {anchor, positive}.

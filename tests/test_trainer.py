@@ -85,10 +85,6 @@ def test_train_config_validation():
         trainer.TrainConfig(thres=1.5)
     with pytest.raises(ValueError, match="add_nsc_epoch"):
         trainer.TrainConfig(add_nsc_epoch=-1)
-    with pytest.raises(ValueError, match="k_frame"):
-        trainer.TrainConfig(k_frame=0)
-    with pytest.raises(ValueError, match="k_seg"):
-        trainer.TrainConfig(k_seg=-1)
 
 
 # -------------------------------------------------------------------- data
