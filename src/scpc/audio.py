@@ -13,9 +13,8 @@ it along with time zero).
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "parse_alignment_file",
     "load_annotation",
     "default_spec",
-    "spec_from_json",
-    "spec_to_json",
     "generate_utterance",
     "generate_corpus",
     "save_corpus",
@@ -89,7 +86,8 @@ def load_wav(path: str | Path) -> Waveform:
     """Read a mono RIFF/WAVE file (16-bit PCM or float32) as float32 in [-1, 1].
 
     Truncated files are an error, not a warning: silently shortened audio
-    would skew boundary scoring.
+    would skew boundary scoring.  So are float32 files with non-finite
+    samples or samples outside [-1, 1].
     """
     path = Path(path)
     try:
@@ -104,6 +102,8 @@ def load_wav(path: str | Path) -> Waveform:
         samples = (data / 32768.0).astype(np.float32)
     elif data.dtype == np.float32:
         samples = data
+        if not np.all(np.abs(samples) <= 1.0):   # False for NaN and inf too
+            raise ValueError(f"{path}: float32 samples must be finite and within [-1, 1]")
     else:
         raise ValueError(f"{path}: unsupported sample format {data.dtype}; use 16-bit PCM or float32")
     return Waveform(samples, int(rate), id=path.stem)
@@ -257,41 +257,6 @@ def default_spec(seed: int = 0) -> SynthSpec:
         (2, 0, 4),
     )
     return SynthSpec(phones=phones, lexicon=lexicon, seed=seed)
-
-
-def spec_to_json(spec: SynthSpec) -> str:
-    payload = {
-        "phones": [{"frequencies": list(p.frequencies), "noise_level": p.noise_level} for p in spec.phones],
-        "lexicon": [list(w) for w in spec.lexicon],
-        "duration_ms": list(spec.duration_ms),
-        "words_per_utterance": list(spec.words_per_utterance),
-        "silence_prob": spec.silence_prob,
-        "sample_rate": spec.sample_rate,
-        "seed": spec.seed,
-        "amplitude": spec.amplitude,
-        "crossfade_ms": spec.crossfade_ms,
-    }
-    return json.dumps(payload, indent=2)
-
-
-def spec_from_json(text: str) -> SynthSpec:
-    raw = json.loads(text)
-    base = default_spec()
-    kwargs = {}
-    if "phones" in raw:
-        kwargs["phones"] = tuple(PhoneTemplate(tuple(p["frequencies"]), p.get("noise_level", 0.02)) for p in raw["phones"])
-    if "lexicon" in raw:
-        kwargs["lexicon"] = tuple(tuple(w) for w in raw["lexicon"])
-    for key in ("duration_ms", "words_per_utterance"):
-        if key in raw:
-            kwargs[key] = tuple(raw[key])
-    for key in ("silence_prob", "sample_rate", "seed", "amplitude", "crossfade_ms"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    unknown = set(raw) - {"phones", "lexicon", "duration_ms", "words_per_utterance", "silence_prob", "sample_rate", "seed", "amplitude", "crossfade_ms"}
-    if unknown:
-        raise ValueError(f"unknown synth spec keys: {sorted(unknown)}")
-    return replace(base, **kwargs)
 
 
 _SILENCE_NOISE = 0.0015

@@ -35,14 +35,12 @@ def _profile_manifest(args) -> list[infer.UtteranceProfile]:
 
 
 def _cmd_synth(args) -> int:
-    spec = audio.spec_from_json(Path(args.spec).read_text()) if args.spec else audio.default_spec()
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = audio.default_spec(args.seed)
     out = Path(args.out)
     utts = audio.generate_corpus(spec, args.n, start_index=args.start_index)
     manifest = audio.save_corpus(utts, out)
     _echo_config(out, {"command": "synth", "n": args.n, "start_index": args.start_index,
-                       "spec": json.loads(audio.spec_to_json(spec))})
+                       "spec": dataclasses.asdict(spec)})
     print(f"wrote {args.n} utterances to {manifest}")
     return 0
 
@@ -78,13 +76,12 @@ def _cmd_segment(args) -> int:
 def _cmd_eval(args) -> int:
     preds = infer.read_predictions(args.pred)
     refs, durations = audio.load_references(args.ref, args.level)
-    report = metrics.evaluate(preds, refs, tolerance=args.tol, durations=durations,
-                              per_utterance_average=args.per_utterance)
+    report = metrics.evaluate(preds, refs, tolerance=args.tol, durations=durations)
     print(metrics.format_report(report, label=args.level))
     if args.out:
         out = Path(args.out)
         _echo_config(out, {"command": "eval", "pred": str(args.pred), "ref": str(args.ref),
-                           "level": args.level, "tol": args.tol, "per_utterance": args.per_utterance})
+                           "level": args.level, "tol": args.tol})
         (out / "eval.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     return 0
 
@@ -132,13 +129,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scpc", description="Joint frame/segment contrastive boundary detection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="render a synthetic corpus with reference boundaries")
-    p.add_argument("--spec", help="corpus spec JSON (default: built-in five-phone spec)")
+    p = sub.add_parser("synth", help="render the built-in synthetic corpus with reference boundaries")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True, help="number of utterances")
     p.add_argument("--start-index", type=int, default=0,
                    help="first utterance index; disjoint ranges under one seed give disjoint splits")
-    p.add_argument("--seed", type=int, help="override the spec seed")
+    p.add_argument("--seed", type=int, default=0, help="corpus seed")
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model from a wav manifest")
@@ -165,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="reference manifest")
     p.add_argument("--level", choices=infer.LEVELS, required=True)
     p.add_argument("--tol", type=float, default=metrics.DEFAULT_TOLERANCE)
-    p.add_argument("--per-utterance", action="store_true", dest="per_utterance",
-                   help="average precision/recall per utterance instead of pooling counts")
     p.add_argument("--out", help="also write eval.json here")
     p.set_defaults(fn=_cmd_eval)
 

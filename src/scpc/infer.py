@@ -206,18 +206,24 @@ def tune_prominence(
     """Grid-search prominence maximizing the pooled R-value on a labeled set.
 
     Ties break toward the larger prominence (fewer boundaries).  Grid points
-    where no boundaries are predicted score as negative infinity.
+    where no boundaries are predicted score as negative infinity.  With
+    ``durations``, edge boundaries are stripped as ``metrics.evaluate`` does,
+    the references once and the predictions at each grid point.
     """
     if not profiles:
         raise ValueError("tune_prominence: empty validation set")
     if not grid:
         raise ValueError("tune_prominence: empty grid")
+    if durations is not None:
+        refs = {k: metrics.strip_edges(v, durations[k]) for k, v in refs.items()}
     best_prom, best_rv, best_score = None, None, -np.inf
     rows = []
     for prom in grid:
         cfg = PeakPickConfig(prominence=prom, level=level)
         preds = {p.id: predict(p, cfg).times for p in profiles}
-        report = metrics.evaluate(preds, refs, tolerance, durations)
+        if durations is not None:
+            preds = {k: metrics.strip_edges(v, durations[k]) for k, v in preds.items()}
+        report = metrics.evaluate(preds, refs, tolerance)
         rows.append((prom, report.r_value))
         score = -np.inf if report.r_value is None else report.r_value
         if score >= best_score:

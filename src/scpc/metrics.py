@@ -2,10 +2,10 @@
 
 Predicted and reference boundaries are matched greedily in temporal order,
 one-to-one, within a tolerance window (20 ms by default).  Corpus scores pool
-hit/prediction/reference counts over all utterances before computing rates;
-per-utterance averaging is available behind a flag.  The R-value combines the
-hit rate with the over-segmentation rate so that degenerate high-recall
-predictors score poorly.
+hit/prediction/reference counts over all utterances before computing rates,
+as the paper reports them.  The R-value combines the hit rate with the
+over-segmentation rate so that degenerate high-recall predictors score
+poorly.
 """
 
 from __future__ import annotations
@@ -139,28 +139,19 @@ def strip_edges(times: Sequence[float], duration: float, eps: float = 1e-6) -> n
     return t[(t > eps) & (t < duration - eps)]
 
 
-def _score(counts: MatchResult, n_utts: int, tolerance: float) -> EvalReport:
-    p, r, f1 = precision_recall_f1(counts)
-    os = over_segmentation(p, r)
-    rv = r_value(r, os) if os is not None else None
-    return EvalReport(p, r, f1, os, rv, counts.n_hit, counts.n_pred, counts.n_ref, n_utts, tolerance)
-
-
 def evaluate(
     pred: Mapping[str, Sequence[float]],
     ref: Mapping[str, Sequence[float]],
     tolerance: float = DEFAULT_TOLERANCE,
     durations: Mapping[str, float] | None = None,
-    per_utterance_average: bool = False,
 ) -> EvalReport:
     """Score predicted boundaries against references over a corpus.
 
     ``pred`` and ``ref`` map utterance ids to sorted boundary-time lists and
     must cover exactly the same ids.  When ``durations`` is given, boundaries
     at each utterance's start or end are excluded from both sides before
-    matching.  With ``per_utterance_average`` the precision and recall are
-    computed per utterance and averaged instead of pooling counts; derived
-    scores come from the averaged rates.
+    matching.  Hit, prediction and reference counts are pooled over the
+    corpus before the rates are computed.
     """
     missing = sorted(set(ref) - set(pred))
     extra = sorted(set(pred) - set(ref))
@@ -169,7 +160,7 @@ def evaluate(
     if not ref:
         raise ValueError("evaluate() needs at least one utterance")
 
-    per_utt: list[MatchResult] = []
+    total = MatchResult(0, 0, 0)
     for utt_id in sorted(ref):
         p_times = np.asarray(pred[utt_id], dtype=np.float64)
         r_times = np.asarray(ref[utt_id], dtype=np.float64)
@@ -177,26 +168,11 @@ def evaluate(
             dur = durations[utt_id]
             p_times = strip_edges(p_times, dur)
             r_times = strip_edges(r_times, dur)
-        per_utt.append(match(p_times, r_times, tolerance))
-
-    if not per_utterance_average:
-        total = MatchResult(0, 0, 0)
-        for m in per_utt:
-            total = total + m
-        return _score(total, len(per_utt), tolerance)
-
-    ps, rs = [], []
-    for m in per_utt:
-        p, r, _ = precision_recall_f1(m)
-        ps.append(p)
-        rs.append(r)
-    p = float(np.mean(ps))
-    r = float(np.mean(rs))
-    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+        total = total + match(p_times, r_times, tolerance)
+    p, r, f1 = precision_recall_f1(total)
     os = over_segmentation(p, r)
     rv = r_value(r, os) if os is not None else None
-    total = MatchResult(sum(m.n_hit for m in per_utt), sum(m.n_pred for m in per_utt), sum(m.n_ref for m in per_utt))
-    return EvalReport(p, r, f1, os, rv, total.n_hit, total.n_pred, total.n_ref, len(per_utt), tolerance)
+    return EvalReport(p, r, f1, os, rv, total.n_hit, total.n_pred, total.n_ref, len(ref), tolerance)
 
 
 def periodic_boundaries(duration: float, period: float = 0.040) -> np.ndarray:

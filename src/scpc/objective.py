@@ -73,7 +73,7 @@ def _successor_loss(sources: dc.Tensor, pool: dc.Tensor, k: int, rng: np.random.
     return dc.mean_axis(losses)
 
 
-def nfc_loss(tape: dc.Tape, frames: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Tensor, int]:
+def nfc_loss(frames: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Tensor, int]:
     """Next-frame classification loss over all adjacent frame pairs.
 
     Every frame except the last is an anchor; its positive is the next frame
@@ -86,7 +86,7 @@ def nfc_loss(tape: dc.Tape, frames: dc.Tensor, k: int, rng: np.random.Generator)
     return _successor_loss(frames, frames, k, rng), n - 1
 
 
-def nsc_loss(tape: dc.Tape, segments: dc.Tensor, contexts: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Tensor | None, int]:
+def nsc_loss(segments: dc.Tensor, contexts: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Tensor | None, int]:
     """Next-segment classification loss from causal context states.
 
     The context after segment t must identify segment t+1 among distractor
@@ -103,18 +103,18 @@ def nsc_loss(tape: dc.Tape, segments: dc.Tensor, contexts: dc.Tensor, k: int, rn
     return _successor_loss(contexts, segments, k_eff, rng), m - 1
 
 
-def utterance_loss(tape: dc.Tape, frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, k_frame: int, k_seg: int, nsc_active: bool, rng: np.random.Generator) -> tuple[dc.Tensor, LossReport]:
+def utterance_loss(frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, k_frame: int, k_seg: int, nsc_active: bool, rng: np.random.Generator) -> tuple[dc.Tensor, LossReport]:
     """Total objective for one utterance: frame loss plus, once active, the
     segment loss.
 
     The segment branch is not even built while inactive, so early epochs pay
     no graph cost for it.
     """
-    nfc, n_frame = nfc_loss(tape, frames, k_frame, rng)
+    nfc, n_frame = nfc_loss(frames, k_frame, rng)
     nsc: dc.Tensor | None = None
     n_seg = 0
     if nsc_active:
-        nsc, n_seg = nsc_loss(tape, segments, contexts, k_seg, rng)
+        nsc, n_seg = nsc_loss(segments, contexts, k_seg, rng)
     if nsc is not None:
         total = dc.add(nfc, nsc)
         nsc_val = float(nsc.data)

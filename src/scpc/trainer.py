@@ -1,10 +1,13 @@
 """Optimization loop: joint contrastive training with a staged segment loss.
 
-A single optimizer writer updates the parameters; per-utterance randomness is
-derived functionally from (seed, epoch, utterance index), so two runs of the
-same build produce bitwise-identical checkpoints and an interrupted run
-resumes on the exact loss trajectory.  The segment-level loss joins the total
-from ``add_nsc_epoch`` onward.
+A run is determined by its data and a ``TrainConfig``: the defaults,
+overridden by a flat config file and then by explicit overrides (the CLI's
+``--seed``); nothing is read from the environment.  A single optimizer
+writer updates the parameters; per-utterance randomness is derived
+functionally from (seed, epoch, utterance index), so two runs of the same
+build produce bitwise-identical checkpoints and an interrupted run resumes
+on the exact loss trajectory from the checkpoint written after every epoch.
+The segment-level loss joins the total from ``add_nsc_epoch`` onward.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ from . import objective as obj
 
 __all__ = [
     "GRAD_CLIP_NORM",
-    "ENV_PREFIX",
+    "ADAM_BETAS",
+    "ADAM_EPS",
     "SWEEP_GRIDS",
     "TrainConfig",
     "TrainResult",
     "DivergenceError",
     "parse_config_text",
-    "config_to_text",
     "resolve_config",
     "load_dataset",
     "train",
@@ -40,7 +43,8 @@ __all__ = [
 ]
 
 GRAD_CLIP_NORM = 5.0    # global-norm clip; the straight-through path can spike
-ENV_PREFIX = "SCPC_"
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 # Reference grids: threshold 0..0.1 step 0.01, segment-loss start epoch 0..10.
 SWEEP_GRIDS: dict[str, tuple] = {
@@ -58,9 +62,6 @@ class TrainConfig:
     """Everything that determines a training run except the data itself."""
 
     lr: float = 1e-3          # Adam step size
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 8       # utterances per update
     epochs: int = 40
     thres: float = 0.09       # boundary peak threshold during training
@@ -70,7 +71,6 @@ class TrainConfig:
     frame_dim: int = 64
     segment_dim: int = 64
     seed: int = 0
-    checkpoint_interval: int = 1   # epochs between checkpoint writes
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -79,8 +79,8 @@ class TrainConfig:
             raise ValueError(f"thres must be in [0, 1], got {self.thres}")
         if self.add_nsc_epoch < 0:
             raise ValueError(f"add_nsc_epoch must be >= 0, got {self.add_nsc_epoch}")
-        if self.batch_size < 1 or self.epochs < 1 or self.checkpoint_interval < 1:
-            raise ValueError("batch_size, epochs, and checkpoint_interval must be >= 1")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("batch_size and epochs must be >= 1")
         if self.k_frame < 1 or self.k_seg < 0:
             raise ValueError(f"need k_frame >= 1 and k_seg >= 0, got {self.k_frame}, {self.k_seg}")
         if self.frame_dim < 1 or self.segment_dim < 1:
@@ -107,16 +107,12 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def config_to_text(config: TrainConfig) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(config).items())
+_FIELD_TYPES = {"int": int, "float": float}
 
 
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
-
-
-def resolve_config(path: str | Path | None = None, env: dict | None = None, overrides: dict | None = None) -> TrainConfig:
-    """Defaults, overridden in order by config file, SCPC_* environment
-    variables, and explicit overrides (None override values are ignored).
+def resolve_config(path: str | Path | None = None, overrides: dict | None = None) -> TrainConfig:
+    """Defaults, overridden in order by the config file and by explicit
+    overrides (None override values are ignored).
 
     Unknown file keys are rejected together, so a typo'd config fails with
     the full list.
@@ -129,11 +125,6 @@ def resolve_config(path: str | Path | None = None, env: dict | None = None, over
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         values.update(raw)
-    env = os.environ if env is None else env
-    for name in fields:
-        env_key = ENV_PREFIX + name.upper()
-        if env_key in env:
-            values[name] = env[env_key]
     for name, value in (overrides or {}).items():
         if name not in fields:
             raise ValueError(f"unknown config keys: {name}")
@@ -185,16 +176,17 @@ def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: _OptState, config: TrainConfig) -> None:
     """One Adam step; math in float64, storage in float32."""
+    beta1, beta2 = ADAM_BETAS
     state.t += 1
-    bias1 = 1.0 - config.beta1 ** state.t
-    bias2 = 1.0 - config.beta2 ** state.t
+    bias1 = 1.0 - beta1 ** state.t
+    bias2 = 1.0 - beta2 ** state.t
     for name in params:
         g = grads[name]
-        m = config.beta1 * state.m[name].astype(np.float64) + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v[name].astype(np.float64) + (1.0 - config.beta2) * g * g
+        m = beta1 * state.m[name].astype(np.float64) + (1.0 - beta1) * g
+        v = beta2 * state.v[name].astype(np.float64) + (1.0 - beta2) * g * g
         state.m[name] = m.astype(np.float32)
         state.v[name] = v.astype(np.float32)
-        step = config.lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+        step = config.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         params[name] = (params[name].astype(np.float64) - step).astype(np.float32)
 
 
@@ -221,7 +213,7 @@ class TrainResult:
     model: model.SCPCModel
 
 
-_RESUME_FREE_FIELDS = {"epochs", "checkpoint_interval"}   # logging/extent knobs, not math
+_RESUME_FREE_FIELDS = {"epochs"}   # the run's extent, not its math
 
 
 def _save_state(path: Path, net: model.SCPCModel, state: _OptState, completed_epochs: int, config: TrainConfig) -> None:
@@ -247,7 +239,7 @@ def train(
 ) -> TrainResult:
     """Train from a manifest, logging one JSON record per epoch.
 
-    Checkpoints are written atomically after clean epochs only, so a
+    A checkpoint is written atomically after every clean epoch, so a
     divergence (non-finite loss, reported with the offending utterance)
     leaves the last good checkpoint in place.
     """
@@ -298,7 +290,7 @@ def train(
             order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
             nsc_active = epoch >= config.add_nsc_epoch
             nfc_sum = nsc_sum = seg_sum = 0.0
-            nfc_n = nsc_n = seg_n = skipped = 0
+            n_used = nsc_n = skipped = 0
 
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
@@ -313,20 +305,19 @@ def train(
                     leaves = {k: tape.tensor(p, requires_grad=True) for k, p in params.items()}
                     graph = model.analyze_utterance(tape, leaves, item.samples, config.thres)
                     rng = np.random.default_rng([config.seed, epoch, int(idx)])
-                    total, report = obj.utterance_loss(tape, graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
+                    total, report = obj.utterance_loss(graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
                     if not np.isfinite(report.total):
                         raise DivergenceError(f"non-finite loss on utterance {item.id} in epoch {epoch}; last-good checkpoint retained")
                     tape.backward(total)
                     for k in params:
                         grads[k] += leaves[k].grad.astype(np.float64)
                     contributing += 1
+                    n_used += 1
                     nfc_sum += report.nfc
-                    nfc_n += 1
+                    seg_sum += graph.segments.shape[0]
                     if report.nsc is not None:
                         nsc_sum += report.nsc
                         nsc_n += 1
-                    seg_sum += graph.segments.shape[0]
-                    seg_n += 1
                 if contributing == 0:
                     continue
                 for k in grads:
@@ -339,9 +330,9 @@ def train(
             net = model.SCPCModel(net.config, dict(params))
             record = {
                 "epoch": epoch,
-                "l_nfc": nfc_sum / nfc_n if nfc_n else None,
+                "l_nfc": nfc_sum / n_used if n_used else None,
                 "l_nsc": nsc_sum / nsc_n if nsc_n else None,
-                "mean_segments": seg_sum / seg_n if seg_n else None,
+                "mean_segments": seg_sum / n_used if n_used else None,
                 "n_skipped": skipped,
                 "val_r_phoneme": None,
                 "val_r_word": None,
@@ -351,8 +342,7 @@ def train(
             history.append(record)
             log.write(json.dumps(record) + "\n")
             log.flush()
-            if (epoch + 1) % config.checkpoint_interval == 0 or epoch + 1 == config.epochs:
-                _save_state(ckpt_path, net, state, epoch + 1, config)
+            _save_state(ckpt_path, net, state, epoch + 1, config)
 
     return TrainResult(ckpt_path, metrics_path, history, net)
 

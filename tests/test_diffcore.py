@@ -479,7 +479,7 @@ class TestGraphLifetime:
         tape = dc.Tape()
         leaves = net.leaf_tensors(tape)
         graph = model.analyze_utterance(tape, leaves, self._utterance(), thres=0.0)
-        total, _ = obj.utterance_loss(tape, graph.frames, graph.segments, graph.contexts,
+        total, _ = obj.utterance_loss(graph.frames, graph.segments, graph.contexts,
                                       4, 2, True, np.random.default_rng(0))
         assert len(conv_outputs) == len(model.KERNELS)
         assert all(ref() is not None for ref in conv_outputs)   # held for backward

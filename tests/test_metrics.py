@@ -110,14 +110,6 @@ class TestEvaluate:
         report = metrics.evaluate(pred, ref, durations={"a": 1.0})
         assert (report.n_hit, report.n_pred, report.n_ref) == (1, 1, 2)
 
-    def test_per_utterance_average_differs_from_pooled(self):
-        pred = {"a": [0.1], "b": [0.1, 0.2, 0.3, 0.4]}
-        ref = {"a": [0.1], "b": [0.9, 0.95]}
-        pooled = metrics.evaluate(pred, ref)
-        averaged = metrics.evaluate(pred, ref, per_utterance_average=True)
-        assert pooled.precision == pytest.approx(1 / 5)
-        assert averaged.precision == pytest.approx(0.5)
-
     def test_zero_predictions_gives_none_os_and_r_value(self):
         report = metrics.evaluate({"a": []}, {"a": [0.1, 0.2]})
         assert report.precision == 0.0

@@ -131,7 +131,7 @@ def test_sample_distractors_memory_linear():
 def test_nfc_uniform_similarities_gives_log_k_plus_1():
     tape = dc.Tape()
     frames = f64(tape, np.tile([0.3, -0.7, 0.2], (12, 1)))
-    loss, n_anchors = obj.nfc_loss(tape, frames, 10, np.random.default_rng(0))
+    loss, n_anchors = obj.nfc_loss(frames, 10, np.random.default_rng(0))
     assert n_anchors == 11
     assert abs(float(loss.data) - np.log(11.0)) <= 1e-6
 
@@ -142,7 +142,7 @@ def test_nfc_hand_value():
     # to positive-first (-1 vs distractor 1) -> log(1 + e^2).
     tape = dc.Tape()
     frames = f64(tape, [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    loss, n_anchors = obj.nfc_loss(tape, frames, 1, np.random.default_rng(0))
+    loss, n_anchors = obj.nfc_loss(frames, 1, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-2.0)) + np.log1p(np.exp(2.0))) / 2
     assert n_anchors == 2
     assert abs(float(loss.data) - expected) <= 1e-6
@@ -152,7 +152,7 @@ def test_nfc_short_utterance_raises():
     tape = dc.Tape()
     frames = f64(tape, np.ones((4, 2)))
     with pytest.raises(ValueError, match="at least"):
-        obj.nfc_loss(tape, frames, 3, np.random.default_rng(0))
+        obj.nfc_loss(frames, 3, np.random.default_rng(0))
 
 
 def test_nfc_gradient_matches_fd():
@@ -161,12 +161,12 @@ def test_nfc_gradient_matches_fd():
     def f(arrays):
         tape = dc.Tape()
         x = tape.tensor(arrays[0], requires_grad=True)
-        loss, _ = obj.nfc_loss(tape, x, 2, np.random.default_rng(7))
+        loss, _ = obj.nfc_loss(x, 2, np.random.default_rng(7))
         return float(loss.data)
 
     tape = dc.Tape()
     x = tape.tensor(base, requires_grad=True)
-    loss, _ = obj.nfc_loss(tape, x, 2, np.random.default_rng(7))
+    loss, _ = obj.nfc_loss(x, 2, np.random.default_rng(7))
     tape.backward(loss)
     num = numeric_grad(f, [base])[0]
     assert rel_err(x.grad, num) <= 1e-4
@@ -180,7 +180,7 @@ def test_nfc_matches_per_column_loop(monkeypatch):
 
     tape = dc.Tape()
     x = tape.tensor(base, requires_grad=True)
-    loss, _ = obj.nfc_loss(tape, x, 3, np.random.default_rng(0))
+    loss, _ = obj.nfc_loss(x, 3, np.random.default_rng(0))
     tape.backward(loss)
 
     ref_tape = dc.Tape()
@@ -200,7 +200,7 @@ def test_nfc_records_five_tape_nodes(k):
     # narrow, gather_rows, cosine_sim, cross-entropy, mean: one of each for any k
     tape = dc.Tape()
     frames = f64(tape, np.random.default_rng(0).normal(size=(30, 4)))
-    obj.nfc_loss(tape, frames, k, np.random.default_rng(1))
+    obj.nfc_loss(frames, k, np.random.default_rng(1))
     assert len(tape._nodes) == 5
 
 
@@ -212,7 +212,7 @@ def test_nsc_hand_value():
     tape = dc.Tape()
     segments = f64(tape, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     contexts = f64(tape, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    loss, n_anchors = obj.nsc_loss(tape, segments, contexts, 5, np.random.default_rng(0))
+    loss, n_anchors = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-1.0)) + np.log1p(np.exp(1.0))) / 2
     assert n_anchors == 2
     assert abs(float(loss.data) - expected) <= 1e-6
@@ -221,7 +221,7 @@ def test_nsc_hand_value():
 def test_nsc_uniform_similarities_gives_log_k_plus_1():
     tape = dc.Tape()
     same = np.tile([0.5, 0.5], (9, 1))
-    loss, n_anchors = obj.nsc_loss(tape, f64(tape, same), f64(tape, same), 5, np.random.default_rng(0))
+    loss, n_anchors = obj.nsc_loss(f64(tape, same), f64(tape, same), 5, np.random.default_rng(0))
     assert n_anchors == 8
     assert abs(float(loss.data) - np.log(6.0)) <= 1e-6
 
@@ -229,7 +229,7 @@ def test_nsc_uniform_similarities_gives_log_k_plus_1():
 def test_nsc_single_segment_gives_none():
     tape = dc.Tape()
     one = f64(tape, [[1.0, 0.0]])
-    loss, n_anchors = obj.nsc_loss(tape, one, one, 5, np.random.default_rng(0))
+    loss, n_anchors = obj.nsc_loss(one, one, 5, np.random.default_rng(0))
     assert loss is None and n_anchors == 0
 
 
@@ -238,7 +238,7 @@ def test_nsc_two_segments_zero_loss():
     tape = dc.Tape()
     segments = f64(tape, [[1.0, 0.0], [0.0, 1.0]])
     contexts = f64(tape, [[0.5, 0.5], [0.5, 0.5]])
-    loss, n_anchors = obj.nsc_loss(tape, segments, contexts, 5, np.random.default_rng(0))
+    loss, n_anchors = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
     assert n_anchors == 1
     assert float(loss.data) == 0.0
 
@@ -246,7 +246,7 @@ def test_nsc_two_segments_zero_loss():
 def test_nsc_shape_mismatch_raises():
     tape = dc.Tape()
     with pytest.raises(ValueError, match="match"):
-        obj.nsc_loss(tape, f64(tape, np.ones((3, 2))), f64(tape, np.ones((2, 2))), 5, np.random.default_rng(0))
+        obj.nsc_loss(f64(tape, np.ones((3, 2))), f64(tape, np.ones((2, 2))), 5, np.random.default_rng(0))
 
 
 def test_nsc_gradient_matches_fd():
@@ -258,13 +258,13 @@ def test_nsc_gradient_matches_fd():
         tape = dc.Tape()
         s = tape.tensor(arrays[0], requires_grad=True)
         c = tape.tensor(arrays[1], requires_grad=True)
-        loss, _ = obj.nsc_loss(tape, s, c, 2, np.random.default_rng(13))
+        loss, _ = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
         return float(loss.data)
 
     tape = dc.Tape()
     s = tape.tensor(seg0, requires_grad=True)
     c = tape.tensor(ctx0, requires_grad=True)
-    loss, _ = obj.nsc_loss(tape, s, c, 2, np.random.default_rng(13))
+    loss, _ = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
     tape.backward(loss)
     nums = numeric_grad(f, [seg0, ctx0])
     assert rel_err(s.grad, nums[0]) <= 1e-4
@@ -276,7 +276,7 @@ def test_nsc_records_five_tape_nodes(k):
     tape = dc.Tape()
     rng = np.random.default_rng(2)
     segments, contexts = f64(tape, rng.normal(size=(9, 4))), f64(tape, rng.normal(size=(9, 4)))
-    obj.nsc_loss(tape, segments, contexts, k, np.random.default_rng(3))
+    obj.nsc_loss(segments, contexts, k, np.random.default_rng(3))
     assert len(tape._nodes) == 5
 
 
@@ -292,7 +292,7 @@ def _tiny_graph(tape):
 def test_utterance_loss_inactive_skips_segment_branch():
     tape = dc.Tape()
     frames, segments, contexts = _tiny_graph(tape)
-    total, report = obj.utterance_loss(tape, frames, segments, contexts, 1, 1, False, np.random.default_rng(0))
+    total, report = obj.utterance_loss(frames, segments, contexts, 1, 1, False, np.random.default_rng(0))
     assert report.nsc is None
     assert report.total == report.nfc == float(total.data)
     assert report.n_frame_anchors == 2 and report.n_segment_anchors == 0
@@ -301,7 +301,7 @@ def test_utterance_loss_inactive_skips_segment_branch():
 def test_utterance_loss_active_adds_both():
     tape = dc.Tape()
     frames, segments, contexts = _tiny_graph(tape)
-    total, report = obj.utterance_loss(tape, frames, segments, contexts, 1, 1, True, np.random.default_rng(0))
+    total, report = obj.utterance_loss(frames, segments, contexts, 1, 1, True, np.random.default_rng(0))
     nfc_expected = (np.log1p(np.exp(-2.0)) + np.log1p(np.exp(2.0))) / 2
     nsc_expected = (np.log1p(np.exp(-1.0)) + np.log1p(np.exp(1.0))) / 2
     assert abs(report.nfc - nfc_expected) <= 1e-6
@@ -326,7 +326,7 @@ def test_full_model_all_parameters_receive_gradient():
     m = graph.segments.shape[0]
     assert m >= 3, f"expected several segments at thres 0, got {m}"
     total, report = obj.utterance_loss(
-        tape, graph.frames, graph.segments, graph.contexts,
+        graph.frames, graph.segments, graph.contexts,
         10, 5, True, np.random.default_rng(0))
     assert np.isfinite(report.total)
     assert report.nsc is not None

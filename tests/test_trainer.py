@@ -42,42 +42,48 @@ def test_parse_config_text_rejects_malformed():
 
 
 def test_resolve_config_defaults():
-    assert trainer.resolve_config(env={}) == trainer.TrainConfig()
+    assert trainer.resolve_config() == trainer.TrainConfig()
 
 
 def test_resolve_config_precedence(tmp_path):
     cfg_file = tmp_path / "train.cfg"
     cfg_file.write_text("lr = 0.01\nepochs = 4\nbatch_size = 2\n")
     # file alone
-    cfg = trainer.resolve_config(cfg_file, env={})
+    cfg = trainer.resolve_config(cfg_file)
     assert (cfg.lr, cfg.epochs, cfg.batch_size) == (0.01, 4, 2)
-    # environment beats file
-    cfg = trainer.resolve_config(cfg_file, env={"SCPC_LR": "0.5"})
-    assert cfg.lr == 0.5
-    # explicit override beats environment; None overrides are ignored
-    cfg = trainer.resolve_config(cfg_file, env={"SCPC_LR": "0.5"}, overrides={"lr": 0.25, "seed": None})
-    assert cfg.lr == 0.25 and cfg.seed == 0
+    # explicit override beats file; None overrides are ignored
+    cfg = trainer.resolve_config(cfg_file, overrides={"lr": 0.25, "seed": None})
+    assert cfg.lr == 0.25 and cfg.epochs == 4 and cfg.seed == 0
+
+
+def test_resolve_config_ignores_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("SCPC_LR", "0.5")
+    monkeypatch.setenv("SCPC_EPOCHS", "2")
+    assert trainer.resolve_config() == trainer.TrainConfig()
+    cfg_file = tmp_path / "train.cfg"
+    cfg_file.write_text("lr = 0.01\n")
+    assert trainer.resolve_config(cfg_file).lr == 0.01
 
 
 def test_resolve_config_lists_unknown_keys(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("foo = 1\nlr = 0.1\nbar = 2\n")
     with pytest.raises(ValueError, match="bar, foo"):
-        trainer.resolve_config(cfg_file, env={})
+        trainer.resolve_config(cfg_file)
 
 
 def test_resolve_config_bad_value_names_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("epochs = soon\n")
     with pytest.raises(ValueError, match="epochs"):
-        trainer.resolve_config(cfg_file, env={})
+        trainer.resolve_config(cfg_file)
 
 
 def test_config_text_roundtrip(tmp_path):
     cfg = dataclasses.replace(trainer.TrainConfig(), lr=0.003, k_seg=3, epochs=7)
     path = tmp_path / "echo.cfg"
-    path.write_text(trainer.config_to_text(cfg))
-    assert trainer.resolve_config(path, env={}) == cfg
+    path.write_text("".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(cfg).items()))
+    assert trainer.resolve_config(path) == cfg
 
 
 def test_train_config_validation():
@@ -193,23 +199,25 @@ def test_resume_rejects_changed_math(corpus, tmp_path):
         trainer.train(corpus[0], dataclasses.replace(TINY, epochs=1), tmp_path / "c", resume_from=partial.checkpoint)
 
 
-def test_resume_rejects_unknown_config_keys(run, corpus, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("beta1", 0.9)], ids=["optimizer", "beta1"])
+def test_resume_rejects_unknown_config_keys(run, corpus, tmp_path, capsys, key, value):
+    # Keys that checkpoints of older builds carry.
     with np.load(run.checkpoint) as data:
         arrays = dict(data)
     echo = json.loads(str(arrays["config_json"]))
-    echo["train"]["optimizer"] = "adam"   # a key that checkpoints of older builds carry
+    echo["train"][key] = value
     arrays["config_json"] = np.asarray(json.dumps(echo))
     old = tmp_path / "old.npz"
     np.savez(old, **arrays)
-    with pytest.raises(ValueError, match="unknown keys: optimizer"):
+    with pytest.raises(ValueError, match=f"unknown keys: {key}"):
         trainer.train(corpus[0], dataclasses.replace(TINY, epochs=4), tmp_path / "a", resume_from=old)
     code = cli.main(["train", "--manifest", str(corpus[0]), "--out", str(tmp_path / "b"), "--resume", str(old)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1 and "optimizer" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
 
-def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path):
+def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path, monkeypatch):
     out = tmp_path / "diverge"
     good = trainer.train(corpus[0], dataclasses.replace(TINY, epochs=1), out)
 
@@ -220,7 +228,19 @@ def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path):
     victim = audio.read_manifest(manifest)[2][0]
     n = audio.load_wav(victim).samples.size
     audio.write_wav(victim, audio.Waveform(np.full(n, np.nan, dtype=np.float32), 16000), encoding="float32")
+    # A NaN file is refused when it is read ...
+    with pytest.raises(ValueError, match=f"{victim.name}: float32 samples must be finite"):
+        trainer.train(manifest, dataclasses.replace(TINY, epochs=1), out)
 
+    # ... so hand the NaN samples to training past that check.
+    load_wav = audio.load_wav
+
+    def load_nan(path):
+        if Path(path) == victim:
+            return audio.Waveform(np.full(n, np.nan, dtype=np.float32), 16000, id=victim.stem)
+        return load_wav(path)
+
+    monkeypatch.setattr(audio, "load_wav", load_nan)
     with pytest.raises(trainer.DivergenceError, match=f"non-finite loss on utterance {victim.stem}"):
         trainer.train(manifest, dataclasses.replace(TINY, epochs=1), out)
     kept, _, _ = model.load_checkpoint(out / "checkpoint.npz")
