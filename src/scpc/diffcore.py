@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "Tape",
@@ -362,9 +363,12 @@ def gather_rows(x: Tensor, index) -> Tensor:
     out = x.data[idx]
 
     def vjp(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        # One sparse product: row r of the (rows, idx.size) selector holds a 1
+        # at each position of r in the flattened index, so each row's sum runs
+        # in index order, as np.add.at's would.
+        flat = idx.reshape(-1)
+        select = scipy.sparse.csr_array((np.ones(flat.size, g.dtype), (flat, np.arange(flat.size))), shape=(x.data.shape[0], flat.size))
+        return ((select @ g.reshape(flat.size, int(np.prod(x.data.shape[1:])))).reshape(x.data.shape),)
 
     return x.tape._record((x,), out, vjp)
 
