@@ -170,11 +170,25 @@ def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers
         return list(pool.map(_pool_profile, entries))
 
 
+def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarray]:
+    """Time (s) and prominence of every peak of one level's score curve.
+
+    ``find_peaks(curve, prominence=p)`` returns exactly the peaks whose
+    prominence is >= p, so these serve every prominence.
+    """
+    if level == "phoneme":
+        idx, props = find_peaks(profile.dissimilarity, prominence=0)
+        times = (idx + 1) * model.FRAME_HOP_S
+    else:
+        idx, props = find_peaks(profile.word_scores, prominence=0)
+        times = profile.segment_end_frames[idx] * model.FRAME_HOP_S
+    return times.astype(np.float64), props["prominences"]
+
+
 def phoneme_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> PredictedBoundaries:
-    """Peaks of the frame dissimilarity curve; junction t maps to t * 10 ms."""
-    idx, _ = find_peaks(profile.dissimilarity, prominence=cfg.prominence)
-    times = (idx + 1) * model.FRAME_HOP_S
-    return PredictedBoundaries(profile.id, "phoneme", times.astype(np.float64))
+    """Peaks of the frame dissimilarity curve; junction t maps to (t + 1) * 10 ms."""
+    times, prominences = _peaks(profile, "phoneme")
+    return PredictedBoundaries(profile.id, "phoneme", times[prominences >= cfg.prominence])
 
 
 def word_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> PredictedBoundaries:
@@ -184,9 +198,8 @@ def word_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> Predicted
     that segment times the frame hop.  Fewer than three segments give at
     most two scores, which hold no interior peak, so nothing is emitted.
     """
-    idx, _ = find_peaks(profile.word_scores, prominence=cfg.prominence)
-    times = profile.segment_end_frames[idx] * model.FRAME_HOP_S
-    return PredictedBoundaries(profile.id, "word", times.astype(np.float64))
+    times, prominences = _peaks(profile, "word")
+    return PredictedBoundaries(profile.id, "word", times[prominences >= cfg.prominence])
 
 
 def predict(profile: UtteranceProfile, cfg: PeakPickConfig) -> PredictedBoundaries:
@@ -206,28 +219,26 @@ def tune_prominence(
     """Grid-search prominence maximizing the pooled R-value on a labeled set.
 
     Ties break toward the larger prominence (fewer boundaries).  Grid points
-    where no boundaries are predicted score as negative infinity.  With
-    ``durations``, edge boundaries are stripped as ``metrics.evaluate`` does,
-    the references once and the predictions at each grid point.
+    where no boundaries are predicted score as negative infinity.  Scores
+    are those of ``metrics.evaluate`` with ``durations``.  Each curve's peaks
+    are found once and filtered by prominence at each grid point, and the
+    references are prepared once.
     """
     if not profiles:
         raise ValueError("tune_prominence: empty validation set")
     if not grid:
         raise ValueError("tune_prominence: empty grid")
-    if durations is not None:
-        refs = {k: metrics.strip_edges(v, durations[k]) for k, v in refs.items()}
+    cfgs = [PeakPickConfig(prominence=prom, level=level) for prom in grid]
+    peaks = {p.id: _peaks(p, level) for p in profiles}
+    pooled = metrics.scorer(refs, tolerance, durations)
     best_prom, best_rv, best_score = None, None, -np.inf
     rows = []
-    for prom in grid:
-        cfg = PeakPickConfig(prominence=prom, level=level)
-        preds = {p.id: predict(p, cfg).times for p in profiles}
-        if durations is not None:
-            preds = {k: metrics.strip_edges(v, durations[k]) for k, v in preds.items()}
-        report = metrics.evaluate(preds, refs, tolerance)
-        rows.append((prom, report.r_value))
+    for cfg in cfgs:
+        report = pooled({k: times[prominences >= cfg.prominence] for k, (times, prominences) in peaks.items()})
+        rows.append((cfg.prominence, report.r_value))
         score = -np.inf if report.r_value is None else report.r_value
         if score >= best_score:
-            best_prom, best_rv, best_score = prom, report.r_value, score
+            best_prom, best_rv, best_score = cfg.prominence, report.r_value, score
     return TuneResult(best_prom, best_rv, tuple(rows))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "r_value",
     "strip_edges",
     "evaluate",
+    "scorer",
     "periodic_boundaries",
     "random_boundaries",
     "format_report",
@@ -87,9 +88,17 @@ def match(pred: Sequence[float], ref: Sequence[float], tolerance: float = DEFAUL
     r = np.asarray(ref, dtype=np.float64)
     _check_sorted(p, "predicted")
     _check_sorted(r, "reference")
+    _check_tolerance(tolerance)
+    return MatchResult(_hits(p, r, tolerance), int(p.size), int(r.size))
+
+
+def _check_tolerance(tolerance: float) -> None:
     if tolerance < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
 
+
+def _hits(p: np.ndarray, r: np.ndarray, tolerance: float) -> int:
+    # The greedy walk of ``match`` over two arrays already checked sorted.
     i = j = hits = 0
     while i < p.size and j < r.size:
         if abs(p[i] - r[j]) <= tolerance:
@@ -100,7 +109,7 @@ def match(pred: Sequence[float], ref: Sequence[float], tolerance: float = DEFAUL
             i += 1
         else:
             j += 1
-    return MatchResult(hits, int(p.size), int(r.size))
+    return hits
 
 
 def precision_recall_f1(counts: MatchResult) -> tuple[float, float, float]:
@@ -153,26 +162,49 @@ def evaluate(
     matching.  Hit, prediction and reference counts are pooled over the
     corpus before the rates are computed.
     """
-    missing = sorted(set(ref) - set(pred))
-    extra = sorted(set(pred) - set(ref))
-    if missing or extra:
-        raise ValueError(f"utterance id mismatch between predictions and references: missing {missing}, unexpected {extra}")
-    if not ref:
-        raise ValueError("evaluate() needs at least one utterance")
+    return scorer(ref, tolerance, durations)(pred)
 
-    total = MatchResult(0, 0, 0)
+
+def scorer(
+    ref: Mapping[str, Sequence[float]],
+    tolerance: float = DEFAULT_TOLERANCE,
+    durations: Mapping[str, float] | None = None,
+) -> Callable[[Mapping[str, Sequence[float]]], EvalReport]:
+    """``evaluate`` against fixed references, for scoring many prediction sets.
+
+    The references are edge-stripped and checked sorted once, here; the
+    returned function takes a ``pred`` mapping and returns what
+    ``evaluate(pred, ref, tolerance, durations)`` would.
+    """
+    _check_tolerance(tolerance)
+    refs = {}
     for utt_id in sorted(ref):
-        p_times = np.asarray(pred[utt_id], dtype=np.float64)
         r_times = np.asarray(ref[utt_id], dtype=np.float64)
         if durations is not None:
-            dur = durations[utt_id]
-            p_times = strip_edges(p_times, dur)
-            r_times = strip_edges(r_times, dur)
-        total = total + match(p_times, r_times, tolerance)
-    p, r, f1 = precision_recall_f1(total)
-    os = over_segmentation(p, r)
-    rv = r_value(r, os) if os is not None else None
-    return EvalReport(p, r, f1, os, rv, total.n_hit, total.n_pred, total.n_ref, len(ref), tolerance)
+            r_times = strip_edges(r_times, durations[utt_id])
+        _check_sorted(r_times, "reference")
+        refs[utt_id] = r_times
+
+    def score(pred: Mapping[str, Sequence[float]]) -> EvalReport:
+        missing = sorted(set(refs) - set(pred))
+        extra = sorted(set(pred) - set(refs))
+        if missing or extra:
+            raise ValueError(f"utterance id mismatch between predictions and references: missing {missing}, unexpected {extra}")
+        if not refs:
+            raise ValueError("evaluate() needs at least one utterance")
+        total = MatchResult(0, 0, 0)
+        for utt_id, r_times in refs.items():
+            p_times = np.asarray(pred[utt_id], dtype=np.float64)
+            if durations is not None:
+                p_times = strip_edges(p_times, durations[utt_id])
+            _check_sorted(p_times, "predicted")
+            total = total + MatchResult(_hits(p_times, r_times, tolerance), int(p_times.size), int(r_times.size))
+        p, r, f1 = precision_recall_f1(total)
+        os = over_segmentation(p, r)
+        rv = r_value(r, os) if os is not None else None
+        return EvalReport(p, r, f1, os, rv, total.n_hit, total.n_pred, total.n_ref, len(refs), tolerance)
+
+    return score
 
 
 def periodic_boundaries(duration: float, period: float = 0.040) -> np.ndarray:
