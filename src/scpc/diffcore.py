@@ -15,7 +15,12 @@ Conventions:
 * subgradients at kinks (relu, abs, min, max) take the left/zero branch;
 * integer index arguments (``gather_rows``, cross-entropy targets) are plain
   numpy arrays, not tensors, and never receive gradients;
-* ``conv1d`` is a whole encoder layer, relu(conv + bias), channels-last.
+* ``conv1d`` is a whole encoder layer, relu(conv + bias), channels-last,
+  in polyphase form: a sum of ceil(k / stride) GEMMs over a zero-copy view
+  of the input as rows of stride samples.  The kernel is zero-padded to a
+  multiple of the stride, and the input too when those taps reach past it.
+  Its forward is not bit-identical to one GEMM over an im2col window matrix,
+  because the sum is split over the GEMMs.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "div",
     "matmul",
     "transpose",
-    "reshape",
     "concat",
     "narrow",
     "gather_rows",
@@ -306,17 +310,6 @@ def transpose(x: Tensor) -> Tensor:
     return x.tape._record((x,), x.data.T.copy(), vjp)
 
 
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = x.data.reshape(shape)
-    old = x.data.shape
-
-    def vjp(g):
-        return (g.reshape(old),)
-
-    return x.tape._record((x,), out, vjp)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat: empty tensor list")
@@ -373,13 +366,32 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return x.tape._record((x,), out, vjp)
 
 
+# Elements per temporary product in conv1d.  numpy has no in-place GEMM
+# accumulate, so the output and the input gradient are summed a block of
+# rows at a time: no temporary grows with the input, and each stays in cache.
+_CONV_BLOCK = 1 << 15
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     """One encoder layer: relu of a valid-mode strided 1-D convolution plus bias.
 
     Channels-last: ``x`` has shape (t, c_in), ``weight`` (c_out, c_in, k) and
     ``bias`` (c_out,); the result has shape (1 + (t - k) // stride, c_out).
-    No padding is applied.  The input gradient is skipped when ``x`` does not
-    require grad, as for raw audio.
+    No padding is applied to the convolution.  The input gradient is skipped
+    when ``x`` does not require grad, as for raw audio.
+
+    Polyphase form: with m = ceil(k / stride), the first
+    (t_out + m - 1) * stride input rows are viewed, without a copy, as a
+    (t_out + m - 1, stride * c_in) matrix X, and the weight, zero-padded
+    from k to m * stride taps, as m blocks W_j of shape (stride * c_in,
+    c_out).  The output is relu(sum_j X[j : j + t_out] @ W_j + b).  Backward
+    is m GEMMs X[j : j + t_out].T @ g for the weight gradient, returned as a
+    (c_out, c_in, k) view of their blocks, and m products g @ W_j.T added
+    into rows j .. j + t_out of a zeroed buffer of X's shape, which is
+    returned as the (t, c_in) input gradient.  When k is not a multiple of
+    the stride, the padded taps can reach past the input, which is then
+    zero-padded to match.  The forward sums over m GEMMs, so it is not
+    bit-identical to one GEMM over the (t_out, c_in * k) window matrix.
     """
     tape = _check_tape(x, weight, bias)
     if x.data.ndim != 2 or weight.data.ndim != 3 or weight.data.shape[1] != x.data.shape[1] or bias.data.shape != weight.data.shape[:1]:
@@ -391,24 +403,42 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     if t < k:
         raise ValueError(f"conv1d: input length {t} shorter than kernel {k}")
     t_out = 1 + (t - k) // stride
-
-    # im2col: row i holds window i laid out (c_in, k), like the weight.
-    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=0)[::stride].reshape(t_out, c_in * k)
-    w2 = weight.data.reshape(c_out, c_in * k)
-    out = cols @ w2.T + bias.data
-    np.maximum(out, 0, out=out)
+    m = -(-k // stride)
+    n = (t_out + m - 1) * stride
+    xs = x.data[:n]
+    if n > t:
+        xs = np.pad(xs, ((0, n - t), (0, 0)))
+    xb = xs.reshape(t_out + m - 1, stride * c_in)
+    # wb[j, r * c_in + c, o] = weight[o, c, j * stride + r]
+    wb = np.pad(weight.data, ((0, 0), (0, 0), (0, m * stride - k))).transpose(2, 1, 0).reshape(m, stride * c_in, c_out)
+    out = np.empty((t_out, c_out), np.result_type(xb, wb))
+    rows = max(1, _CONV_BLOCK // c_out)
+    for i in range(0, t_out, rows):
+        o = out[i : i + rows]
+        np.matmul(xb[i : i + o.shape[0]], wb[0], out=o)
+        for j in range(1, m):
+            o += xb[i + j : i + j + o.shape[0]] @ wb[j]
+        o += bias.data
+        np.maximum(o, 0, out=o)
 
     def vjp(g):
         g = g * (out > 0)   # relu: out > 0 exactly where the pre-activation is
         gb = g.sum(axis=0, dtype=np.float64).astype(g.dtype)
-        gw = (g.T @ cols).reshape(c_out, c_in, k)
-        if not x.requires_grad:
-            return None, gw, gb
-        # col2im: tap j of every window adds into rows j, j + stride, ...
-        contrib = (g @ w2).reshape(t_out, c_in, k)
-        gx = np.zeros_like(x.data)
-        for j in range(k):
-            gx[j : j + stride * t_out : stride] += contrib[:, :, j]
+        gx = None
+        if x.requires_grad:
+            gx = np.zeros((max(n, t), c_in), out.dtype)
+            gxb = gx[:n].reshape(t_out + m - 1, stride * c_in)
+            rows = max(1, _CONV_BLOCK // (stride * c_in))
+            for i in range(0, t_out, rows):
+                gi = g[i : i + rows]
+                for j in range(m):
+                    gxb[i + j : i + j + gi.shape[0]] += gi @ wb[j].T
+            gx = gx[:t]
+        gwb = np.empty((m, stride * c_in, c_out), out.dtype)
+        for j in range(m):
+            np.matmul(xb[j : j + t_out].T, g, out=gwb[j])
+        # A (c_out, c_in, k) view of the blocks, the inverse of wb's layout.
+        gw = gwb.reshape(m * stride, c_in, c_out).transpose(2, 1, 0)[:, :, :k]
         return gx, gw, gb
 
     return tape._record((x, weight, bias), out, vjp)

@@ -159,7 +159,6 @@ def _op_cases():
         ("matmul", lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal((4, 2))],
                                 lambda t, xs: dc.matmul(xs[0], xs[1]))),
         ("transpose", lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.transpose(xs[0]))),
-        ("reshape", lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.reshape(xs[0], (2, 6)))),
         ("concat rows", lambda rng: ([rng.standard_normal((2, 3)), rng.standard_normal((4, 3))],
                                      lambda t, xs: dc.concat(xs, axis=0))),
         ("concat cols", lambda rng: ([rng.standard_normal((2, 3)), rng.standard_normal((2, 2))],

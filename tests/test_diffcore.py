@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -161,9 +162,6 @@ class TestLinalgGrads:
     def test_transpose(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.transpose(xs[0])))
 
-    def test_reshape(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.reshape(xs[0], (2, 6))))
-
     def test_concat_rows(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((2, 3)), rng.standard_normal((4, 3))], lambda t, xs: dc.concat(xs, axis=0)))
 
@@ -240,9 +238,26 @@ class TestConv1dGrads:
 
         run_gradcheck(build, n_points=40)
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_conv1d_matches_direct_loop(self, stride):
-        x, w, b = conv_case(np.random.default_rng(stride), stride)
+    @pytest.mark.parametrize("k, stride", [(2, 3), (5, 2)])
+    def test_conv1d_kernel_not_multiple_of_stride(self, k, stride):
+        # The kernel, and here the input too, are zero-padded to whole
+        # polyphase blocks of stride taps.
+        def build(rng):
+            return list(conv_case(rng, stride, k=k)), lambda t, xs: dc.conv1d(xs[0], xs[1], xs[2], stride)
+
+        run_gradcheck(build, n_points=40)
+
+    @pytest.mark.parametrize("stride, k, t, c_in, c_out", [
+        pytest.param(1, 4, 17, 2, 3, id="1"),
+        pytest.param(2, 4, 17, 2, 3, id="2"),
+        pytest.param(3, 4, 17, 2, 3, id="3"),
+        pytest.param(3, 2, 17, 2, 3, id="k2-s3"),
+        # the encoder's first two layers; 3 input rows lie past the last window
+        pytest.param(5, 10, 24003, 1, 64, id="k10-s5"),
+        pytest.param(4, 8, 4799, 64, 64, id="k8-s4"),
+    ])
+    def test_conv1d_matches_direct_loop(self, stride, k, t, c_in, c_out):
+        x, w, b = conv_case(np.random.default_rng(stride), stride, t=t, c_in=c_in, c_out=c_out, k=k)
         tape = dc.Tape()
         out = dc.conv1d(tape.tensor(x), tape.tensor(w), tape.tensor(b), stride)
         np.testing.assert_allclose(out.data, np.maximum(conv_reference(x, w, b, stride), 0), rtol=1e-12, atol=1e-12)
@@ -277,6 +292,29 @@ class TestConv1dGrads:
         assert gx_const is None and gx is not None
         np.testing.assert_array_equal(gw_const, gw)
         np.testing.assert_array_equal(gb_const, gb)
+
+    def test_conv1d_memory_stays_below_one_window_matrix(self):
+        # Encoder layer 1 on 1.5 s of audio: 4799 x 64 in, k = 8, stride 4.
+        # Forward and backward together allocate less than one im2col window
+        # matrix of t_out x (c_in * k) float32 would take.
+        t, c, k, stride = 4799, 64, 8, 4
+        t_out = 1 + (t - k) // stride
+        rng = np.random.default_rng(0)
+        warm = dc.Tape()   # first-call set-up is not the layer's memory
+        dc.conv1d(warm.tensor(np.ones((9, 2), np.float32)), warm.tensor(np.ones((2, 2, 4), np.float32)), warm.tensor(np.ones(2, np.float32)), stride=2)
+        tape = dc.Tape()
+        x = tape.tensor(rng.standard_normal((t, c)).astype(np.float32), requires_grad=True)
+        w = tape.tensor(rng.standard_normal((c, c, k)).astype(np.float32), requires_grad=True)
+        b = tape.tensor(np.zeros(c, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = dc.conv1d(x, w, b, stride)
+            tape.backward(dc.sum_axis(out, axis=None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == (t, c) and w.grad.shape == (c, c, k)
+        assert peak < t_out * c * k * 4, f"peak {peak} bytes"
 
     def test_conv1d_output_length(self):
         tape = dc.Tape()

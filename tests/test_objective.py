@@ -187,7 +187,7 @@ def test_nfc_matches_per_column_loop(monkeypatch):
     xr = ref_tape.tensor(base, requires_grad=True)
     anchors = dc.narrow(xr, 0, 11)
     columns = [np.arange(1, 12)] + [table[:, j] for j in range(3)]
-    cols = [dc.reshape(dc.cosine_sim(anchors, dc.gather_rows(xr, c)), (11, 1)) for c in columns]
+    cols = [dc.cosine_sim(anchors, dc.gather_rows(xr, c[:, None])) for c in columns]   # (11, 1) each
     ref = dc.mean_axis(dc.softmax_cross_entropy_with_index(dc.concat(cols, axis=1), np.zeros(11, dtype=np.int64)))
     ref_tape.backward(ref)
 
