@@ -437,7 +437,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
         gwb = np.empty((m, stride * c_in, c_out), out.dtype)
         for j in range(m):
             np.matmul(xb[j : j + t_out].T, g, out=gwb[j])
-        # A (c_out, c_in, k) view of the blocks, the inverse of wb's layout.
+        # A (c_out, c_in, k) view of the blocks, inverting wb's layout; a
+        # contiguous copy would add a weight-sized buffer at the layer's peak.
         gw = gwb.reshape(m * stride, c_in, c_out).transpose(2, 1, 0)[:, :, :k]
         return gx, gw, gb
 
