@@ -7,7 +7,9 @@ The detector turns a sequence of frame vectors into segments in four moves:
      threshold;
   3. a straight-through indicator whose forward value is the saturated
      tanh(1000 p) but whose gradient follows the gentle tanh(10 p);
-  4. a column-normalized weight matrix that averages each segment's frames.
+  4. tent-weighted segment means: the running boundary count puts each frame
+     in at most two segments, and each segment's weights are normalized to
+     sum to one, so no frame-by-segment matrix is ever built.
 
 Here the frames are built by hand, three plateaus with small noise, so every
 intermediate quantity can be checked against what we planted.
@@ -42,11 +44,11 @@ soft, hard, indicator = boundary.boundary_indicators(tape, final)
 print("straight-through indicator, forward values:", np.round(indicator.data, 3))
 print("equal to hard tanh(1000 p):", bool(np.array_equal(indicator.data, hard.data)), "\n")
 
-weights, spans = boundary.segment_weights(tape, indicator, frames.shape[0])
+cuts = np.flatnonzero(indicator.data > 0.5) + 1
+spans = [(int(s), int(e)) for s, e in zip(np.r_[0, cuts], np.r_[cuts, frames.shape[0]])]
 print(f"{len(spans)} segments, half-open frame spans: {spans}")
-print("weight columns sum to one:", np.allclose(weights.data.sum(axis=0), 1.0))
 
-means = boundary.segment_means(tape, frames, weights)
+means = dc.segment_pool(frames, indicator, len(spans))
 for j, (s, e) in enumerate(spans):
     drift = np.linalg.norm(means.data[j] - frames0[s:e].mean(axis=0))
     print(f"  segment {j}: frames [{s}, {e}), mean within {drift:.1e} of the loop answer")
@@ -58,6 +60,6 @@ print("\npredicted boundary times:", [(int(t) + 1) * 0.010 for t in peak_junctio
 
 # Gradients reach the frames through the soft path even though the forward
 # pass used saturated indicators.
-loss = dc.sum_axis(dc.mul(means, tape.constant(rng.standard_normal(means.shape))), axis=None)
+loss = dc.mean_axis(dc.mul(means, tape.constant(rng.standard_normal(means.shape))), axis=None)
 tape.backward(loss)
 print("gradient flows to every frame:", bool(np.all(np.any(frames.grad != 0, axis=1))))

@@ -2,10 +2,11 @@
 
 The chain is: cosine similarity of adjacent frames -> per-utterance min/max
 normalized dissimilarity -> two-scale peak scores with a threshold -> a
-straight-through boundary indicator (hard forward, soft backward) -> a frame
--to-segment weight matrix whose columns average each segment's frames.  All
-stages are tape ops, so boundary placement participates in training; the hard
-segment count and spans are read off the forward values.
+straight-through boundary indicator (hard forward, soft backward) -> tent
+-weighted segment means (``diffcore.segment_pool``), each frame weighted into
+the two segments nearest its running boundary count.  All stages are tape ops,
+so boundary placement participates in training; the hard segment count and
+spans are read off the forward values.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ __all__ = [
     "dissimilarity",
     "peak_scores",
     "boundary_indicators",
-    "segment_weights",
-    "segment_means",
     "detect_segments",
 ]
 
 SOFT_SLOPE = 10.0     # backward path: d tanh(10 p) / dp
 HARD_SLOPE = 1000.0   # forward path: tanh(1000 p), saturates fast
-_COLSUM_EPS = 1e-8
 
 
 def dissimilarity(tape: dc.Tape, frames: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
@@ -102,34 +100,6 @@ def _spans_from_hard(hard_values: np.ndarray, n_frames: int) -> tuple[tuple[int,
     return tuple((int(s), int(e)) for s, e in zip(starts, ends))
 
 
-def segment_weights(tape: dc.Tape, indicator: dc.Tensor, n_frames: int) -> tuple[dc.Tensor, tuple[tuple[int, int], ...]]:
-    """Frame-to-segment averaging matrix, shape (n_frames, n_segments).
-
-    The running boundary count c (cumulative indicator, starting at 0) assigns
-    frame t a soft segment coordinate; column j weights frames by the tent
-    relu(1 - |c_t - j|) and normalizes to sum 1.  The segment count is read
-    from the hard indicators (values above 0.5), so with saturated indicators
-    each row is exactly one-hot at 1/segment-length.
-    """
-    if indicator.shape != (n_frames - 1,):
-        raise ValueError(f"indicator shape {indicator.shape} does not match {n_frames} frames")
-    spans = _spans_from_hard(indicator.data, n_frames)
-    n_segments = len(spans)
-
-    zero = tape.constant(np.zeros(1, dtype=indicator.dtype))
-    coord = dc.concat([zero, dc.cumsum(indicator)])  # (n_frames,)
-    cols = tape.constant(np.arange(n_segments, dtype=indicator.data.dtype))
-    tent = dc.relu(1.0 - dc.absolute(dc.outer_sub(coord, cols)))
-    colsum = dc.sum_axis(tent, axis=0)
-    weights = dc.div(tent, colsum + _COLSUM_EPS)
-    return weights, spans
-
-
-def segment_means(tape: dc.Tape, frames: dc.Tensor, weights: dc.Tensor) -> dc.Tensor:
-    """Weighted frame means per segment: (n_segments, frame_dim)."""
-    return dc.matmul(dc.transpose(weights), frames)
-
-
 @dataclass(frozen=True)
 class BoundaryGraph:
     """What the rest of the pipeline reads from boundary detection."""
@@ -148,5 +118,5 @@ def detect_segments(tape: dc.Tape, frames: dc.Tensor, thres: float) -> BoundaryG
     _, dissim = dissimilarity(tape, frames)
     _, _, scores = peak_scores(tape, dissim, thres)
     _, _, indicator = boundary_indicators(tape, scores)
-    weights, spans = segment_weights(tape, indicator, frames.shape[0])
-    return BoundaryGraph(dissim, spans, segment_means(tape, frames, weights))
+    spans = _spans_from_hard(indicator.data, frames.shape[0])
+    return BoundaryGraph(dissim, spans, dc.segment_pool(frames, indicator, len(spans)))

@@ -12,7 +12,8 @@ message.
 Conventions:
 
 * tensors hold float32 or float64 data; reductions accumulate in float64;
-* subgradients at kinks (relu, abs, min, max) take the left/zero branch;
+* subgradients at kinks (relu, min, max, the segment_pool tent) take the
+  left/zero branch;
 * integer index arguments (``gather_rows``, cross-entropy targets) are plain
   numpy arrays, not tensors, and never receive gradients;
 * ``conv1d`` is a whole encoder layer, relu(conv + bias), channels-last,
@@ -38,24 +39,21 @@ __all__ = [
     "mul",
     "div",
     "matmul",
-    "transpose",
     "concat",
     "narrow",
     "gather_rows",
     "conv1d",
     "relu",
     "tanh",
-    "absolute",
     "minimum",
     "maximum",
     "reduce_min",
     "reduce_max",
-    "sum_axis",
     "mean_axis",
-    "cumsum",
-    "outer_sub",
     "cosine_sim",
     "softmax_cross_entropy_with_index",
+    "tanh_scan",
+    "segment_pool",
     "stop_gradient",
 ]
 
@@ -300,16 +298,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape._record((a, b), out, vjp)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose: expected a matrix, got shape {x.data.shape}")
-
-    def vjp(g):
-        return (g.T.copy(),)
-
-    return x.tape._record((x,), x.data.T.copy(), vjp)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat: empty tensor list")
@@ -461,11 +449,6 @@ def tanh(x: Tensor) -> Tensor:
     return _unary(x, out, lambda: 1 - out * out)
 
 
-def absolute(x: Tensor) -> Tensor:
-    # Subgradient 0 at the kink.
-    return _unary(x, np.abs(x.data), lambda: np.sign(x.data))
-
-
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     tape = _elementwise_pair(a, b, "minimum")
     out = np.minimum(a.data, b.data)
@@ -516,17 +499,6 @@ def reduce_max(x: Tensor) -> Tensor:
     return x.tape._record((x,), out, vjp)
 
 
-def sum_axis(x: Tensor, axis: int | None = None) -> Tensor:
-    out = x.data.sum(axis=axis, dtype=np.float64).astype(x.data.dtype)
-
-    def vjp(g):
-        if axis is None:
-            return (np.full_like(x.data, g),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
-
-    return x.tape._record((x,), np.asarray(out), vjp)
-
-
 def mean_axis(x: Tensor, axis: int | None = None) -> Tensor:
     """Mean over one axis (or all entries), accumulated in float64."""
     out = x.data.mean(axis=axis, dtype=np.float64).astype(x.data.dtype)
@@ -538,30 +510,6 @@ def mean_axis(x: Tensor, axis: int | None = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape).copy(),)
 
     return x.tape._record((x,), np.asarray(out), vjp)
-
-
-def cumsum(x: Tensor) -> Tensor:
-    if x.data.ndim != 1:
-        raise ValueError(f"cumsum: expected a vector, got shape {x.data.shape}")
-    out = np.cumsum(x.data, dtype=np.float64).astype(x.data.dtype)
-
-    def vjp(g):
-        return (np.cumsum(g[::-1])[::-1].astype(x.data.dtype),)
-
-    return x.tape._record((x,), out, vjp)
-
-
-def outer_sub(a: Tensor, b: Tensor) -> Tensor:
-    """Outer difference a[i] - b[j] of two vectors, shape (len(a), len(b))."""
-    tape = _check_tape(a, b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ValueError(f"outer_sub: expected vectors, got shapes {a.data.shape} and {b.data.shape}")
-    out = a.data[:, None] - b.data[None, :]
-
-    def vjp(g):
-        return g.sum(axis=1, dtype=np.float64).astype(a.data.dtype), -g.sum(axis=0, dtype=np.float64).astype(b.data.dtype)
-
-    return tape._record((a, b), out, vjp)
 
 
 _COS_EPS = 1e-8
@@ -629,6 +577,86 @@ def softmax_cross_entropy_with_index(logits: Tensor, index) -> Tensor:
         return (p * g[:, None],)
 
     return logits.tape._record((logits,), out, vjp)
+
+
+def tanh_scan(x: Tensor, w_in: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+    """Causal tanh recurrence h_i = tanh(x_i @ w_in + h_{i-1} @ w_h + b), h_{-1} = 0.
+
+    ``x`` is (n, d), ``w_in`` (d, q), ``w_h`` (q, q) and ``b`` (q,); the
+    result stacks h_0 .. h_{n-1} as (n, q).  The input projection is one
+    GEMM and the recurrence a loop over the rows.  Backward is one reverse
+    loop (backpropagation through time) for the pre-activation gradient,
+    then one product per input.  One tape node whatever n is.
+    """
+    tape = _check_tape(x, w_in, w_h, b)
+    q = w_h.data.shape[-1]
+    if x.data.ndim != 2 or w_in.data.shape != (x.data.shape[1], q) or w_h.data.shape != (q, q) or b.data.shape != (q,):
+        raise ValueError(f"tanh_scan: expected (n, d), (d, q), (q, q) and (q,), got {x.data.shape}, {w_in.data.shape}, {w_h.data.shape} and {b.data.shape}")
+    xw = x.data @ w_in.data
+    h = np.empty_like(xw)
+    prev = np.zeros(q, xw.dtype)
+    for i in range(h.shape[0]):
+        prev = np.tanh(xw[i] + prev @ w_h.data + b.data, out=h[i])
+
+    def vjp(g):
+        dpre = np.empty_like(h)
+        carry = np.zeros(q, h.dtype)
+        for i in range(h.shape[0] - 1, -1, -1):
+            dpre[i] = (g[i] + carry) * (1 - h[i] * h[i])
+            carry = dpre[i] @ w_h.data.T
+        gb = dpre.sum(axis=0, dtype=np.float64).astype(dpre.dtype)
+        return dpre @ w_in.data.T, x.data.T @ dpre, h[:-1].T @ dpre[1:], gb
+
+    return tape._record((x, w_in, w_h, b), h, vjp)
+
+
+_COLSUM_EPS = 1e-8
+
+
+def segment_pool(frames: Tensor, indicator: Tensor, n_segments: int) -> Tensor:
+    """Tent-weighted frame means per segment, shape (n_segments, frame_dim).
+
+    ``frames`` is (L, d) and ``indicator`` (L - 1,) soft boundary values.
+    The coordinate c = [0, cumsum(indicator)] (accumulated in float64) puts
+    frame t at weight relu(1 - |c_t - j|) in column j, and each column is
+    normalized by its float64 sum plus 1e-8.  Only columns floor(c_t) and
+    floor(c_t) + 1 can be nonzero, so each frame carries two weights and the
+    L x n_segments matrix is never built: the means are one sparse product,
+    and the backward gathers two gradient rows per frame.  Columns outside
+    [0, n_segments) are dropped.  At the tent's kinks the subgradient takes
+    the zero branch, so a frame whose coordinate is an exact integer passes
+    no gradient to the indicator.  A non-finite coordinate makes every mean
+    NaN.
+    """
+    tape = _check_tape(frames, indicator)
+    n = frames.data.shape[0]
+    if frames.data.ndim != 2 or indicator.data.shape != (n - 1,):
+        raise ValueError(f"segment_pool: indicator shape {indicator.data.shape} does not match {frames.data.shape} frames")
+    m, dt = n_segments, indicator.data.dtype
+    c = np.concatenate([np.zeros(1, dt), np.cumsum(indicator.data, dtype=np.float64).astype(dt)])
+    k = np.floor(np.nan_to_num(c))   # finite, so the column cast below cannot warn
+    tent = np.stack([1 - (c - k), 1 - ((k + 1) - c)], axis=1)   # (L, 2): columns k, k + 1
+    # Columns shifted by one into [0, m + 2): rows 0 and m + 1 collect the dropped weights.
+    cols = np.clip(k[:, None] + (0, 1), -1, m).astype(np.intp) + 1
+    colsum = np.bincount(cols.ravel(), tent.ravel(), minlength=m + 2)
+    if not np.isfinite(c).all():
+        colsum[:] = np.nan
+    s = (colsum.astype(dt) + dt.type(_COLSUM_EPS))[cols]   # each weight's column sum
+    w = tent / s
+    pool = scipy.sparse.csc_array((w.ravel(), cols.ravel(), np.arange(0, 2 * n + 1, 2)), shape=(m + 2, n))
+    out = (pool @ frames.data)[1 : m + 1]
+
+    def vjp(g):
+        gp = np.zeros((m + 2, g.shape[1]), g.dtype)
+        gp[1 : m + 1] = g
+        dw = np.einsum("tcd,td->tc", gp[cols], frames.data)   # g . frame, per weight
+        # d/d tent of tent / s, with s = the column sum: dw / s - sum(dw * tent / s^2).
+        ds = np.bincount(cols.ravel(), (-dw * tent / (s * s)).ravel(), minlength=m + 2).astype(dt)
+        dtent = (dw / s + ds[cols]) * (tent > 0)
+        dcoord = dtent[:, 1] - dtent[:, 0] * (c > k)
+        return pool.T @ gp, np.cumsum(dcoord[:0:-1])[::-1].astype(dt)
+
+    return tape._record((frames, indicator), out, vjp)
 
 
 def stop_gradient(x: Tensor) -> Tensor:

@@ -144,15 +144,7 @@ def segment_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], means: dc.Tenso
 
 def context_states(tape: dc.Tape, leaves: dict[str, dc.Tensor], segments: dc.Tensor) -> dc.Tensor:
     """Causal tanh recurrence over segment latents; row i sees segments 0..i."""
-    m, q = segments.shape
-    h = tape.constant(np.zeros((1, q), dtype=np.float32))
-    rows = []
-    for i in range(m):
-        x_i = dc.narrow(segments, i, 1)
-        pre = dc.add(dc.add(dc.matmul(x_i, leaves["ctx_w_in"]), dc.matmul(h, leaves["ctx_w_h"])), leaves["ctx_b"])
-        h = dc.tanh(pre)
-        rows.append(h)
-    return dc.concat(rows, axis=0)
+    return dc.tanh_scan(segments, leaves["ctx_w_in"], leaves["ctx_w_h"], leaves["ctx_b"])
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,12 @@ class TestDissimilarity:
             def f(arrs):
                 t = dc.Tape()
                 _, dis = boundary.dissimilarity(t, t.tensor(arrs[0]))
-                return float((dis.data * w).sum())
+                return float((dis.data * w).mean())
 
             tape = dc.Tape()
             z = tape.tensor(z0, requires_grad=True)
             _, dissim = boundary.dissimilarity(tape, z)
-            tape.backward(dc.sum_axis(dc.mul(dissim, tape.constant(w))))
+            tape.backward(dc.mean_axis(dc.mul(dissim, tape.constant(w))))
             err = rel_err(z.grad, numeric_grad(f, [z0])[0])
             assert err <= 1e-4, f"seed {seed}: rel err {err:.2e}"
 
@@ -168,43 +168,64 @@ class TestStraightThrough:
         tape = dc.Tape()
         p = tape.tensor(p0, requires_grad=True)
         _, _, ind = boundary.boundary_indicators(tape, p)
-        tape.backward(dc.sum_axis(dc.mul(ind, tape.constant(w))))
-        expected = 10.0 * (1.0 - np.tanh(10.0 * p0) ** 2)
+        tape.backward(dc.mean_axis(dc.mul(ind, tape.constant(w))))   # each junction weighs 1/4
+        expected = 10.0 * (1.0 - np.tanh(10.0 * p0) ** 2) / 4
         np.testing.assert_allclose(p.grad, expected, rtol=1e-12)
-        assert p.grad[3] == pytest.approx(4.5014e-6, rel=1e-3)
+        assert p.grad[3] == pytest.approx(4.5014e-6 / 4, rel=1e-3)
 
         def f(arrs):
             t = dc.Tape()
             soft = dc.tanh(t.tensor(arrs[0]) * boundary.SOFT_SLOPE)
-            return float((soft.data * w).sum())
+            return float((soft.data * w).mean())
 
         err = rel_err(p.grad, numeric_grad(f, [p0])[0])
         assert err <= 1e-4
 
 
+def pooled_weights(tape, indicator, n_segments):
+    """The tent weights of ``dc.segment_pool``, (n_segments, n_frames): pooled
+    one-hot frames make row j of the means segment j's weight per frame."""
+    eye = tape.constant(np.eye(indicator.shape[0] + 1, dtype=indicator.dtype))
+    return dc.segment_pool(eye, indicator, n_segments)
+
+
+def dense_tent_indicator_grad(z, indicator, n_segments, g):
+    """d sum(means * g) / d indicator through a dense (L, M) tent matrix,
+    worked by hand in numpy; relu and abs take the zero branch at kinks."""
+    c = np.concatenate([[0.0], np.cumsum(indicator)])
+    u = c[:, None] - np.arange(n_segments)
+    pre = 1.0 - np.abs(u)
+    tent = np.maximum(pre, 0.0)
+    s = tent.sum(axis=0) + 1e-8
+    dw = z @ g.T                                   # d loss / d weight[t, j]
+    dtent = dw / s - (dw * tent).sum(axis=0) / s**2
+    dc_ = (-np.sign(u) * (pre > 0) * dtent).sum(axis=1)
+    return np.cumsum(dc_[:0:-1])[::-1]
+
+
 class TestSegmentWeights:
+    """The tent weights behind ``dc.segment_pool``, read through its means."""
+
     def test_hand_case_two_segments(self):
         tape = dc.Tape()
         b = tape.tensor(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
-        weights, spans = boundary.segment_weights(tape, b, n_frames=6)
-        assert spans == ((0, 4), (4, 6))
-        np.testing.assert_allclose(weights.data[:, 0], [0.25, 0.25, 0.25, 0.25, 0.0, 0.0], atol=1e-7)
-        np.testing.assert_allclose(weights.data[:, 1], [0.0, 0.0, 0.0, 0.0, 0.5, 0.5], atol=1e-7)
+        assert boundary._spans_from_hard(b.data, 6) == ((0, 4), (4, 6))
+        weights = pooled_weights(tape, b, 2).data
+        np.testing.assert_allclose(weights[0], [0.25, 0.25, 0.25, 0.25, 0.0, 0.0], atol=1e-7)
+        np.testing.assert_allclose(weights[1], [0.0, 0.0, 0.0, 0.0, 0.5, 0.5], atol=1e-7)
 
     def test_hand_case_means(self):
         tape = dc.Tape()
         z = tape.tensor(np.array([[1.0], [1.0], [1.0], [1.0], [5.0], [7.0]]))
         b = tape.tensor(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
-        weights, _ = boundary.segment_weights(tape, b, 6)
-        means = boundary.segment_means(tape, z, weights)
+        means = dc.segment_pool(z, b, 2)
         np.testing.assert_allclose(means.data, [[1.0], [6.0]], atol=1e-6)
 
     def test_all_boundaries_gives_identity(self):
         tape = dc.Tape()
         b = tape.tensor(np.array([1.0, 1.0]))
-        weights, spans = boundary.segment_weights(tape, b, 3)
-        assert spans == ((0, 1), (1, 2), (2, 3))
-        np.testing.assert_allclose(weights.data, np.eye(3), atol=1e-7)
+        assert boundary._spans_from_hard(b.data, 3) == ((0, 1), (1, 2), (2, 3))
+        np.testing.assert_allclose(pooled_weights(tape, b, 3).data, np.eye(3), atol=1e-7)
 
     def test_matches_means_oracle(self):
         rng = np.random.default_rng(11)
@@ -213,20 +234,17 @@ class TestSegmentWeights:
             hard = (rng.random(n - 1) < 0.3).astype(np.float64)
             z0 = rng.standard_normal((n, 4))
             tape = dc.Tape()
-            weights, spans = boundary.segment_weights(tape, tape.tensor(hard), n)
-            means = boundary.segment_means(tape, tape.tensor(z0), weights)
-            expected = means_oracle(z0, hard)
-            assert len(spans) == expected.shape[0]
-            np.testing.assert_allclose(means.data, expected, atol=1e-6, err_msg=f"case {case}")
+            means = dc.segment_pool(tape.tensor(z0), tape.tensor(hard), len(boundary._spans_from_hard(hard, n)))
+            np.testing.assert_allclose(means.data, means_oracle(z0, hard), atol=1e-6, err_msg=f"case {case}")
 
     def test_hard_weight_matrix_properties(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(2, 25))
             hard = (rng.random(n - 1) < 0.3).astype(np.float64)
+            spans = boundary._spans_from_hard(hard, n)
             tape = dc.Tape()
-            weights, spans = boundary.segment_weights(tape, tape.tensor(hard), n)
-            w = weights.data
+            w = pooled_weights(tape, tape.tensor(hard), len(spans)).data.T
             np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-6)
             assert np.all((w > 0).sum(axis=1) == 1)  # each frame in exactly one segment
             for j, (s, e) in enumerate(spans):
@@ -239,20 +257,38 @@ class TestSegmentWeights:
 
         def f(arrs):
             t = dc.Tape()
-            weights, _ = boundary.segment_weights(t, t.tensor(arrs[0]), 3)
-            return float((weights.data * w_loss).sum())
+            return float((pooled_weights(t, t.tensor(arrs[0]), 3).data * w_loss).mean())
 
         tape = dc.Tape()
         b = tape.tensor(b0, requires_grad=True)
-        weights, _ = boundary.segment_weights(tape, b, 3)
-        tape.backward(dc.sum_axis(dc.mul(weights, tape.constant(w_loss))))
+        weights = pooled_weights(tape, b, 3)
+        tape.backward(dc.mean_axis(dc.mul(weights, tape.constant(w_loss))))
         err = rel_err(b.grad, numeric_grad(f, [b0])[0])
         assert err <= 1e-4
+
+    def test_integer_coordinates_match_dense_tent_gradient(self):
+        # Quarter steps make many running sums exact integers, where the
+        # tent's kinks are; there the zero branch passes no gradient.
+        rng = np.random.default_rng(17)
+        n_zero = 0
+        for case in range(100):
+            n = int(rng.integers(2, 30))
+            ind = rng.choice([0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.0], n - 1)
+            m = max(1, int(ind.sum()) + int(rng.integers(-1, 3)))
+            z = rng.standard_normal((n, 3))
+            g = rng.standard_normal((m, 3))
+            tape = dc.Tape()
+            b = tape.tensor(ind, requires_grad=True)
+            means = dc.segment_pool(tape.tensor(z), b, m)
+            tape.backward(dc.mean_axis(dc.mul(means, tape.constant(g * g.size)), axis=None))
+            np.testing.assert_allclose(b.grad, dense_tent_indicator_grad(z, ind, m, g), rtol=0, atol=1e-12, err_msg=f"case {case}")
+            n_zero += int(np.sum(b.grad == 0))
+        assert n_zero > 0
 
     def test_shape_mismatch_rejected(self):
         tape = dc.Tape()
         with pytest.raises(ValueError, match="does not match"):
-            boundary.segment_weights(tape, tape.tensor(np.zeros(4)), 4)
+            dc.segment_pool(tape.tensor(np.zeros((4, 1))), tape.tensor(np.zeros(4)), 4)
 
 
 class TestDetectSegments:

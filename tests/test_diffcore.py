@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -28,7 +29,7 @@ def run_gradcheck(build, n_points=N_POINTS, tol=GRAD_TOL):
     """Compare tape gradients of a weighted-sum loss against finite differences.
 
     ``build(rng)`` returns ``(arrays, apply)`` where ``apply(tape, tensors)``
-    produces the op output tensor.  The loss is sum(output * w) for a fixed
+    produces the op output tensor.  The loss is mean(output * w) for a fixed
     random weight array, which exercises every output coordinate.
     """
     for seed in range(n_points):
@@ -43,12 +44,12 @@ def run_gradcheck(build, n_points=N_POINTS, tol=GRAD_TOL):
         def scalar_f(arrs):
             t = dc.Tape()
             out = apply(t, [t.tensor(a) for a in arrs])
-            return float((out.data * w).sum())
+            return float((out.data * w).mean())
 
         tape = dc.Tape()
         leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
         out = apply(tape, leaves)
-        loss = dc.sum_axis(dc.mul(out, tape.constant(w)), axis=None)
+        loss = dc.mean_axis(dc.mul(out, tape.constant(w)), axis=None)
         tape.backward(loss)
 
         numeric = numeric_grad(scalar_f, arrays)
@@ -75,6 +76,37 @@ def spread_vector(rng, n):
     base = np.sort(rng.standard_normal(n))
     base += np.arange(n) * 0.05
     return rng.permutation(base)
+
+
+def tent_case(rng, n=7, d=3, steps=(0, 1), spare=1):
+    """Frames (n, d) and an indicator (n - 1,) for ``segment_pool``, plus a
+    segment count.
+
+    The running sums of the indicator take integer steps drawn from
+    ``steps`` plus a fractional part in [0.1, 0.9], so every coordinate is
+    clear of the tent's kinks.  The segment count is floor(max coordinate)
+    + ``spare``: 2 keeps every touched column, less drops the top ones.
+    """
+    coord = np.cumsum(rng.choice(steps, n - 1)) + rng.uniform(0.1, 0.9, n - 1)
+    n_segments = max(1, int(np.floor(coord.max())) + spare)
+    return [rng.standard_normal((n, d)), np.diff(coord, prepend=0.0)], n_segments
+
+
+def scan_case(rng, n=5, d=3, q=4):
+    """Inputs (x, w_in, w_h, b) for ``tanh_scan``."""
+    return [rng.standard_normal((n, d)), 0.5 * rng.standard_normal((d, q)),
+            0.5 * rng.standard_normal((q, q)), 0.5 * rng.standard_normal(q)]
+
+
+def scan_loop(x, w_in, w_h, b):
+    """The recurrence as one narrow / matmul / add / tanh group per row."""
+    tape = x.tape
+    h = tape.constant(np.zeros((1, w_h.shape[0]), dtype=x.dtype))
+    rows = []
+    for i in range(x.shape[0]):
+        h = dc.tanh(dc.add(dc.add(dc.matmul(dc.narrow(x, i, 1), w_in), dc.matmul(h, w_h)), b))
+        rows.append(h)
+    return dc.concat(rows, axis=0)
 
 
 class TestElementwiseGrads:
@@ -118,9 +150,6 @@ class TestNonlinearGrads:
     def test_tanh(self):
         run_gradcheck(lambda rng: ([rng.standard_normal(7)], lambda t, xs: dc.tanh(xs[0])))
 
-    def test_absolute(self):
-        run_gradcheck(lambda rng: ([away_from(rng, (2, 4))], lambda t, xs: dc.absolute(xs[0])))
-
     def test_minimum(self):
         def build(rng):
             a, b = separated_pair(rng, (3, 4))
@@ -144,23 +173,13 @@ class TestReductionGrads:
         run_gradcheck(lambda rng: ([spread_vector(rng, 7)], lambda t, xs: dc.reduce_max(xs[0])))
 
     @pytest.mark.parametrize("axis", [None, 0, 1])
-    def test_sum_axis(self, axis):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.sum_axis(xs[0], axis=axis)))
-
-    @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_mean_axis(self, axis):
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.mean_axis(xs[0], axis=axis)))
-
-    def test_cumsum(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal(6)], lambda t, xs: dc.cumsum(xs[0])))
 
 
 class TestLinalgGrads:
     def test_matmul(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal((4, 2))], lambda t, xs: dc.matmul(xs[0], xs[1])))
-
-    def test_transpose(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.transpose(xs[0])))
 
     def test_concat_rows(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((2, 3)), rng.standard_normal((4, 3))], lambda t, xs: dc.concat(xs, axis=0)))
@@ -196,9 +215,6 @@ class TestLinalgGrads:
         np.testing.assert_array_equal(out.data, x.data[idx])
         with pytest.raises(ValueError, match="integer"):
             dc.gather_rows(x, np.zeros((2, 2)))
-
-    def test_outer_sub(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal(4), rng.standard_normal(3)], lambda t, xs: dc.outer_sub(xs[0], xs[1])))
 
 
 def conv_reference(x, w, b, stride):
@@ -270,10 +286,10 @@ class TestConv1dGrads:
         b = tape.tensor(np.array([0.5, -1.0]), requires_grad=True)
         out = dc.conv1d(x, w, b, stride=2)
         np.testing.assert_array_equal(out.data, [[3.5, 0.0], [7.5, 1.0]])
-        tape.backward(dc.sum_axis(out, axis=None))
-        np.testing.assert_array_equal(b.grad, [2.0, 1.0])
-        np.testing.assert_array_equal(w.grad, [[[4.0, 6.0]], [[3.0, 4.0]]])
-        np.testing.assert_array_equal(x.grad, [[1.0], [1.0], [3.0], [0.0]])
+        tape.backward(dc.mean_axis(out, axis=None))   # each output weighs 1/4
+        np.testing.assert_array_equal(b.grad, [0.5, 0.25])
+        np.testing.assert_array_equal(w.grad, [[[1.0, 1.5]], [[0.75, 1.0]]])
+        np.testing.assert_array_equal(x.grad, [[0.25], [0.25], [0.75], [0.0]])
 
     def test_conv1d_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(0)
@@ -286,7 +302,7 @@ class TestConv1dGrads:
             w = tape.tensor(w0, requires_grad=True)
             b = tape.tensor(b0, requires_grad=True)
             out = dc.conv1d(x, w, b, stride=2)
-            tape.backward(dc.sum_axis(dc.mul(out, tape.constant(g)), axis=None))
+            tape.backward(dc.mean_axis(dc.mul(out, tape.constant(g)), axis=None))
             grads.append((x.grad, w.grad, b.grad))
         (gx_const, gw_const, gb_const), (gx, gw, gb) = grads
         assert gx_const is None and gx is not None
@@ -307,7 +323,7 @@ class TestConv1dGrads:
         tracemalloc.start()
         try:
             out = dc.conv1d(x, w, b, stride)
-            tape.backward(dc.sum_axis(out, axis=None))
+            tape.backward(dc.mean_axis(out, axis=None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,6 +345,78 @@ class TestConv1dGrads:
             dc.conv1d(tape.tensor(np.zeros((20, 3))), w, tape.tensor(np.zeros(4)), stride=1)
         with pytest.raises(ValueError, match=r"expected \(t, c_in\)"):
             dc.conv1d(x, w, tape.tensor(np.zeros(3)), stride=1)
+
+
+class TestFusedOps:
+    def test_tanh_scan(self):
+        run_gradcheck(lambda rng: (scan_case(rng), lambda t, xs: dc.tanh_scan(*xs)))
+
+    @pytest.mark.parametrize("steps, spare", [((0, 1), 2), ((0, 1), 0), ((-1, 0, 1), 1)],
+                             ids=["all-columns", "dropped-columns", "negative-coordinates"])
+    def test_segment_pool(self, steps, spare):
+        def build(rng):
+            arrays, m = tent_case(rng, steps=steps, spare=spare)
+            return arrays, lambda t, xs: dc.segment_pool(xs[0], xs[1], m)
+
+        run_gradcheck(build)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_tanh_scan_matches_step_loop(self, dtype, tol):
+        # 176 segments of width 64, as on a 16.5 s utterance.
+        rng = np.random.default_rng(4)
+        arrays = [a.astype(dtype) for a in scan_case(rng, n=176, d=64, q=64)]
+        arrays[1:3] = [a / 8 for a in arrays[1:3]]
+        g = rng.standard_normal((176, 64)).astype(dtype)
+        results = []
+        for op in (dc.tanh_scan, scan_loop):
+            tape = dc.Tape()
+            leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
+            out = op(*leaves)
+            tape.backward(dc.mean_axis(dc.mul(out, tape.constant(g)), axis=None))
+            results.append([out.data] + [leaf.grad * g.size for leaf in leaves])
+        for fused, loop in zip(*results):
+            assert fused.dtype == dtype
+            np.testing.assert_allclose(fused, loop, rtol=tol, atol=tol)
+
+    def test_tanh_scan_records_one_node(self):
+        tape = dc.Tape()
+        leaves = [tape.tensor(a, requires_grad=True) for a in scan_case(np.random.default_rng(0), n=40)]
+        dc.tanh_scan(*leaves)
+        assert len(tape._nodes) == 1
+
+    def test_segment_pool_memory_stays_below_one_dense_tent(self):
+        # 60 s of frames in 600 segments: forward and backward together
+        # allocate less than one dense L x M float32 tent (14.4 MB) would.
+        n, m, d = 6000, 600, 64
+        rng = np.random.default_rng(0)
+        hard = np.zeros(n - 1, np.float32)
+        hard[rng.choice(n - 1, m - 1, replace=False)] = 1.0
+        tape = dc.Tape()
+        frames = tape.tensor(rng.standard_normal((n, d)).astype(np.float32), requires_grad=True)
+        indicator = tape.tensor(hard, requires_grad=True)
+        tracemalloc.start()
+        try:
+            means = dc.segment_pool(frames, indicator, m)
+            tape.backward(dc.mean_axis(means, axis=None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert means.shape == (m, d) and frames.grad.shape == (n, d) and indicator.grad.shape == (n - 1,)
+        assert peak < n * m * 4, f"peak {peak} bytes"
+
+    def test_segment_pool_rejects_mismatched_shapes(self):
+        tape = dc.Tape()
+        with pytest.raises(ValueError, match="does not match"):
+            dc.segment_pool(tape.tensor(np.zeros((4, 2))), tape.tensor(np.zeros(4)), 2)
+
+    def test_segment_pool_non_finite_indicator_gives_nan_means(self):
+        tape = dc.Tape()
+        frames = tape.tensor(np.ones((5, 2), np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.nan, np.inf):
+                out = dc.segment_pool(frames, tape.tensor(np.array([0.0, bad, 1.0, 0.0], np.float32)), 2)
+                assert np.isnan(out.data).all()
 
 
 class TestCosineGrads:
@@ -552,26 +640,21 @@ class TestConventions:
         tape = dc.Tape()
         a = tape.tensor([1.0, 1.0], requires_grad=True, dtype=np.float64)
         b = tape.tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-        tape.backward(dc.sum_axis(dc.minimum(a, b)))
-        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+        tape.backward(dc.mean_axis(dc.minimum(a, b)))
+        np.testing.assert_array_equal(a.grad, [0.5, 0.5])
         np.testing.assert_array_equal(b.grad, [0.0, 0.0])
 
     def test_relu_zero_input_zero_grad(self):
         tape = dc.Tape()
         x = tape.tensor([0.0, -1.0, 1.0], requires_grad=True, dtype=np.float64)
-        tape.backward(dc.sum_axis(dc.relu(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+        tape.backward(dc.mean_axis(dc.relu(x)))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0 / 3])
 
     def test_mean_accumulates_in_float64(self):
         tape = dc.Tape()
         x = tape.tensor(np.full(2**20, 0.1, dtype=np.float32))
         out = dc.mean_axis(x, axis=None)
         assert out.data == np.float32(0.1)
-
-    def test_cumsum_values(self):
-        tape = dc.Tape()
-        x = tape.tensor([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(dc.cumsum(x).data, [1.0, 3.0, 6.0])
 
     def test_int_data_rejected(self):
         tape = dc.Tape()

@@ -7,6 +7,7 @@ import pytest
 
 from scpc import diffcore as dc
 from scpc import model
+from scpc import objective as obj
 
 
 def small_model(seed=0, p=8, q=6):
@@ -140,6 +141,21 @@ class TestSegmentAndContext:
         segs = tape.tensor(np.random.default_rng(4).standard_normal((7, 6)).astype(np.float32) * 10)
         out = model.context_states(tape, m.leaf_tensors(tape), segs)
         assert np.all(np.abs(out.data) <= 1.0)
+
+    def test_training_step_tape_size_independent_of_segment_count(self):
+        # Noise through an untrained encoder at threshold 0 gives about one
+        # segment per three frames; 0.7 s and 6.3 s give ~20 and ~180.
+        m = small_model(q=8)
+        sizes = {}
+        for seconds in (0.7, 6.3):
+            samples = np.random.default_rng(0).standard_normal(int(seconds * 16000)).astype(np.float32)
+            tape = dc.Tape()
+            graph = model.analyze_utterance(tape, m.leaf_tensors(tape), samples, thres=0.0)
+            obj.utterance_loss(graph.frames, graph.segments, graph.contexts, 4, 2, True, np.random.default_rng(0))
+            sizes[graph.boundaries.n_segments] = len(tape._nodes)
+        (few, n_few), (many, n_many) = sorted(sizes.items())
+        assert 15 <= few <= 25 and 160 <= many <= 200, sizes
+        assert n_few == n_many, sizes
 
 
 class TestCheckpoint:
