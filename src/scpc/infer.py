@@ -221,8 +221,8 @@ def tune_prominence(
     Ties break toward the larger prominence (fewer boundaries).  Grid points
     where no boundaries are predicted score as negative infinity.  Scores
     are those of ``metrics.evaluate`` with ``durations``.  Each curve's peaks
-    are found once and filtered by prominence at each grid point, and the
-    references are prepared once.
+    are found and edge-stripped once and filtered by prominence at each grid
+    point, and the references are prepared once.
     """
     if not profiles:
         raise ValueError("tune_prominence: empty validation set")
@@ -230,7 +230,13 @@ def tune_prominence(
         raise ValueError("tune_prominence: empty grid")
     cfgs = [PeakPickConfig(prominence=prom, level=level) for prom in grid]
     peaks = {p.id: _peaks(p, level) for p in profiles}
-    pooled = metrics.scorer(refs, tolerance, durations)
+    if durations is not None:
+        # A peak's time and prominence are kept or dropped together.
+        for k, (times, prominences) in peaks.items():
+            keep = np.isin(times, metrics.strip_edges(times, durations[k]))
+            peaks[k] = times[keep], prominences[keep]
+        refs = {k: metrics.strip_edges(r, durations[k]) for k, r in refs.items()}
+    pooled = metrics.scorer(refs, tolerance)
     best_prom, best_rv, best_score = None, None, -np.inf
     rows = []
     for cfg in cfgs:
