@@ -11,6 +11,9 @@ The detector turns a sequence of frame vectors into segments in four moves:
      in at most two segments, and each segment's weights are normalized to
      sum to one, so no frame-by-segment matrix is ever built.
 
+Moves 1-3 are one tape op, ``boundary.boundary_indicator``; its first two
+stages are also plain numpy functions, which the tour calls to show them.
+
 Here the frames are built by hand, three plateaus with small noise, so every
 intermediate quantity can be checked against what we planted.
 """
@@ -29,23 +32,25 @@ true_changes = [7, 13]  # junction t sits between frames t and t+1
 
 tape = dc.Tape()
 frames = tape.tensor(frames0, requires_grad=True)
+n = frames.shape[0]
+sim = dc.cosine_sim(dc.narrow(frames, 0, n - 1), dc.narrow(frames, 1, n - 1))
 
-sim, dissim = boundary.dissimilarity(tape, frames)
+dissim = boundary.dissimilarity(sim.data)
 print("dissimilarity per junction (1 = sharpest change in this utterance):")
-print(np.array2string(dissim.data, precision=2, suppress_small=True))
+print(np.array2string(dissim, precision=2, suppress_small=True))
 print(f"planted changes at junctions {true_changes}, "
-      f"argmax pair {np.argsort(dissim.data)[-2:].tolist()}\n")
+      f"argmax pair {np.argsort(dissim)[-2:].tolist()}\n")
 
-narrow, wide, final = boundary.peak_scores(tape, dissim, thres=0.09)
+narrow, wide, final = boundary.peak_scores(dissim, thres=0.09)
 print("final peak scores (nonzero only at isolated maxima clearing the threshold):")
-print(np.array2string(final.data, precision=2, suppress_small=True), "\n")
+print(np.array2string(final, precision=2, suppress_small=True), "\n")
 
-soft, hard, indicator = boundary.boundary_indicators(tape, final)
+_, indicator = boundary.boundary_indicator(sim, thres=0.09)
 print("straight-through indicator, forward values:", np.round(indicator.data, 3))
-print("equal to hard tanh(1000 p):", bool(np.array_equal(indicator.data, hard.data)), "\n")
+print("equal to hard tanh(1000 p):", bool(np.array_equal(indicator.data, np.tanh(boundary.HARD_SLOPE * final))), "\n")
 
 cuts = np.flatnonzero(indicator.data > 0.5) + 1
-spans = [(int(s), int(e)) for s, e in zip(np.r_[0, cuts], np.r_[cuts, frames.shape[0]])]
+spans = [(int(s), int(e)) for s, e in zip(np.r_[0, cuts], np.r_[cuts, n])]
 print(f"{len(spans)} segments, half-open frame spans: {spans}")
 
 means = dc.segment_pool(frames, indicator, len(spans))
@@ -59,7 +64,6 @@ peak_junctions = np.flatnonzero(indicator.data > 0.5)
 print("\npredicted boundary times:", [(int(t) + 1) * 0.010 for t in peak_junctions], "s")
 
 # Gradients reach the frames through the soft path even though the forward
-# pass used saturated indicators.
-loss = dc.mean_axis(dc.mul(means, tape.constant(rng.standard_normal(means.shape))), axis=None)
-tape.backward(loss)
+# pass used saturated indicators.  The loss is the mean of the segment means.
+tape.backward(dc.mean_axis(means, axis=None))
 print("gradient flows to every frame:", bool(np.all(np.any(frames.grad != 0, axis=1))))

@@ -1,12 +1,16 @@
 """Differentiable boundary detection between consecutive frame latents.
 
-The chain is: cosine similarity of adjacent frames -> per-utterance min/max
-normalized dissimilarity -> two-scale peak scores with a threshold -> a
-straight-through boundary indicator (hard forward, soft backward) -> tent
--weighted segment means (``diffcore.segment_pool``), each frame weighted into
-the two segments nearest its running boundary count.  All stages are tape ops,
-so boundary placement participates in training; the hard segment count and
-spans are read off the forward values.
+The chain is: cosine similarity of adjacent frames -> one straight-through
+op, ``boundary_indicator`` -> tent-weighted segment means
+(``diffcore.segment_pool``), each frame weighted into the two segments
+nearest its running boundary count.  The op's forward normalizes the
+similarity into a dissimilarity per utterance, scores two-scale peaks above a
+threshold and saturates them into hard indicators; its backward follows the
+soft slope through the same peak rule and normalization.  So boundary
+placement participates in training on four tape nodes (two ``narrow``, the
+similarity and the op), and the hard segment count and spans are read off
+the forward values.  ``dissimilarity`` and ``peak_scores`` are the op's
+forward stages as plain numpy functions.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ __all__ = [
     "BoundaryGraph",
     "dissimilarity",
     "peak_scores",
-    "boundary_indicators",
+    "boundary_indicator",
     "detect_segments",
 ]
 
@@ -31,66 +35,97 @@ SOFT_SLOPE = 10.0     # backward path: d tanh(10 p) / dp
 HARD_SLOPE = 1000.0   # forward path: tanh(1000 p), saturates fast
 
 
-def dissimilarity(tape: dc.Tape, frames: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
-    """Adjacent-frame similarity and normalized dissimilarity, both length L-1.
-
-    Dissimilarity is min/max-normalized per utterance and flipped so that 1
-    marks the sharpest local change.  When every junction has identical
-    similarity the normalization is degenerate and the dissimilarity is
-    defined as all zeros (a constant: no gradient flows from it).
-    """
-    n = frames.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 frames to compare, got {n}")
-    left = dc.narrow(frames, 0, n - 1)
-    right = dc.narrow(frames, 1, n - 1)
-    sim = dc.cosine_sim(left, right)
-    lo = dc.reduce_min(sim)
-    hi = dc.reduce_max(sim)
-    if float(hi.data) == float(lo.data):
-        return sim, tape.constant(np.zeros(n - 1, dtype=frames.dtype))
-    dissim = 1.0 - dc.div(dc.sub(sim, lo), dc.sub(hi, lo))
-    return sim, dissim
+def dissimilarity(sim: np.ndarray) -> np.ndarray:
+    """Min/max-normalized similarity, flipped so that 1 marks the sharpest
+    local change; all zeros when every junction has the same similarity."""
+    lo, hi = sim[np.argmin(sim)], sim[np.argmax(sim)]
+    if float(hi) == float(lo):
+        return np.zeros_like(sim)
+    return 1 - (sim - lo) / (hi - lo)
 
 
-def _shifted(tape: dc.Tape, d: dc.Tensor, offset: int) -> dc.Tensor:
-    """d shifted by ``offset`` junctions; positions beyond the ends read as zero."""
-    n = d.shape[0]
+def _shift(x: np.ndarray, offset: int) -> np.ndarray:
+    """x shifted by ``offset`` junctions (negative looks left); positions
+    beyond the ends read as zero.  ``_shift(., -offset)`` is its adjoint."""
+    n = x.size
     k = min(abs(offset), n)
-    pad = tape.constant(np.zeros(k, dtype=d.dtype))
-    if offset < 0:  # look left: prepend zeros
-        return dc.concat([pad, dc.narrow(d, 0, n - k)])
-    return dc.concat([dc.narrow(d, k, n - k), pad])
+    out = np.zeros_like(x)
+    if offset < 0:
+        out[k:] = x[: n - k]
+    else:
+        out[: n - k] = x[k:]
+    return out
 
 
-def peak_scores(tape: dc.Tape, dissim: dc.Tensor, thres: float) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor]:
+def _peak_parts(dissim: np.ndarray, thres: float):
+    """The rises relu(d - shifted d) at offsets -1, +1, -2, +2, the narrow and
+    wide scores, max(narrow, wide) - thres, and the final score."""
+    if not 0.0 <= thres <= 1.0:
+        raise ValueError(f"thres must be in [0, 1], got {thres}")
+    rises = {off: np.maximum(dissim - _shift(dissim, off), 0) for off in (-1, +1, -2, +2)}
+    narrow = np.minimum(rises[-1], rises[+1])
+    wide = np.minimum(rises[-2], rises[+2])
+    over = np.maximum(narrow, wide) - dissim.dtype.type(thres)
+    final = np.minimum(np.maximum(over, 0), narrow)
+    return rises, narrow, wide, over, final
+
+
+def peak_scores(dissim: np.ndarray, thres: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-scale thresholded peak scores (narrow, wide, final), each length L-1.
 
     A junction scores only if it beats both immediate neighbors (narrow scale);
     the wide +-2 scale lets a broad rise clear the threshold.  The final score
     is capped by the narrow score, so isolated strict maxima are required.
     """
-    if not 0.0 <= thres <= 1.0:
-        raise ValueError(f"thres must be in [0, 1], got {thres}")
-    rise = lambda off: dc.relu(dc.sub(dissim, _shifted(tape, dissim, off)))
-    narrow = dc.minimum(rise(-1), rise(+1))
-    wide = dc.minimum(rise(-2), rise(+2))
-    best = dc.maximum(narrow, wide)
-    final = dc.minimum(dc.relu(best - thres), narrow)
+    _, narrow, wide, _, final = _peak_parts(dissim, thres)
     return narrow, wide, final
 
 
-def boundary_indicators(tape: dc.Tape, scores: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor]:
-    """Straight-through boundary indicator: hard values, soft gradient.
+def boundary_indicator(sim: dc.Tensor, thres: float) -> tuple[np.ndarray, dc.Tensor]:
+    """Straight-through boundary indicator from junction similarities (L-1,).
 
-    Returns (soft, hard, indicator) with indicator = soft + sg(hard - soft),
-    associated as sg(hard) + (soft - sg(soft)) so the forward value equals
-    tanh(1000 p) bit for bit while the backward pass sees only d tanh(10 p)/dp.
+    Returns the dissimilarity and the indicator tanh(1000 p) of the final
+    peak scores p, as one tape node.  Its backward pass sees d tanh(10 p)/dp
+    instead, carried through the peak rule and the normalization to ``sim``:
+    minimum/maximum ties go to the first argument, relu takes the zero
+    branch, and the normalization's min and max take their first
+    occurrence.  An all-zero dissimilarity gives a constant indicator.
     """
-    soft = dc.tanh(scores * SOFT_SLOPE)
-    hard = dc.tanh(scores * HARD_SLOPE)
-    indicator = dc.add(dc.stop_gradient(hard), dc.sub(soft, dc.stop_gradient(soft)))
-    return soft, hard, indicator
+    s, dt = sim.data, sim.data.dtype
+    d = dissimilarity(s)
+    rises, narrow, wide, over, final = _peak_parts(d, thres)
+    soft = np.tanh(final * SOFT_SLOPE)
+    indicator = np.tanh(final * HARD_SLOPE) + (soft - soft)
+    if not d.any():   # a normalized dissimilarity holds a 1 at the minimum similarity
+        return d, sim.tape.constant(indicator)
+    i_lo, i_hi = int(np.argmin(s)), int(np.argmax(s))
+    span = s[i_hi] - s[i_lo]
+
+    def vjp(g):
+        g = g * (1 - soft * soft) * SOFT_SLOPE
+        take = np.maximum(over, 0) <= narrow      # final = min(relu(over), narrow)
+        g_narrow = g * ~take
+        g_over = g * take * (over > 0).astype(dt)
+        take = narrow >= wide                     # over = max(narrow, wide) - thres
+        g_narrow = g_narrow + g_over * take
+        gd = None
+        for k, g_scale in ((2, g_over * ~take), (1, g_narrow)):
+            take = rises[-k] <= rises[k]          # scale k = min(rise(-k), rise(+k))
+            for off, g_rise in ((k, g_scale * ~take), (-k, g_scale * take)):
+                g_rise = g_rise * (rises[off] > 0).astype(dt)
+                gd = g_rise if gd is None else gd + g_rise
+                gd = gd + _shift(-g_rise, -off)
+        g_a = -gd / span                          # d = 1 - (s - lo) / span
+        g_span = np.asarray((gd * (s - s[i_lo]) / (span * span)).sum(dtype=np.float64), dtype=dt)
+        g_lo = -g_span - np.asarray(g_a.sum(dtype=np.float64), dtype=dt)
+        g_sim = g_a
+        for i, g_i in ((i_hi, g_span), (i_lo, g_lo)):
+            one_hot = np.zeros_like(s)
+            one_hot[i] = g_i
+            g_sim = g_sim + one_hot
+        return (g_sim,)
+
+    return d, sim.tape._record((sim,), indicator, vjp)
 
 
 def _spans_from_hard(hard_values: np.ndarray, n_frames: int) -> tuple[tuple[int, int], ...]:
@@ -104,7 +139,7 @@ def _spans_from_hard(hard_values: np.ndarray, n_frames: int) -> tuple[tuple[int,
 class BoundaryGraph:
     """What the rest of the pipeline reads from boundary detection."""
 
-    dissimilarity: dc.Tensor    # normalized, (L-1,)
+    dissimilarity: np.ndarray   # normalized, (L-1,)
     spans: tuple[tuple[int, int], ...]
     means: dc.Tensor            # (M, frame_dim)
 
@@ -113,10 +148,12 @@ class BoundaryGraph:
         return len(self.spans)
 
 
-def detect_segments(tape: dc.Tape, frames: dc.Tensor, thres: float) -> BoundaryGraph:
+def detect_segments(frames: dc.Tensor, thres: float) -> BoundaryGraph:
     """Run the full boundary chain on frame latents (L, frame_dim), L >= 2."""
-    _, dissim = dissimilarity(tape, frames)
-    _, _, scores = peak_scores(tape, dissim, thres)
-    _, _, indicator = boundary_indicators(tape, scores)
-    spans = _spans_from_hard(indicator.data, frames.shape[0])
+    n = frames.shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 frames to compare, got {n}")
+    sim = dc.cosine_sim(dc.narrow(frames, 0, n - 1), dc.narrow(frames, 1, n - 1))
+    dissim, indicator = boundary_indicator(sim, thres)
+    spans = _spans_from_hard(indicator.data, n)
     return BoundaryGraph(dissim, spans, dc.segment_pool(frames, indicator, len(spans)))

@@ -4,16 +4,17 @@ Training and inference run the same primitive operations on a :class:`Tape`.
 The tape records a node only for an op with at least one grad-requiring input
 and replays the chain rule over those nodes in exact reverse execution order,
 so gradients are deterministic for a fixed op sequence.  Ops on constants
-alone, which is all of inference, record nothing.  Only the small set
-of operations the segmentation model actually needs is implemented; shapes
-are validated eagerly and mismatches raise with both offending shapes in the
-message.
+alone, which is all of inference, record nothing.  Only the ops the
+pipeline calls are implemented: the fused encoder layer, the segment pooling
+and the context scan, plus a few generic ops around them.  An op outside
+this module records itself with ``Tape._record`` as these do; the boundary
+detector's straight-through op does.  Shapes are validated eagerly and
+mismatches raise with both offending shapes in the message.
 
 Conventions:
 
 * tensors hold float32 or float64 data; reductions accumulate in float64;
-* subgradients at kinks (relu, min, max, the segment_pool tent) take the
-  left/zero branch;
+* subgradients at kinks (relu, the segment_pool tent) take the zero branch;
 * integer index arguments (``gather_rows``, cross-entropy targets) are plain
   numpy arrays, not tensors, and never receive gradients;
 * ``conv1d`` is a whole encoder layer, relu(conv + bias), channels-last,
@@ -26,7 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -35,26 +36,16 @@ __all__ = [
     "Tape",
     "Tensor",
     "add",
-    "sub",
-    "mul",
-    "div",
     "matmul",
-    "concat",
     "narrow",
     "gather_rows",
     "conv1d",
     "relu",
-    "tanh",
-    "minimum",
-    "maximum",
-    "reduce_min",
-    "reduce_max",
     "mean_axis",
     "cosine_sim",
     "softmax_cross_entropy_with_index",
     "tanh_scan",
     "segment_pool",
-    "stop_gradient",
 ]
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
@@ -85,35 +76,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; python numbers are promoted to constants on the same tape.
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self))
 
 
 class _Node:
@@ -158,9 +120,6 @@ class Tape:
         return self.tensor(data, requires_grad=False, dtype=dtype)
 
     def _record(self, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callable) -> Tensor:
-        for t in inputs:
-            if t.tape is not self:
-                raise ValueError("op mixes tensors from different tapes")
         out = Tensor(out_data, any(t.requires_grad for t in inputs), self, is_leaf=False)
         if out.requires_grad:
             self._nodes.append(_Node(inputs, out, vjp))
@@ -170,8 +129,8 @@ class Tape:
         """Propagate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
         ``loss`` must be a scalar produced on this tape.  Leaves that feed the
-        graph but receive no gradient signal (e.g. behind ``stop_gradient``)
-        end up with an explicit zero gradient rather than ``None``.
+        graph but receive no gradient signal (e.g. through a branch the loss
+        does not use) end up with an explicit zero gradient rather than ``None``.
         """
         if loss.tape is not self:
             raise ValueError("backward() called with a tensor detached from this tape")
@@ -200,12 +159,6 @@ class Tape:
                 if inp.is_leaf and inp.requires_grad and inp.grad is None:
                     inp.grad = np.zeros_like(inp.data)
         self._nodes = []
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return like.tape.constant(value, dtype=like.data.dtype)
 
 
 def _check_tape(*tensors: Tensor) -> Tape:
@@ -237,51 +190,14 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=0, dtype=np.float64).astype(g.dtype)
 
 
-def _elementwise_pair(a: Tensor, b: Tensor, name: str):
+def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_tape(a, b)
     if not _broadcast_ok(a.data.shape, b.data.shape):
-        raise ValueError(f"{name}: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return tape
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _elementwise_pair(a, b, "add")
+        raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = a.data + b.data
 
     def vjp(g):
         return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
-
-    return tape._record((a, b), out, vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    tape = _elementwise_pair(a, b, "sub")
-    out = a.data - b.data
-
-    def vjp(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
-
-    return tape._record((a, b), out, vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _elementwise_pair(a, b, "mul")
-    out = a.data * b.data
-
-    def vjp(g):
-        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
-
-    return tape._record((a, b), out, vjp)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    tape = _elementwise_pair(a, b, "div")
-    out = a.data / b.data
-
-    def vjp(g):
-        ga = _reduce_to(g / b.data, a.data.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
 
     return tape._record((a, b), out, vjp)
 
@@ -296,20 +212,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return tape._record((a, b), out, vjp)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ValueError("concat: empty tensor list")
-    tape = _check_tape(*tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    return tape._record(tuple(tensors), out, vjp)
 
 
 def narrow(x: Tensor, start: int, length: int, axis: int = 0) -> Tensor:
@@ -433,70 +335,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     return tape._record((x, weight, bias), out, vjp)
 
 
-def _unary(x: Tensor, out: np.ndarray, dvdx: Callable[[], np.ndarray]) -> Tensor:
-    def vjp(g):
-        return (g * dvdx(),)
-
-    return x.tape._record((x,), out, vjp)
-
-
 def relu(x: Tensor) -> Tensor:
-    return _unary(x, np.maximum(x.data, 0), lambda: (x.data > 0).astype(x.data.dtype))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _unary(x, out, lambda: 1 - out * out)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    tape = _elementwise_pair(a, b, "minimum")
-    out = np.minimum(a.data, b.data)
-
     def vjp(g):
-        take_a = a.data <= b.data  # ties go to the first argument
-        ga = _reduce_to(g * take_a, a.data.shape)
-        gb = _reduce_to(g * ~take_a, b.data.shape)
-        return ga, gb
+        return (g * (x.data > 0).astype(x.data.dtype),)
 
-    return tape._record((a, b), out, vjp)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    tape = _elementwise_pair(a, b, "maximum")
-    out = np.maximum(a.data, b.data)
-
-    def vjp(g):
-        take_a = a.data >= b.data
-        ga = _reduce_to(g * take_a, a.data.shape)
-        gb = _reduce_to(g * ~take_a, b.data.shape)
-        return ga, gb
-
-    return tape._record((a, b), out, vjp)
-
-
-def reduce_min(x: Tensor) -> Tensor:
-    flat_idx = int(np.argmin(x.data))  # first occurrence on ties
-    out = np.asarray(x.data.reshape(-1)[flat_idx])
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full.reshape(-1)[flat_idx] = g
-        return (full,)
-
-    return x.tape._record((x,), out, vjp)
-
-
-def reduce_max(x: Tensor) -> Tensor:
-    flat_idx = int(np.argmax(x.data))
-    out = np.asarray(x.data.reshape(-1)[flat_idx])
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full.reshape(-1)[flat_idx] = g
-        return (full,)
-
-    return x.tape._record((x,), out, vjp)
+    return x.tape._record((x,), np.maximum(x.data, 0), vjp)
 
 
 def mean_axis(x: Tensor, axis: int | None = None) -> Tensor:
@@ -657,14 +500,3 @@ def segment_pool(frames: Tensor, indicator: Tensor, n_segments: int) -> Tensor:
         return pool.T @ gp, np.cumsum(dcoord[:0:-1])[::-1].astype(dt)
 
     return tape._record((frames, indicator), out, vjp)
-
-
-def stop_gradient(x: Tensor) -> Tensor:
-    """Identity in the forward pass; blocks all gradient flow in the backward pass."""
-
-    def vjp(g):
-        return (None,)
-
-    out = x.tape._record((x,), x.data.copy(), vjp)
-    out.requires_grad = False
-    return out

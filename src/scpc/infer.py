@@ -87,7 +87,6 @@ class UtteranceProfile:
     dissimilarity: np.ndarray        # (L-1,)
     word_scores: np.ndarray          # (M-1,)
     segment_end_frames: np.ndarray   # (M,) last frame index of each segment
-    n_frames: int
     duration_s: float
 
 
@@ -117,13 +116,13 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
     empty = np.empty(0, dtype=np.float64)
     if samples.size < model.RECEPTIVE_FIELD + model.TOTAL_STRIDE:
         warnings.warn(f"utterance {utt_id}: {samples.size} samples is too short to segment; emitting no boundaries")
-        return UtteranceProfile(utt_id, empty, empty, np.empty(0, dtype=np.int64), 0, duration)
+        return UtteranceProfile(utt_id, empty, empty, np.empty(0, dtype=np.int64), duration)
 
     tape = dc.Tape()
     leaves = {name: tape.constant(arr) for name, arr in net.params.items()}
     graph = model.analyze_utterance(tape, leaves, samples, net.config.thres)
 
-    dissim = np.array(graph.boundaries.dissimilarity.data, dtype=np.float64)
+    dissim = graph.boundaries.dissimilarity.astype(np.float64)
     spans = graph.boundaries.spans
     end_frames = np.array([e - 1 for _, e in spans], dtype=np.int64)
     m = len(spans)
@@ -133,7 +132,7 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
         word_scores = 1.0 - _rowwise_cosine(ctx[: m - 1], seg[1:])
     else:
         word_scores = empty
-    return UtteranceProfile(utt_id, dissim, word_scores, end_frames, graph.frames.shape[0], duration)
+    return UtteranceProfile(utt_id, dissim, word_scores, end_frames, duration)
 
 
 def _profile_wav(net: model.SCPCModel, entry: tuple[str, str]) -> UtteranceProfile:

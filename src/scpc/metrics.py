@@ -162,6 +162,8 @@ def evaluate(
     matching.  Hit, prediction and reference counts are pooled over the
     corpus before the rates are computed.
     """
+    for times in pred.values():
+        _check_sorted(np.asarray(times, dtype=np.float64), "predicted")
     return scorer(ref, tolerance, durations)(pred)
 
 
@@ -173,8 +175,9 @@ def scorer(
     """``evaluate`` against fixed references, for scoring many prediction sets.
 
     The references are edge-stripped and checked sorted once, here; the
-    returned function takes a ``pred`` mapping and returns what
-    ``evaluate(pred, ref, tolerance, durations)`` would.
+    returned function takes a ``pred`` mapping of sorted times, which it
+    does not check, and returns what ``evaluate(pred, ref, tolerance,
+    durations)`` would.
     """
     _check_tolerance(tolerance)
     refs = {}
@@ -197,7 +200,6 @@ def scorer(
             p_times = np.asarray(pred[utt_id], dtype=np.float64)
             if durations is not None:
                 p_times = strip_edges(p_times, durations[utt_id])
-            _check_sorted(p_times, "predicted")
             total = total + MatchResult(_hits(p_times, r_times, tolerance), int(p_times.size), int(r_times.size))
         p, r, f1 = precision_recall_f1(total)
         os = over_segmentation(p, r)

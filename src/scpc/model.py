@@ -160,7 +160,7 @@ class UtteranceGraph:
 def analyze_utterance(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray, thres: float) -> UtteranceGraph:
     """Frames -> boundaries -> segment latents -> causal context, one tape."""
     frames = frame_latents(tape, leaves, samples)
-    graph = bd.detect_segments(tape, frames, thres)
+    graph = bd.detect_segments(frames, thres)
     segments = segment_latents(tape, leaves, graph.means)
     contexts = context_states(tape, leaves, segments)
     return UtteranceGraph(frames, graph, segments, contexts)

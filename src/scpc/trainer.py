@@ -192,14 +192,16 @@ def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
 
 # ------------------------------------------------------------- validation
 
-def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, dict[str, np.ndarray]], workers: int) -> tuple[float | None, ...]:
-    """Pooled R-values at the default prominence, one per level of ``infer.LEVELS``."""
+def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, tuple[dict[str, np.ndarray], dict[str, float]]], workers: int) -> tuple[float | None, ...]:
+    """Pooled R-values at the default prominence, one per level of
+    ``infer.LEVELS``; ``refs`` maps a level to ``audio.load_references``'s
+    (times, durations), the durations ``eval`` and ``tune`` score with."""
     profiles = infer.profile_corpus(net, entries, workers)
-    durations = {p.id: p.duration_s for p in profiles}
     r_values = []
     for level in infer.LEVELS:
         preds = {p.id: infer.predict(p, infer.PeakPickConfig(level=level)).times for p in profiles}
-        r_values.append(metrics.evaluate(preds, refs[level], durations=durations).r_value)
+        times, durations = refs[level]
+        r_values.append(metrics.evaluate(preds, times, durations=durations).r_value)
     return tuple(r_values)
 
 
@@ -250,7 +252,7 @@ def train(
         raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
     # Validation holds only annotations; profile_corpus streams its audio each epoch.
     val_entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(val_manifest_path)] if val_manifest_path else []
-    val_refs = {level: audio.load_references(val_manifest_path, level)[0] for level in infer.LEVELS} if val_manifest_path else {}
+    val_refs = {level: audio.load_references(val_manifest_path, level) for level in infer.LEVELS} if val_manifest_path else {}
     min_frames = config.k_frame + 2
 
     if resume_from is not None:

@@ -6,6 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from scpc import diffcore as dc
+
 
 def numeric_grad(f: Callable[[Sequence[np.ndarray]], float], arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
     """Central finite differences of a scalar function, one coordinate at a time.
@@ -36,3 +38,19 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     n = np.asarray(numeric, dtype=np.float64)
     denom = max(np.abs(n).max(initial=0.0), 1e-6)
     return float(np.abs(a - n).max(initial=0.0) / denom)
+
+
+def weighted_mean(out: dc.Tensor, w) -> dc.Tensor:
+    """mean(out * w) over every entry, for a constant array ``w`` of out's
+    shape: one tape node, the projection gradient checks backpropagate from.
+
+    The product takes numpy's promoted dtype and the mean accumulates in
+    float64, as a product node followed by ``dc.mean_axis`` would.
+    """
+    w = np.asarray(w)
+    prod = out.data * w
+
+    def vjp(g):
+        return (np.full_like(prod, g / prod.size) * w,)
+
+    return out.tape._record((out,), np.asarray(prod.mean(dtype=np.float64).astype(prod.dtype)), vjp)

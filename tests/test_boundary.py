@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, rel_err, weighted_mean
 
 from scpc import boundary
 from scpc import diffcore as dc
@@ -39,74 +39,128 @@ def means_oracle(z, hard):
     return np.stack([z[s:e].mean(axis=0) for s, e in zip(starts, ends)])
 
 
+def junction_sim(z):
+    """Cosine similarity of adjacent rows of ``z``, as the pipeline computes it."""
+    tape = dc.Tape()
+    zt = tape.tensor(z)
+    n = z.shape[0]
+    return dc.cosine_sim(dc.narrow(zt, 0, n - 1), dc.narrow(zt, 1, n - 1)).data
+
+
+def soft_loss(sim, w, thres):
+    """mean(w * tanh(10 * final)) of the peak scores of ``sim``: the function
+    whose gradient the straight-through op passes back."""
+    final = boundary.peak_scores(boundary.dissimilarity(sim), thres)[2]
+    return float((w * np.tanh(boundary.SOFT_SLOPE * final)).mean())
+
+
+def indicator_grad(sim0, w, thres):
+    """d mean(w * indicator) / d sim through the straight-through op."""
+    tape = dc.Tape()
+    sim = tape.tensor(sim0, requires_grad=True)
+    _, indicator = boundary.boundary_indicator(sim, thres)
+    tape.backward(weighted_mean(indicator, w))
+    return sim.grad
+
+
+def indicator_grad_oracle(sim, w, thres, flip=()):
+    """d soft_loss / d sim from a dense Jacobian per stage, each kink resolved
+    by the documented rule: minimum and maximum ties go to the first
+    argument, relu takes the zero branch, and the normalization's min and
+    max take their first occurrence.  ``flip`` names rules to invert
+    ("lo", "hi", "rise", "best", "final"), to show that a case tells them apart.
+    """
+    n = sim.size
+    eye = np.eye(n)
+    i_lo = n - 1 - np.argmin(sim[::-1]) if "lo" in flip else np.argmin(sim)
+    i_hi = n - 1 - np.argmax(sim[::-1]) if "hi" in flip else np.argmax(sim)
+    lo, span = sim[i_lo], sim[i_hi] - sim[i_lo]
+    d = 1 - (sim - lo) / span
+    j_d = -((eye - eye[i_lo]) / span - np.outer(sim - lo, eye[i_hi] - eye[i_lo]) / span**2)
+    rises = {}
+    for off in (-1, +1, -2, +2):
+        shift = np.eye(n, k=off)   # (shift @ d)[t] = d[t + off], zero beyond the ends
+        pre = d - shift @ d
+        rises[off] = (np.maximum(pre, 0), (pre > 0)[:, None] * ((eye - shift) @ j_d))
+
+    def minimum(k):   # min(rise(-k), rise(+k)) and its Jacobian
+        (a, j_a), (b, j_b) = rises[-k], rises[k]
+        take = a < b if "rise" in flip else a <= b
+        return np.minimum(a, b), np.where(take[:, None], j_a, j_b)
+
+    (narrow, j_narrow), (wide, j_wide) = minimum(1), minimum(2)
+    take = narrow > wide if "best" in flip else narrow >= wide
+    over = np.maximum(narrow, wide) - thres
+    j_rb = (over > 0)[:, None] * np.where(take[:, None], j_narrow, j_wide)
+    rb = np.maximum(over, 0)
+    take = rb < narrow if "final" in flip else rb <= narrow
+    final = np.minimum(rb, narrow)
+    j_final = np.where(take[:, None], j_rb, j_narrow)
+    return j_final.T @ (w * boundary.SOFT_SLOPE * (1 - np.tanh(boundary.SOFT_SLOPE * final) ** 2) / n)
+
+
 class TestDissimilarity:
     def test_normalization_maps_extremes(self):
-        tape = dc.Tape()
-        z = tape.tensor(unit_rows_with_cosines([0.9, 0.1, 0.9]))
-        sim, dissim = boundary.dissimilarity(tape, z)
-        np.testing.assert_allclose(sim.data, [0.9, 0.1, 0.9], atol=1e-12)
-        np.testing.assert_allclose(dissim.data, [0.0, 1.0, 0.0], atol=1e-7)
+        sim = junction_sim(unit_rows_with_cosines([0.9, 0.1, 0.9]))
+        dissim = boundary.dissimilarity(sim)
+        np.testing.assert_allclose(sim, [0.9, 0.1, 0.9], atol=1e-12)
+        np.testing.assert_allclose(dissim, [0.0, 1.0, 0.0], atol=1e-7)
 
     def test_normalization_linear(self):
-        tape = dc.Tape()
-        z = tape.tensor(unit_rows_with_cosines([0.0, 0.5, 1.0 - 1e-12]))
-        _, dissim = boundary.dissimilarity(tape, z)
-        np.testing.assert_allclose(dissim.data, [1.0, 0.5, 0.0], atol=1e-6)
+        dissim = boundary.dissimilarity(junction_sim(unit_rows_with_cosines([0.0, 0.5, 1.0 - 1e-12])))
+        np.testing.assert_allclose(dissim, [1.0, 0.5, 0.0], atol=1e-6)
 
     def test_degenerate_constant_similarity(self):
+        sim = junction_sim(np.tile([1.0, 2.0], (5, 1)))
+        np.testing.assert_array_equal(boundary.dissimilarity(sim), np.zeros(4))
         tape = dc.Tape()
-        z = tape.tensor(np.tile([1.0, 2.0], (5, 1)))
-        _, dissim = boundary.dissimilarity(tape, z)
-        np.testing.assert_array_equal(dissim.data, np.zeros(4))
-        assert not dissim.requires_grad
+        dissim, indicator = boundary.boundary_indicator(tape.tensor(sim, requires_grad=True), 0.09)
+        np.testing.assert_array_equal(dissim, np.zeros(4))
+        assert not indicator.requires_grad and not tape._nodes
 
     def test_range_bounds(self):
         rng = np.random.default_rng(0)
         for seed in range(20):
-            tape = dc.Tape()
-            z = tape.tensor(rng.standard_normal((12, 5)) + 0.1)
-            _, dissim = boundary.dissimilarity(tape, z)
-            assert dissim.data.min() >= -1e-7
-            assert dissim.data.max() <= 1.0 + 1e-7
+            dissim = boundary.dissimilarity(junction_sim(rng.standard_normal((12, 5)) + 0.1))
+            assert dissim.min() >= -1e-7
+            assert dissim.max() <= 1.0 + 1e-7
 
     def test_needs_two_frames(self):
         tape = dc.Tape()
         z = tape.tensor(np.ones((1, 4)))
         with pytest.raises(ValueError, match="at least 2"):
-            boundary.dissimilarity(tape, z)
+            boundary.detect_segments(z, 0.09)
 
     def test_gradient_matches_finite_differences(self):
+        # Frames -> similarity -> the straight-through op, against finite
+        # differences of the soft path mean(w * tanh(10 * final)).
         for seed in range(30):
             rng = np.random.default_rng(seed)
             z0 = rng.standard_normal((6, 4)) + 0.2
             w = rng.standard_normal(5)
 
             def f(arrs):
-                t = dc.Tape()
-                _, dis = boundary.dissimilarity(t, t.tensor(arrs[0]))
-                return float((dis.data * w).mean())
+                return soft_loss(junction_sim(arrs[0]), w, 0.0)
 
             tape = dc.Tape()
             z = tape.tensor(z0, requires_grad=True)
-            _, dissim = boundary.dissimilarity(tape, z)
-            tape.backward(dc.mean_axis(dc.mul(dissim, tape.constant(w))))
+            graph_sim = dc.cosine_sim(dc.narrow(z, 0, 5), dc.narrow(z, 1, 5))
+            _, indicator = boundary.boundary_indicator(graph_sim, 0.0)
+            tape.backward(weighted_mean(indicator, w))
             err = rel_err(z.grad, numeric_grad(f, [z0])[0])
             assert err <= 1e-4, f"seed {seed}: rel err {err:.2e}"
 
 
 class TestPeakScores:
     def test_hand_case_single_sharp_peak(self):
-        tape = dc.Tape()
-        d = tape.tensor(np.array([0.0, 0.2, 1.0, 0.1, 0.0]))
-        narrow, wide, final = boundary.peak_scores(tape, d, thres=0.05)
-        np.testing.assert_allclose(narrow.data, [0.0, 0.0, 0.8, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(final.data, [0.0, 0.0, 0.8, 0.0, 0.0], atol=1e-12)
+        d = np.array([0.0, 0.2, 1.0, 0.1, 0.0])
+        narrow, wide, final = boundary.peak_scores(d, thres=0.05)
+        np.testing.assert_allclose(narrow, [0.0, 0.0, 0.8, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(final, [0.0, 0.0, 0.8, 0.0, 0.0], atol=1e-12)
 
     def test_hand_case_isolated_spike(self):
-        tape = dc.Tape()
-        d = tape.tensor(np.array([0.0, 1.0, 0.0]))
-        _, _, final = boundary.peak_scores(tape, d, thres=0.05)
-        np.testing.assert_allclose(final.data, [0.0, 0.95, 0.0], atol=1e-12)
+        _, _, final = boundary.peak_scores(np.array([0.0, 1.0, 0.0]), thres=0.05)
+        np.testing.assert_allclose(final, [0.0, 0.95, 0.0], atol=1e-12)
 
     def test_matches_oracle_exactly(self):
         rng = np.random.default_rng(42)
@@ -114,72 +168,98 @@ class TestPeakScores:
             n = int(rng.integers(1, 40))
             d = rng.uniform(0.0, 1.0, n)
             thres = float(rng.choice([0.0, 0.05, 0.3]))
-            tape = dc.Tape()
-            narrow, wide, final = boundary.peak_scores(tape, tape.tensor(d), thres)
+            narrow, wide, final = boundary.peak_scores(d, thres)
             o1, o2, op = peak_oracle(d, thres)
-            np.testing.assert_array_equal(narrow.data, o1, err_msg=f"case {case}")
-            np.testing.assert_array_equal(wide.data, o2, err_msg=f"case {case}")
-            np.testing.assert_array_equal(final.data, op, err_msg=f"case {case}")
+            np.testing.assert_array_equal(narrow, o1, err_msg=f"case {case}")
+            np.testing.assert_array_equal(wide, o2, err_msg=f"case {case}")
+            np.testing.assert_array_equal(final, op, err_msg=f"case {case}")
 
     def test_score_positive_requires_narrow_positive(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             d = rng.uniform(0, 1, int(rng.integers(2, 30)))
-            tape = dc.Tape()
-            narrow, _, final = boundary.peak_scores(tape, tape.tensor(d), 0.05)
-            assert np.all(final.data >= 0)
-            assert np.all(narrow.data[final.data > 0] > 0)
+            narrow, _, final = boundary.peak_scores(d, 0.05)
+            assert np.all(final >= 0)
+            assert np.all(narrow[final > 0] > 0)
 
     def test_monotone_dissimilarity_has_no_peaks(self):
-        tape = dc.Tape()
-        d = tape.tensor(np.linspace(0, 1, 8))
-        _, _, final = boundary.peak_scores(tape, d, 0.0)
+        _, _, final = boundary.peak_scores(np.linspace(0, 1, 8), 0.0)
         # The last junction beats its left neighbor but has no strict right
         # drop inside the range; the zero padding beyond the end lets it score.
-        assert np.all(final.data[:-1] == 0)
+        assert np.all(final[:-1] == 0)
 
     def test_bad_thres_rejected(self):
-        tape = dc.Tape()
-        d = tape.tensor(np.zeros(3))
         with pytest.raises(ValueError, match="thres"):
-            boundary.peak_scores(tape, d, -0.1)
+            boundary.peak_scores(np.zeros(3), -0.1)
+
+
+def tie_case(d):
+    """Similarities whose dissimilarity is exactly ``d`` (which holds a 0 and a 1)."""
+    d = np.asarray(d, dtype=np.float64)
+    sim = 1.0 - d
+    np.testing.assert_array_equal(boundary.dissimilarity(sim), d)
+    return sim
+
+
+# d, thres, the rule each case ties and the junction its loss reads; each
+# case needs the rule to get that junction's gradient right.
+TIE_CASES = {
+    # junction 2: rise(-1) = rise(+1) = 0.5, and the final score is the narrow one
+    "equal-rises": ([0.0, 0.5, 1.0, 0.5, 0.25], 0.09, "rise", 2),
+    # junction 2: narrow = wide = 0.5, and the final score is relu(best - thres)
+    "narrow-equals-wide": ([0.0, 0.5, 1.0, 0.25, 0.5], 0.09, "best", 2),
+    # junction 2: narrow 0.5 < wide 0.625, and relu(wide - 0.125) = 0.5 = narrow
+    "relu-equals-narrow": ([0.0, 0.5, 1.0, 0.375, 0.375, 0.75], 0.125, "final", 2),
+    # the minimum similarity (dissimilarity 1) at junctions 1 and 3
+    "tied-min": ([0.0, 1.0, 0.5, 1.0, 0.25], 0.09, "lo", 1),
+    # the maximum similarity (dissimilarity 0) at junctions 0 and 4
+    "tied-max": ([0.0, 0.5, 1.0, 0.25, 0.0], 0.09, "hi", 2),
+}
 
 
 class TestStraightThrough:
     def test_forward_equals_hard(self):
-        tape = dc.Tape()
-        p = tape.tensor(np.array([0.0, 0.001, 0.005, 0.05, 0.8]))
-        soft, hard, ind = boundary.boundary_indicators(tape, p)
-        np.testing.assert_array_equal(ind.data, np.tanh(1000.0 * p.data))
-        assert ind.data[0] == 0.0
-        assert ind.data[2] >= 0.9999
-        assert ind.data[4] >= 1.0 - 1e-12
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            sim = rng.uniform(-1, 1, 12)
+            tape = dc.Tape()
+            dissim, ind = boundary.boundary_indicator(tape.tensor(sim, requires_grad=True), 0.05)
+            final = boundary.peak_scores(dissim, 0.05)[2]
+            np.testing.assert_array_equal(dissim, boundary.dissimilarity(sim))
+            np.testing.assert_array_equal(ind.data, np.tanh(boundary.HARD_SLOPE * final))
+        hard = np.tanh(boundary.HARD_SLOPE * np.array([0.0, 0.001, 0.005, 0.05, 0.8]))
+        assert hard[0] == 0.0
+        assert hard[2] >= 0.9999
+        assert hard[4] >= 1.0 - 1e-12
 
     def test_values_bounded(self):
-        tape = dc.Tape()
-        p = tape.tensor(np.linspace(0, 1, 50))
-        _, _, ind = boundary.boundary_indicators(tape, p)
-        assert np.all(ind.data >= 0.0)
-        assert np.all(ind.data <= 1.0)
+        rng = np.random.default_rng(4)
+        for thres in np.linspace(0, 1, 11):
+            tape = dc.Tape()
+            _, ind = boundary.boundary_indicator(tape.tensor(rng.uniform(-1, 1, 50)), float(thres))
+            assert np.all(ind.data >= 0.0)
+            assert np.all(ind.data <= 1.0)
 
     def test_backward_follows_soft_path(self):
-        p0 = np.array([0.0, 0.01, 0.1, 0.8])
-        w = np.array([1.0, 1.0, 1.0, 1.0])
-        tape = dc.Tape()
-        p = tape.tensor(p0, requires_grad=True)
-        _, _, ind = boundary.boundary_indicators(tape, p)
-        tape.backward(dc.mean_axis(dc.mul(ind, tape.constant(w))))   # each junction weighs 1/4
-        expected = 10.0 * (1.0 - np.tanh(10.0 * p0) ** 2) / 4
-        np.testing.assert_allclose(p.grad, expected, rtol=1e-12)
-        assert p.grad[3] == pytest.approx(4.5014e-6 / 4, rel=1e-3)
+        # Kink-free similarities: the op's gradient is that of the soft path.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            sim0 = rng.uniform(-1, 1, 9)
+            w = rng.standard_normal(9)
+            grad = indicator_grad(sim0, w, 0.05)
+            np.testing.assert_allclose(grad, indicator_grad_oracle(sim0, w, 0.05), rtol=1e-12, atol=1e-15)
+            err = rel_err(grad, numeric_grad(lambda arrs: soft_loss(arrs[0], w, 0.05), [sim0.copy()])[0])
+            assert err <= 1e-4, f"seed {seed}: rel err {err:.2e}"
 
-        def f(arrs):
-            t = dc.Tape()
-            soft = dc.tanh(t.tensor(arrs[0]) * boundary.SOFT_SLOPE)
-            return float((soft.data * w).mean())
-
-        err = rel_err(p.grad, numeric_grad(f, [p0])[0])
-        assert err <= 1e-4
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_tie_follows_convention(self, case):
+        d, thres, rule, junction = TIE_CASES[case]
+        sim = tie_case(d)
+        w = np.eye(sim.size)[junction]
+        grad = indicator_grad(sim, w, thres)
+        np.testing.assert_allclose(grad, indicator_grad_oracle(sim, w, thres), rtol=1e-12, atol=1e-15)
+        flipped = indicator_grad_oracle(sim, w, thres, flip=(rule,))
+        assert np.abs(flipped - grad).max() > 0.1 * np.abs(grad).max()
 
 
 def pooled_weights(tape, indicator, n_segments):
@@ -262,7 +342,7 @@ class TestSegmentWeights:
         tape = dc.Tape()
         b = tape.tensor(b0, requires_grad=True)
         weights = pooled_weights(tape, b, 3)
-        tape.backward(dc.mean_axis(dc.mul(weights, tape.constant(w_loss))))
+        tape.backward(weighted_mean(weights, w_loss))
         err = rel_err(b.grad, numeric_grad(f, [b0])[0])
         assert err <= 1e-4
 
@@ -280,7 +360,7 @@ class TestSegmentWeights:
             tape = dc.Tape()
             b = tape.tensor(ind, requires_grad=True)
             means = dc.segment_pool(tape.tensor(z), b, m)
-            tape.backward(dc.mean_axis(dc.mul(means, tape.constant(g * g.size)), axis=None))
+            tape.backward(weighted_mean(means, g * g.size))
             np.testing.assert_allclose(b.grad, dense_tent_indicator_grad(z, ind, m, g), rtol=0, atol=1e-12, err_msg=f"case {case}")
             n_zero += int(np.sum(b.grad == 0))
         assert n_zero > 0
@@ -296,7 +376,7 @@ class TestDetectSegments:
         rng = np.random.default_rng(21)
         tape = dc.Tape()
         z = tape.tensor(rng.standard_normal((30, 8)).astype(np.float32) + 0.1, requires_grad=True)
-        graph = boundary.detect_segments(tape, z, thres=0.05)
+        graph = boundary.detect_segments(z, thres=0.05)
         n_seg = graph.n_segments
         assert graph.means.shape == (n_seg, 8)
         assert graph.spans[0][0] == 0 and graph.spans[-1][1] == 30
@@ -307,7 +387,7 @@ class TestDetectSegments:
         rng = np.random.default_rng(22)
         tape = dc.Tape()
         z = tape.tensor(rng.standard_normal((30, 8)).astype(np.float32) + 0.1, requires_grad=True)
-        graph = boundary.detect_segments(tape, z, thres=0.05)
+        graph = boundary.detect_segments(z, thres=0.05)
         tape.backward(dc.mean_axis(graph.means, axis=None))
         assert z.grad is not None
         assert np.abs(z.grad).max() > 0

@@ -11,11 +11,12 @@ import gc
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, rel_err, weighted_mean
 
 from scpc import audio, infer, model
 from scpc import diffcore as dc
@@ -49,8 +50,7 @@ def run_gradcheck(build, n_points=N_POINTS, tol=GRAD_TOL):
         tape = dc.Tape()
         leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
         out = apply(tape, leaves)
-        loss = dc.mean_axis(dc.mul(out, tape.constant(w)), axis=None)
-        tape.backward(loss)
+        tape.backward(weighted_mean(out, w))
 
         numeric = numeric_grad(scalar_f, arrays)
         for leaf, num in zip(leaves, numeric):
@@ -63,19 +63,6 @@ def away_from(rng, shape, lo=0.05, hi=1.5):
     """Values with magnitude in [lo, hi]: clear of relu/abs kinks at zero."""
     mag = rng.uniform(lo, hi, size=shape)
     return mag * rng.choice([-1.0, 1.0], size=shape)
-
-
-def separated_pair(rng, shape):
-    a = rng.standard_normal(shape)
-    b = a + rng.uniform(0.05, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
-    return a, b
-
-
-def spread_vector(rng, n):
-    """A vector whose sorted values are pairwise separated (unique min/max)."""
-    base = np.sort(rng.standard_normal(n))
-    base += np.arange(n) * 0.05
-    return rng.permutation(base)
 
 
 def tent_case(rng, n=7, d=3, steps=(0, 1), spare=1):
@@ -98,15 +85,24 @@ def scan_case(rng, n=5, d=3, q=4):
             0.5 * rng.standard_normal((q, q)), 0.5 * rng.standard_normal(q)]
 
 
-def scan_loop(x, w_in, w_h, b):
-    """The recurrence as one narrow / matmul / add / tanh group per row."""
-    tape = x.tape
-    h = tape.constant(np.zeros((1, w_h.shape[0]), dtype=x.dtype))
-    rows = []
-    for i in range(x.shape[0]):
-        h = dc.tanh(dc.add(dc.add(dc.matmul(dc.narrow(x, i, 1), w_in), dc.matmul(h, w_h)), b))
-        rows.append(h)
-    return dc.concat(rows, axis=0)
+def scan_loop(x, w_in, w_h, b, g):
+    """The recurrence and the gradients of sum(h * g), one row at a time in
+    numpy: a forward loop over the rows, then a reverse loop that carries
+    the gradient of each state into the one before it."""
+    n, q = x.shape[0], w_h.shape[0]
+    h = np.zeros((n + 1, q), x.dtype)   # h[i + 1] is h_i; h[0] is h_{-1} = 0
+    for i in range(n):
+        h[i + 1] = np.tanh(x[i] @ w_in + h[i] @ w_h + b)
+    grads = [np.zeros_like(a) for a in (x, w_in, w_h, b)]
+    carry = np.zeros(q, x.dtype)
+    for i in range(n - 1, -1, -1):
+        dpre = (g[i] + carry) * (1 - h[i + 1] * h[i + 1])
+        grads[0][i] = w_in @ dpre
+        grads[1] += np.outer(x[i], dpre)
+        grads[2] += np.outer(h[i], dpre)
+        grads[3] += dpre
+        carry = w_h @ dpre
+    return [h[1:]] + grads
 
 
 class TestElementwiseGrads:
@@ -119,59 +115,11 @@ class TestElementwiseGrads:
     def test_add_scalar_broadcast(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal(())], lambda t, xs: dc.add(xs[0], xs[1])))
 
-    def test_sub(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal(5), rng.standard_normal(5)], lambda t, xs: dc.sub(xs[0], xs[1])))
-
-    def test_mul(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((2, 5)), rng.standard_normal((2, 5))], lambda t, xs: dc.mul(xs[0], xs[1])))
-
-    def test_mul_row_broadcast(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal(4)], lambda t, xs: dc.mul(xs[0], xs[1])))
-
-    def test_div(self):
-        def build(rng):
-            a = rng.standard_normal((3, 3))
-            b = away_from(rng, (3, 3), lo=0.3)
-            return [a, b], lambda t, xs: dc.div(xs[0], xs[1])
-
-        run_gradcheck(build)
-
-    def test_div_scalar(self):
-        def build(rng):
-            return [rng.standard_normal(6), away_from(rng, (), lo=0.3)], lambda t, xs: dc.div(xs[0], xs[1])
-
-        run_gradcheck(build)
-
-
 class TestNonlinearGrads:
     def test_relu(self):
         run_gradcheck(lambda rng: ([away_from(rng, (3, 4))], lambda t, xs: dc.relu(xs[0])))
 
-    def test_tanh(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal(7)], lambda t, xs: dc.tanh(xs[0])))
-
-    def test_minimum(self):
-        def build(rng):
-            a, b = separated_pair(rng, (3, 4))
-            return [a, b], lambda t, xs: dc.minimum(xs[0], xs[1])
-
-        run_gradcheck(build)
-
-    def test_maximum(self):
-        def build(rng):
-            a, b = separated_pair(rng, 8)
-            return [a, b], lambda t, xs: dc.maximum(xs[0], xs[1])
-
-        run_gradcheck(build)
-
-
 class TestReductionGrads:
-    def test_reduce_min(self):
-        run_gradcheck(lambda rng: ([spread_vector(rng, 7)], lambda t, xs: dc.reduce_min(xs[0])))
-
-    def test_reduce_max(self):
-        run_gradcheck(lambda rng: ([spread_vector(rng, 7)], lambda t, xs: dc.reduce_max(xs[0])))
-
     @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_mean_axis(self, axis):
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.mean_axis(xs[0], axis=axis)))
@@ -180,12 +128,6 @@ class TestReductionGrads:
 class TestLinalgGrads:
     def test_matmul(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal((4, 2))], lambda t, xs: dc.matmul(xs[0], xs[1])))
-
-    def test_concat_rows(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((2, 3)), rng.standard_normal((4, 3))], lambda t, xs: dc.concat(xs, axis=0)))
-
-    def test_concat_cols(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 1)), rng.standard_normal((3, 2))], lambda t, xs: dc.concat(xs, axis=1)))
 
     def test_narrow(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((6, 3))], lambda t, xs: dc.narrow(xs[0], 1, 4, axis=0)))
@@ -302,7 +244,7 @@ class TestConv1dGrads:
             w = tape.tensor(w0, requires_grad=True)
             b = tape.tensor(b0, requires_grad=True)
             out = dc.conv1d(x, w, b, stride=2)
-            tape.backward(dc.mean_axis(dc.mul(out, tape.constant(g)), axis=None))
+            tape.backward(weighted_mean(out, g))
             grads.append((x.grad, w.grad, b.grad))
         (gx_const, gw_const, gb_const), (gx, gw, gb) = grads
         assert gx_const is None and gx is not None
@@ -367,14 +309,12 @@ class TestFusedOps:
         arrays = [a.astype(dtype) for a in scan_case(rng, n=176, d=64, q=64)]
         arrays[1:3] = [a / 8 for a in arrays[1:3]]
         g = rng.standard_normal((176, 64)).astype(dtype)
-        results = []
-        for op in (dc.tanh_scan, scan_loop):
-            tape = dc.Tape()
-            leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
-            out = op(*leaves)
-            tape.backward(dc.mean_axis(dc.mul(out, tape.constant(g)), axis=None))
-            results.append([out.data] + [leaf.grad * g.size for leaf in leaves])
-        for fused, loop in zip(*results):
+        tape = dc.Tape()
+        leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
+        out = dc.tanh_scan(*leaves)
+        tape.backward(weighted_mean(out, g))
+        fused = [out.data] + [leaf.grad * g.size for leaf in leaves]
+        for fused, loop in zip(fused, scan_loop(*arrays, g)):
             assert fused.dtype == dtype
             np.testing.assert_allclose(fused, loop, rtol=tol, atol=tol)
 
@@ -494,21 +434,22 @@ class TestSoftmaxCrossEntropy:
 class TestTapeContracts:
     def test_square_gradient(self):
         tape = dc.Tape()
-        x = tape.tensor(3.0, requires_grad=True, dtype=np.float64)
-        loss = dc.mul(x, x)
+        x = tape.tensor([[3.0]], requires_grad=True, dtype=np.float64)
+        loss = dc.mean_axis(dc.matmul(x, x))
         tape.backward(loss)
         assert loss.item() == pytest.approx(9.0)
         assert x.grad == pytest.approx(6.0)
 
-    def test_stop_gradient_blocks(self):
+    def test_unreached_leaf_gets_zero_gradient(self):
         tape = dc.Tape()
         x = tape.tensor(3.0, requires_grad=True, dtype=np.float64)
         y = tape.tensor(2.0, requires_grad=True, dtype=np.float64)
-        loss = dc.mul(dc.stop_gradient(x), y)
+        dc.relu(x)   # recorded, but the loss does not use it
+        loss = dc.add(y, y)
         tape.backward(loss)
-        assert loss.item() == pytest.approx(6.0)
+        assert loss.item() == pytest.approx(4.0)
         assert x.grad == pytest.approx(0.0)  # reachable leaf: explicit zero
-        assert y.grad == pytest.approx(3.0)
+        assert y.grad == pytest.approx(2.0)
 
     def test_backward_requires_scalar(self):
         tape = dc.Tape()
@@ -520,7 +461,7 @@ class TestTapeContracts:
     def test_backward_twice_errors(self):
         tape = dc.Tape()
         x = tape.tensor(2.0, requires_grad=True)
-        loss = dc.mul(x, x)
+        loss = dc.add(x, x)
         tape.backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             tape.backward(loss)
@@ -549,8 +490,8 @@ class TestTapeContracts:
 
     def test_grad_accumulates_across_uses(self):
         tape = dc.Tape()
-        x = tape.tensor(2.0, requires_grad=True, dtype=np.float64)
-        loss = dc.add(dc.mul(x, x), x)  # x^2 + x
+        x = tape.tensor([[2.0]], requires_grad=True, dtype=np.float64)
+        loss = dc.mean_axis(dc.add(dc.matmul(x, x), x))  # x^2 + x
         tape.backward(loss)
         assert x.grad == pytest.approx(5.0)
 
@@ -560,7 +501,7 @@ class TestTapeContracts:
             tape = dc.Tape()
             x = tape.tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
             w = tape.tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
-            h = dc.tanh(dc.matmul(x, w))
+            h = dc.relu(dc.matmul(x, w))
             loss = dc.mean_axis(h, axis=None)
             tape.backward(loss)
             return loss.data.copy(), x.grad.copy()
@@ -630,20 +571,6 @@ class TestGraphLifetime:
 
 
 class TestConventions:
-    def test_reduce_min_tie_takes_first(self):
-        tape = dc.Tape()
-        x = tape.tensor([2.0, 1.0, 1.0], requires_grad=True, dtype=np.float64)
-        tape.backward(dc.reduce_min(x))
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
-
-    def test_minimum_tie_takes_first_argument(self):
-        tape = dc.Tape()
-        a = tape.tensor([1.0, 1.0], requires_grad=True, dtype=np.float64)
-        b = tape.tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-        tape.backward(dc.mean_axis(dc.minimum(a, b)))
-        np.testing.assert_array_equal(a.grad, [0.5, 0.5])
-        np.testing.assert_array_equal(b.grad, [0.0, 0.0])
-
     def test_relu_zero_input_zero_grad(self):
         tape = dc.Tape()
         x = tape.tensor([0.0, -1.0, 1.0], requires_grad=True, dtype=np.float64)
@@ -660,3 +587,12 @@ class TestConventions:
         tape = dc.Tape()
         with pytest.raises(TypeError, match="float32 or float64"):
             tape.tensor(np.array([1, 2, 3]))
+
+    def test_every_public_op_has_a_pipeline_caller(self):
+        # An op that nothing in the pipeline calls is dead code; operators
+        # on tensors do not count, only a spelled-out dc.<op>( call does.
+        src = Path(dc.__file__).parent
+        calls = "".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "diffcore.py")
+        ops = [name for name in dc.__all__ if name[0].islower()]
+        assert ops
+        assert [op for op in ops if f"dc.{op}(" not in calls] == []

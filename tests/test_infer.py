@@ -10,13 +10,12 @@ from scpc import infer
 from scpc import model
 
 
-def make_profile(utt_id="u0", dissim=(), word=(), ends=(), n_frames=0, duration=1.0):
+def make_profile(utt_id="u0", dissim=(), word=(), ends=(), duration=1.0):
     return infer.UtteranceProfile(
         utt_id,
         np.asarray(dissim, dtype=np.float64),
         np.asarray(word, dtype=np.float64),
         np.asarray(ends, dtype=np.int64),
-        n_frames,
         duration,
     )
 
@@ -35,19 +34,19 @@ def test_predicted_boundaries_must_increase():
 
 
 def test_single_peak_lands_at_20ms():
-    profile = make_profile(dissim=[0.0, 1.0, 0.0], n_frames=4)
+    profile = make_profile(dissim=[0.0, 1.0, 0.0])
     out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.5))
     assert np.allclose(out.times, [0.020])
 
 
 def test_monotone_dissimilarity_gives_no_boundaries():
-    profile = make_profile(dissim=np.linspace(0, 1, 10), n_frames=11)
+    profile = make_profile(dissim=np.linspace(0, 1, 10))
     out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.0))
     assert out.times.size == 0
 
 
 def test_zero_prominence_keeps_every_local_maximum():
-    profile = make_profile(dissim=[0.0, 0.5, 0.2, 0.8, 0.1], n_frames=6)
+    profile = make_profile(dissim=[0.0, 0.5, 0.2, 0.8, 0.1])
     out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.0))
     assert np.allclose(out.times, [0.020, 0.040])
 
@@ -61,7 +60,7 @@ def test_empty_profile_gives_empty_output():
 def test_higher_prominence_never_adds_boundaries():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        profile = make_profile(dissim=rng.random(50), n_frames=51)
+        profile = make_profile(dissim=rng.random(50))
         counts = []
         for prom in np.linspace(0, 1, 21):
             out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=float(prom)))
@@ -72,7 +71,7 @@ def test_higher_prominence_never_adds_boundaries():
 def test_emitted_boundaries_are_strict_local_maxima():
     rng = np.random.default_rng(1)
     d = rng.random(200)
-    profile = make_profile(dissim=d, n_frames=201)
+    profile = make_profile(dissim=d)
     out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.0))
     assert out.times.size > 0
     for t in out.times:
@@ -81,25 +80,25 @@ def test_emitted_boundaries_are_strict_local_maxima():
 
 
 def test_word_boundary_at_segment_end_time():
-    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20], n_frames=21)
+    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20])
     out = infer.word_boundaries(profile, infer.PeakPickConfig(prominence=0.5, level="word"))
     assert np.allclose(out.times, [0.070])
 
 
 def test_word_needs_three_segments():
-    profile = make_profile(word=[0.9], ends=[3, 8], n_frames=9)
+    profile = make_profile(word=[0.9], ends=[3, 8])
     out = infer.word_boundaries(profile, infer.PeakPickConfig(prominence=0.0, level="word"))
     assert out.times.size == 0
 
 
 def test_prominence_above_max_gives_empty():
-    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20], n_frames=21)
+    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20])
     out = infer.word_boundaries(profile, infer.PeakPickConfig(prominence=2.0, level="word"))
     assert out.times.size == 0
 
 
 def test_predict_dispatches_on_level():
-    profile = make_profile(dissim=[0.0, 1.0, 0.0], word=[0.1, 0.9, 0.2], ends=[0, 1, 2, 3], n_frames=4)
+    profile = make_profile(dissim=[0.0, 1.0, 0.0], word=[0.1, 0.9, 0.2], ends=[0, 1, 2, 3])
     assert infer.predict(profile, infer.PeakPickConfig(level="phoneme")).level == "phoneme"
     assert infer.predict(profile, infer.PeakPickConfig(level="word")).level == "word"
 
@@ -119,7 +118,6 @@ def synth_utt():
 def test_profile_shapes_are_consistent(small_net, synth_utt):
     profile = infer.profile_utterance(small_net, synth_utt.waveform.samples, "u0")
     n = model.n_frames(synth_utt.waveform.samples.size)
-    assert profile.n_frames == n
     assert profile.dissimilarity.shape == (n - 1,)
     m = profile.segment_end_frames.size
     assert m >= 1
@@ -172,7 +170,7 @@ def test_tune_finds_grid_max_and_breaks_ties_up():
     # One clear peak of prominence 0.4 and one minor peak of prominence 0.1:
     # any prominence in (0.1, 0.4] keeps only the major peak, which is the
     # sole reference, so the whole winning range ties and the largest wins.
-    profile = make_profile(dissim=[0.0, 0.1, 0.0, 0.5, 0.1], n_frames=6)
+    profile = make_profile(dissim=[0.0, 0.1, 0.0, 0.5, 0.1])
     refs = {"u0": np.array([0.040])}
     result = infer.tune_prominence([profile], refs, "phoneme")
     assert result.prominence == 0.40
@@ -183,7 +181,7 @@ def test_tune_finds_grid_max_and_breaks_ties_up():
 
 
 def test_tune_single_point_grid():
-    profile = make_profile(dissim=[0.0, 1.0, 0.0], n_frames=4)
+    profile = make_profile(dissim=[0.0, 1.0, 0.0])
     refs = {"u0": np.array([0.020])}
     result = infer.tune_prominence([profile], refs, "phoneme", grid=(0.25,))
     assert result.prominence == 0.25
@@ -208,7 +206,7 @@ def test_tune_rejects_empty_inputs():
     with pytest.raises(ValueError, match="empty validation"):
         infer.tune_prominence([], {}, "phoneme")
     with pytest.raises(ValueError, match="empty grid"):
-        infer.tune_prominence([make_profile(dissim=[0, 1, 0], n_frames=4)], {"u0": np.array([0.02])}, "phoneme", grid=())
+        infer.tune_prominence([make_profile(dissim=[0, 1, 0])], {"u0": np.array([0.02])}, "phoneme", grid=())
 
 
 # ------------------------------------------------------------ file formats

@@ -98,6 +98,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"missing \['b'\].*unexpected \['c'\]"):
             metrics.evaluate({"a": [], "c": []}, {"a": [], "b": []})
 
+    def test_unsorted_predictions_rejected(self):
+        ref = {"a": [0.1, 0.5], "b": [0.3]}
+        with pytest.raises(ValueError, match="predicted boundary times must be sorted"):
+            metrics.evaluate({"a": [0.5, 0.1], "b": [0.3]}, ref)
+        with pytest.raises(ValueError, match="predicted boundary times must be sorted"):
+            metrics.evaluate({"a": [0.1, 0.5], "b": [0.4, 0.3]}, ref, durations={"a": 1.0, "b": 1.0})
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             metrics.evaluate({}, {})

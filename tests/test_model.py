@@ -155,7 +155,7 @@ class TestSegmentAndContext:
             sizes[graph.boundaries.n_segments] = len(tape._nodes)
         (few, n_few), (many, n_many) = sorted(sizes.items())
         assert 15 <= few <= 25 and 160 <= many <= 200, sizes
-        assert n_few == n_many, sizes
+        assert n_few == n_many == 29, sizes
 
 
 class TestCheckpoint:

@@ -183,16 +183,36 @@ def test_nfc_matches_per_column_loop(monkeypatch):
     loss, _ = obj.nfc_loss(x, 3, np.random.default_rng(0))
     tape.backward(loss)
 
-    ref_tape = dc.Tape()
-    xr = ref_tape.tensor(base, requires_grad=True)
-    anchors = dc.narrow(xr, 0, 11)
+    # The reference in numpy, in the ops' float32 arithmetic: each column's
+    # cosines, cross-entropy against column 0, and the mean.
+    anchors = base[:11]
     columns = [np.arange(1, 12)] + [table[:, j] for j in range(3)]
-    cols = [dc.cosine_sim(anchors, dc.gather_rows(xr, c[:, None])) for c in columns]   # (11, 1) each
-    ref = dc.mean_axis(dc.softmax_cross_entropy_with_index(dc.concat(cols, axis=1), np.zeros(11, dtype=np.int64)))
-    ref_tape.backward(ref)
+    norm_a = np.linalg.norm(anchors, axis=-1)
+    logits = np.empty((11, 4), np.float32)
+    for j, c in enumerate(columns):
+        dot = (anchors * base[c]).sum(axis=-1, dtype=np.float64).astype(np.float32)
+        logits[:, j] = dot / (norm_a * np.linalg.norm(base[c], axis=-1) + 1e-8).astype(np.float32)
+    shift = logits.max(axis=1, keepdims=True)
+    ex = np.exp(logits - shift)
+    z = ex.sum(axis=1, dtype=np.float64).astype(np.float32)
+    ref = (np.log(z) + shift[:, 0] - logits[:, 0]).mean(dtype=np.float64).astype(np.float32)
+    # Its gradient in float64: d loss / d logits = (softmax - onehot_0) / 11,
+    # and d cos(a, b) / d a = b / (|a| |b|) - cos(a, b) a / |a|^2.
+    g_logits = ex / z[:, None]
+    g_logits[:, 0] -= 1
+    g_logits /= 11
+    ref_grad = np.zeros((12, 5))
+    a64 = anchors.astype(np.float64)
+    for j, c in enumerate(columns):
+        b64 = base[c].astype(np.float64)
+        na, nb = np.linalg.norm(a64, axis=1, keepdims=True), np.linalg.norm(b64, axis=1, keepdims=True)
+        cos = (a64 * b64).sum(axis=1, keepdims=True) / (na * nb)
+        g = g_logits[:, j : j + 1]
+        ref_grad[:11] += g * (b64 / (na * nb) - cos * a64 / na**2)
+        np.add.at(ref_grad, c, g * (a64 / (na * nb) - cos * b64 / nb**2))
 
-    assert loss.data == ref.data
-    np.testing.assert_allclose(x.grad, xr.grad, rtol=0, atol=1e-6)
+    assert loss.data == ref
+    np.testing.assert_allclose(x.grad, ref_grad, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("k", [2, 10])
