@@ -116,8 +116,8 @@ class Tape:
             raise TypeError(f"tensor dtype must be float32 or float64, got {arr.dtype}")
         return Tensor(arr, requires_grad, self, is_leaf=True)
 
-    def constant(self, data, dtype=None) -> Tensor:
-        return self.tensor(data, requires_grad=False, dtype=dtype)
+    def constant(self, data) -> Tensor:
+        return self.tensor(data, requires_grad=False)
 
     def _record(self, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callable) -> Tensor:
         out = Tensor(out_data, any(t.requires_grad for t in inputs), self, is_leaf=False)

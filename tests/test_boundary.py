@@ -144,8 +144,8 @@ class TestDissimilarity:
 
             tape = dc.Tape()
             z = tape.tensor(z0, requires_grad=True)
-            graph_sim = dc.cosine_sim(dc.narrow(z, 0, 5), dc.narrow(z, 1, 5))
-            _, indicator = boundary.boundary_indicator(graph_sim, 0.0)
+            sim = dc.cosine_sim(dc.narrow(z, 0, 5), dc.narrow(z, 1, 5))
+            _, indicator = boundary.boundary_indicator(sim, 0.0)
             tape.backward(weighted_mean(indicator, w))
             err = rel_err(z.grad, numeric_grad(f, [z0])[0])
             assert err <= 1e-4, f"seed {seed}: rel err {err:.2e}"
