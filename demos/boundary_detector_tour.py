@@ -65,5 +65,5 @@ print("\npredicted boundary times:", [(int(t) + 1) * 0.010 for t in peak_junctio
 
 # Gradients reach the frames through the soft path even though the forward
 # pass used saturated indicators.  The loss is the mean of the segment means.
-tape.backward(dc.mean_axis(means, axis=None))
+tape.backward(dc.mean_axis(means))
 print("gradient flows to every frame:", bool(np.all(np.any(frames.grad != 0, axis=1))))

@@ -6,9 +6,9 @@ a stationary mix of sine partials over a noise floor, concatenates phones
 with short cross-fades, and emits exact sample-accurate boundary annotations,
 which makes segmentation quality measurable without any external data.
 
-Boundary time convention: an annotation stores segment *end* times in
-seconds, so the final entry coincides with the utterance end (scoring strips
-it along with time zero).
+Boundary time convention: an annotation is a plain, strictly increasing
+float64 array of segment *end* times in seconds, so the final entry
+coincides with the utterance end (scoring strips it along with time zero).
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from scipy.io import wavfile
 
 __all__ = [
     "Waveform",
-    "BoundaryAnnotation",
     "PhoneTemplate",
     "SynthSpec",
     "SynthUtterance",
     "load_wav",
     "write_wav",
     "parse_alignment_file",
-    "load_annotation",
     "default_spec",
     "generate_utterance",
     "generate_corpus",
@@ -61,25 +59,6 @@ class Waveform:
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
-
-
-@dataclass(frozen=True)
-class BoundaryAnnotation:
-    """Sorted segment end times (seconds) for one utterance at one level."""
-
-    id: str
-    level: str
-    times: np.ndarray
-
-    def __post_init__(self):
-        if self.level not in LEVELS:
-            raise ValueError(f"level must be one of {LEVELS}, got {self.level!r}")
-        t = np.asarray(self.times, dtype=np.float64)
-        if t.ndim != 1:
-            raise ValueError(f"times must be 1-D, got shape {t.shape}")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0):
-            raise ValueError(f"times must be strictly increasing and nonnegative ({self.id})")
-        object.__setattr__(self, "times", t)
 
 
 def load_wav(path: str | Path) -> Waveform:
@@ -125,8 +104,9 @@ def parse_alignment_file(path: str | Path) -> np.ndarray:
     """Boundary times (seconds) from a TIMIT-style alignment file.
 
     Lines are ``<start_sample> <end_sample> <label>`` at 16 kHz; boundary
-    times are the segment end samples divided by 16000, with duplicate
-    consecutive ends collapsed.
+    times are the segment end samples divided by 16000.  Sample indices must
+    be nonnegative, spans nonempty, and each span must start at or after the
+    previous end, so the times are strictly increasing.
     """
     path = Path(path)
     times: list[float] = []
@@ -141,29 +121,24 @@ def parse_alignment_file(path: str | Path) -> np.ndarray:
             start, end = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: non-integer sample index in {line!r}") from exc
+        if start < 0 or end < 0:
+            raise ValueError(f"{path}:{n}: negative sample index in {line!r}")
         if end <= start:
             raise ValueError(f"{path}:{n}: empty or negative span [{start}, {end})")
         if prev_end is not None and start < prev_end:
             raise ValueError(f"{path}:{n}: span starts at {start}, before previous end {prev_end}")
         prev_end = end
-        t = end / 16000
-        if not times or t > times[-1]:
-            times.append(t)
+        times.append(end / 16000)
     return np.asarray(times, dtype=np.float64)
-
-
-def load_annotation(path: str | Path, level: str) -> BoundaryAnnotation:
-    return BoundaryAnnotation(Path(path).stem, level, parse_alignment_file(path))
 
 
 # --- synthetic corpus ---------------------------------------------------
 
 @dataclass(frozen=True)
 class PhoneTemplate:
-    """Stationary spectral recipe: sine partial frequencies plus a noise floor."""
+    """Stationary spectral recipe: sine partial frequencies over a noise floor."""
 
     frequencies: tuple[float, ...]
-    noise_level: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -181,7 +156,6 @@ class SynthSpec:
     silence_prob: float = 0.0
     sample_rate: int = 16000
     seed: int = 0
-    amplitude: float = 0.3
     crossfade_ms: float = 16.0
 
     def __post_init__(self):
@@ -215,8 +189,8 @@ class SynthSpec:
 @dataclass(frozen=True)
 class SynthUtterance:
     waveform: Waveform
-    phoneme: BoundaryAnnotation
-    word: BoundaryAnnotation
+    phoneme_times: np.ndarray          # segment end times (s), as in the .phn file
+    word_times: np.ndarray             # word end times (s), as in the .wrd file
     phone_labels: tuple[str, ...]      # one per segment, silences included
     phone_spans: tuple[tuple[int, int], ...]  # sample spans per segment
     word_labels: tuple[str, ...]
@@ -259,6 +233,8 @@ def default_spec(seed: int = 0) -> SynthSpec:
     return SynthSpec(phones=phones, lexicon=lexicon, seed=seed)
 
 
+_PHONE_AMPLITUDE = 0.3   # bound on a phone's summed partials
+_PHONE_NOISE = 0.02      # noise floor under every phone
 _SILENCE_NOISE = 0.0015
 
 
@@ -270,8 +246,8 @@ def _render_segment(spec: SynthSpec, template: PhoneTemplate | None, n: int, rng
     for f in template.frequencies:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         x += np.sin(2.0 * np.pi * f * t + phase)
-    x *= spec.amplitude / max(len(template.frequencies), 1)
-    x += template.noise_level * rng.standard_normal(n)
+    x *= _PHONE_AMPLITUDE / max(len(template.frequencies), 1)
+    x += _PHONE_NOISE * rng.standard_normal(n)
     return x
 
 
@@ -320,7 +296,6 @@ def generate_utterance(spec: SynthSpec, index: int) -> SynthUtterance:
     ends[:-1] -= np.asarray(fades, dtype=ends.dtype)
     starts = np.concatenate([[0], ends[:-1]])
     phone_spans = tuple((int(s), int(e)) for s, e in zip(starts, ends))
-    phn = BoundaryAnnotation(wav.id, "phoneme", ends / spec.sample_rate)
 
     word_spans = []
     word_labels = []
@@ -328,12 +303,11 @@ def generate_utterance(spec: SynthSpec, index: int) -> SynthUtterance:
         seg_idx = [i for i, owner in enumerate(word_of_segment) if owner == w_pos]
         word_spans.append((int(starts[seg_idx[0]]), int(ends[seg_idx[-1]])))
         word_labels.append(f"w{w}")
-    wrd = BoundaryAnnotation(wav.id, "word", np.asarray([e for _, e in word_spans]) / spec.sample_rate)
 
     return SynthUtterance(
         waveform=wav,
-        phoneme=phn,
-        word=wrd,
+        phoneme_times=ends / spec.sample_rate,
+        word_times=np.asarray([e for _, e in word_spans]) / spec.sample_rate,
         phone_labels=tuple(lbl for lbl, _ in segments),
         phone_spans=phone_spans,
         word_labels=tuple(word_labels),
@@ -400,15 +374,18 @@ def read_manifest(path: str | Path) -> list[tuple[Path, Path, Path]]:
 def load_references(manifest: str | Path, level: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """Reference times and durations per utterance of a manifest.
 
-    The final annotated end time doubles as the duration, so no audio needs
+    ``level`` picks the manifest's phoneme or word alignment column.  The
+    final annotated end time doubles as the duration, so no audio needs
     decoding.  An utterance with an empty annotation is an error.
     """
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     refs: dict[str, np.ndarray] = {}
     durations: dict[str, float] = {}
     for wav, phn, wrd in read_manifest(manifest):
-        ann = load_annotation(phn if level == "phoneme" else wrd, level)
-        if ann.times.size == 0:
+        times = parse_alignment_file(phn if level == "phoneme" else wrd)
+        if times.size == 0:
             raise ValueError(f"{wav.stem}: empty {level} annotation")
-        refs[wav.stem] = ann.times
-        durations[wav.stem] = float(ann.times[-1])
+        refs[wav.stem] = times
+        durations[wav.stem] = float(times[-1])
     return refs, durations

@@ -63,12 +63,11 @@ def _cmd_train(args) -> int:
 def _cmd_segment(args) -> int:
     out = Path(args.out)
     profiles = _profile_manifest(args)
-    cfg = infer.PeakPickConfig(prominence=args.prominence, level=args.level)
-    preds = [infer.predict(p, cfg) for p in profiles]
+    preds = {p.id: infer.predict(p, args.level, args.prominence) for p in profiles}
     infer.write_predictions(preds, out, args.level)
     _echo_config(out, {"command": "segment", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
                        "level": args.level, "prominence": args.prominence, "workers": args.workers})
-    total = sum(p.times.size for p in preds)
+    total = sum(times.size for times in preds.values())
     print(f"wrote {len(preds)} boundary files ({total} boundaries) to {out}")
     return 0
 

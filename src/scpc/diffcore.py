@@ -71,9 +71,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -342,15 +339,13 @@ def relu(x: Tensor) -> Tensor:
     return x.tape._record((x,), np.maximum(x.data, 0), vjp)
 
 
-def mean_axis(x: Tensor, axis: int | None = None) -> Tensor:
-    """Mean over one axis (or all entries), accumulated in float64."""
-    out = x.data.mean(axis=axis, dtype=np.float64).astype(x.data.dtype)
-    n = x.data.size if axis is None else x.data.shape[axis]
+def mean_axis(x: Tensor) -> Tensor:
+    """Mean of all entries, accumulated in float64."""
+    out = x.data.mean(dtype=np.float64).astype(x.data.dtype)
+    n = x.data.size
 
     def vjp(g):
-        if axis is None:
-            return (np.full_like(x.data, g / n),)
-        return (np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape).copy(),)
+        return (np.full_like(x.data, g / n),)
 
     return x.tape._record((x,), np.asarray(out), vjp)
 

@@ -4,6 +4,9 @@ Phoneme boundaries are prominence-filtered peaks of the normalized
 dissimilarity between adjacent frame latents.  Word boundaries are peaks of
 the dissimilarity between each causal context state and the following
 segment latent, emitted at the end time of the segment the context has seen.
+One ``predict(profile, level, prominence)`` serves both levels and every
+caller (``segment``, ``tune`` and validation); its result is a plain,
+strictly increasing float64 array of times in seconds.
 Inference is forward-only: parameters enter the tape as constants, so the
 tape records nothing and each intermediate is freed once consumed; only the
 score curves are kept, so sweeping prominence never reruns the model.
@@ -16,6 +19,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -28,15 +32,11 @@ from . import model
 __all__ = [
     "DEFAULT_PROMINENCE",
     "PROMINENCE_GRID",
-    "PeakPickConfig",
-    "PredictedBoundaries",
     "UtteranceProfile",
     "TuneResult",
     "profile_utterance",
     "profile_corpus",
     "predict",
-    "phoneme_boundaries",
-    "word_boundaries",
     "tune_prominence",
     "write_predictions",
     "read_predictions",
@@ -44,34 +44,7 @@ __all__ = [
 
 DEFAULT_PROMINENCE = 0.1
 PROMINENCE_GRID = tuple(i / 100 for i in range(51))
-LEVELS = ("phoneme", "word")
-
-
-@dataclass(frozen=True)
-class PeakPickConfig:
-    """How to turn a score curve into boundaries."""
-
-    prominence: float = DEFAULT_PROMINENCE
-    level: str = "phoneme"
-
-    def __post_init__(self):
-        if self.prominence < 0:
-            raise ValueError(f"prominence must be >= 0, got {self.prominence}")
-        if self.level not in LEVELS:
-            raise ValueError(f"level must be one of {LEVELS}, got {self.level!r}")
-
-
-@dataclass(frozen=True)
-class PredictedBoundaries:
-    """Strictly increasing boundary times (seconds) for one utterance."""
-
-    id: str
-    level: str
-    times: np.ndarray
-
-    def __post_init__(self):
-        if self.times.size and np.any(np.diff(self.times) <= 0):
-            raise ValueError(f"{self.id}: boundary times must be strictly increasing")
+LEVELS = audio.LEVELS
 
 
 @dataclass(frozen=True)
@@ -87,7 +60,6 @@ class UtteranceProfile:
     dissimilarity: np.ndarray        # (L-1,)
     word_scores: np.ndarray          # (M-1,)
     segment_end_frames: np.ndarray   # (M,) last frame index of each segment
-    duration_s: float
 
 
 @dataclass(frozen=True)
@@ -112,11 +84,10 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
     shorter than two frames cannot produce a junction; they yield an empty
     profile and a warning.
     """
-    duration = samples.size / net.config.sample_rate
     empty = np.empty(0, dtype=np.float64)
     if samples.size < model.RECEPTIVE_FIELD + model.TOTAL_STRIDE:
         warnings.warn(f"utterance {utt_id}: {samples.size} samples is too short to segment; emitting no boundaries")
-        return UtteranceProfile(utt_id, empty, empty, np.empty(0, dtype=np.int64), duration)
+        return UtteranceProfile(utt_id, empty, empty, np.empty(0, dtype=np.int64))
 
     tape = dc.Tape()
     leaves = {name: tape.constant(arr) for name, arr in net.params.items()}
@@ -132,7 +103,7 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
         word_scores = 1.0 - _rowwise_cosine(ctx[: m - 1], seg[1:])
     else:
         word_scores = empty
-    return UtteranceProfile(utt_id, dissim, word_scores, end_frames, duration)
+    return UtteranceProfile(utt_id, dissim, word_scores, end_frames)
 
 
 def _profile_wav(net: model.SCPCModel, entry: tuple[str, str]) -> UtteranceProfile:
@@ -169,42 +140,42 @@ def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers
         return list(pool.map(_pool_profile, entries))
 
 
+def _check_prominence(prominence: float) -> None:
+    if prominence < 0:
+        raise ValueError(f"prominence must be >= 0, got {prominence}")
+
+
 def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarray]:
     """Time (s) and prominence of every peak of one level's score curve.
 
-    ``find_peaks(curve, prominence=p)`` returns exactly the peaks whose
-    prominence is >= p, so these serve every prominence.
+    Time conventions, with frames 10 ms apart (``model.FRAME_HOP_S``):
+    - phoneme: junction t lies between frames t and t + 1, and a peak there
+      is reported at (t + 1) * 10 ms, the start of frame t + 1;
+    - word: junction t follows segment t, and a peak there is reported at
+      e * 10 ms, where e is the last frame index of segment t, so one hop
+      earlier than the phoneme rule would place the same junction.
+      Fewer than three segments give at most two scores, which hold no
+      interior peak.
+    Both arrays are strictly increasing.  ``find_peaks(curve,
+    prominence=p)`` returns exactly the peaks whose prominence is >= p, so
+    these serve every prominence.
     """
     if level == "phoneme":
         idx, props = find_peaks(profile.dissimilarity, prominence=0)
         times = (idx + 1) * model.FRAME_HOP_S
-    else:
+    elif level == "word":
         idx, props = find_peaks(profile.word_scores, prominence=0)
         times = profile.segment_end_frames[idx] * model.FRAME_HOP_S
+    else:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     return times.astype(np.float64), props["prominences"]
 
 
-def phoneme_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> PredictedBoundaries:
-    """Peaks of the frame dissimilarity curve; junction t maps to (t + 1) * 10 ms."""
-    times, prominences = _peaks(profile, "phoneme")
-    return PredictedBoundaries(profile.id, "phoneme", times[prominences >= cfg.prominence])
-
-
-def word_boundaries(profile: UtteranceProfile, cfg: PeakPickConfig) -> PredictedBoundaries:
-    """Peaks of the context-vs-next-segment dissimilarity, at segment end times.
-
-    A peak at junction t marks the end of segment t: the last frame index of
-    that segment times the frame hop.  Fewer than three segments give at
-    most two scores, which hold no interior peak, so nothing is emitted.
-    """
-    times, prominences = _peaks(profile, "word")
-    return PredictedBoundaries(profile.id, "word", times[prominences >= cfg.prominence])
-
-
-def predict(profile: UtteranceProfile, cfg: PeakPickConfig) -> PredictedBoundaries:
-    if cfg.level == "phoneme":
-        return phoneme_boundaries(profile, cfg)
-    return word_boundaries(profile, cfg)
+def predict(profile: UtteranceProfile, level: str, prominence: float = DEFAULT_PROMINENCE) -> np.ndarray:
+    """Boundary times (s) of the ``level`` peaks whose prominence is >= ``prominence``."""
+    _check_prominence(prominence)
+    times, prominences = _peaks(profile, level)
+    return times[prominences >= prominence]
 
 
 def tune_prominence(
@@ -227,7 +198,8 @@ def tune_prominence(
         raise ValueError("tune_prominence: empty validation set")
     if not grid:
         raise ValueError("tune_prominence: empty grid")
-    cfgs = [PeakPickConfig(prominence=prom, level=level) for prom in grid]
+    for prom in grid:
+        _check_prominence(prom)
     peaks = {p.id: _peaks(p, level) for p in profiles}
     if durations is not None:
         # A peak's time and prominence are kept or dropped together.
@@ -238,30 +210,32 @@ def tune_prominence(
     pooled = metrics.scorer(refs, tolerance)
     best_prom, best_rv, best_score = None, None, -np.inf
     rows = []
-    for cfg in cfgs:
-        report = pooled({k: times[prominences >= cfg.prominence] for k, (times, prominences) in peaks.items()})
-        rows.append((cfg.prominence, report.r_value))
+    for prom in grid:
+        report = pooled({k: times[prominences >= prom] for k, (times, prominences) in peaks.items()})
+        rows.append((prom, report.r_value))
         score = -np.inf if report.r_value is None else report.r_value
         if score >= best_score:
-            best_prom, best_rv, best_score = cfg.prominence, report.r_value, score
+            best_prom, best_rv, best_score = prom, report.r_value, score
     return TuneResult(best_prom, best_rv, tuple(rows))
 
 
-def write_predictions(preds: list[PredictedBoundaries], out_dir: str | Path, level: str) -> Path:
+def write_predictions(preds: Mapping[str, np.ndarray], out_dir: str | Path, level: str) -> Path:
     """One boundary-time file per utterance plus a manifest and a count report.
 
-    Each ``<id>.txt`` holds one time per line with six decimals; the manifest
-    ``predictions.tsv`` maps ids to files and ``report.json`` records counts.
+    ``preds`` maps utterance ids to boundary times and is written in its
+    insertion order.  Each ``<id>.txt`` holds one time per line with six
+    decimals; the manifest ``predictions.tsv`` maps ids to files and
+    ``report.json`` records counts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
     counts = []
-    for p in preds:
-        fname = f"{p.id}.txt"
-        (out / fname).write_text("".join(f"{t:.6f}\n" for t in p.times))
-        manifest_lines.append(f"{p.id}\t{fname}")
-        counts.append({"id": p.id, "n_boundaries": int(p.times.size)})
+    for utt_id, times in preds.items():
+        fname = f"{utt_id}.txt"
+        (out / fname).write_text("".join(f"{t:.6f}\n" for t in times))
+        manifest_lines.append(f"{utt_id}\t{fname}")
+        counts.append({"id": utt_id, "n_boundaries": int(times.size)})
     manifest = out / "predictions.tsv"
     manifest.write_text("".join(line + "\n" for line in manifest_lines))
     report = {

@@ -35,8 +35,6 @@ class LossReport:
     nfc: float
     nsc: float | None
     total: float
-    n_frame_anchors: int
-    n_segment_anchors: int
 
 
 def sample_distractors(rng: np.random.Generator, n_items: int, k: int) -> np.ndarray:
@@ -73,7 +71,7 @@ def _successor_loss(sources: dc.Tensor, pool: dc.Tensor, k: int, rng: np.random.
     return dc.mean_axis(losses)
 
 
-def nfc_loss(frames: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Tensor, int]:
+def nfc_loss(frames: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor:
     """Next-frame classification loss over all adjacent frame pairs.
 
     Every frame except the last is an anchor; its positive is the next frame
@@ -83,10 +81,10 @@ def nfc_loss(frames: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Te
     n = frames.shape[0]
     if n < k + 2:
         raise ValueError(f"utterance has {n} frames; next-frame loss needs at least k + 2 = {k + 2}")
-    return _successor_loss(frames, frames, k, rng), n - 1
+    return _successor_loss(frames, frames, k, rng)
 
 
-def nsc_loss(segments: dc.Tensor, contexts: dc.Tensor, k: int, rng: np.random.Generator) -> tuple[dc.Tensor | None, int]:
+def nsc_loss(segments: dc.Tensor, contexts: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor | None:
     """Next-segment classification loss from causal context states.
 
     The context after segment t must identify segment t+1 among distractor
@@ -98,9 +96,8 @@ def nsc_loss(segments: dc.Tensor, contexts: dc.Tensor, k: int, rng: np.random.Ge
     if segments.shape != contexts.shape:
         raise ValueError(f"segments {segments.shape} and contexts {contexts.shape} must match")
     if m < 2:
-        return None, 0
-    k_eff = min(k, m - 2)
-    return _successor_loss(contexts, segments, k_eff, rng), m - 1
+        return None
+    return _successor_loss(contexts, segments, min(k, m - 2), rng)
 
 
 def utterance_loss(frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, k_frame: int, k_seg: int, nsc_active: bool, rng: np.random.Generator) -> tuple[dc.Tensor, LossReport]:
@@ -110,16 +107,13 @@ def utterance_loss(frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, 
     The segment branch is not even built while inactive, so early epochs pay
     no graph cost for it.
     """
-    nfc, n_frame = nfc_loss(frames, k_frame, rng)
-    nsc: dc.Tensor | None = None
-    n_seg = 0
-    if nsc_active:
-        nsc, n_seg = nsc_loss(segments, contexts, k_seg, rng)
+    nfc = nfc_loss(frames, k_frame, rng)
+    nsc = nsc_loss(segments, contexts, k_seg, rng) if nsc_active else None
     if nsc is not None:
         total = dc.add(nfc, nsc)
         nsc_val = float(nsc.data)
     else:
         total = nfc
         nsc_val = None
-    report = LossReport(nfc=float(nfc.data), nsc=nsc_val, total=float(total.data), n_frame_anchors=n_frame, n_segment_anchors=n_seg)
+    report = LossReport(nfc=float(nfc.data), nsc=nsc_val, total=float(total.data))
     return total, report

@@ -199,7 +199,7 @@ def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[s
     profiles = infer.profile_corpus(net, entries, workers)
     r_values = []
     for level in infer.LEVELS:
-        preds = {p.id: infer.predict(p, infer.PeakPickConfig(level=level)).times for p in profiles}
+        preds = {p.id: infer.predict(p, level) for p in profiles}
         times, durations = refs[level]
         r_values.append(metrics.evaluate(preds, times, durations=durations).r_value)
     return tuple(r_values)

@@ -161,9 +161,7 @@ def _op_cases():
     ]
     for spare in (2, 0):
         cases.append((f"segment_pool spare {spare}", _pool_case(spare)))
-    for axis in (None, 0, 1):
-        cases.append((f"mean_axis {axis}", lambda rng, ax=axis: ([rng.standard_normal((3, 4))],
-                                                                 lambda t, xs: dc.mean_axis(xs[0], axis=ax))))
+    cases.append(("mean_axis", lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.mean_axis(xs[0]))))
     for stride in (1, 2, 3):
         cases.append((f"conv1d stride {stride}", lambda rng, s=stride: (
             list(op_checks.conv_case(rng, s)),
@@ -224,12 +222,12 @@ class TestGradientCorrectness:
 
         def scalar(arrs):
             t = dc.Tape()
-            loss, _ = obj.nfc_loss(t.tensor(arrs[0]), k, np.random.default_rng(99))
+            loss = obj.nfc_loss(t.tensor(arrs[0]), k, np.random.default_rng(99))
             return float(loss.data)
 
         tape = dc.Tape()
         leaf = tape.tensor(frames0, requires_grad=True)
-        loss, _ = obj.nfc_loss(leaf, k, np.random.default_rng(99))
+        loss = obj.nfc_loss(leaf, k, np.random.default_rng(99))
         tape.backward(loss)
         numeric = numeric_grad(scalar, [frames0.copy()])[0]
         err = rel_err(leaf.grad, numeric)

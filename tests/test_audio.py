@@ -114,12 +114,20 @@ class TestAlignmentParsing:
         with pytest.raises(ValueError, match="empty or negative"):
             audio.parse_alignment_file(path)
 
-    def test_load_annotation(self, tmp_path):
-        path = tmp_path / "utt7.phn"
-        path.write_text("0 1600 a\n")
-        ann = audio.load_annotation(path, "phoneme")
-        assert ann.id == "utt7"
-        assert ann.level == "phoneme"
+    def test_load_references(self, tmp_path):
+        audio.write_wav(tmp_path / "utt7.wav", audio.Waveform(np.zeros(4800, dtype=np.float32), 16000))
+        (tmp_path / "utt7.phn").write_text("0 1600 a\n1600 4800 b\n")
+        (tmp_path / "utt7.wrd").write_text("0 4800 w\n")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("utt7.wav\tutt7.phn\tutt7.wrd\n")
+        refs, durations = audio.load_references(manifest, "phoneme")
+        np.testing.assert_array_equal(refs["utt7"], [0.1, 0.3])
+        assert refs["utt7"].dtype == np.float64
+        assert durations == {"utt7": 0.3}
+        refs, durations = audio.load_references(manifest, "word")
+        np.testing.assert_array_equal(refs["utt7"], [0.3])
+        with pytest.raises(ValueError, match="level must be one of"):
+            audio.load_references(manifest, "frame")
 
 
 class TestSynthSpecValidation:
@@ -159,7 +167,7 @@ class TestSynthGeneration:
         a = audio.generate_utterance(spec, 3)
         b = audio.generate_utterance(spec, 3)
         np.testing.assert_array_equal(a.waveform.samples, b.waveform.samples)
-        np.testing.assert_array_equal(a.phoneme.times, b.phoneme.times)
+        np.testing.assert_array_equal(a.phoneme_times, b.phoneme_times)
 
     def test_index_changes_content(self):
         spec = audio.default_spec(seed=5)
@@ -177,14 +185,14 @@ class TestSynthGeneration:
             assert n_phones == sum(len(spec.lexicon[int(lbl[1:])]) for lbl in utt.word_labels)
             # End-time annotations: one entry per segment, last one at the
             # utterance end; internal boundary count is phones - 1 (+1 per silence).
-            assert utt.phoneme.times.size == len(utt.phone_labels)
-            assert utt.phoneme.times[-1] == pytest.approx(utt.waveform.duration)
-            assert utt.word.times.size == n_words
+            assert utt.phoneme_times.size == len(utt.phone_labels)
+            assert utt.phoneme_times[-1] == pytest.approx(utt.waveform.duration)
+            assert utt.word_times.size == n_words
 
     def test_word_ends_are_phone_ends(self):
         spec = audio.default_spec(seed=2)
         utt = audio.generate_utterance(spec, 4)
-        assert set(np.round(utt.word.times, 9)) <= set(np.round(utt.phoneme.times, 9))
+        assert set(np.round(utt.word_times, 9)) <= set(np.round(utt.phoneme_times, 9))
 
     def test_phone_durations_at_least_60ms(self):
         spec = audio.default_spec(seed=3)
@@ -213,7 +221,7 @@ class TestSynthGeneration:
         assert utt.phone_labels.count("sil") == n_words - 1
         # Silence adds one extra internal boundary per occurrence.
         n_phones = sum(lbl != "sil" for lbl in utt.phone_labels)
-        internal = utt.phoneme.times.size - 1
+        internal = utt.phoneme_times.size - 1
         assert internal == (n_phones - 1) + (n_words - 1)
 
     def test_samples_bounded(self):
@@ -233,9 +241,9 @@ class TestCorpusIO:
         wav0 = audio.load_wav(records[0][0])
         assert wav0.sample_rate == 16000
         phn_times = audio.parse_alignment_file(records[0][1])
-        np.testing.assert_allclose(phn_times, utts[0].phoneme.times)
+        np.testing.assert_allclose(phn_times, utts[0].phoneme_times)
         wrd_times = audio.parse_alignment_file(records[0][2])
-        np.testing.assert_allclose(wrd_times, utts[0].word.times)
+        np.testing.assert_allclose(wrd_times, utts[0].word_times)
 
     def test_disjoint_splits_by_index(self):
         spec = audio.default_spec(seed=10)

@@ -159,16 +159,29 @@ def test_segment_short_utterance_warns_but_succeeds(workspace, tmp_path):
 
 
 def test_eval_of_references_scores_perfectly(workspace, capsys):
-    refs_as_preds = []
-    for wav, phn, _ in audio.read_manifest(workspace / "val" / "manifest.tsv"):
-        ann = audio.load_annotation(phn, "phoneme")
-        refs_as_preds.append(infer.PredictedBoundaries(wav.stem, "phoneme", ann.times))
+    refs_as_preds = {wav.stem: audio.parse_alignment_file(phn)
+                     for wav, phn, _ in audio.read_manifest(workspace / "val" / "manifest.tsv")}
     pred_dir = workspace / "pred_perfect"
     infer.write_predictions(refs_as_preds, pred_dir, "phoneme")
     code = run_cli("eval", "--pred", pred_dir, "--ref", workspace / "val" / "manifest.tsv", "--level", "phoneme")
     captured = capsys.readouterr()
     assert code == 0
     assert "R-value   100.0" in captured.out
+
+
+def test_eval_rejects_negative_sample_index(workspace, tmp_path, capsys):
+    data = tmp_path / "neg"
+    data.mkdir()
+    audio.write_wav(data / "u.wav", audio.Waveform(np.zeros(1600, dtype=np.float32), 16000))
+    (data / "u.phn").write_text("0 800 p0\n-5 1600 p1\n")
+    (data / "u.wrd").write_text("0 1600 w0\n")
+    (data / "manifest.tsv").write_text("u.wav\tu.phn\tu.wrd\n")
+    infer.write_predictions({"u": np.array([0.05])}, tmp_path / "pred", "phoneme")
+    code = run_cli("eval", "--pred", tmp_path / "pred", "--ref", data / "manifest.tsv", "--level", "phoneme")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1
+    assert "u.phn:2: negative sample index" in captured.err
 
 
 def test_eval_missing_predictions_dir(workspace, tmp_path, capsys):

@@ -2,69 +2,89 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpc import audio
 from scpc import infer
+from scpc import metrics
 from scpc import model
 
 
-def make_profile(utt_id="u0", dissim=(), word=(), ends=(), duration=1.0):
+def make_profile(utt_id="u0", dissim=(), word=(), ends=()):
     return infer.UtteranceProfile(
         utt_id,
         np.asarray(dissim, dtype=np.float64),
         np.asarray(word, dtype=np.float64),
         np.asarray(ends, dtype=np.int64),
-        duration,
     )
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="prominence"):
-        infer.PeakPickConfig(prominence=-0.1)
-    with pytest.raises(ValueError, match="level"):
-        infer.PeakPickConfig(level="frame")
-    assert infer.PeakPickConfig().prominence == 0.1
+    # The prediction settings are a level and a prominence, checked where used.
+    profile = make_profile(dissim=[0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="prominence must be >= 0"):
+        infer.predict(profile, "phoneme", -0.1)
+    with pytest.raises(ValueError, match="prominence must be >= 0"):
+        infer.tune_prominence([profile], {"u0": np.array([0.02])}, "phoneme", grid=(0.1, -0.1))
+    for bad in ("frame", "words"):
+        with pytest.raises(ValueError, match="level must be one of"):
+            infer.predict(profile, bad)
+        with pytest.raises(ValueError, match="level must be one of"):
+            infer.tune_prominence([profile], {"u0": np.array([0.02])}, bad)
+    assert infer.LEVELS == audio.LEVELS == ("phoneme", "word")
+    assert infer.DEFAULT_PROMINENCE == 0.1
 
 
-def test_predicted_boundaries_must_increase():
-    with pytest.raises(ValueError, match="increasing"):
-        infer.PredictedBoundaries("u", "phoneme", np.array([0.1, 0.1]))
+curves = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=0, max_size=60)
+
+
+@given(curves, st.lists(st.integers(1, 3), min_size=61, max_size=61), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_predicted_boundaries_must_increase(curve, gaps, lo, hi):
+    # At both levels: times strictly increasing, and a higher prominence
+    # keeps a subset of the boundaries of a lower one.
+    lo, hi = min(lo, hi), max(lo, hi)
+    ends = np.cumsum(gaps[: len(curve) + 1]) - 1
+    profile = make_profile(dissim=curve, word=curve, ends=ends)
+    for level in infer.LEVELS:
+        low, high = infer.predict(profile, level, lo), infer.predict(profile, level, hi)
+        for times in (low, high):
+            assert times.dtype == np.float64
+            assert np.all(np.diff(times) > 0)
+        assert np.isin(high, low).all()
 
 
 def test_single_peak_lands_at_20ms():
     profile = make_profile(dissim=[0.0, 1.0, 0.0])
-    out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.5))
-    assert np.allclose(out.times, [0.020])
+    assert np.allclose(infer.predict(profile, "phoneme", 0.5), [0.020])
 
 
 def test_monotone_dissimilarity_gives_no_boundaries():
     profile = make_profile(dissim=np.linspace(0, 1, 10))
-    out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.0))
-    assert out.times.size == 0
+    assert infer.predict(profile, "phoneme", 0.0).size == 0
 
 
 def test_zero_prominence_keeps_every_local_maximum():
     profile = make_profile(dissim=[0.0, 0.5, 0.2, 0.8, 0.1])
-    out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.0))
-    assert np.allclose(out.times, [0.020, 0.040])
+    assert np.allclose(infer.predict(profile, "phoneme", 0.0), [0.020, 0.040])
 
 
 def test_empty_profile_gives_empty_output():
     profile = make_profile()
-    assert infer.phoneme_boundaries(profile, infer.PeakPickConfig()).times.size == 0
-    assert infer.word_boundaries(profile, infer.PeakPickConfig(level="word")).times.size == 0
+    assert infer.predict(profile, "phoneme").size == 0
+    assert infer.predict(profile, "word").size == 0
 
 
 def test_higher_prominence_never_adds_boundaries():
     rng = np.random.default_rng(0)
     for _ in range(20):
         profile = make_profile(dissim=rng.random(50))
-        counts = []
-        for prom in np.linspace(0, 1, 21):
-            out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=float(prom)))
-            counts.append(out.times.size)
+        counts = [infer.predict(profile, "phoneme", float(prom)).size for prom in np.linspace(0, 1, 21)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -72,35 +92,33 @@ def test_emitted_boundaries_are_strict_local_maxima():
     rng = np.random.default_rng(1)
     d = rng.random(200)
     profile = make_profile(dissim=d)
-    out = infer.phoneme_boundaries(profile, infer.PeakPickConfig(prominence=0.0))
-    assert out.times.size > 0
-    for t in out.times:
+    times = infer.predict(profile, "phoneme", 0.0)
+    assert times.size > 0
+    for t in times:
         idx = int(round(t / model.FRAME_HOP_S)) - 1
         assert d[idx] > d[idx - 1] and d[idx] > d[idx + 1]
 
 
 def test_word_boundary_at_segment_end_time():
     profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20])
-    out = infer.word_boundaries(profile, infer.PeakPickConfig(prominence=0.5, level="word"))
-    assert np.allclose(out.times, [0.070])
+    assert np.allclose(infer.predict(profile, "word", 0.5), [0.070])
 
 
 def test_word_needs_three_segments():
     profile = make_profile(word=[0.9], ends=[3, 8])
-    out = infer.word_boundaries(profile, infer.PeakPickConfig(prominence=0.0, level="word"))
-    assert out.times.size == 0
+    assert infer.predict(profile, "word", 0.0).size == 0
 
 
 def test_prominence_above_max_gives_empty():
     profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20])
-    out = infer.word_boundaries(profile, infer.PeakPickConfig(prominence=2.0, level="word"))
-    assert out.times.size == 0
+    assert infer.predict(profile, "word", 2.0).size == 0
 
 
 def test_predict_dispatches_on_level():
-    profile = make_profile(dissim=[0.0, 1.0, 0.0], word=[0.1, 0.9, 0.2], ends=[0, 1, 2, 3])
-    assert infer.predict(profile, infer.PeakPickConfig(level="phoneme")).level == "phoneme"
-    assert infer.predict(profile, infer.PeakPickConfig(level="word")).level == "word"
+    # The same junction index maps to different times at the two levels.
+    profile = make_profile(dissim=[0.0, 1.0, 0.0], word=[0.1, 0.9, 0.2], ends=[0, 4, 9, 12])
+    assert np.allclose(infer.predict(profile, "phoneme"), [0.020])
+    assert np.allclose(infer.predict(profile, "word"), [0.040])
 
 
 # ------------------------------------------------------------- model pass
@@ -123,7 +141,24 @@ def test_profile_shapes_are_consistent(small_net, synth_utt):
     assert m >= 1
     assert profile.segment_end_frames[-1] == n - 1
     assert profile.word_scores.shape == ((m - 1) if m >= 2 else 0,)
-    assert profile.duration_s == synth_utt.waveform.samples.size / 16000
+
+
+def test_profile_memory_is_linear_in_audio_length():
+    # Inference needs no chunking or length cap: its traced peak is about
+    # 1.0 MB (2^20 bytes) per second of audio, 5.1 / 19.8 / 58.8 / 293 MB
+    # at 5 / 20 / 60 / 300 s for the default model, so a 10-minute file
+    # needs about 0.6 GB.  The bound at 20 s leaves 25% headroom.
+    net = model.SCPCModel.init(model.ModelConfig(), seed=0)
+    spec = audio.default_spec(seed=0)
+    samples = np.concatenate([u.waveform.samples for u in audio.generate_corpus(spec, 80)])[: 20 * 16000]
+    assert samples.size == 20 * 16000
+    tracemalloc.start()
+    try:
+        infer.profile_utterance(net, samples, "long")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 / 20 < 1.25, f"peak {peak / 2**20:.1f} MB for 20 s"
 
 
 def test_profiles_are_bit_reproducible(small_net, synth_utt):
@@ -132,16 +167,14 @@ def test_profiles_are_bit_reproducible(small_net, synth_utt):
     assert np.array_equal(a.dissimilarity, b.dissimilarity)
     assert np.array_equal(a.word_scores, b.word_scores)
     assert np.array_equal(a.segment_end_frames, b.segment_end_frames)
-    pa = infer.phoneme_boundaries(a, infer.PeakPickConfig())
-    pb = infer.phoneme_boundaries(b, infer.PeakPickConfig())
-    assert np.array_equal(pa.times, pb.times)
+    assert np.array_equal(infer.predict(a, "phoneme"), infer.predict(b, "phoneme"))
 
 
 def test_short_utterance_warns_and_is_empty(small_net):
     with pytest.warns(UserWarning, match="too short"):
         profile = infer.profile_utterance(small_net, np.zeros(500, dtype=np.float32), "tiny")
     assert profile.dissimilarity.size == 0
-    assert infer.phoneme_boundaries(profile, infer.PeakPickConfig()).times.size == 0
+    assert infer.predict(profile, "phoneme").size == 0
 
 
 def test_profile_corpus_matches_sequential(small_net, tmp_path):
@@ -190,13 +223,11 @@ def test_tune_single_point_grid():
 def test_tune_beats_default_by_construction(small_net):
     spec = audio.default_spec(seed=11)
     utts = audio.generate_corpus(spec, 4)
-    profiles = [infer.profile_utterance(small_net, u.waveform.samples, u.phoneme.id) for u in utts]
-    refs = {u.phoneme.id: u.phoneme.times for u in utts}
-    durations = {u.phoneme.id: u.waveform.samples.size / 16000 for u in utts}
+    profiles = [infer.profile_utterance(small_net, u.waveform.samples, u.waveform.id) for u in utts]
+    refs = {u.waveform.id: u.phoneme_times for u in utts}
+    durations = {u.waveform.id: u.waveform.samples.size / 16000 for u in utts}
     result = infer.tune_prominence(profiles, refs, "phoneme", durations=durations)
-    default_cfg = infer.PeakPickConfig()
-    preds = {p.id: infer.phoneme_boundaries(p, default_cfg).times for p in profiles}
-    from scpc import metrics
+    preds = {p.id: infer.predict(p, "phoneme") for p in profiles}
     default_report = metrics.evaluate(preds, refs, durations=durations)
     if default_report.r_value is not None and result.r_value is not None:
         assert result.r_value >= default_report.r_value
@@ -212,12 +243,10 @@ def test_tune_rejects_empty_inputs():
 # ------------------------------------------------------------ file formats
 
 def test_write_and_read_predictions_roundtrip(tmp_path):
-    preds = [
-        infer.PredictedBoundaries("a", "phoneme", np.array([0.02, 0.10000049])),
-        infer.PredictedBoundaries("b", "phoneme", np.empty(0)),
-    ]
+    preds = {"b": np.empty(0), "a": np.array([0.02, 0.10000049])}
     manifest = infer.write_predictions(preds, tmp_path / "out", "phoneme")
     assert manifest.name == "predictions.tsv"
+    assert manifest.read_text() == "b\tb.txt\na\ta.txt\n"   # insertion order
     text = (tmp_path / "out" / "a.txt").read_text()
     assert text == "0.020000\n0.100000\n"
     assert (tmp_path / "out" / "b.txt").read_text() == ""

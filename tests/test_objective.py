@@ -131,8 +131,7 @@ def test_sample_distractors_memory_linear():
 def test_nfc_uniform_similarities_gives_log_k_plus_1():
     tape = dc.Tape()
     frames = f64(tape, np.tile([0.3, -0.7, 0.2], (12, 1)))
-    loss, n_anchors = obj.nfc_loss(frames, 10, np.random.default_rng(0))
-    assert n_anchors == 11
+    loss = obj.nfc_loss(frames, 10, np.random.default_rng(0))
     assert abs(float(loss.data) - np.log(11.0)) <= 1e-6
 
 
@@ -142,9 +141,8 @@ def test_nfc_hand_value():
     # to positive-first (-1 vs distractor 1) -> log(1 + e^2).
     tape = dc.Tape()
     frames = f64(tape, [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    loss, n_anchors = obj.nfc_loss(frames, 1, np.random.default_rng(0))
+    loss = obj.nfc_loss(frames, 1, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-2.0)) + np.log1p(np.exp(2.0))) / 2
-    assert n_anchors == 2
     assert abs(float(loss.data) - expected) <= 1e-6
 
 
@@ -161,12 +159,12 @@ def test_nfc_gradient_matches_fd():
     def f(arrays):
         tape = dc.Tape()
         x = tape.tensor(arrays[0], requires_grad=True)
-        loss, _ = obj.nfc_loss(x, 2, np.random.default_rng(7))
+        loss = obj.nfc_loss(x, 2, np.random.default_rng(7))
         return float(loss.data)
 
     tape = dc.Tape()
     x = tape.tensor(base, requires_grad=True)
-    loss, _ = obj.nfc_loss(x, 2, np.random.default_rng(7))
+    loss = obj.nfc_loss(x, 2, np.random.default_rng(7))
     tape.backward(loss)
     num = numeric_grad(f, [base])[0]
     assert rel_err(x.grad, num) <= 1e-4
@@ -180,7 +178,7 @@ def test_nfc_matches_per_column_loop(monkeypatch):
 
     tape = dc.Tape()
     x = tape.tensor(base, requires_grad=True)
-    loss, _ = obj.nfc_loss(x, 3, np.random.default_rng(0))
+    loss = obj.nfc_loss(x, 3, np.random.default_rng(0))
     tape.backward(loss)
 
     # The reference in numpy, in the ops' float32 arithmetic: each column's
@@ -232,25 +230,23 @@ def test_nsc_hand_value():
     tape = dc.Tape()
     segments = f64(tape, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     contexts = f64(tape, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    loss, n_anchors = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
+    loss = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-1.0)) + np.log1p(np.exp(1.0))) / 2
-    assert n_anchors == 2
     assert abs(float(loss.data) - expected) <= 1e-6
 
 
 def test_nsc_uniform_similarities_gives_log_k_plus_1():
     tape = dc.Tape()
     same = np.tile([0.5, 0.5], (9, 1))
-    loss, n_anchors = obj.nsc_loss(f64(tape, same), f64(tape, same), 5, np.random.default_rng(0))
-    assert n_anchors == 8
+    loss = obj.nsc_loss(f64(tape, same), f64(tape, same), 5, np.random.default_rng(0))
     assert abs(float(loss.data) - np.log(6.0)) <= 1e-6
 
 
 def test_nsc_single_segment_gives_none():
     tape = dc.Tape()
     one = f64(tape, [[1.0, 0.0]])
-    loss, n_anchors = obj.nsc_loss(one, one, 5, np.random.default_rng(0))
-    assert loss is None and n_anchors == 0
+    loss = obj.nsc_loss(one, one, 5, np.random.default_rng(0))
+    assert loss is None
 
 
 def test_nsc_two_segments_zero_loss():
@@ -258,8 +254,7 @@ def test_nsc_two_segments_zero_loss():
     tape = dc.Tape()
     segments = f64(tape, [[1.0, 0.0], [0.0, 1.0]])
     contexts = f64(tape, [[0.5, 0.5], [0.5, 0.5]])
-    loss, n_anchors = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
-    assert n_anchors == 1
+    loss = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
     assert float(loss.data) == 0.0
 
 
@@ -278,13 +273,13 @@ def test_nsc_gradient_matches_fd():
         tape = dc.Tape()
         s = tape.tensor(arrays[0], requires_grad=True)
         c = tape.tensor(arrays[1], requires_grad=True)
-        loss, _ = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
+        loss = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
         return float(loss.data)
 
     tape = dc.Tape()
     s = tape.tensor(seg0, requires_grad=True)
     c = tape.tensor(ctx0, requires_grad=True)
-    loss, _ = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
+    loss = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
     tape.backward(loss)
     nums = numeric_grad(f, [seg0, ctx0])
     assert rel_err(s.grad, nums[0]) <= 1e-4
@@ -315,7 +310,6 @@ def test_utterance_loss_inactive_skips_segment_branch():
     total, report = obj.utterance_loss(frames, segments, contexts, 1, 1, False, np.random.default_rng(0))
     assert report.nsc is None
     assert report.total == report.nfc == float(total.data)
-    assert report.n_frame_anchors == 2 and report.n_segment_anchors == 0
 
 
 def test_utterance_loss_active_adds_both():
@@ -327,7 +321,6 @@ def test_utterance_loss_active_adds_both():
     assert abs(report.nfc - nfc_expected) <= 1e-6
     assert abs(report.nsc - nsc_expected) <= 1e-6
     assert abs(float(total.data) - (nfc_expected + nsc_expected)) <= 1e-6
-    assert report.n_segment_anchors == 2
 
 
 def test_full_model_all_parameters_receive_gradient():
