@@ -1,10 +1,11 @@
 """Waveform I/O, boundary annotations, and the synthetic evaluation corpus.
 
-Real corpora are ingested from mono RIFF/WAVE files (16-bit PCM or float32)
-plus TIMIT-style alignment files.  The synthetic corpus renders each phone as
-a stationary mix of sine partials over a noise floor, concatenates phones
-with short cross-fades, and emits exact sample-accurate boundary annotations,
-which makes segmentation quality measurable without any external data.
+Real corpora are ingested from mono 16 kHz RIFF/WAVE files (16-bit PCM or
+float32) plus TIMIT-style alignment files, listed in a manifest.  The
+synthetic corpus renders each phone as a stationary mix of sine partials
+over a noise floor, concatenates phones with short cross-fades, and emits
+exact sample-accurate boundary annotations, which makes segmentation quality
+measurable without any external data.
 
 Boundary time convention: an annotation is a plain, strictly increasing
 float64 array of segment *end* times in seconds, so the final entry
@@ -13,6 +14,7 @@ coincides with the utterance end (scoring strips it along with time zero).
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,8 +23,8 @@ import numpy as np
 from scipy.io import wavfile
 
 __all__ = [
+    "SAMPLE_RATE",
     "Waveform",
-    "PhoneTemplate",
     "SynthSpec",
     "SynthUtterance",
     "load_wav",
@@ -37,6 +39,7 @@ __all__ = [
     "load_references",
 ]
 
+SAMPLE_RATE = 16000     # the only rate the model and the alignments accept
 LEVELS = ("phoneme", "word")
 
 
@@ -53,20 +56,15 @@ class Waveform:
             raise ValueError(f"waveform must be mono 1-D, got shape {self.samples.shape}")
         if self.samples.dtype != np.float32:
             raise ValueError(f"waveform samples must be float32, got {self.samples.dtype}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 def load_wav(path: str | Path) -> Waveform:
-    """Read a mono RIFF/WAVE file (16-bit PCM or float32) as float32 in [-1, 1].
+    """Read a mono 16 kHz RIFF/WAVE file (16-bit PCM or float32) as float32
+    in [-1, 1].
 
     Truncated files are an error, not a warning: silently shortened audio
-    would skew boundary scoring.  So are float32 files with non-finite
-    samples or samples outside [-1, 1].
+    would skew boundary scoring.  So are other sample rates, and float32
+    files with non-finite samples or samples outside [-1, 1].
     """
     path = Path(path)
     try:
@@ -77,6 +75,8 @@ def load_wav(path: str | Path) -> Waveform:
         raise ValueError(f"{path}: unreadable or unsupported wav file ({exc})") from exc
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.shape[1]} channels")
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: sample rate {rate} != {SAMPLE_RATE}; resample first")
     if data.dtype == np.int16:
         samples = (data / 32768.0).astype(np.float32)
     elif data.dtype == np.float32:
@@ -85,28 +85,22 @@ def load_wav(path: str | Path) -> Waveform:
             raise ValueError(f"{path}: float32 samples must be finite and within [-1, 1]")
     else:
         raise ValueError(f"{path}: unsupported sample format {data.dtype}; use 16-bit PCM or float32")
-    return Waveform(samples, int(rate), id=path.stem)
+    return Waveform(samples, SAMPLE_RATE)
 
 
-def write_wav(path: str | Path, waveform: Waveform, encoding: str = "pcm16") -> None:
-    """Write a waveform as 16-bit PCM (default) or float32 RIFF/WAVE."""
-    path = Path(path)
-    if encoding == "pcm16":
-        ints = np.clip(np.round(waveform.samples.astype(np.float64) * 32768.0), -32768, 32767)
-        wavfile.write(path, waveform.sample_rate, ints.astype(np.int16))
-    elif encoding == "float32":
-        wavfile.write(path, waveform.sample_rate, waveform.samples)
-    else:
-        raise ValueError(f"unknown wav encoding {encoding!r}; use 'pcm16' or 'float32'")
+def write_wav(path: str | Path, waveform: Waveform) -> None:
+    """Write a waveform as 16-bit PCM RIFF/WAVE."""
+    ints = np.clip(np.round(waveform.samples.astype(np.float64) * 32768.0), -32768, 32767)
+    wavfile.write(Path(path), waveform.sample_rate, ints.astype(np.int16))
 
 
 def parse_alignment_file(path: str | Path) -> np.ndarray:
     """Boundary times (seconds) from a TIMIT-style alignment file.
 
     Lines are ``<start_sample> <end_sample> <label>`` at 16 kHz; boundary
-    times are the segment end samples divided by 16000.  Sample indices must
-    be nonnegative, spans nonempty, and each span must start at or after the
-    previous end, so the times are strictly increasing.
+    times are the segment end samples divided by ``SAMPLE_RATE``.  Sample
+    indices must be nonnegative, spans nonempty, and each span must start at
+    or after the previous end, so the times are strictly increasing.
     """
     path = Path(path)
     times: list[float] = []
@@ -128,42 +122,35 @@ def parse_alignment_file(path: str | Path) -> np.ndarray:
         if prev_end is not None and start < prev_end:
             raise ValueError(f"{path}:{n}: span starts at {start}, before previous end {prev_end}")
         prev_end = end
-        times.append(end / 16000)
+        times.append(end / SAMPLE_RATE)
     return np.asarray(times, dtype=np.float64)
 
 
 # --- synthetic corpus ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PhoneTemplate:
-    """Stationary spectral recipe: sine partial frequencies over a noise floor."""
-
-    frequencies: tuple[float, ...]
+PHONE_MS = (60.0, 120.0)   # uniform range of phone durations
+CROSSFADE_MS = 16.0        # linear fade across each interior join
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     """Everything that determines a synthetic corpus, down to the seed.
 
-    Utterance ``i`` depends only on ``(seed, i)``, so corpora are reproducible
-    and splits taken by index range never overlap in content.
+    Each phone is a tuple of sine partial frequencies (Hz) over a noise
+    floor.  Utterance ``i`` depends only on ``(seed, i)``, so corpora are
+    reproducible and splits taken by index range never overlap in content.
     """
 
-    phones: tuple[PhoneTemplate, ...]
+    phones: tuple[tuple[float, ...], ...]
     lexicon: tuple[tuple[int, ...], ...]
-    duration_ms: tuple[float, float] = (60.0, 120.0)
     words_per_utterance: tuple[int, int] = (3, 5)
     silence_prob: float = 0.0
-    sample_rate: int = 16000
     seed: int = 0
-    crossfade_ms: float = 16.0
 
     def __post_init__(self):
-        if not self.phones:
-            raise ValueError("spec needs at least one phone template")
-        nyquist = self.sample_rate / 2
-        for i, ph in enumerate(self.phones):
-            if any(f <= 0 or f >= nyquist for f in ph.frequencies):
+        nyquist = SAMPLE_RATE / 2
+        for i, freqs in enumerate(self.phones):
+            if any(f <= 0 or f >= nyquist for f in freqs):
                 raise ValueError(f"phone {i}: partial frequencies must lie in (0, {nyquist})")
         if not self.lexicon:
             raise ValueError("lexicon must not be empty")
@@ -174,16 +161,11 @@ class SynthSpec:
                 raise ValueError(f"word {w}: phone index out of range")
         if len(set(self.lexicon)) != len(self.lexicon):
             raise ValueError("lexicon contains duplicate words")
-        lo, hi = self.duration_ms
-        if lo < 60.0 or hi < lo:
-            raise ValueError(f"phone durations must satisfy 60 <= lo <= hi, got {self.duration_ms}")
         lo_w, hi_w = self.words_per_utterance
         if lo_w < 1 or hi_w < lo_w:
             raise ValueError(f"words_per_utterance must satisfy 1 <= lo <= hi, got {self.words_per_utterance}")
         if not 0.0 <= self.silence_prob <= 1.0:
             raise ValueError(f"silence_prob must be in [0, 1], got {self.silence_prob}")
-        if self.crossfade_ms <= 0.0:
-            raise ValueError(f"crossfade_ms must be positive, got {self.crossfade_ms}")
 
 
 @dataclass(frozen=True)
@@ -214,11 +196,11 @@ def default_spec(seed: int = 0) -> SynthSpec:
     change.
     """
     phones = (
-        PhoneTemplate((250.0, 2100.0)),
-        PhoneTemplate((420.0, 1150.0, 2600.0)),
-        PhoneTemplate((640.0, 1750.0)),
-        PhoneTemplate((880.0, 1350.0, 3000.0)),
-        PhoneTemplate((330.0, 3400.0)),
+        (250.0, 2100.0),
+        (420.0, 1150.0, 2600.0),
+        (640.0, 1750.0),
+        (880.0, 1350.0, 3000.0),
+        (330.0, 3400.0),
     )
     lexicon = (
         (0, 3, 1, 3),
@@ -238,15 +220,15 @@ _PHONE_NOISE = 0.02      # noise floor under every phone
 _SILENCE_NOISE = 0.0015
 
 
-def _render_segment(spec: SynthSpec, template: PhoneTemplate | None, n: int, rng: np.random.Generator) -> np.ndarray:
-    t = np.arange(n, dtype=np.float64) / spec.sample_rate
-    if template is None:  # silence: noise floor only, kept nonzero on purpose
+def _render_segment(freqs: tuple[float, ...] | None, n: int, rng: np.random.Generator) -> np.ndarray:
+    t = np.arange(n, dtype=np.float64) / SAMPLE_RATE
+    if freqs is None:  # silence: noise floor only, kept nonzero on purpose
         return (_SILENCE_NOISE * rng.standard_normal(n)).astype(np.float64)
     x = np.zeros(n, dtype=np.float64)
-    for f in template.frequencies:
+    for f in freqs:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         x += np.sin(2.0 * np.pi * f * t + phase)
-    x *= _PHONE_AMPLITUDE / max(len(template.frequencies), 1)
+    x *= _PHONE_AMPLITUDE / max(len(freqs), 1)
     x += _PHONE_NOISE * rng.standard_normal(n)
     return x
 
@@ -274,13 +256,13 @@ def generate_utterance(spec: SynthSpec, index: int) -> SynthUtterance:
             segments.append(("sil", None))
             word_of_segment.append(None)
 
-    lo, hi = spec.duration_ms
-    lengths = [int(round(rng.uniform(lo, hi) * spec.sample_rate / 1000.0)) for _ in segments]
-    rendered = [_render_segment(spec, spec.phones[tpl] if tpl is not None else None, n, rng) for (_, tpl), n in zip(segments, lengths)]
+    lo, hi = PHONE_MS
+    lengths = [int(round(rng.uniform(lo, hi) * SAMPLE_RATE / 1000.0)) for _ in segments]
+    rendered = [_render_segment(spec.phones[tpl] if tpl is not None else None, n, rng) for (_, tpl), n in zip(segments, lengths)]
 
     # In-place linear fades across each interior join; segment lengths never
     # change, so sample bookkeeping below stays exact.
-    half = max(1, int(round(spec.crossfade_ms * spec.sample_rate / 2000.0)))
+    half = max(1, int(round(CROSSFADE_MS * SAMPLE_RATE / 2000.0)))
     fades = [min(half, a.size, b.size) for a, b in zip(rendered[:-1], rendered[1:])]
     for (a, b), k in zip(zip(rendered[:-1], rendered[1:]), fades):
         a[-k:] *= np.linspace(1.0, 0.0, k + 1)[1:]
@@ -288,7 +270,7 @@ def generate_utterance(spec: SynthSpec, index: int) -> SynthUtterance:
 
     samples = np.concatenate(rendered)
     np.clip(samples, -1.0, 1.0, out=samples)
-    wav = Waveform(samples.astype(np.float32), spec.sample_rate, id=f"u{index:05d}")
+    wav = Waveform(samples.astype(np.float32), SAMPLE_RATE, id=f"u{index:05d}")
 
     # Interior boundaries land at fade onset (cumulative length minus the fade
     # half-width actually applied); the utterance end has no fade.
@@ -306,8 +288,8 @@ def generate_utterance(spec: SynthSpec, index: int) -> SynthUtterance:
 
     return SynthUtterance(
         waveform=wav,
-        phoneme_times=ends / spec.sample_rate,
-        word_times=np.asarray([e for _, e in word_spans]) / spec.sample_rate,
+        phoneme_times=ends / SAMPLE_RATE,
+        word_times=np.asarray([e for _, e in word_spans]) / SAMPLE_RATE,
         phone_labels=tuple(lbl for lbl, _ in segments),
         phone_spans=phone_spans,
         word_labels=tuple(word_labels),
@@ -324,7 +306,7 @@ def _write_spans(path: Path, spans, labels) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def save_corpus(utterances: list[SynthUtterance], out_dir: str | Path, manifest_name: str = "manifest.tsv") -> Path:
+def save_corpus(utterances: list[SynthUtterance], out_dir: str | Path) -> Path:
     """Write wav + TIMIT-style .phn/.wrd files and a manifest; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,7 +319,7 @@ def save_corpus(utterances: list[SynthUtterance], out_dir: str | Path, manifest_
         _write_spans(phn_path, utt.phone_spans, utt.phone_labels)
         _write_spans(wrd_path, utt.word_spans, utt.word_labels)
         records.append((wav_path.name, phn_path.name, wrd_path.name))
-    manifest = out / manifest_name
+    manifest = out / "manifest.tsv"
     write_manifest(records, manifest)
     return manifest
 
@@ -348,31 +330,43 @@ def write_manifest(records, path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines))
 
 
-def read_manifest(path: str | Path) -> list[tuple[Path, Path, Path]]:
-    """Resolve a ``wav<TAB>phn<TAB>wrd`` manifest; every referenced file must exist."""
+def read_manifest(path: str | Path) -> dict[str, tuple[Path, Path, Path]]:
+    """Resolve a ``wav<TAB>phn<TAB>wrd`` manifest into utterance id -> paths,
+    in manifest order; every referenced file must exist.
+
+    An utterance's id is its wav path relative to the deepest directory that
+    holds every wav of the manifest, without the suffix: the file stem for a
+    flat corpus, ``DR1/FCJF0/SX127`` for a TIMIT tree.  Two rows with the
+    same id are an error.
+    """
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"{path} is a directory; pass the manifest file inside it (e.g. {path / 'manifest.tsv'})")
     base = path.parent
-    records = []
+    rows: dict[int, tuple[Path, Path, Path]] = {}   # line number -> files
     for n, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{n}: expected 3 tab-separated paths, got {len(parts)}")
-        resolved = tuple((base / p).resolve() for p in parts)
-        for p in resolved:
+        rows[n] = tuple((base / p).resolve() for p in parts)
+        for p in rows[n]:
             if not p.exists():
                 raise FileNotFoundError(f"{path}:{n}: manifest references missing file {p}")
-        records.append(resolved)
-    if not records:
+    if not rows:
         raise ValueError(f"{path}: manifest is empty")
-    return records
+    root = Path(os.path.commonpath([wav.parent for wav, _, _ in rows.values()]))
+    lines: dict[str, int] = {}   # utterance id -> line number
+    for n, (wav, _, _) in rows.items():
+        utt_id = wav.relative_to(root).with_suffix("").as_posix()
+        if lines.setdefault(utt_id, n) != n:
+            raise ValueError(f"{path}:{n}: utterance id {utt_id!r} repeats line {lines[utt_id]}")
+    return dict(zip(lines, rows.values()))
 
 
 def load_references(manifest: str | Path, level: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Reference times and durations per utterance of a manifest.
+    """Reference times and durations per utterance id of a manifest.
 
     ``level`` picks the manifest's phoneme or word alignment column.  The
     final annotated end time doubles as the duration, so no audio needs
@@ -382,10 +376,11 @@ def load_references(manifest: str | Path, level: str) -> tuple[dict[str, np.ndar
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     refs: dict[str, np.ndarray] = {}
     durations: dict[str, float] = {}
-    for wav, phn, wrd in read_manifest(manifest):
-        times = parse_alignment_file(phn if level == "phoneme" else wrd)
+    for utt_id, (_, phn, wrd) in read_manifest(manifest).items():
+        ann = phn if level == "phoneme" else wrd
+        times = parse_alignment_file(ann)
         if times.size == 0:
-            raise ValueError(f"{wav.stem}: empty {level} annotation")
-        refs[wav.stem] = times
-        durations[wav.stem] = float(times[-1])
+            raise ValueError(f"{ann}: empty {level} annotation")
+        refs[utt_id] = times
+        durations[utt_id] = float(times[-1])
     return refs, durations

@@ -30,7 +30,7 @@ def _echo_config(out_dir: Path, payload: dict) -> None:
 def _profile_manifest(args) -> list[infer.UtteranceProfile]:
     """Load the checkpoint once and profile every utterance of the manifest."""
     net = model.load_checkpoint(args.ckpt)[0]
-    entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(args.manifest)]
+    entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in audio.read_manifest(args.manifest).items()]
     return infer.profile_corpus(net, entries, workers=args.workers)
 
 

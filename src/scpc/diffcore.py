@@ -67,10 +67,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -98,17 +94,13 @@ class Tape:
         self._nodes: list[_Node] = []
         self._spent = False
 
-    def tensor(self, data, requires_grad: bool = False, dtype=None) -> Tensor:
+    def tensor(self, data, requires_grad: bool = False) -> Tensor:
         """Create a leaf tensor on this tape.
 
-        Python scalars and lists default to float32; numpy arrays keep their
-        dtype, which must be float32 or float64.
+        Python and numpy scalars and lists become float32; numpy arrays keep
+        their dtype, which must be float32 or float64.
         """
-        if isinstance(data, Tensor):
-            raise TypeError("tensor() expects raw array data, not a Tensor")
-        if dtype is None and not isinstance(data, np.ndarray):
-            dtype = np.float32
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data, dtype=None if isinstance(data, np.ndarray) else np.float32)
         if arr.dtype.type not in _ALLOWED_DTYPES:
             raise TypeError(f"tensor dtype must be float32 or float64, got {arr.dtype}")
         return Tensor(arr, requires_grad, self, is_leaf=True)
@@ -211,19 +203,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape._record((a, b), out, vjp)
 
 
-def narrow(x: Tensor, start: int, length: int, axis: int = 0) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis`` starting at ``start``."""
-    n = x.data.shape[axis]
+def narrow(x: Tensor, start: int, length: int) -> Tensor:
+    """Rows ``start`` .. ``start + length - 1`` of ``x``, as a copy."""
+    n = x.data.shape[0]
     if start < 0 or length < 0 or start + length > n:
-        raise ValueError(f"narrow: slice [{start}, {start + length}) out of range for size {n}")
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = x.data[idx].copy()
+        raise ValueError(f"narrow: rows [{start}, {start + length}) out of range for {n} rows")
+    rows = slice(start, start + length)
+    out = x.data[rows].copy()
 
     def vjp(g):
         full = np.zeros_like(x.data)
-        full[idx] = g
+        full[rows] = g
         return (full,)
 
     return x.tape._record((x,), out, vjp)

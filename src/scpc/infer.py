@@ -108,10 +108,7 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
 
 def _profile_wav(net: model.SCPCModel, entry: tuple[str, str]) -> UtteranceProfile:
     wav_path, utt_id = entry
-    wave = audio.load_wav(wav_path)
-    if wave.sample_rate != net.config.sample_rate:
-        raise ValueError(f"{utt_id}: sample rate {wave.sample_rate} != model's {net.config.sample_rate}; resample first")
-    return profile_utterance(net, wave.samples, utt_id)
+    return profile_utterance(net, audio.load_wav(wav_path).samples, utt_id)
 
 
 _POOL_NET: model.SCPCModel | None = None
@@ -138,11 +135,6 @@ def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers
         return [_profile_wav(net, e) for e in entries]
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(net,)) as pool:
         return list(pool.map(_pool_profile, entries))
-
-
-def _check_prominence(prominence: float) -> None:
-    if prominence < 0:
-        raise ValueError(f"prominence must be >= 0, got {prominence}")
 
 
 def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +165,8 @@ def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarra
 
 def predict(profile: UtteranceProfile, level: str, prominence: float = DEFAULT_PROMINENCE) -> np.ndarray:
     """Boundary times (s) of the ``level`` peaks whose prominence is >= ``prominence``."""
-    _check_prominence(prominence)
+    if prominence < 0:
+        raise ValueError(f"prominence must be >= 0, got {prominence}")
     times, prominences = _peaks(profile, level)
     return times[prominences >= prominence]
 
@@ -184,9 +177,9 @@ def tune_prominence(
     level: str,
     durations: dict[str, float] | None = None,
     tolerance: float = metrics.DEFAULT_TOLERANCE,
-    grid: tuple[float, ...] = PROMINENCE_GRID,
 ) -> TuneResult:
-    """Grid-search prominence maximizing the pooled R-value on a labeled set.
+    """Search ``PROMINENCE_GRID`` for the prominence maximizing the pooled
+    R-value on a labeled set.
 
     Ties break toward the larger prominence (fewer boundaries).  Grid points
     where no boundaries are predicted score as negative infinity.  Scores
@@ -196,10 +189,6 @@ def tune_prominence(
     """
     if not profiles:
         raise ValueError("tune_prominence: empty validation set")
-    if not grid:
-        raise ValueError("tune_prominence: empty grid")
-    for prom in grid:
-        _check_prominence(prom)
     peaks = {p.id: _peaks(p, level) for p in profiles}
     if durations is not None:
         # A peak's time and prominence are kept or dropped together.
@@ -210,7 +199,7 @@ def tune_prominence(
     pooled = metrics.scorer(refs, tolerance)
     best_prom, best_rv, best_score = None, None, -np.inf
     rows = []
-    for prom in grid:
+    for prom in PROMINENCE_GRID:
         report = pooled({k: times[prominences >= prom] for k, (times, prominences) in peaks.items()})
         rows.append((prom, report.r_value))
         score = -np.inf if report.r_value is None else report.r_value
@@ -224,7 +213,8 @@ def write_predictions(preds: Mapping[str, np.ndarray], out_dir: str | Path, leve
 
     ``preds`` maps utterance ids to boundary times and is written in its
     insertion order.  Each ``<id>.txt`` holds one time per line with six
-    decimals; the manifest ``predictions.tsv`` maps ids to files and
+    decimals, in the subdirectories an id such as ``DR1/FCJF0/SX127``
+    implies; the manifest ``predictions.tsv`` maps ids to files and
     ``report.json`` records counts.
     """
     out = Path(out_dir)
@@ -233,6 +223,7 @@ def write_predictions(preds: Mapping[str, np.ndarray], out_dir: str | Path, leve
     counts = []
     for utt_id, times in preds.items():
         fname = f"{utt_id}.txt"
+        (out / fname).parent.mkdir(parents=True, exist_ok=True)
         (out / fname).write_text("".join(f"{t:.6f}\n" for t in times))
         manifest_lines.append(f"{utt_id}\t{fname}")
         counts.append({"id": utt_id, "n_boundaries": int(times.size)})
@@ -255,13 +246,19 @@ def read_predictions(pred_dir: str | Path) -> dict[str, np.ndarray]:
     if not manifest.is_file():
         raise FileNotFoundError(f"no predictions.tsv in {pred_dir}")
     out: dict[str, np.ndarray] = {}
-    for line in manifest.read_text().splitlines():
+    for n, line in enumerate(manifest.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        utt_id, fname = line.split("\t")
-        text = (pred_dir / fname).read_text()
-        times = np.array([float(v) for v in text.split()], dtype=np.float64)
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{manifest}:{n}: expected '<id><TAB><file>', got {line!r}")
+        utt_id, fname = parts
+        path = pred_dir / fname
+        try:
+            times = np.array([float(v) for v in path.read_text().split()], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric boundary time ({exc})") from exc
         if times.size and np.any(np.diff(times) <= 0):
-            raise ValueError(f"{utt_id}: boundary file {fname} is not strictly increasing")
+            raise ValueError(f"{path}: boundary times are not strictly increasing")
         out[utt_id] = times
     return out

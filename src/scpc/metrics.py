@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 0.020
+_EDGE_EPS = 1e-6   # seconds; a boundary this close to an utterance edge is on it
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,14 @@ def r_value(recall: float, os: float) -> float:
     return 1.0 - (abs(r1) + abs(r2)) / 2.0
 
 
-def strip_edges(times: Sequence[float], duration: float, eps: float = 1e-6) -> np.ndarray:
+def strip_edges(times: Sequence[float], duration: float) -> np.ndarray:
     """Drop boundaries at the utterance start (0) and end (duration).
 
     Annotations store segment end times, so the final reference boundary
     coincides with the utterance end and never counts toward scoring.
     """
     t = np.asarray(times, dtype=np.float64)
-    return t[(t > eps) & (t < duration - eps)]
+    return t[(t > _EDGE_EPS) & (t < duration - _EDGE_EPS)]
 
 
 def evaluate(

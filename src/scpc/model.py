@@ -15,12 +15,14 @@ gradient clipping, and checkpoints can treat them uniformly.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import boundary as bd
+from .audio import SAMPLE_RATE
 from . import diffcore as dc
 
 __all__ = [
@@ -46,7 +48,7 @@ KERNELS = (10, 8, 4, 4, 4)
 STRIDES = (5, 4, 2, 2, 2)
 RECEPTIVE_FIELD = 465   # samples: 1 + sum((k-1) * prod(earlier strides))
 TOTAL_STRIDE = 160      # samples between frames: 10 ms at 16 kHz
-FRAME_HOP_S = TOTAL_STRIDE / 16000.0
+FRAME_HOP_S = TOTAL_STRIDE / SAMPLE_RATE
 
 CHECKPOINT_VERSION = 1
 
@@ -68,14 +70,14 @@ class ModelConfig:
     frame_dim: int = 64    # latent width per frame
     segment_dim: int = 64  # segment and context width
     thres: float = 0.09    # peak threshold used for segmentation
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         if self.frame_dim < 1 or self.segment_dim < 1:
             raise ValueError(f"dims must be positive, got frame_dim={self.frame_dim} segment_dim={self.segment_dim}")
         if not 0.0 <= self.thres <= 1.0:
             raise ValueError(f"thres must be in [0, 1], got {self.thres}")
-        if self.sample_rate != 16000:
+        if self.sample_rate != SAMPLE_RATE:
             raise ValueError(f"only 16 kHz input is supported, got {self.sample_rate}; resample first")
 
 
@@ -113,9 +115,6 @@ class SCPCModel:
         params["ctx_w_h"] = _uniform(rng, (q, q), q)
         params["ctx_b"] = np.zeros(q, dtype=np.float32)
         return cls(config, params)
-
-    def leaf_tensors(self, tape: dc.Tape) -> dict[str, dc.Tensor]:
-        return {name: tape.tensor(arr, requires_grad=True) for name, arr in self.params.items()}
 
 
 def frame_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray) -> dc.Tensor:
@@ -181,14 +180,24 @@ def save_checkpoint(path: str | Path, model: SCPCModel, extra_arrays: dict[str, 
 
 def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray], dict | None]:
     """Read a checkpoint, checking each parameter's name, shape and dtype against
-    its config; returns (model, extra arrays, train config echo)."""
+    its config; returns (model, extra arrays, train config echo).  Every
+    structural fault is a one-line ``ValueError`` that names the file."""
     path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array")
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an npz checkpoint") from exc
+    with data:
         if "format_version" not in data or int(data["format_version"]) != CHECKPOINT_VERSION:
             found = int(data["format_version"]) if "format_version" in data else None
             raise ValueError(f"{path}: checkpoint format version mismatch (found {found}, expected {CHECKPOINT_VERSION})")
-        config_raw = json.loads(str(data["config_json"]))
-        config = ModelConfig(**config_raw["model"])
+        try:
+            config_raw = json.loads(str(data["config_json"]))
+            config = ModelConfig(**config_raw["model"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable model config ({type(exc).__name__}: {exc})") from exc
         params = {k[len("param/") :]: data[k] for k in data.files if k.startswith("param/")}
         extras = {k[len("extra/") :]: data[k] for k in data.files if k.startswith("extra/")}
     expected = SCPCModel.init(config, seed=0).params

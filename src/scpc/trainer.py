@@ -89,20 +89,21 @@ class TrainConfig:
 
 # ------------------------------------------------------------ configuration
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment, blank lines skipped."""
+def parse_config_text(text: str, path: str | Path) -> dict[str, str]:
+    """Flat ``key = value`` lines of the config file ``path``; '#' starts a
+    comment, blank lines skipped.  Errors name ``path`` and the line."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise ValueError(f"config line {lineno}: empty key or value in {raw!r}")
+            raise ValueError(f"{path}:{lineno}: empty key or value in {raw!r}")
         if key in out:
-            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -114,16 +115,17 @@ def resolve_config(path: str | Path | None = None, overrides: dict | None = None
     """Defaults, overridden in order by the config file and by explicit
     overrides (None override values are ignored).
 
-    Unknown file keys are rejected together, so a typo'd config fails with
-    the full list.
+    Errors in the file name it.  Unknown file keys are rejected together,
+    so a typo'd config fails with the full list.
     """
     fields = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(TrainConfig)}
     values: dict[str, object] = {}
+    where = "" if path is None else f"{path}: "
     if path is not None:
-        raw = parse_config_text(Path(path).read_text())
+        raw = parse_config_text(Path(path).read_text(), path)
         unknown = sorted(set(raw) - set(fields))
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            raise ValueError(f"{where}unknown config keys: {', '.join(unknown)}")
         values.update(raw)
     for name, value in (overrides or {}).items():
         if name not in fields:
@@ -135,21 +137,18 @@ def resolve_config(path: str | Path | None = None, overrides: dict | None = None
         try:
             typed[name] = fields[name](value)
         except (TypeError, ValueError) as e:
-            raise ValueError(f"config key {name!r}: cannot parse {value!r} as {fields[name].__name__}") from e
-    return TrainConfig(**typed)
+            raise ValueError(f"{where}config key {name!r}: cannot parse {value!r} as {fields[name].__name__}") from e
+    try:
+        return TrainConfig(**typed)
+    except ValueError as e:
+        raise ValueError(f"{where}{e}") from e
 
 
 # ------------------------------------------------------------------- data
 
-def load_dataset(manifest_path: str | Path) -> list[audio.Waveform]:
-    """The training audio of a manifest; its annotations are never read."""
-    waves = []
-    for wav_path, _, _ in audio.read_manifest(manifest_path):
-        wave = audio.load_wav(wav_path)
-        if wave.sample_rate != 16000:
-            raise ValueError(f"{wav_path}: sample rate {wave.sample_rate} != 16000; resample first")
-        waves.append(wave)
-    return waves
+def load_dataset(manifest_path: str | Path) -> dict[str, np.ndarray]:
+    """Training samples by utterance id; the annotations are never read."""
+    return {utt_id: audio.load_wav(wav).samples for utt_id, (wav, _, _) in audio.read_manifest(manifest_path).items()}
 
 
 # -------------------------------------------------------------- optimizer
@@ -215,9 +214,6 @@ class TrainResult:
     model: model.SCPCModel
 
 
-_RESUME_FREE_FIELDS = {"epochs"}   # the run's extent, not its math
-
-
 def _save_state(path: Path, net: model.SCPCModel, state: _OptState, completed_epochs: int, config: TrainConfig) -> None:
     extras = {
         "epoch": np.asarray(completed_epochs, dtype=np.int64),
@@ -229,6 +225,17 @@ def _save_state(path: Path, net: model.SCPCModel, state: _OptState, completed_ep
     tmp = path.with_suffix(".tmp.npz")
     model.save_checkpoint(tmp, net, extra_arrays=extras, train_config=dataclasses.asdict(config))
     os.replace(tmp, path)
+
+
+def _check_opt_state(path: str | Path, extras: dict[str, np.ndarray], params: dict[str, np.ndarray]) -> None:
+    """Resume needs every array ``_save_state`` writes, with its shape and dtype."""
+    expected = {"epoch": np.int64(0), "adam_t": np.int64(0)}
+    expected.update({f"adam_{m}/{k}": p for m in "mv" for k, p in params.items()})
+    for name, ref in expected.items():
+        found = extras.get(name)
+        if found is None or found.shape != ref.shape or found.dtype != ref.dtype:
+            got = "is missing" if found is None else f"is {found.dtype} {found.shape}"
+            raise ValueError(f"{path}: optimizer state extra/{name} {got}, expected {ref.dtype} {ref.shape}; cannot resume")
 
 
 def train(
@@ -247,11 +254,11 @@ def train(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    items = load_dataset(manifest_path)
+    items = list(load_dataset(manifest_path).items())
     if len(items) < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
     # Validation holds only annotations; profile_corpus streams its audio each epoch.
-    val_entries = [(str(wav), wav.stem) for wav, _, _ in audio.read_manifest(val_manifest_path)] if val_manifest_path else []
+    val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in audio.read_manifest(val_manifest_path).items()] if val_manifest_path else []
     val_refs = {level: audio.load_references(val_manifest_path, level) for level in infer.LEVELS} if val_manifest_path else {}
     min_frames = config.k_frame + 2
 
@@ -263,12 +270,13 @@ def train(
         if unknown:
             raise ValueError(f"{resume_from}: checkpoint training config has unknown keys: {', '.join(unknown)}; cannot resume")
         stored = TrainConfig(**echoed)
-        mismatched = [
+        mismatched = [   # epochs is the run's extent, not its math
             f.name for f in dataclasses.fields(TrainConfig)
-            if f.name not in _RESUME_FREE_FIELDS and getattr(stored, f.name) != getattr(config, f.name)
+            if f.name != "epochs" and getattr(stored, f.name) != getattr(config, f.name)
         ]
         if mismatched:
             raise ValueError(f"resume config differs from checkpoint on: {', '.join(mismatched)}")
+        _check_opt_state(resume_from, extras, net.params)
         start_epoch = int(extras["epoch"])
         if start_epoch >= config.epochs:
             raise ValueError(f"checkpoint already covers {start_epoch} epochs; nothing to resume for epochs={config.epochs}")
@@ -299,24 +307,24 @@ def train(
                 grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
                 contributing = 0
                 for idx in batch:
-                    item = items[int(idx)]
-                    if item.samples.size < model.RECEPTIVE_FIELD or model.n_frames(item.samples.size) < min_frames:
+                    utt_id, samples = items[int(idx)]
+                    if samples.size < model.RECEPTIVE_FIELD or model.n_frames(samples.size) < min_frames:
                         skipped += 1
                         continue
                     tape = dc.Tape()
                     leaves = {k: tape.tensor(p, requires_grad=True) for k, p in params.items()}
-                    graph = model.analyze_utterance(tape, leaves, item.samples, config.thres)
+                    graph = model.analyze_utterance(tape, leaves, samples, config.thres)
                     rng = np.random.default_rng([config.seed, epoch, int(idx)])
                     total, report = obj.utterance_loss(graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
                     if not np.isfinite(report.total):
-                        raise DivergenceError(f"non-finite loss on utterance {item.id} in epoch {epoch}; last-good checkpoint retained")
+                        raise DivergenceError(f"non-finite loss on utterance {utt_id} in epoch {epoch}; last-good checkpoint retained")
                     tape.backward(total)
                     for k in params:
                         grads[k] += leaves[k].grad.astype(np.float64)
                     contributing += 1
                     n_used += 1
                     nfc_sum += report.nfc
-                    seg_sum += graph.segments.shape[0]
+                    seg_sum += graph.boundaries.n_segments
                     if report.nsc is not None:
                         nsc_sum += report.nsc
                         nsc_n += 1
@@ -368,8 +376,6 @@ def sweep(
     if grid_name not in SWEEP_GRIDS:
         raise ValueError(f"grid must be one of {sorted(SWEEP_GRIDS)}, got {grid_name!r}")
     grid = SWEEP_GRIDS[grid_name] if values is None else tuple(values)
-    if not grid:
-        raise ValueError("sweep grid is empty")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

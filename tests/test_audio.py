@@ -22,7 +22,7 @@ class TestWavIO:
         ints = np.round(tiny_wave.samples.astype(np.float64) * 32768).clip(-32768, 32767)
         wave = audio.Waveform((ints / 32768).astype(np.float32), 16000, id="q")
         path = tmp_path / "q.wav"
-        audio.write_wav(path, wave, encoding="pcm16")
+        audio.write_wav(path, wave)
         back = audio.load_wav(path)
         np.testing.assert_array_equal(back.samples, wave.samples)
         assert back.sample_rate == 16000
@@ -37,23 +37,28 @@ class TestWavIO:
 
     def test_float32_round_trip(self, tmp_path, tiny_wave):
         path = tmp_path / "f.wav"
-        audio.write_wav(path, tiny_wave, encoding="float32")
+        wavfile.write(path, 16000, tiny_wave.samples)
         back = audio.load_wav(path)
         np.testing.assert_array_equal(back.samples, tiny_wave.samples)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -1.0001])
     def test_float32_nonfinite_or_out_of_range_rejected(self, tmp_path, bad):
         path = tmp_path / "bad.wav"
-        audio.write_wav(path, audio.Waveform(np.array([0.0, -1.0, bad, 1.0], dtype=np.float32), 16000),
-                        encoding="float32")
+        wavfile.write(path, 16000, np.array([0.0, -1.0, bad, 1.0], dtype=np.float32))
         with pytest.raises(ValueError, match="bad.wav: float32 samples must be finite and within"):
             audio.load_wav(path)
 
     def test_float32_full_scale_accepted(self, tmp_path):
         path = tmp_path / "full.wav"
         samples = np.array([-1.0, 0.0, 1.0], dtype=np.float32)
-        audio.write_wav(path, audio.Waveform(samples, 16000), encoding="float32")
+        wavfile.write(path, 16000, samples)
         np.testing.assert_array_equal(audio.load_wav(path).samples, samples)
+
+    def test_other_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "r8k.wav"
+        wavfile.write(path, 8000, np.zeros(800, dtype=np.int16))
+        with pytest.raises(ValueError, match="r8k.wav: sample rate 8000 != 16000; resample first"):
+            audio.load_wav(path)
 
     def test_multichannel_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -147,18 +152,13 @@ class TestSynthSpecValidation:
         for word in spec.lexicon:
             assert all(a != b for a, b in zip(word, word[1:]))
 
-    def test_short_durations_rejected(self):
-        with pytest.raises(ValueError, match="60"):
-            audio.SynthSpec(phones=(audio.PhoneTemplate((100.0,)),), lexicon=((0, 0),), duration_ms=(30.0, 50.0))
-
     def test_bad_word_length_rejected(self):
         with pytest.raises(ValueError, match="2-4"):
-            audio.SynthSpec(phones=(audio.PhoneTemplate((100.0,)),), lexicon=((0,),))
+            audio.SynthSpec(phones=((100.0,),), lexicon=((0,),))
 
     def test_nyquist_guard(self):
         with pytest.raises(ValueError, match="frequencies"):
-            audio.SynthSpec(phones=(audio.PhoneTemplate((9000.0,)),), lexicon=((0, 0),), sample_rate=16000)
-
+            audio.SynthSpec(phones=((9000.0,),), lexicon=((0, 0),))
 
 
 class TestSynthGeneration:
@@ -186,7 +186,7 @@ class TestSynthGeneration:
             # End-time annotations: one entry per segment, last one at the
             # utterance end; internal boundary count is phones - 1 (+1 per silence).
             assert utt.phoneme_times.size == len(utt.phone_labels)
-            assert utt.phoneme_times[-1] == pytest.approx(utt.waveform.duration)
+            assert utt.phoneme_times[-1] == pytest.approx(utt.waveform.samples.size / audio.SAMPLE_RATE)
             assert utt.word_times.size == n_words
 
     def test_word_ends_are_phone_ends(self):
@@ -200,14 +200,14 @@ class TestSynthGeneration:
         spans = np.diff([0] + [e for _, e in utt.phone_spans])
         # Spans run between fade onsets, so the first span is one fade
         # half-width short of its rendered segment; allow exactly that.
-        half = round(spec.crossfade_ms * spec.sample_rate / 2000.0)
-        assert spans.min() >= 0.060 * spec.sample_rate - half - 1
+        half = round(audio.CROSSFADE_MS * audio.SAMPLE_RATE / 2000.0)
+        assert spans.min() >= 0.060 * audio.SAMPLE_RATE - half - 1
 
     def test_crossfade_attenuates_join(self):
         spec = audio.default_spec(seed=4)
         utt = audio.generate_utterance(spec, 0)
         onset = utt.phone_spans[0][1]  # span end marks fade onset
-        half = round(spec.crossfade_ms * spec.sample_rate / 2000.0)
+        half = round(audio.CROSSFADE_MS * audio.SAMPLE_RATE / 2000.0)
         x = utt.waveform.samples
         assert abs(x[onset + half - 1]) < 0.01  # first phone fully faded out
         interior = np.abs(x[onset + half + 400 : onset + half + 800]).max()
@@ -237,12 +237,12 @@ class TestCorpusIO:
         utts = audio.generate_corpus(spec, 3)
         manifest = audio.save_corpus(utts, tmp_path / "corpus")
         records = audio.read_manifest(manifest)
-        assert len(records) == 3
-        wav0 = audio.load_wav(records[0][0])
-        assert wav0.sample_rate == 16000
-        phn_times = audio.parse_alignment_file(records[0][1])
+        assert list(records) == [u.waveform.id for u in utts]   # a flat corpus keeps its stems
+        wav, phn, wrd = records[utts[0].waveform.id]
+        assert audio.load_wav(wav).sample_rate == 16000
+        phn_times = audio.parse_alignment_file(phn)
         np.testing.assert_allclose(phn_times, utts[0].phoneme_times)
-        wrd_times = audio.parse_alignment_file(records[0][2])
+        wrd_times = audio.parse_alignment_file(wrd)
         np.testing.assert_allclose(wrd_times, utts[0].word_times)
 
     def test_disjoint_splits_by_index(self):
@@ -267,4 +267,39 @@ class TestCorpusIO:
         manifest = tmp_path / "m.tsv"
         manifest.write_text("\n")
         with pytest.raises(ValueError, match="empty"):
+            audio.read_manifest(manifest)
+
+
+def _utterance_files(d, stem: str, n: int = 4800) -> None:
+    d.mkdir(parents=True, exist_ok=True)
+    audio.write_wav(d / f"{stem}.wav", audio.Waveform(np.zeros(n, dtype=np.float32), 16000))
+    (d / f"{stem}.phn").write_text(f"0 1600 a\n1600 {n} b\n")
+    (d / f"{stem}.wrd").write_text(f"0 {n} w\n")
+
+
+class TestUtteranceIds:
+    def test_shared_stems_get_distinct_ids(self, tmp_path):
+        # TIMIT repeats each SX stem across speakers: ids are paths below
+        # the deepest directory that holds every wav, not stems.
+        for d in ("a", "b/c"):
+            _utterance_files(tmp_path / "data" / d, "x")
+        manifest = tmp_path / "lists" / "m.tsv"
+        manifest.parent.mkdir()
+        audio.write_manifest([tuple(tmp_path / "data" / d / f"x.{ext}" for ext in ("wav", "phn", "wrd")) for d in ("a", "b/c")], manifest)
+        assert list(audio.read_manifest(manifest)) == ["a/x", "b/c/x"]
+        refs, _ = audio.load_references(manifest, "phoneme")
+        assert list(refs) == ["a/x", "b/c/x"]
+
+    def test_one_directory_gives_stems(self, tmp_path):
+        _utterance_files(tmp_path / "deep" / "dir", "only")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("deep/dir/only.wav\tdeep/dir/only.phn\tdeep/dir/only.wrd\n")
+        assert list(audio.read_manifest(manifest)) == ["only"]
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        _utterance_files(tmp_path, "x")
+        _utterance_files(tmp_path, "y")
+        manifest = tmp_path / "m2.tsv"
+        manifest.write_text("x.wav\tx.phn\tx.wrd\ny.wav\ty.phn\ty.wrd\n\n./x.wav\tx.phn\tx.wrd\n")
+        with pytest.raises(ValueError, match=r"m2.tsv:4: utterance id 'x' repeats line 1$"):
             audio.read_manifest(manifest)

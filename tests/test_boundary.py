@@ -265,7 +265,7 @@ class TestStraightThrough:
 def pooled_weights(tape, indicator, n_segments):
     """The tent weights of ``dc.segment_pool``, (n_segments, n_frames): pooled
     one-hot frames make row j of the means segment j's weight per frame."""
-    eye = tape.constant(np.eye(indicator.shape[0] + 1, dtype=indicator.dtype))
+    eye = tape.constant(np.eye(indicator.shape[0] + 1, dtype=indicator.data.dtype))
     return dc.segment_pool(eye, indicator, n_segments)
 
 

@@ -159,8 +159,8 @@ def test_segment_short_utterance_warns_but_succeeds(workspace, tmp_path):
 
 
 def test_eval_of_references_scores_perfectly(workspace, capsys):
-    refs_as_preds = {wav.stem: audio.parse_alignment_file(phn)
-                     for wav, phn, _ in audio.read_manifest(workspace / "val" / "manifest.tsv")}
+    refs_as_preds = {utt_id: audio.parse_alignment_file(phn)
+                     for utt_id, (_, phn, _) in audio.read_manifest(workspace / "val" / "manifest.tsv").items()}
     pred_dir = workspace / "pred_perfect"
     infer.write_predictions(refs_as_preds, pred_dir, "phoneme")
     code = run_cli("eval", "--pred", pred_dir, "--ref", workspace / "val" / "manifest.tsv", "--level", "phoneme")
@@ -182,6 +182,118 @@ def test_eval_rejects_negative_sample_index(workspace, tmp_path, capsys):
     assert code == 1
     assert captured.err.count("\n") == 1
     assert "u.phn:2: negative sample index" in captured.err
+
+
+def one_line_error(capsys, code: int) -> str:
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_shared_stems_are_two_utterances(workspace, tmp_path, capsys):
+    # a/x.wav and b/x.wav once collapsed into one x.txt, scored perfectly.
+    rows = []
+    for d, utt in (("a", "u00000"), ("b", "u00001")):
+        (tmp_path / d).mkdir()
+        for ext in ("wav", "phn", "wrd"):
+            (tmp_path / d / f"x.{ext}").write_bytes((workspace / "val" / f"{utt}.{ext}").read_bytes())
+        rows.append(tuple(tmp_path / d / f"x.{ext}" for ext in ("wav", "phn", "wrd")))
+    manifest = tmp_path / "m.tsv"
+    audio.write_manifest(rows, manifest)
+    pred = tmp_path / "pred"
+    assert run_cli("segment", "--ckpt", workspace / "run" / "checkpoint.npz", "--manifest", manifest,
+                   "--level", "phoneme", "--out", pred) == 0
+    assert (pred / "a" / "x.txt").is_file() and (pred / "b" / "x.txt").is_file()
+    assert list(infer.read_predictions(pred)) == ["a/x", "b/x"]
+    capsys.readouterr()
+    assert run_cli("eval", "--pred", pred, "--ref", manifest, "--level", "phoneme") == 0
+    assert "2 utterances" in capsys.readouterr().out
+
+
+def test_repeated_manifest_row_fails_in_one_line(workspace, tmp_path, capsys):
+    rows = audio.read_manifest(workspace / "val" / "manifest.tsv")
+    manifest = tmp_path / "m2.tsv"
+    audio.write_manifest([rows["u00000"], rows["u00000"]], manifest)
+    code = run_cli("segment", "--ckpt", workspace / "run" / "checkpoint.npz", "--manifest", manifest,
+                   "--level", "phoneme", "--out", tmp_path / "pred")
+    assert "m2.tsv:2: utterance id 'u00000' repeats line 1" in one_line_error(capsys, code)
+
+
+def rewrite_checkpoint(src, dst, edit) -> None:
+    with np.load(src) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez(dst, **arrays)
+
+
+def test_resume_without_optimizer_state_fails_in_one_line(workspace, tmp_path, capsys):
+    bare = tmp_path / "bare.npz"
+    rewrite_checkpoint(workspace / "run" / "checkpoint.npz", bare,
+                       lambda a: [a.pop(k) for k in list(a) if k.startswith("extra/")])
+    code = run_cli("train", "--manifest", workspace / "train" / "manifest.tsv", "--config", workspace / "train.cfg",
+                   "--out", tmp_path / "run", "--resume", bare)
+    assert "bare.npz: optimizer state extra/epoch is missing, expected int64 ()" in one_line_error(capsys, code)
+
+
+def test_resume_with_misshapen_optimizer_state_fails_in_one_line(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    rewrite_checkpoint(workspace / "run" / "checkpoint.npz", bad,
+                       lambda a: a.update({"extra/adam_v/seg_b1": np.zeros(3, np.float64)}))
+    code = run_cli("train", "--manifest", workspace / "train" / "manifest.tsv", "--config", workspace / "train.cfg",
+                   "--out", tmp_path / "run", "--resume", bad)
+    assert "bad.npz: optimizer state extra/adam_v/seg_b1 is float64 (3,), expected float32 (8,)" in one_line_error(capsys, code)
+
+
+def unknown_model_key(arrays):
+    echo = json.loads(str(arrays["config_json"]))
+    echo["model"]["hidden"] = 3
+    arrays["config_json"] = np.asarray(json.dumps(echo))
+
+
+@pytest.mark.parametrize("edit", [unknown_model_key, lambda a: a.pop("config_json")], ids=["unknown_model_key", "no_config_json"])
+def test_bad_checkpoint_config_fails_in_one_line(workspace, tmp_path, capsys, edit):
+    bad = tmp_path / "bad.npz"
+    rewrite_checkpoint(workspace / "run" / "checkpoint.npz", bad, edit)
+    code = run_cli("segment", "--ckpt", bad, "--manifest", workspace / "val" / "manifest.tsv",
+                   "--level", "phoneme", "--out", tmp_path / "pred")
+    assert "bad.npz: unreadable model config" in one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize("content", [b"", b"not a checkpoint\n", b"PK\x03\x04 truncated"], ids=["empty", "text", "bad_zip"])
+def test_non_npz_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, content):
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(content)
+    code = run_cli("segment", "--ckpt", bad, "--manifest", workspace / "val" / "manifest.tsv",
+                   "--level", "phoneme", "--out", tmp_path / "pred")
+    assert "bad.npz: not an npz checkpoint" in one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize("line, file_text, message", [
+    ("u00000\n", "0.1\n", "predictions.tsv:1: expected '<id><TAB><file>'"),
+    ("u00000\tu00000.txt\n", "0.1x\n", "u00000.txt: non-numeric boundary time"),
+    ("u00000\tu00000.txt\n", "0.2\n0.1\n", "u00000.txt: boundary times are not strictly increasing"),
+], ids=["no_tab", "non_numeric", "decreasing"])
+def test_bad_predictions_fail_in_one_line(workspace, tmp_path, capsys, line, file_text, message):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "predictions.tsv").write_text(line)
+    (pred / "u00000.txt").write_text(file_text)
+    code = run_cli("eval", "--pred", pred, "--ref", workspace / "val" / "manifest.tsv", "--level", "phoneme")
+    assert message in one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("epochs = 2\njust words\n", "bad.cfg:2: expected 'key = value'"),
+    ("epoch = 2\n", "bad.cfg: unknown config keys: epoch"),
+    ("lr = fast\n", "bad.cfg: config key 'lr': cannot parse"),
+    ("lr = -1\n", "bad.cfg: lr must be positive"),
+], ids=["malformed", "unknown_key", "unparsable", "invalid"])
+def test_bad_config_fails_in_one_line_naming_the_file(workspace, tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = run_cli("train", "--manifest", workspace / "train" / "manifest.tsv", "--config", cfg, "--out", tmp_path / "run")
+    assert message in one_line_error(capsys, code)
 
 
 def test_eval_missing_predictions_dir(workspace, tmp_path, capsys):

@@ -14,9 +14,13 @@ def small_model(seed=0, p=8, q=6):
     return model.SCPCModel.init(model.ModelConfig(frame_dim=p, segment_dim=q), seed=seed)
 
 
+def grad_leaves(m, tape):
+    return {k: tape.tensor(p, requires_grad=True) for k, p in m.params.items()}
+
+
 def encode(m, samples):
     tape = dc.Tape()
-    return model.frame_latents(tape, m.leaf_tensors(tape), samples).data
+    return model.frame_latents(tape, grad_leaves(m, tape), samples).data
 
 
 class TestFrameEncoderGeometry:
@@ -58,7 +62,7 @@ class TestFrameEncoderGeometry:
         # Each conv layer is one fused op; the LATENT_EPS add is the last node.
         m = small_model()
         tape = dc.Tape()
-        model.frame_latents(tape, m.leaf_tensors(tape), np.zeros(2000, dtype=np.float32))
+        model.frame_latents(tape, grad_leaves(m, tape), np.zeros(2000, dtype=np.float32))
         assert len(tape._nodes) == len(model.KERNELS) + 1
 
     def test_silence_latents_nonzero(self):
@@ -83,7 +87,7 @@ class TestFrameEncoderGeometry:
         m.params["seg_b1"] = np.full(6, -10.0, dtype=np.float32)  # dead hidden layer
         tape = dc.Tape()
         means = tape.constant(np.random.default_rng(1).standard_normal((4, 8)).astype(np.float32))
-        s = model.segment_latents(tape, m.leaf_tensors(tape), means).data
+        s = model.segment_latents(tape, grad_leaves(m, tape), means).data
         assert np.all(np.linalg.norm(s, axis=1) > 0)
 
 
@@ -115,7 +119,7 @@ class TestSegmentAndContext:
         m = small_model()
         tape = dc.Tape()
         means = tape.tensor(np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32))
-        out = model.segment_latents(tape, m.leaf_tensors(tape), means)
+        out = model.segment_latents(tape, grad_leaves(m, tape), means)
         assert out.shape == (4, 6)
 
     def test_context_is_causal(self):
@@ -125,7 +129,7 @@ class TestSegmentAndContext:
 
         def run(arr):
             tape = dc.Tape()
-            return model.context_states(tape, m.leaf_tensors(tape), tape.tensor(arr)).data
+            return model.context_states(tape, grad_leaves(m, tape), tape.tensor(arr)).data
 
         base = run(segs)
         bumped = segs.copy()
@@ -139,7 +143,7 @@ class TestSegmentAndContext:
         m = small_model()
         tape = dc.Tape()
         segs = tape.tensor(np.random.default_rng(4).standard_normal((7, 6)).astype(np.float32) * 10)
-        out = model.context_states(tape, m.leaf_tensors(tape), segs)
+        out = model.context_states(tape, grad_leaves(m, tape), segs)
         assert np.all(np.abs(out.data) <= 1.0)
 
     def test_training_step_tape_size_independent_of_segment_count(self):
@@ -150,7 +154,7 @@ class TestSegmentAndContext:
         for seconds in (0.7, 6.3):
             samples = np.random.default_rng(0).standard_normal(int(seconds * 16000)).astype(np.float32)
             tape = dc.Tape()
-            graph = model.analyze_utterance(tape, m.leaf_tensors(tape), samples, thres=0.0)
+            graph = model.analyze_utterance(tape, grad_leaves(m, tape), samples, thres=0.0)
             obj.utterance_loss(graph.frames, graph.segments, graph.contexts, 4, 2, True, np.random.default_rng(0))
             sizes[graph.boundaries.n_segments] = len(tape._nodes)
         (few, n_few), (many, n_many) = sorted(sizes.items())

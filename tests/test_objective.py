@@ -334,7 +334,7 @@ def test_full_model_all_parameters_receive_gradient():
     net = model.SCPCModel.init(model.ModelConfig(frame_dim=16, segment_dim=16), seed=1)
 
     tape = dc.Tape()
-    leaves = net.leaf_tensors(tape)
+    leaves = {k: tape.tensor(p, requires_grad=True) for k, p in net.params.items()}
     graph = model.analyze_utterance(tape, leaves, utt.waveform.samples, thres=0.0)
     m = graph.segments.shape[0]
     assert m >= 3, f"expected several segments at thres 0, got {m}"

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from scpc import audio
 from scpc import cli
@@ -29,16 +30,16 @@ TINY = trainer.TrainConfig(
 
 def test_parse_config_text_basics():
     text = "# comment\nlr = 0.01\n\nepochs = 4   # trailing comment\n"
-    assert trainer.parse_config_text(text) == {"lr": "0.01", "epochs": "4"}
+    assert trainer.parse_config_text(text, "t.cfg") == {"lr": "0.01", "epochs": "4"}
 
 
 def test_parse_config_text_rejects_malformed():
-    with pytest.raises(ValueError, match="line 1"):
-        trainer.parse_config_text("just words\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        trainer.parse_config_text("lr = 1\nlr = 2\n")
-    with pytest.raises(ValueError, match="empty"):
-        trainer.parse_config_text("lr =\n")
+    with pytest.raises(ValueError, match="^t.cfg:1: expected"):
+        trainer.parse_config_text("just words\n", "t.cfg")
+    with pytest.raises(ValueError, match="^t.cfg:2: duplicate"):
+        trainer.parse_config_text("lr = 1\nlr = 2\n", "t.cfg")
+    with pytest.raises(ValueError, match="^t.cfg:1: empty"):
+        trainer.parse_config_text("lr =\n", "t.cfg")
 
 
 def test_resolve_config_defaults():
@@ -106,13 +107,13 @@ def corpus(tmp_path_factory):
 
 def test_load_dataset(corpus, tmp_path):
     waves = trainer.load_dataset(corpus[0])
-    assert [w.id for w in waves] == [wav.stem for wav, _, _ in audio.read_manifest(corpus[0])]
-    for w in waves:
-        assert w.samples.dtype == np.float32 and w.sample_rate == 16000
+    assert list(waves) == list(audio.read_manifest(corpus[0]))
+    for samples in waves.values():
+        assert samples.dtype == np.float32 and samples.ndim == 1
     # Annotations must exist but are never parsed for training.
     bad = tmp_path / "bad.phn"
     bad.write_text("not a line\n")
-    audio.write_manifest([(wav, bad, bad) for wav, _, _ in audio.read_manifest(corpus[0])], tmp_path / "manifest.tsv")
+    audio.write_manifest([(wav, bad, bad) for wav, _, _ in audio.read_manifest(corpus[0]).values()], tmp_path / "manifest.tsv")
     assert len(trainer.load_dataset(tmp_path / "manifest.tsv")) == len(waves)
 
 
@@ -165,9 +166,9 @@ def test_checkpoint_carries_training_state(run):
 
 def test_checkpoint_roundtrip_identical_forward(run, corpus):
     loaded, _, _ = model.load_checkpoint(run.checkpoint)
-    item = trainer.load_dataset(corpus[1])[0]
-    a = infer.profile_utterance(run.model, item.samples, item.id)
-    b = infer.profile_utterance(loaded, item.samples, item.id)
+    utt_id, samples = next(iter(trainer.load_dataset(corpus[1]).items()))
+    a = infer.profile_utterance(run.model, samples, utt_id)
+    b = infer.profile_utterance(loaded, samples, utt_id)
     assert np.array_equal(a.dissimilarity, b.dissimilarity)
     assert np.array_equal(a.word_scores, b.word_scores)
 
@@ -225,9 +226,9 @@ def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path, monke
     spec = dataclasses.replace(audio.default_spec(seed=21), words_per_utterance=(2, 3))
     utts = audio.generate_corpus(spec, 5)
     manifest = audio.save_corpus(utts, bad_dir)
-    victim = audio.read_manifest(manifest)[2][0]
+    victim = audio.read_manifest(manifest)["u00002"][0]
     n = audio.load_wav(victim).samples.size
-    audio.write_wav(victim, audio.Waveform(np.full(n, np.nan, dtype=np.float32), 16000), encoding="float32")
+    wavfile.write(victim, 16000, np.full(n, np.nan, dtype=np.float32))
     # A NaN file is refused when it is read ...
     with pytest.raises(ValueError, match=f"{victim.name}: float32 samples must be finite"):
         trainer.train(manifest, dataclasses.replace(TINY, epochs=1), out)
@@ -237,11 +238,11 @@ def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path, monke
 
     def load_nan(path):
         if Path(path) == victim:
-            return audio.Waveform(np.full(n, np.nan, dtype=np.float32), 16000, id=victim.stem)
+            return audio.Waveform(np.full(n, np.nan, dtype=np.float32), 16000)
         return load_wav(path)
 
     monkeypatch.setattr(audio, "load_wav", load_nan)
-    with pytest.raises(trainer.DivergenceError, match=f"non-finite loss on utterance {victim.stem}"):
+    with pytest.raises(trainer.DivergenceError, match="non-finite loss on utterance u00002 "):
         trainer.train(manifest, dataclasses.replace(TINY, epochs=1), out)
     kept, _, _ = model.load_checkpoint(out / "checkpoint.npz")
     for k in kept.params:
