@@ -258,7 +258,7 @@ def read_predictions(pred_dir: str | Path) -> dict[str, np.ndarray]:
             times = np.array([float(v) for v in path.read_text().split()], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric boundary time ({exc})") from exc
-        if times.size and np.any(np.diff(times) <= 0):
-            raise ValueError(f"{path}: boundary times are not strictly increasing")
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+            raise ValueError(f"{path}: boundary times must be finite and strictly increasing")
         out[utt_id] = times
     return out

@@ -185,10 +185,10 @@ def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray],
     path = Path(path)
     try:
         data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("a single array")
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not an npz checkpoint") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):   # a bare .npy array
+        raise ValueError(f"{path}: not an npz checkpoint")
     with data:
         if "format_version" not in data or int(data["format_version"]) != CHECKPOINT_VERSION:
             found = int(data["format_version"]) if "format_version" in data else None

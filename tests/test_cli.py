@@ -6,6 +6,7 @@ asserted cheaply; one test drives the installed console script.
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -260,7 +261,14 @@ def test_bad_checkpoint_config_fails_in_one_line(workspace, tmp_path, capsys, ed
     assert "bad.npz: unreadable model config" in one_line_error(capsys, code)
 
 
-@pytest.mark.parametrize("content", [b"", b"not a checkpoint\n", b"PK\x03\x04 truncated"], ids=["empty", "text", "bad_zip"])
+def npy_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content", [b"", b"not a checkpoint\n", b"PK\x03\x04 truncated", npy_bytes()],
+                         ids=["empty", "text", "bad_zip", "npy"])
 def test_non_npz_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, content):
     bad = tmp_path / "bad.npz"
     bad.write_bytes(content)
@@ -272,8 +280,9 @@ def test_non_npz_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, conte
 @pytest.mark.parametrize("line, file_text, message", [
     ("u00000\n", "0.1\n", "predictions.tsv:1: expected '<id><TAB><file>'"),
     ("u00000\tu00000.txt\n", "0.1x\n", "u00000.txt: non-numeric boundary time"),
-    ("u00000\tu00000.txt\n", "0.2\n0.1\n", "u00000.txt: boundary times are not strictly increasing"),
-], ids=["no_tab", "non_numeric", "decreasing"])
+    ("u00000\tu00000.txt\n", "0.2\n0.1\n", "u00000.txt: boundary times must be finite and strictly increasing"),
+    ("u00000\tu00000.txt\n", "0.1\nnan\n0.3\n", "u00000.txt: boundary times must be finite and strictly increasing"),
+], ids=["no_tab", "non_numeric", "decreasing", "nan"])
 def test_bad_predictions_fail_in_one_line(workspace, tmp_path, capsys, line, file_text, message):
     pred = tmp_path / "pred"
     pred.mkdir()
