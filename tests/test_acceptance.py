@@ -6,7 +6,8 @@ vectorized segment extraction, finite-difference validation of every
 autodiff op plus the composite frame loss, end-to-end learning on the
 bundled synthetic corpus against matched baselines, sweep behavior, and an
 optional real-corpus recipe.  The synthetic end-to-end gate trains a full
-model and took about 500 s on 2 cores; everything else is fast.
+model, which took 265-340 s on 2 cores with one BLAS thread; everything
+else is fast.
 """
 
 from __future__ import annotations
