@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +21,13 @@ from . import model
 from . import trainer
 
 __all__ = ["main"]
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _echo_config(out_dir: Path, payload: dict) -> None:
@@ -98,22 +106,18 @@ def _cmd_sweep(args) -> int:
     for row in rows:
         print(fmt.format(
             f"{row['value']:.2f}" if args.grid == "thres" else str(row["value"]),
-            _pct_cell(row["phoneme_r_value"]),
-            _pct_cell(row["word_r_value"]),
+            metrics.format_pct(row["phoneme_r_value"]),
+            metrics.format_pct(row["word_r_value"]),
             f"{row['mean_segments']:.2f}" if row["mean_segments"] is not None else "n/a",
         ))
     return 0
-
-
-def _pct_cell(value: float | None) -> str:
-    return "n/a" if value is None else f"{100 * value:.1f}"
 
 
 def _cmd_tune(args) -> int:
     profiles = _profile_manifest(args)
     refs, durations = audio.load_references(args.manifest, args.level)
     result = infer.tune_prominence(profiles, refs, args.level, durations=durations, tolerance=args.tol)
-    print(f"prominence {result.prominence:.2f}  r_value {_pct_cell(result.r_value)}")
+    print(f"prominence {result.prominence:.2f}  r_value {metrics.format_pct(result.r_value)}")
     if args.out:
         out = Path(args.out)
         _echo_config(out, {"command": "tune", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
@@ -127,6 +131,8 @@ def _cmd_tune(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scpc", description="Joint frame/segment contrastive boundary detection.")
     sub = parser.add_subparsers(dest="command", required=True)
+    train_workers = {"type": int, "default": _usable_cores(),
+                     "help": "processes per training step and validation (default: usable cores); outputs do not depend on it"}
 
     p = sub.add_parser("synth", help="render the built-in synthetic corpus with reference boundaries")
     p.add_argument("--out", required=True)
@@ -143,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", help="validation manifest for per-epoch R-values")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", **train_workers)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("segment", help="predict boundaries with a trained model")
@@ -171,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=sorted(trainer.SWEEP_GRIDS), required=True)
     p.add_argument("--values", help="comma-separated grid override (default: reference grid)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", **train_workers)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("tune", help="grid-search peak prominence on labeled data")

@@ -15,8 +15,8 @@ score curves are kept, so sweeping prominence never reruns the model.
 from __future__ import annotations
 
 import json
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -28,6 +28,7 @@ from . import audio
 from . import diffcore as dc
 from . import metrics
 from . import model
+from . import parallel
 
 __all__ = [
     "DEFAULT_PROMINENCE",
@@ -36,6 +37,7 @@ __all__ = [
     "TuneResult",
     "profile_utterance",
     "profile_corpus",
+    "profile_with",
     "predict",
     "tune_prominence",
     "write_predictions",
@@ -106,35 +108,24 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
     return UtteranceProfile(utt_id, dissim, word_scores, end_frames)
 
 
-def _profile_wav(net: model.SCPCModel, entry: tuple[str, str]) -> UtteranceProfile:
-    wav_path, utt_id = entry
-    return profile_utterance(net, audio.load_wav(wav_path).samples, utt_id)
-
-
-_POOL_NET: model.SCPCModel | None = None
-
-
-def _pool_init(net: model.SCPCModel) -> None:
-    global _POOL_NET
-    _POOL_NET = net
-
-
-def _pool_profile(entry: tuple[str, str]) -> UtteranceProfile:
-    assert _POOL_NET is not None
-    return _profile_wav(_POOL_NET, entry)
+def _profile_share(_inherited, net: model.SCPCModel, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
+    return [profile_utterance(net, audio.load_wav(wav).samples, utt_id) for wav, utt_id in entries]
 
 
 def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers: int = 1) -> list[UtteranceProfile]:
-    """Profiles for (wav_path, utterance_id) pairs, in input order.
+    """Profiles for (wav_path, utterance_id) pairs, in input order, on up
+    to ``workers`` processes; identical to the sequential path."""
+    with parallel.ForkGroup(min(workers, len(entries))) as group:
+        return profile_with(group, net, entries)
+
+
+def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
+    """``profile_corpus`` on an open group: the entries are split by file
+    size, and each process receives the model once.
 
     Audio is read one utterance at a time, so only the profiles accumulate.
-    With workers > 1 each worker process receives the model once; results
-    are identical to the sequential path.
     """
-    if workers <= 1:
-        return [_profile_wav(net, e) for e in entries]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(net,)) as pool:
-        return list(pool.map(_pool_profile, entries))
+    return group.map(_profile_share, entries, [os.path.getsize(wav) for wav, _ in entries], net)
 
 
 def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ __all__ = [
     "scorer",
     "periodic_boundaries",
     "random_boundaries",
+    "format_pct",
     "format_report",
 ]
 
@@ -223,7 +224,8 @@ def random_boundaries(duration: float, count: int, rng: np.random.Generator) -> 
     return np.sort(rng.uniform(0.0, duration, size=count))
 
 
-def _pct(x: float | None) -> str:
+def format_pct(x: float | None) -> str:
+    """A fraction as a one-decimal percent; ``"n/a"`` for None."""
     return "n/a" if x is None else f"{100.0 * x:.1f}"
 
 
@@ -233,7 +235,7 @@ def format_report(report: EvalReport, label: str = "") -> str:
     lines = [
         f"{head}boundaries: {report.n_utterances} utterances, tolerance {report.tolerance * 1000:.0f} ms",
         f"  hits {report.n_hit}  predicted {report.n_pred}  reference {report.n_ref}",
-        f"  precision {_pct(report.precision):>7}  recall {_pct(report.recall):>7}  F1 {_pct(report.f1):>7}",
-        f"  over-segmentation {_pct(report.os):>7}  R-value {_pct(report.r_value):>7}",
+        f"  precision {format_pct(report.precision):>7}  recall {format_pct(report.recall):>7}  F1 {format_pct(report.f1):>7}",
+        f"  over-segmentation {format_pct(report.os):>7}  R-value {format_pct(report.r_value):>7}",
     ]
     return "\n".join(lines)

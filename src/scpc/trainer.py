@@ -5,7 +5,8 @@ overridden by a flat config file and then by explicit overrides (the CLI's
 ``--seed``); nothing is read from the environment.  A single optimizer
 writer updates the parameters; per-utterance randomness is derived
 functionally from (seed, epoch, utterance index), so two runs of the same
-build produce bitwise-identical checkpoints and an interrupted run resumes
+build produce bitwise-identical checkpoints, whatever the number of worker
+processes that compute the per-utterance gradients, and an interrupted run resumes
 on the exact loss trajectory from the checkpoint written after every epoch.
 The segment-level loss joins the total from ``add_nsc_epoch`` onward.
 """
@@ -26,6 +27,7 @@ from . import infer
 from . import metrics
 from . import model
 from . import objective as obj
+from . import parallel
 
 __all__ = [
     "GRAD_CLIP_NORM",
@@ -191,11 +193,11 @@ def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
 
 # ------------------------------------------------------------- validation
 
-def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, tuple[dict[str, np.ndarray], dict[str, float]]], workers: int) -> tuple[float | None, ...]:
+def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, tuple[dict[str, np.ndarray], dict[str, float]]], group: parallel.ForkGroup) -> tuple[float | None, ...]:
     """Pooled R-values at the default prominence, one per level of
     ``infer.LEVELS``; ``refs`` maps a level to ``audio.load_references``'s
     (times, durations), the durations ``eval`` and ``tune`` score with."""
-    profiles = infer.profile_corpus(net, entries, workers)
+    profiles = infer.profile_with(group, net, entries)
     r_values = []
     for level in infer.LEVELS:
         preds = {p.id: infer.predict(p, level) for p in profiles}
@@ -205,6 +207,27 @@ def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[s
 
 
 # --------------------------------------------------------------- training
+
+def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: TrainConfig, nsc_active: bool, rng: np.random.Generator) -> tuple[dict[str, np.ndarray] | None, obj.LossReport, int]:
+    """One utterance's forward and backward: its float32 gradients (None
+    when the loss is non-finite), its loss terms and its segment count."""
+    tape = dc.Tape()
+    leaves = {k: tape.tensor(p, requires_grad=True) for k, p in params.items()}
+    graph = model.analyze_utterance(tape, leaves, samples, config.thres)
+    total, report = obj.utterance_loss(graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
+    if not np.isfinite(report.total):
+        return None, report, graph.boundaries.n_segments
+    tape.backward(total)
+    return {k: leaves[k].grad for k in params}, report, graph.boundaries.n_segments
+
+
+def _step_share(items: list[tuple[str, np.ndarray]], params: dict[str, np.ndarray], config: TrainConfig, epoch: int, indices: list[int]) -> list[tuple]:
+    """``_utterance_step`` for the utterances ``indices`` of the training
+    corpus ``items``, each on its own (seed, epoch, utterance) stream; the
+    parent runs one share and every child of the group another."""
+    nsc_active = epoch >= config.add_nsc_epoch
+    return [_utterance_step(params, items[i][1], config, nsc_active, np.random.default_rng([config.seed, epoch, i])) for i in indices]
+
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -251,6 +274,13 @@ def train(
     A checkpoint is written atomically after every clean epoch, so a
     divergence (non-finite loss, reported with the offending utterance)
     leaves the last good checkpoint in place.
+
+    With ``workers`` > 1 the run forks min(workers, batch_size) - 1 children
+    once; each holds the training audio through the fork.  A batch's
+    utterances are split among the processes by length, and their gradients,
+    losses and divergence checks are folded in batch order, so every output
+    is byte-identical for any ``workers``.  Validation profiles on the same
+    processes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -295,43 +325,39 @@ def train(
     metrics_path = out / "metrics.jsonl"
     history: list[dict] = []
 
-    with open(metrics_path, "w" if start_epoch == 0 else "a") as log:
+    with parallel.ForkGroup(min(workers, config.batch_size), items) as group, \
+            open(metrics_path, "w" if start_epoch == 0 else "a") as log:
         for epoch in range(start_epoch, config.epochs):
             order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
-            nsc_active = epoch >= config.add_nsc_epoch
             nfc_sum = nsc_sum = seg_sum = 0.0
             n_used = nsc_n = skipped = 0
 
             for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
-                grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
-                contributing = 0
-                for idx in batch:
-                    utt_id, samples = items[int(idx)]
+                batch = []
+                for idx in order[start : start + config.batch_size]:
+                    samples = items[int(idx)][1]
                     if samples.size < model.RECEPTIVE_FIELD or model.n_frames(samples.size) < min_frames:
                         skipped += 1
-                        continue
-                    tape = dc.Tape()
-                    leaves = {k: tape.tensor(p, requires_grad=True) for k, p in params.items()}
-                    graph = model.analyze_utterance(tape, leaves, samples, config.thres)
-                    rng = np.random.default_rng([config.seed, epoch, int(idx)])
-                    total, report = obj.utterance_loss(graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
-                    if not np.isfinite(report.total):
-                        raise DivergenceError(f"non-finite loss on utterance {utt_id} in epoch {epoch}; last-good checkpoint retained")
-                    tape.backward(total)
+                    else:
+                        batch.append(int(idx))
+                if not batch:
+                    continue
+                steps = group.map(_step_share, batch, [items[idx][1].size for idx in batch], params, config, epoch)
+                # Fold in batch order, so the sums are the same for any group size.
+                grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
+                for idx, (utt_grads, report, n_segments) in zip(batch, steps):
+                    if utt_grads is None:
+                        raise DivergenceError(f"non-finite loss on utterance {items[idx][0]} in epoch {epoch}; last-good checkpoint retained")
                     for k in params:
-                        grads[k] += leaves[k].grad.astype(np.float64)
-                    contributing += 1
+                        grads[k] += utt_grads[k].astype(np.float64)
                     n_used += 1
                     nfc_sum += report.nfc
-                    seg_sum += graph.boundaries.n_segments
+                    seg_sum += n_segments
                     if report.nsc is not None:
                         nsc_sum += report.nsc
                         nsc_n += 1
-                if contributing == 0:
-                    continue
                 for k in grads:
-                    grads[k] /= contributing
+                    grads[k] /= len(batch)
                 norm = _clip_global_norm(grads, GRAD_CLIP_NORM)
                 if not np.isfinite(norm):
                     raise DivergenceError(f"non-finite gradient norm in epoch {epoch}; last-good checkpoint retained")
@@ -348,7 +374,7 @@ def train(
                 "val_r_word": None,
             }
             if val_entries:
-                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_refs, workers)
+                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_refs, group)
             history.append(record)
             log.write(json.dumps(record) + "\n")
             log.flush()

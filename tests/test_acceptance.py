@@ -6,8 +6,9 @@ vectorized segment extraction, finite-difference validation of every
 autodiff op plus the composite frame loss, end-to-end learning on the
 bundled synthetic corpus against matched baselines, sweep behavior, and an
 optional real-corpus recipe.  The synthetic end-to-end gate trains a full
-model, which took 265-340 s on 2 cores with one BLAS thread; everything
-else is fast.
+model at the default worker count, which took 192 s on 2 cores (two
+processes, one BLAS thread each) against 306 s at ``--workers 1``, back to
+back; everything else is fast.
 """
 
 from __future__ import annotations
