@@ -10,9 +10,9 @@ one-time conversion (for example `sph2pipe -f rif`).  The two calibration
 sentences every speaker reads (SA1, SA2) are dropped so repeated sentence
 text does not leak across speakers.
 
-Training runs on CPU; expect minutes per epoch.  Boundary threshold 0.05 and
-a segment-loss start after epoch 2 are the settings that work well on this
-corpus.  There is no pass/fail bar here: the script reports phoneme and word
+Every command runs on CPU, on all usable cores; expect minutes per epoch.
+Boundary threshold 0.05 and a segment-loss start after epoch 2 are the
+settings that work well on this corpus.  There is no pass/fail bar here: the script reports phoneme and word
 R-values and leaves judgment to the reader.
 """
 
@@ -52,7 +52,6 @@ def main() -> None:
     ap.add_argument("timit_root", type=Path)
     ap.add_argument("out_dir", type=Path)
     ap.add_argument("--epochs", type=int, default=5)
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     train_all = collect(find_split(args.timit_root, "TRAIN"))
@@ -85,15 +84,15 @@ def main() -> None:
             sys.exit(1)
 
     run("train", "--manifest", out / "train.tsv", "--config", config,
-        "--out", out / "run", "--val", out / "val.tsv", "--workers", args.workers)
+        "--out", out / "run", "--val", out / "val.tsv")
 
     for level in ("phoneme", "word"):
         run("tune", "--ckpt", out / "run" / "checkpoint.npz", "--manifest", out / "val.tsv",
-            "--level", level, "--out", out / f"tune_{level}", "--workers", args.workers)
+            "--level", level, "--out", out / f"tune_{level}")
         prominence = json.loads((out / f"tune_{level}" / "tune.json").read_text())["prominence"]
         run("segment", "--ckpt", out / "run" / "checkpoint.npz", "--manifest", out / "test.tsv",
             "--level", level, "--out", out / f"pred_{level}",
-            "--prominence", prominence, "--workers", args.workers)
+            "--prominence", prominence)
         run("eval", "--pred", out / f"pred_{level}", "--ref", out / "test.tsv",
             "--level", level, "--out", out / f"eval_{level}")
         report = json.loads((out / f"eval_{level}" / "eval.json").read_text())

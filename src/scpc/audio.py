@@ -18,6 +18,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 from scipy.io import wavfile
@@ -342,7 +343,8 @@ def read_manifest(path: str | Path) -> dict[str, tuple[Path, Path, Path]]:
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"{path} is a directory; pass the manifest file inside it (e.g. {path / 'manifest.tsv'})")
-    base = path.parent
+    base = str(path.parent)
+    dirs: dict[str, str] = {}   # parent directory as written -> resolved
     rows: dict[int, tuple[Path, Path, Path]] = {}   # line number -> files
     for n, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
@@ -350,10 +352,7 @@ def read_manifest(path: str | Path) -> dict[str, tuple[Path, Path, Path]]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{n}: expected 3 tab-separated paths, got {len(parts)}")
-        rows[n] = tuple((base / p).resolve() for p in parts)
-        for p in rows[n]:
-            if not p.exists():
-                raise FileNotFoundError(f"{path}:{n}: manifest references missing file {p}")
+        rows[n] = tuple(_resolve_existing(os.path.join(base, p), dirs, f"{path}:{n}") for p in parts)
     if not rows:
         raise ValueError(f"{path}: manifest is empty")
     root = Path(os.path.commonpath([wav.parent for wav, _, _ in rows.values()]))
@@ -365,8 +364,28 @@ def read_manifest(path: str | Path) -> dict[str, tuple[Path, Path, Path]]:
     return dict(zip(lines, rows.values()))
 
 
-def load_references(manifest: str | Path, level: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Reference times and durations per utterance id of a manifest.
+def _resolve_existing(path: str, dirs: dict[str, str], where: str) -> Path:
+    """``Path(path).resolve()``, which must exist, resolving each distinct
+    parent directory once through ``dirs``.
+
+    The file name is kept as written unless it is a symlink (or ``..``),
+    which resolves in full.
+    """
+    head, name = os.path.split(path)
+    if name == ".." or os.path.islink(path):
+        resolved = Path(path).resolve()
+    else:
+        if head not in dirs:
+            dirs[head] = str(Path(head).resolve())
+        resolved = Path(os.path.join(dirs[head], name))
+    if not resolved.exists():
+        raise FileNotFoundError(f"{where}: manifest references missing file {resolved}")
+    return resolved
+
+
+def load_references(manifest: str | Path | Mapping[str, tuple[Path, Path, Path]], level: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Reference times and durations per utterance id of a manifest, given
+    as its path or as what ``read_manifest`` returned for it.
 
     ``level`` picks the manifest's phoneme or word alignment column.  The
     final annotated end time doubles as the duration, so no audio needs
@@ -374,9 +393,10 @@ def load_references(manifest: str | Path, level: str) -> tuple[dict[str, np.ndar
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    rows = manifest if isinstance(manifest, Mapping) else read_manifest(manifest)
     refs: dict[str, np.ndarray] = {}
     durations: dict[str, float] = {}
-    for utt_id, (_, phn, wrd) in read_manifest(manifest).items():
+    for utt_id, (_, phn, wrd) in rows.items():
         ann = phn if level == "phoneme" else wrd
         times = parse_alignment_file(ann)
         if times.size == 0:

@@ -35,10 +35,10 @@ def _echo_config(out_dir: Path, payload: dict) -> None:
     (out_dir / "config_resolved.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _profile_manifest(args) -> list[infer.UtteranceProfile]:
-    """Load the checkpoint once and profile every utterance of the manifest."""
+def _profile_manifest(args, rows: dict[str, tuple[Path, Path, Path]]) -> list[infer.UtteranceProfile]:
+    """Load the checkpoint once and profile every utterance of the read manifest ``rows``."""
     net = model.load_checkpoint(args.ckpt)[0]
-    entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in audio.read_manifest(args.manifest).items()]
+    entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in rows.items()]
     return infer.profile_corpus(net, entries, workers=args.workers)
 
 
@@ -70,7 +70,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_segment(args) -> int:
     out = Path(args.out)
-    profiles = _profile_manifest(args)
+    profiles = _profile_manifest(args, audio.read_manifest(args.manifest))
     preds = {p.id: infer.predict(p, args.level, args.prominence) for p in profiles}
     infer.write_predictions(preds, out, args.level)
     _echo_config(out, {"command": "segment", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
@@ -114,8 +114,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    profiles = _profile_manifest(args)
-    refs, durations = audio.load_references(args.manifest, args.level)
+    rows = audio.read_manifest(args.manifest)
+    profiles = _profile_manifest(args, rows)
+    refs, durations = audio.load_references(rows, args.level)
     result = infer.tune_prominence(profiles, refs, args.level, durations=durations, tolerance=args.tol)
     print(f"prominence {result.prominence:.2f}  r_value {metrics.format_pct(result.r_value)}")
     if args.out:
@@ -131,8 +132,8 @@ def _cmd_tune(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scpc", description="Joint frame/segment contrastive boundary detection.")
     sub = parser.add_subparsers(dest="command", required=True)
-    train_workers = {"type": int, "default": _usable_cores(),
-                     "help": "processes per training step and validation (default: usable cores); outputs do not depend on it"}
+    workers = {"type": int, "default": _usable_cores(),
+               "help": "processes, forked once per command (default: usable cores); outputs do not depend on it"}
 
     p = sub.add_parser("synth", help="render the built-in synthetic corpus with reference boundaries")
     p.add_argument("--out", required=True)
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", help="validation manifest for per-epoch R-values")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--workers", **train_workers)
+    p.add_argument("--workers", **workers)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("segment", help="predict boundaries with a trained model")
@@ -158,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=infer.LEVELS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--prominence", type=float, default=infer.DEFAULT_PROMINENCE)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", **workers)
     p.set_defaults(fn=_cmd_segment)
 
     p = sub.add_parser("eval", help="score predicted boundaries against references")
@@ -177,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=sorted(trainer.SWEEP_GRIDS), required=True)
     p.add_argument("--values", help="comma-separated grid override (default: reference grid)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", **train_workers)
+    p.add_argument("--workers", **workers)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("tune", help="grid-search peak prominence on labeled data")
@@ -186,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=infer.LEVELS, required=True)
     p.add_argument("--tol", type=float, default=metrics.DEFAULT_TOLERANCE)
     p.add_argument("--out", help="also write tune.json here")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", **workers)
     p.set_defaults(fn=_cmd_tune)
 
     return parser

@@ -286,8 +286,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     if n > t:
         xs = np.pad(xs, ((0, n - t), (0, 0)))
     xb = xs.reshape(t_out + m - 1, stride * c_in)
+    w = weight.data
+    if m * stride != k:
+        w = np.pad(w, ((0, 0), (0, 0), (0, m * stride - k)))
     # wb[j, r * c_in + c, o] = weight[o, c, j * stride + r]
-    wb = np.pad(weight.data, ((0, 0), (0, 0), (0, m * stride - k))).transpose(2, 1, 0).reshape(m, stride * c_in, c_out)
+    wb = w.transpose(2, 1, 0).reshape(m, stride * c_in, c_out)
     out = np.empty((t_out, c_out), np.result_type(xb, wb))
     rows = max(1, _CONV_BLOCK // c_out)
     for i in range(0, t_out, rows):

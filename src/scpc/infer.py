@@ -114,14 +114,19 @@ def _profile_share(_inherited, net: model.SCPCModel, entries: list[tuple[str, st
 
 def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers: int = 1) -> list[UtteranceProfile]:
     """Profiles for (wav_path, utterance_id) pairs, in input order, on up
-    to ``workers`` processes; identical to the sequential path."""
+    to ``workers`` processes; identical to the sequential path.
+
+    The children are forked once per call, which is once per ``segment`` or
+    ``tune`` command, and exit when it returns.
+    """
     with parallel.ForkGroup(min(workers, len(entries))) as group:
         return profile_with(group, net, entries)
 
 
 def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
-    """``profile_corpus`` on an open group: the entries are split by file
-    size, and each process receives the model once.
+    """``profile_corpus`` on an open group, which a training run forks once
+    and reuses for validation every epoch: the entries are split by file
+    size, and each process receives the model once per call.
 
     Audio is read one utterance at a time, so only the profiles accumulate.
     """
@@ -175,8 +180,10 @@ def tune_prominence(
     Ties break toward the larger prominence (fewer boundaries).  Grid points
     where no boundaries are predicted score as negative infinity.  Scores
     are those of ``metrics.evaluate`` with ``durations``.  Each curve's peaks
-    are found and edge-stripped once and filtered by prominence at each grid
-    point, and the references are prepared once.
+    are found and edge-stripped once.  The peaks kept at a higher prominence
+    are a subset of those kept at a lower one, so their count names the set:
+    each utterance is matched once per distinct count, and the integer
+    counts are pooled per grid point.
     """
     if not profiles:
         raise ValueError("tune_prominence: empty validation set")
@@ -186,16 +193,27 @@ def tune_prominence(
         for k, (times, prominences) in peaks.items():
             keep = np.isin(times, metrics.strip_edges(times, durations[k]))
             peaks[k] = times[keep], prominences[keep]
-        refs = {k: metrics.strip_edges(r, durations[k]) for k, r in refs.items()}
-    pooled = metrics.scorer(refs, tolerance)
+    refs = metrics._references(refs, peaks, tolerance, durations)
+    grid = np.asarray(PROMINENCE_GRID)
+    n_hit = np.zeros(grid.size, dtype=np.int64)
+    n_pred = np.zeros(grid.size, dtype=np.int64)
+    for k, r_times in refs.items():
+        times, prominences = peaks[k]
+        # Peaks with prominence >= p, per grid point p.
+        kept = prominences.size - np.searchsorted(np.sort(prominences), grid, side="left")
+        for count in np.unique(kept):
+            at = kept == count
+            n_hit[at] += metrics._hits(times[prominences >= grid[at][0]], r_times, tolerance)
+        n_pred += kept
+    n_ref = sum(r.size for r in refs.values())
     best_prom, best_rv, best_score = None, None, -np.inf
     rows = []
-    for prom in PROMINENCE_GRID:
-        report = pooled({k: times[prominences >= prom] for k, (times, prominences) in peaks.items()})
-        rows.append((prom, report.r_value))
-        score = -np.inf if report.r_value is None else report.r_value
+    for prom, hits, preds in zip(PROMINENCE_GRID, n_hit.tolist(), n_pred.tolist()):
+        rv = metrics._report(metrics.MatchResult(hits, preds, n_ref), len(refs), tolerance).r_value
+        rows.append((prom, rv))
+        score = -np.inf if rv is None else rv
         if score >= best_score:
-            best_prom, best_rv, best_score = prom, report.r_value, score
+            best_prom, best_rv, best_score = prom, rv, score
     return TuneResult(best_prom, best_rv, tuple(rows))
 
 

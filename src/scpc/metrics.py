@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "r_value",
     "strip_edges",
     "evaluate",
-    "scorer",
     "periodic_boundaries",
     "random_boundaries",
     "format_pct",
@@ -166,21 +165,25 @@ def evaluate(
     """
     for times in pred.values():
         _check_sorted(np.asarray(times, dtype=np.float64), "predicted")
-    return scorer(ref, tolerance, durations)(pred)
+    refs = _references(ref, pred, tolerance, durations)
+    total = MatchResult(0, 0, 0)
+    for utt_id, r_times in refs.items():
+        p_times = np.asarray(pred[utt_id], dtype=np.float64)
+        if durations is not None:
+            p_times = strip_edges(p_times, durations[utt_id])
+        total = total + MatchResult(_hits(p_times, r_times, tolerance), int(p_times.size), int(r_times.size))
+    return _report(total, len(refs), tolerance)
 
 
-def scorer(
+def _references(
     ref: Mapping[str, Sequence[float]],
-    tolerance: float = DEFAULT_TOLERANCE,
-    durations: Mapping[str, float] | None = None,
-) -> Callable[[Mapping[str, Sequence[float]]], EvalReport]:
-    """``evaluate`` against fixed references, for scoring many prediction sets.
-
-    The references are edge-stripped and checked sorted once, here; the
-    returned function takes a ``pred`` mapping of sorted times, which it
-    does not check, and returns what ``evaluate(pred, ref, tolerance,
-    durations)`` would.
-    """
+    pred: Mapping[str, object],
+    tolerance: float,
+    durations: Mapping[str, float] | None,
+) -> dict[str, np.ndarray]:
+    """``evaluate``'s references by sorted id, edge-stripped with
+    ``durations`` and checked sorted, after checking ``tolerance``; the
+    ids must be those of ``pred``."""
     _check_tolerance(tolerance)
     refs = {}
     for utt_id in sorted(ref):
@@ -189,26 +192,21 @@ def scorer(
             r_times = strip_edges(r_times, durations[utt_id])
         _check_sorted(r_times, "reference")
         refs[utt_id] = r_times
+    missing = sorted(set(refs) - set(pred))
+    extra = sorted(set(pred) - set(refs))
+    if missing or extra:
+        raise ValueError(f"utterance id mismatch between predictions and references: missing {missing}, unexpected {extra}")
+    if not refs:
+        raise ValueError("evaluate() needs at least one utterance")
+    return refs
 
-    def score(pred: Mapping[str, Sequence[float]]) -> EvalReport:
-        missing = sorted(set(refs) - set(pred))
-        extra = sorted(set(pred) - set(refs))
-        if missing or extra:
-            raise ValueError(f"utterance id mismatch between predictions and references: missing {missing}, unexpected {extra}")
-        if not refs:
-            raise ValueError("evaluate() needs at least one utterance")
-        total = MatchResult(0, 0, 0)
-        for utt_id, r_times in refs.items():
-            p_times = np.asarray(pred[utt_id], dtype=np.float64)
-            if durations is not None:
-                p_times = strip_edges(p_times, durations[utt_id])
-            total = total + MatchResult(_hits(p_times, r_times, tolerance), int(p_times.size), int(r_times.size))
-        p, r, f1 = precision_recall_f1(total)
-        os = over_segmentation(p, r)
-        rv = r_value(r, os) if os is not None else None
-        return EvalReport(p, r, f1, os, rv, total.n_hit, total.n_pred, total.n_ref, len(refs), tolerance)
 
-    return score
+def _report(total: MatchResult, n_utterances: int, tolerance: float) -> EvalReport:
+    """The rates of pooled counts, as ``evaluate`` reports them."""
+    p, r, f1 = precision_recall_f1(total)
+    os = over_segmentation(p, r)
+    rv = r_value(r, os) if os is not None else None
+    return EvalReport(p, r, f1, os, rv, total.n_hit, total.n_pred, total.n_ref, n_utterances, tolerance)
 
 
 def periodic_boundaries(duration: float, period: float = 0.040) -> np.ndarray:

@@ -75,18 +75,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        model.ModelConfig(self.frame_dim, self.segment_dim, self.thres)   # checks thres and the widths
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.thres <= 1.0:
-            raise ValueError(f"thres must be in [0, 1], got {self.thres}")
         if self.add_nsc_epoch < 0:
             raise ValueError(f"add_nsc_epoch must be >= 0, got {self.add_nsc_epoch}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.k_frame < 1 or self.k_seg < 0:
             raise ValueError(f"need k_frame >= 1 and k_seg >= 0, got {self.k_frame}, {self.k_seg}")
-        if self.frame_dim < 1 or self.segment_dim < 1:
-            raise ValueError("frame_dim and segment_dim must be >= 1")
 
 
 # ------------------------------------------------------------ configuration
@@ -288,8 +285,9 @@ def train(
     if len(items) < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
     # Validation holds only annotations; profile_corpus streams its audio each epoch.
-    val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in audio.read_manifest(val_manifest_path).items()] if val_manifest_path else []
-    val_refs = {level: audio.load_references(val_manifest_path, level) for level in infer.LEVELS} if val_manifest_path else {}
+    val_rows = audio.read_manifest(val_manifest_path) if val_manifest_path else {}
+    val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in val_rows.items()]
+    val_refs = {level: audio.load_references(val_rows, level) for level in infer.LEVELS}
     min_frames = config.k_frame + 2
 
     if resume_from is not None:

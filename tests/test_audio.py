@@ -303,3 +303,34 @@ class TestUtteranceIds:
         manifest.write_text("x.wav\tx.phn\tx.wrd\ny.wav\ty.phn\ty.wrd\n\n./x.wav\tx.phn\tx.wrd\n")
         with pytest.raises(ValueError, match=r"m2.tsv:4: utterance id 'x' repeats line 1$"):
             audio.read_manifest(manifest)
+
+
+class TestManifestPaths:
+    def test_paths_and_errors_match_full_resolution(self, tmp_path):
+        # read_manifest resolves each parent directory once; every path and
+        # error must still be what Path.resolve() gives for the whole path.
+        for d, stem in (("real", "a"), ("other", "b"), ("third", "c"), ("real", "d")):
+            _utterance_files(tmp_path / "data" / d, stem)
+        lists = tmp_path / "lists"
+        lists.mkdir()
+        (lists / "linkdir").symlink_to(tmp_path / "data" / "other", target_is_directory=True)
+        for ext in ("wav", "phn", "wrd"):
+            (lists / f"s.{ext}").symlink_to(tmp_path / "data" / "third" / f"c.{ext}")
+        rows = [
+            [f"../data/real/a.{ext}" for ext in ("wav", "phn", "wrd")],      # a .. component
+            [f"linkdir/b.{ext}" for ext in ("wav", "phn", "wrd")],           # a symlinked directory
+            [f"s.{ext}" for ext in ("wav", "phn", "wrd")],                   # symlinked files
+            [f"linkdir/../real/d.{ext}" for ext in ("wav", "phn", "wrd")],  # .. after a symlink
+        ]
+        manifest = lists / "m.tsv"
+        manifest.write_text("".join("\t".join(r) + "\n" for r in rows))
+        got = audio.read_manifest(manifest)
+        assert list(got) == ["real/a", "other/b", "third/c", "real/d"]
+        assert list(got.values()) == [tuple((lists / p).resolve() for p in r) for r in rows]
+
+        (lists / "gone.wav").symlink_to(tmp_path / "data" / "nowhere.wav")   # a dangling symlink
+        manifest.write_text("\t".join(rows[0]) + "\n" + "\t".join(["gone.wav", *rows[1][1:]]) + "\n")
+        with pytest.raises(FileNotFoundError) as err:
+            audio.read_manifest(manifest)
+        assert str(err.value) == f"{manifest}:2: manifest references missing file {(lists / 'gone.wav').resolve()}"
+        assert (lists / "gone.wav").resolve().name == "nowhere.wav"

@@ -591,7 +591,7 @@ class TestConventions:
 
     # Public names the pipeline never uses, each kept for a stated reader.
     NO_PIPELINE_CALLER = {
-        "metrics.match": "the matching rule's unit API; scoring runs the same walk inside metrics.scorer",
+        "metrics.match": "the matching rule's unit API; scoring runs the same walk inside metrics.evaluate and infer.tune_prominence",
         "metrics.periodic_boundaries": "a baseline the acceptance gate scores the model against",
         "metrics.random_boundaries": "a baseline the acceptance gate scores the model against",
         "boundary.peak_scores": "boundary_indicator's forward stage, which the tests and the demo read",

@@ -224,6 +224,46 @@ def test_tune_beats_default_by_construction(small_net):
         assert result.r_value >= default_report.r_value
 
 
+def _random_corpus(rng, n_utts):
+    """Profiles whose curves stay below 0.4, so the top grid points predict
+    nothing, and references on or near the frame grid, edges included."""
+    profiles, refs, durations = [], {}, {}
+    for u in range(n_utts):
+        n = int(rng.integers(0, 40))
+        curve = 0.4 * rng.random(n)
+        ends = np.cumsum(rng.integers(1, 4, n + 1)) - 1
+        profiles.append(make_profile(f"u{u}", dissim=curve, word=curve, ends=ends))
+        duration = (ends[-1] + 1) * model.FRAME_HOP_S
+        frames = rng.choice(np.arange(ends[-1] + 2), size=min(int(rng.integers(1, 12)), ends[-1] + 2), replace=False)
+        refs[f"u{u}"] = np.sort(frames * model.FRAME_HOP_S + rng.uniform(-0.015, 0.015, frames.size)).clip(0, duration)
+        durations[f"u{u}"] = duration
+    return profiles, refs, durations
+
+
+def test_tune_rows_equal_evaluate_at_every_grid_point():
+    # Brute force: each row is metrics.evaluate of the predictions at its
+    # prominence, and the winner is the largest prominence of the best row.
+    rng = np.random.default_rng(2)
+    seen = {"none": 0, "tie": 0}
+    for trial in range(12):
+        profiles, refs, durations = _random_corpus(rng, int(rng.integers(1, 6)))
+        for level in infer.LEVELS:
+            for durs in (None, durations):
+                result = infer.tune_prominence(profiles, refs, level, durations=durs, tolerance=0.01)
+                expected = []
+                for prom in infer.PROMINENCE_GRID:
+                    preds = {p.id: infer.predict(p, level, prom) for p in profiles}
+                    expected.append((prom, metrics.evaluate(preds, refs, tolerance=0.01, durations=durs).r_value))
+                assert result.rows == tuple(expected)
+                scores = [-np.inf if r is None else r for _, r in expected]
+                winners = [p for (p, _), s in zip(expected, scores) if s == max(scores)]
+                assert result.prominence == winners[-1]
+                assert result.r_value == dict(expected)[result.prominence]
+                seen["none"] += expected[-1][1] is None
+                seen["tie"] += len(winners) > 1 and max(scores) > -np.inf
+    assert seen["none"] and seen["tie"]
+
+
 def test_tune_rejects_empty_inputs():
     with pytest.raises(ValueError, match="empty validation"):
         infer.tune_prominence([], {}, "phoneme")

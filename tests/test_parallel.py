@@ -1,12 +1,14 @@
-"""Data-parallel training on a forked worker group.
+"""Data-parallel training and profiling on a forked worker group.
 
 Outputs must be byte-identical for any ``--workers``, and no child process
-may outlive a ``train`` call, whether it returns, raises or its parent dies.
+may outlive a ``train``, ``tune`` or ``segment`` call, whether it returns,
+raises or its parent dies.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import subprocess
@@ -19,6 +21,8 @@ import pytest
 
 from scpc import audio
 from scpc import cli
+from scpc import infer
+from scpc import model
 from scpc import parallel
 from scpc import trainer
 
@@ -110,6 +114,31 @@ def test_outputs_byte_identical_with_a_skipped_utterance_and_a_one_utterance_bat
                            f"epochs = {epochs}\nadd_nsc_epoch = 1\nbatch_size = 3\n", tmp_path)
     assert one == two
     assert b'"n_skipped": 1' in one[1]
+
+
+def _inference_outputs(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "config_resolved.json"}
+
+
+def test_tune_and_segment_byte_identical_for_one_and_two_workers(data, tmp_path):
+    ckpt = tmp_path / "net.npz"
+    model.save_checkpoint(ckpt, model.SCPCModel.init(model.ModelConfig(frame_dim=8, segment_dim=8, thres=0.02), seed=3))
+    val = data / "val" / "manifest.tsv"
+    for level in infer.LEVELS:
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"{level}{workers}"
+            assert run_cli("tune", "--ckpt", ckpt, "--manifest", val, "--level", level,
+                           "--out", out / "tune", "--workers", workers) == 0
+            assert run_cli("segment", "--ckpt", ckpt, "--manifest", val, "--level", level, "--prominence", 0.05,
+                           "--out", out / "pred", "--workers", workers) == 0
+            assert multiprocessing.active_children() == []
+            outs.append(_inference_outputs(out))
+        assert {"tune/tune.json", "pred/predictions.tsv", "pred/report.json"} <= set(outs[0])
+        assert sum(name.endswith(".txt") for name in outs[0]) == len(audio.read_manifest(val))
+        assert json.loads(outs[0]["pred/report.json"])["total_boundaries"] > 0
+        assert outs[0] == outs[1]
 
 
 # ----------------------------------------------------------------- lifecycle
