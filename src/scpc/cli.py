@@ -30,6 +30,17 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _core_budget(text: str) -> int:
+    """``--workers``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _echo_config(out_dir: Path, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_resolved.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -132,8 +143,10 @@ def _cmd_tune(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scpc", description="Joint frame/segment contrastive boundary detection.")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = {"type": int, "default": _usable_cores(),
-               "help": "processes, forked once per command (default: usable cores); outputs do not depend on it"}
+    workers = {"type": _core_budget, "default": _usable_cores(),
+               "help": "cores (default: usable cores): first one process per utterance of a batch or manifest, "
+                       "forked once per command, then the rest as threads in each encoder layer; "
+                       "outputs do not depend on it"}
 
     p = sub.add_parser("synth", help="render the built-in synthetic corpus with reference boundaries")
     p.add_argument("--out", required=True)

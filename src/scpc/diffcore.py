@@ -32,6 +32,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse
 
+from . import parallel
+
 __all__ = [
     "Tape",
     "Tensor",
@@ -87,7 +89,9 @@ class Tape:
     :meth:`backward` releases the recorded nodes, so the graph is freed by
     reference counting once the caller drops its tensors, and a second
     backward call is an error.  Tapes are not thread-safe; confine each tape
-    to one thread.
+    to one thread.  An op, forward or vjp, may fan its numpy work out to
+    helper threads (``parallel.fan_out``) that touch only the op's own
+    arrays and are joined before it returns.
     """
 
     def __init__(self) -> None:
@@ -249,7 +253,25 @@ def gather_rows(x: Tensor, index) -> Tensor:
 _CONV_BLOCK = 1 << 15
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
+def _runs(n_rows: int, rows: int, threads: int) -> list[range]:
+    """The block starts 0, rows, 2 * rows, ... below ``n_rows``, dealt into
+    at most ``threads`` contiguous runs of whole blocks."""
+    starts = range(0, n_rows, rows)
+    n = min(threads, len(starts))
+    return [starts[q * len(starts) // n : (q + 1) * len(starts) // n] for q in range(n)]
+
+
+def _add_rows(buf: np.ndarray, row: int, p: np.ndarray, own: int, held: list) -> None:
+    """``buf[row : row + len(p)] += p``, except that the rows of ``p`` that
+    land before row ``own`` are appended to ``held`` for the caller to add.
+    A product passed straight in is freed on return, before the next one."""
+    cut = min(max(own - row, 0), p.shape[0])
+    if cut:
+        held.append((row, p[:cut].copy()))
+    buf[row + cut : row + p.shape[0]] += p[cut:]
+
+
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 1) -> Tensor:
     """One encoder layer: relu of a valid-mode strided 1-D convolution plus bias.
 
     Channels-last: ``x`` has shape (t, c_in), ``weight`` (c_out, c_in, k) and
@@ -269,14 +291,20 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     the stride, the padded taps can reach past the input, which is then
     zero-padded to match.  The forward sums over m GEMMs, so it is not
     bit-identical to one GEMM over the (t_out, c_in * k) window matrix.
+
+    ``threads`` > 1 spreads the work over that many threads, every result
+    bit-identical to one thread's: every GEMM keeps its operands and row
+    count (OpenBLAS rounds a one-row product differently), the row blocks
+    are dealt into contiguous runs, and the input-gradient rows where two
+    runs meet are summed after the join in the one-thread order.
     """
     tape = _check_tape(x, weight, bias)
     if x.data.ndim != 2 or weight.data.ndim != 3 or weight.data.shape[1] != x.data.shape[1] or bias.data.shape != weight.data.shape[:1]:
         raise ValueError(f"conv1d: expected (t, c_in), (c_out, c_in, k) and (c_out,), got {x.data.shape}, {weight.data.shape} and {bias.data.shape}")
     t, c_in = x.data.shape
     c_out, _, k = weight.data.shape
-    if stride < 1:
-        raise ValueError(f"conv1d: stride must be positive, got {stride}")
+    if stride < 1 or threads < 1:
+        raise ValueError(f"conv1d: stride and threads must be positive, got {stride} and {threads}")
     if t < k:
         raise ValueError(f"conv1d: input length {t} shorter than kernel {k}")
     t_out = 1 + (t - k) // stride
@@ -292,35 +320,62 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     # wb[j, r * c_in + c, o] = weight[o, c, j * stride + r]
     wb = w.transpose(2, 1, 0).reshape(m, stride * c_in, c_out)
     out = np.empty((t_out, c_out), np.result_type(xb, wb))
-    rows = max(1, _CONV_BLOCK // c_out)
-    for i in range(0, t_out, rows):
-        o = out[i : i + rows]
-        np.matmul(xb[i : i + o.shape[0]], wb[0], out=o)
-        for j in range(1, m):
-            o += xb[i + j : i + j + o.shape[0]] @ wb[j]
-        o += bias.data
-        np.maximum(o, 0, out=o)
+    runs = _runs(t_out, max(1, _CONV_BLOCK // c_out), threads)
 
-    def vjp(g):
-        g = g * (out > 0)   # relu: out > 0 exactly where the pre-activation is
-        gb = g.sum(axis=0, dtype=np.float64).astype(g.dtype)
+    def forward(q):
+        for i in runs[q]:
+            o = out[i : i + runs[q].step]
+            np.matmul(xb[i : i + o.shape[0]], wb[0], out=o)
+            for j in range(1, m):
+                o += xb[i + j : i + j + o.shape[0]] @ wb[j]
+            o += bias.data
+            np.maximum(o, 0, out=o)
+
+    parallel.fan_out(forward, len(runs))
+
+    def vjp(g_out):
+        # relu: out > 0 exactly where the pre-activation is
+        g = np.empty_like(g_out)
+        spans = [slice(r.start, r.stop) for r in runs]
+        parallel.fan_out(lambda q: np.multiply(g_out[spans[q]], out[spans[q]] > 0, out=g[spans[q]]), len(spans))
+        gwb = np.empty((m, stride * c_in, c_out), out.dtype)
+        gb = []
+        n_gw = min(threads, m)
+
+        def weight_grad(q):
+            if q == 0:
+                gb.append(g.sum(axis=0, dtype=np.float64).astype(g.dtype))
+            for j in range(q, m, n_gw):
+                np.matmul(xb[j : j + t_out].T, g, out=gwb[j])
+
+        parallel.fan_out(weight_grad, n_gw)
+        # Freed before the input gradient, which masks a block at a time, so
+        # the peak never holds it together with one product per thread.
+        del g
         gx = None
         if x.requires_grad:
             gx = np.zeros((max(n, t), c_in), out.dtype)
             gxb = gx[:n].reshape(t_out + m - 1, stride * c_in)
-            rows = max(1, _CONV_BLOCK // (stride * c_in))
-            for i in range(0, t_out, rows):
-                gi = g[i : i + rows]
-                for j in range(m):
-                    gxb[i + j : i + j + gi.shape[0]] += gi @ wb[j].T
+            gx_runs = _runs(t_out, max(1, _CONV_BLOCK // (stride * c_in)), threads)
+            seams = [[] for _ in gx_runs]
+
+            def input_grad(q):
+                run = gx_runs[q]
+                own = run.start + m - 1 if q else 0   # the first row no earlier run reaches
+                for i in run:
+                    gi = g_out[i : i + run.step] * (out[i : i + run.step] > 0)
+                    for j in range(m):
+                        _add_rows(gxb, i + j, gi @ wb[j].T, own, seams[q])
+
+            parallel.fan_out(input_grad, len(gx_runs))
+            for held in seams:   # after every run, in the one-thread order
+                for r, p in held:
+                    gxb[r : r + p.shape[0]] += p
             gx = gx[:t]
-        gwb = np.empty((m, stride * c_in, c_out), out.dtype)
-        for j in range(m):
-            np.matmul(xb[j : j + t_out].T, g, out=gwb[j])
         # A (c_out, c_in, k) view of the blocks, inverting wb's layout; a
         # contiguous copy would add a weight-sized buffer at the layer's peak.
         gw = gwb.reshape(m * stride, c_in, c_out).transpose(2, 1, 0)[:, :, :k]
-        return gx, gw, gb
+        return gx, gw, gb[0]
 
     return tape._record((x, weight, bias), out, vjp)
 

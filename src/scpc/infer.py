@@ -79,8 +79,9 @@ def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) -> UtteranceProfile:
-    """Run the model forward and keep only what peak picking needs.
+def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str, threads: int = 1) -> UtteranceProfile:
+    """Run the model forward, its frame encoder on ``threads`` threads, and
+    keep only what peak picking needs.
 
     Segmentation uses the threshold stored in the model config.  Utterances
     shorter than two frames cannot produce a junction; they yield an empty
@@ -93,7 +94,7 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
 
     tape = dc.Tape()
     leaves = {name: tape.constant(arr) for name, arr in net.params.items()}
-    graph = model.analyze_utterance(tape, leaves, samples, net.config.thres)
+    graph = model.analyze_utterance(tape, leaves, samples, net.config.thres, threads)
 
     dissim = graph.boundaries.dissimilarity.astype(np.float64)
     spans = graph.boundaries.spans
@@ -108,29 +109,33 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str) ->
     return UtteranceProfile(utt_id, dissim, word_scores, end_frames)
 
 
-def _profile_share(_inherited, net: model.SCPCModel, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
-    return [profile_utterance(net, audio.load_wav(wav).samples, utt_id) for wav, utt_id in entries]
+def _profile_share(_inherited, net: model.SCPCModel, threads: int, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
+    return [profile_utterance(net, audio.load_wav(wav).samples, utt_id, threads) for wav, utt_id in entries]
 
 
 def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers: int = 1) -> list[UtteranceProfile]:
-    """Profiles for (wav_path, utterance_id) pairs, in input order, on up
-    to ``workers`` processes; identical to the sequential path.
+    """Profiles for (wav_path, utterance_id) pairs, in input order, on
+    ``workers`` cores; identical to the sequential path.
 
-    The children are forked once per call, which is once per ``segment`` or
-    ``tune`` command, and exit when it returns.
+    One process per file up to ``workers``, each with the cores left over
+    as encoder threads (``parallel.split_cores``): a one-file manifest runs
+    on ``workers`` threads.  The children are forked once per call, which
+    is once per ``segment`` or ``tune`` command, and exit when it returns.
     """
-    with parallel.ForkGroup(min(workers, len(entries))) as group:
-        return profile_with(group, net, entries)
+    processes, threads = parallel.split_cores(workers, len(entries))
+    with parallel.ForkGroup(processes) as group:
+        return profile_with(group, net, entries, threads)
 
 
-def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
+def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]], threads: int = 1) -> list[UtteranceProfile]:
     """``profile_corpus`` on an open group, which a training run forks once
     and reuses for validation every epoch: the entries are split by file
-    size, and each process receives the model once per call.
+    size, each process receives the model once per call and runs the
+    encoder on ``threads`` threads.
 
     Audio is read one utterance at a time, so only the profiles accumulate.
     """
-    return group.map(_profile_share, entries, [os.path.getsize(wav) for wav, _ in entries], net)
+    return group.map(_profile_share, entries, [os.path.getsize(wav) for wav, _ in entries], net, threads)
 
 
 def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarray]:

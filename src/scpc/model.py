@@ -117,16 +117,17 @@ class SCPCModel:
         return cls(config, params)
 
 
-def frame_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray) -> dc.Tensor:
+def frame_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray, threads: int = 1) -> dc.Tensor:
     """Encode raw samples into frame latents, shape (n_frames, frame_dim).
 
     ``samples`` must be float32, at least one receptive field long; the caller
-    is responsible for the sample rate being 16 kHz.
+    is responsible for the sample rate being 16 kHz.  Each layer spreads its
+    GEMMs over ``threads`` threads, with the same result for any count.
     """
     n_frames(samples.size)  # validates length
     x = tape.tensor(samples.reshape(-1, 1))   # (t, 1)
     for i, s in enumerate(STRIDES):
-        x = dc.conv1d(x, leaves[f"frame_conv{i}_w"], leaves[f"frame_conv{i}_b"], stride=s)
+        x = dc.conv1d(x, leaves[f"frame_conv{i}_w"], leaves[f"frame_conv{i}_b"], stride=s, threads=threads)
     return dc.add(x, tape.constant(np.float32(LATENT_EPS)))
 
 
@@ -156,9 +157,10 @@ class UtteranceGraph:
     contexts: dc.Tensor        # (M, segment_dim)
 
 
-def analyze_utterance(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray, thres: float) -> UtteranceGraph:
-    """Frames -> boundaries -> segment latents -> causal context, one tape."""
-    frames = frame_latents(tape, leaves, samples)
+def analyze_utterance(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray, thres: float, threads: int = 1) -> UtteranceGraph:
+    """Frames -> boundaries -> segment latents -> causal context, one tape;
+    the frame encoder runs on ``threads`` threads."""
+    frames = frame_latents(tape, leaves, samples, threads)
     graph = bd.detect_segments(frames, thres)
     segments = segment_latents(tape, leaves, graph.means)
     contexts = context_states(tape, leaves, segments)

@@ -1,4 +1,8 @@
-"""Fork-and-pipe worker group: the package's one parallel mechanism.
+"""Fork-and-pipe worker group, and threads inside one op of one process.
+
+A command's ``--workers`` is its core budget.  ``split_cores`` spends it on
+processes first, one per independent job up to the budget, and gives each
+process the cores left over as threads for its numpy work.
 
 ``ForkGroup(n, inherited)`` forks ``n - 1`` children once, with the ``fork``
 start method, so every child holds ``inherited`` (the training corpus, say)
@@ -12,15 +16,53 @@ thread, queue or result handler.
 Children ignore SIGINT and exit when their pipe reaches end of file: when
 the group closes, or when the parent dies without closing it.  A child that
 dies mid-request makes ``map`` raise a one-line ``ChildProcessError``.
+
+``fan_out(fn, n)`` runs ``fn(0)`` .. ``fn(n - 1)`` on the calling thread and
+``n - 1`` helper threads, started and joined inside the call.  There is no
+thread pool: a pool made before a fork would reach the child without its
+threads, and the child's first task would hang.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import signal
+import threading
 from typing import Callable, Sequence
 
-__all__ = ["ForkGroup", "balance"]
+__all__ = ["ForkGroup", "balance", "split_cores", "fan_out"]
+
+
+def split_cores(workers: int, jobs: int) -> tuple[int, int]:
+    """(processes, threads per process) for a budget of ``workers`` cores
+    over ``jobs`` independent jobs: min(workers, jobs) processes, at least
+    one, and ``workers // processes`` threads in each."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    processes = max(1, min(workers, jobs))
+    return processes, workers // processes
+
+
+def fan_out(fn: Callable[[int], None], n: int) -> None:
+    """Call ``fn(0)`` on the calling thread and ``fn(1)`` .. ``fn(n - 1)`` on
+    one new thread each; return once all have finished, raising the first
+    error any of them raised."""
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            fn(i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, n)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def balance(weights: Sequence[float], n: int) -> list[list[int]]:

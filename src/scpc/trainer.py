@@ -6,7 +6,7 @@ overridden by a flat config file and then by explicit overrides (the CLI's
 writer updates the parameters; per-utterance randomness is derived
 functionally from (seed, epoch, utterance index), so two runs of the same
 build produce bitwise-identical checkpoints, whatever the number of worker
-processes that compute the per-utterance gradients, and an interrupted run resumes
+processes and threads that compute the per-utterance gradients, and an interrupted run resumes
 on the exact loss trajectory from the checkpoint written after every epoch.
 The segment-level loss joins the total from ``add_nsc_epoch`` onward.
 """
@@ -190,11 +190,12 @@ def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
 
 # ------------------------------------------------------------- validation
 
-def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, tuple[dict[str, np.ndarray], dict[str, float]]], group: parallel.ForkGroup) -> tuple[float | None, ...]:
+def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, tuple[dict[str, np.ndarray], dict[str, float]]], group: parallel.ForkGroup, threads: int) -> tuple[float | None, ...]:
     """Pooled R-values at the default prominence, one per level of
     ``infer.LEVELS``; ``refs`` maps a level to ``audio.load_references``'s
-    (times, durations), the durations ``eval`` and ``tune`` score with."""
-    profiles = infer.profile_with(group, net, entries)
+    (times, durations), the durations ``eval`` and ``tune`` score with.
+    Each process of ``group`` runs the encoder on ``threads`` threads."""
+    profiles = infer.profile_with(group, net, entries, threads)
     r_values = []
     for level in infer.LEVELS:
         preds = {p.id: infer.predict(p, level) for p in profiles}
@@ -205,12 +206,13 @@ def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[s
 
 # --------------------------------------------------------------- training
 
-def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: TrainConfig, nsc_active: bool, rng: np.random.Generator) -> tuple[dict[str, np.ndarray] | None, obj.LossReport, int]:
-    """One utterance's forward and backward: its float32 gradients (None
-    when the loss is non-finite), its loss terms and its segment count."""
+def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: TrainConfig, nsc_active: bool, rng: np.random.Generator, threads: int) -> tuple[dict[str, np.ndarray] | None, obj.LossReport, int]:
+    """One utterance's forward and backward, the encoder on ``threads``
+    threads: its float32 gradients (None when the loss is non-finite), its
+    loss terms and its segment count."""
     tape = dc.Tape()
     leaves = {k: tape.tensor(p, requires_grad=True) for k, p in params.items()}
-    graph = model.analyze_utterance(tape, leaves, samples, config.thres)
+    graph = model.analyze_utterance(tape, leaves, samples, config.thres, threads)
     total, report = obj.utterance_loss(graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
     if not np.isfinite(report.total):
         return None, report, graph.boundaries.n_segments
@@ -218,12 +220,12 @@ def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: 
     return {k: leaves[k].grad for k in params}, report, graph.boundaries.n_segments
 
 
-def _step_share(items: list[tuple[str, np.ndarray]], params: dict[str, np.ndarray], config: TrainConfig, epoch: int, indices: list[int]) -> list[tuple]:
+def _step_share(items: list[tuple[str, np.ndarray]], params: dict[str, np.ndarray], config: TrainConfig, epoch: int, threads: int, indices: list[int]) -> list[tuple]:
     """``_utterance_step`` for the utterances ``indices`` of the training
     corpus ``items``, each on its own (seed, epoch, utterance) stream; the
     parent runs one share and every child of the group another."""
     nsc_active = epoch >= config.add_nsc_epoch
-    return [_utterance_step(params, items[i][1], config, nsc_active, np.random.default_rng([config.seed, epoch, i])) for i in indices]
+    return [_utterance_step(params, items[i][1], config, nsc_active, np.random.default_rng([config.seed, epoch, i]), threads) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -272,13 +274,16 @@ def train(
     divergence (non-finite loss, reported with the offending utterance)
     leaves the last good checkpoint in place.
 
-    With ``workers`` > 1 the run forks min(workers, batch_size) - 1 children
-    once; each holds the training audio through the fork.  A batch's
-    utterances are split among the processes by length, and their gradients,
-    losses and divergence checks are folded in batch order, so every output
-    is byte-identical for any ``workers``.  Validation profiles on the same
-    processes.
+    ``workers`` is the run's core budget (``parallel.split_cores``): the
+    run forks min(workers, batch_size) - 1 children once, each holding the
+    training audio through the fork, and every process runs its encoder
+    layers on the cores left over, workers // processes threads.  A
+    batch's utterances are split among the processes by length, and their
+    gradients, losses and divergence checks are folded in batch order, so
+    every output is byte-identical for any ``workers``.  Validation
+    profiles on the same processes and threads.
     """
+    processes, threads = parallel.split_cores(workers, config.batch_size)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     items = list(load_dataset(manifest_path).items())
@@ -323,7 +328,7 @@ def train(
     metrics_path = out / "metrics.jsonl"
     history: list[dict] = []
 
-    with parallel.ForkGroup(min(workers, config.batch_size), items) as group, \
+    with parallel.ForkGroup(processes, items) as group, \
             open(metrics_path, "w" if start_epoch == 0 else "a") as log:
         for epoch in range(start_epoch, config.epochs):
             order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
@@ -340,7 +345,7 @@ def train(
                         batch.append(int(idx))
                 if not batch:
                     continue
-                steps = group.map(_step_share, batch, [items[idx][1].size for idx in batch], params, config, epoch)
+                steps = group.map(_step_share, batch, [items[idx][1].size for idx in batch], params, config, epoch, threads)
                 # Fold in batch order, so the sums are the same for any group size.
                 grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
                 for idx, (utt_grads, report, n_segments) in zip(batch, steps):
@@ -372,7 +377,7 @@ def train(
                 "val_r_word": None,
             }
             if val_entries:
-                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_refs, group)
+                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_refs, group, threads)
             history.append(record)
             log.write(json.dumps(record) + "\n")
             log.flush()

@@ -366,3 +366,14 @@ def test_end_to_end_smoke_under_two_minutes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "R-value" in captured.out
     assert elapsed < 120, f"smoke pipeline took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_is_an_argparse_error(workspace, tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("train", "--manifest", workspace / "train" / "manifest.tsv", "--config", workspace / "train.cfg",
+                "--out", tmp_path / "run", "--workers", workers)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"scpc train: error: argument --workers: expected an integer >= 1, got {workers!r}"
+    assert not (tmp_path / "run").exists()

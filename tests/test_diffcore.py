@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import gc
 import importlib
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -189,6 +190,18 @@ def conv_case(rng, stride, t=17, c_in=2, c_out=3, k=4):
     return x, w, b
 
 
+@pytest.fixture
+def fast_switching():
+    """Threads hand over the interpreter lock every microsecond, so a lost
+    update or a misordered sum between them is likely to show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestConv1dGrads:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_conv1d(self, stride):
@@ -252,7 +265,10 @@ class TestConv1dGrads:
         np.testing.assert_array_equal(gw_const, gw)
         np.testing.assert_array_equal(gb_const, gb)
 
-    def test_conv1d_memory_stays_below_one_window_matrix(self):
+    # Each thread holds one block-sized product of the input gradient, so at
+    # this 1.5 s shape a third thread would pass the bound.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_conv1d_memory_stays_below_one_window_matrix(self, threads):
         # Encoder layer 1 on 1.5 s of audio: 4799 x 64 in, k = 8, stride 4.
         # Forward and backward together allocate less than one im2col window
         # matrix, t_out x (c_in * k) float32, would take on its own.
@@ -265,13 +281,41 @@ class TestConv1dGrads:
         b = tape.tensor(np.zeros(c, np.float32), requires_grad=True)
         tracemalloc.start()
         try:
-            out = dc.conv1d(x, w, b, stride)
+            out = dc.conv1d(x, w, b, stride, threads=threads)
             tape.backward(dc.mean_axis(out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert x.grad.shape == (t, c) and w.grad.shape == (c, c, k)
         assert peak < t_out * c * k * 4, f"peak {peak} bytes"
+
+    # t_out of one row block, of several, and of whole blocks plus a one-row
+    # tail (1025 = 2 * 512 = 8 * 128 = 4 * 256, plus 1), which OpenBLAS
+    # multiplies on its one-row path.  Every encoder layer has m = 2, where
+    # a row on the seam of two runs sums two products in either order; with
+    # k = 6, stride 2 (m = 3) it sums three, so the order shows in the bits.
+    @pytest.mark.parametrize("t_out", [100, 1200, 1025])
+    @pytest.mark.parametrize("k, stride, c_in", [(k, s, 1 if i == 0 else 64) for i, (k, s) in enumerate(zip(model.KERNELS, model.STRIDES))]
+                             + [(6, 2, 64)])
+    def test_conv1d_threads_give_identical_bits(self, k, stride, c_in, t_out, fast_switching):
+        rng = np.random.default_rng(t_out)
+        x0 = rng.standard_normal(((t_out - 1) * stride + k + stride - 1, c_in)).astype(np.float32)
+        w0 = (rng.standard_normal((64, c_in, k)) / np.sqrt(c_in * k)).astype(np.float32)
+        b0 = rng.standard_normal(64).astype(np.float32)
+        g = rng.standard_normal((t_out, 64)).astype(np.float32)
+        for x_grad in (True, False):   # False: a constant input, as raw audio
+            runs = []
+            for threads in (1, 2, 3):
+                tape = dc.Tape()
+                x = tape.tensor(x0, requires_grad=x_grad)
+                w = tape.tensor(w0, requires_grad=True)
+                b = tape.tensor(b0, requires_grad=True)
+                out = dc.conv1d(x, w, b, stride, threads=threads)
+                tape.backward(weighted_mean(out, g))
+                runs.append([None if a is None else a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
+            assert 0 < np.count_nonzero(out.data) < out.data.size
+            assert (runs[0][1] is None) == (not x_grad)
+            assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_conv1d_output_length(self):
         tape = dc.Tape()
@@ -535,8 +579,8 @@ class TestGraphLifetime:
         conv_outputs = []
         real_conv1d = dc.conv1d
 
-        def spy(x, weight, bias, stride):
-            out = real_conv1d(x, weight, bias, stride)
+        def spy(x, weight, bias, stride, threads=1):
+            out = real_conv1d(x, weight, bias, stride, threads)
             conv_outputs.append(weakref.ref(out.data))
             return out
 

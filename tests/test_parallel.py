@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -47,6 +48,32 @@ def test_balance_drops_empty_shares_and_keeps_one_share_in_order():
     assert parallel.balance([7.0], 4) == [[0]]
     assert parallel.balance([], 2) == []
     assert parallel.balance([1, 3, 2], 1) == [[0, 1, 2]]
+
+
+def test_split_cores_spends_processes_first_then_threads():
+    assert parallel.split_cores(2, 8) == (2, 1)
+    assert parallel.split_cores(2, 1) == (1, 2)
+    assert parallel.split_cores(5, 2) == (2, 2)
+    assert parallel.split_cores(2, 0) == (1, 2)   # an empty manifest: one process
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        parallel.split_cores(0, 4)
+
+
+def test_fan_out_joins_every_thread_and_raises_a_helpers_error():
+    threads_before = threading.active_count()
+    ran = {}
+
+    def work(i):
+        time.sleep(0.01 * (3 - i))
+        ran[i] = threading.get_ident()
+        if i == 2:
+            raise ValueError("helper 2 failed")
+
+    with pytest.raises(ValueError, match="helper 2 failed"):
+        parallel.fan_out(work, 3)
+    assert sorted(ran) == [0, 1, 2]
+    assert ran[0] == threading.get_ident() and len(set(ran.values())) == 3
+    assert threading.active_count() == threads_before
 
 
 def _tag(inherited, offset, share):
@@ -116,6 +143,24 @@ def test_outputs_byte_identical_with_a_skipped_utterance_and_a_one_utterance_bat
     assert b'"n_skipped": 1' in one[1]
 
 
+def test_one_utterance_batches_on_threads_then_a_forking_run(data, tmp_path):
+    # Batch 1 leaves the second core to the encoder's threads, in training
+    # and in validation; they are joined inside each op, so a later run can
+    # fork without inheriting a helper thread.
+    threads_before = threading.active_count()
+    one, two = _train_both(data / "train" / "manifest.tsv", data / "val" / "manifest.tsv",
+                           "epochs = 1\nadd_nsc_epoch = 0\nbatch_size = 1\n", tmp_path)
+    assert one == two
+    assert b'"val_r_phoneme": null' not in one[1]
+    assert threading.active_count() == threads_before
+    cfg = tmp_path / "fork.cfg"
+    cfg.write_text("epochs = 1\nadd_nsc_epoch = 0\nbatch_size = 2\n")
+    assert run_cli("train", "--manifest", data / "train" / "manifest.tsv", "--config", cfg,
+                   "--out", tmp_path / "forked", "--workers", 2) == 0
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads_before
+
+
 def _inference_outputs(out: Path) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "config_resolved.json"}
@@ -139,6 +184,22 @@ def test_tune_and_segment_byte_identical_for_one_and_two_workers(data, tmp_path)
         assert sum(name.endswith(".txt") for name in outs[0]) == len(audio.read_manifest(val))
         assert json.loads(outs[0]["pred/report.json"])["total_boundaries"] > 0
         assert outs[0] == outs[1]
+
+
+def test_segment_of_one_file_byte_identical_for_one_and_two_workers(data, tmp_path):
+    # One file is one process, so two workers run the encoder on two threads.
+    ckpt = tmp_path / "net.npz"
+    model.save_checkpoint(ckpt, model.SCPCModel.init(model.ModelConfig(), seed=3))
+    manifest = tmp_path / "one.tsv"
+    audio.write_manifest(list(audio.read_manifest(data / "val" / "manifest.tsv").values())[:1], manifest)
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"pred{workers}"
+        assert run_cli("segment", "--ckpt", ckpt, "--manifest", manifest, "--level", "phoneme", "--prominence", 0.05,
+                       "--out", out, "--workers", workers) == 0
+        outs.append(_inference_outputs(out))
+    assert json.loads(outs[0]["report.json"])["total_boundaries"] > 0
+    assert outs[0] == outs[1]
 
 
 # ----------------------------------------------------------------- lifecycle
