@@ -127,7 +127,7 @@ def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers
         return profile_with(group, net, entries, threads)
 
 
-def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]], threads: int = 1) -> list[UtteranceProfile]:
+def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]], threads: int) -> list[UtteranceProfile]:
     """``profile_corpus`` on an open group, which a training run forks once
     and reuses for validation every epoch: the entries are split by file
     size, each process receives the model once per call and runs the
