@@ -22,6 +22,7 @@ import numpy as np
 
 from scpc import boundary
 from scpc import diffcore as dc
+from scpc import objective
 
 rng = np.random.default_rng(0)
 
@@ -64,6 +65,7 @@ peak_junctions = np.flatnonzero(indicator.data > 0.5)
 print("\npredicted boundary times:", [(int(t) + 1) * 0.010 for t in peak_junctions], "s")
 
 # Gradients reach the frames through the soft path even though the forward
-# pass used saturated indicators.  The loss is the mean of the segment means.
-tape.backward(dc.mean_axis(means))
+# pass used saturated indicators.  The loss asks each segment mean to pick
+# its successor out of one distractor, as the training losses do.
+tape.backward(objective.nfc_loss(means, 1, rng))
 print("gradient flows to every frame:", bool(np.all(np.any(frames.grad != 0, axis=1))))

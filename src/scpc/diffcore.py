@@ -6,17 +6,17 @@ and replays the chain rule over those nodes in exact reverse execution order,
 so gradients are deterministic for a fixed op sequence.  Ops on constants
 alone, which is all of inference, record nothing.  Only the ops the
 pipeline calls are implemented: the fused encoder layer, the segment pooling
-and the context scan, plus a few generic ops around them.  An op outside
-this module records itself with ``Tape._record`` as these do; the boundary
-detector's straight-through op does.  Shapes are validated eagerly and
-mismatches raise with both offending shapes in the message.
+and the context scan, plus the few generic ops around them (``add``,
+``narrow``, ``cosine_sim``).  An op outside this module records itself with
+``Tape._record`` as these do: the boundary detector's straight-through op,
+the segment MLP and each contrastive loss are one node each.  Shapes are
+validated eagerly and mismatches raise with both offending shapes in the
+message.
 
 Conventions:
 
 * tensors hold float32 or float64 data; reductions accumulate in float64;
 * subgradients at kinks (relu, the segment_pool tent) take the zero branch;
-* integer index arguments (``gather_rows``, cross-entropy targets) are plain
-  numpy arrays, not tensors, and never receive gradients;
 * ``conv1d`` is a whole encoder layer, relu(conv + bias), channels-last,
   in polyphase form: a sum of ceil(k / stride) GEMMs over a zero-copy view
   of the input as rows of stride samples.  The kernel is zero-padded to a
@@ -37,15 +37,11 @@ from . import parallel
 __all__ = [
     "Tape",
     "Tensor",
+    "COS_EPS",
     "add",
-    "matmul",
     "narrow",
-    "gather_rows",
     "conv1d",
-    "relu",
-    "mean_axis",
     "cosine_sim",
-    "softmax_cross_entropy_with_index",
     "tanh_scan",
     "segment_pool",
 ]
@@ -162,47 +158,17 @@ def _check_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
-def _broadcast_ok(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
-    # Supported: identical shapes, scalar with anything, and row vector (n,)
-    # against matrix (m, n).  General broadcasting is deliberately absent.
-    if sa == sb or sa == () or sb == ():
-        return True
-    if len(sa) == 2 and sb == (sa[1],):
-        return True
-    if len(sb) == 2 and sa == (sb[1],):
-        return True
-    return False
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.asarray(g.sum(dtype=np.float64), dtype=g.dtype)
-    # Row vector broadcast across matrix rows.
-    return g.sum(axis=0, dtype=np.float64).astype(g.dtype)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b`` for equal shapes, or with a scalar on either side."""
     tape = _check_tape(a, b)
-    if not _broadcast_ok(a.data.shape, b.data.shape):
+    if a.data.shape != b.data.shape and () not in (a.data.shape, b.data.shape):
         raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = a.data + b.data
 
     def vjp(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
-
-    return tape._record((a, b), out, vjp)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _check_tape(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        # A scalar operand's gradient is the float64 sum; a constant gets none.
+        return tuple(None if not t.requires_grad else g if t.data.shape == g.shape
+                     else np.asarray(g.sum(dtype=np.float64), dtype=g.dtype) for t in (a, b))
 
     return tape._record((a, b), out, vjp)
 
@@ -219,30 +185,6 @@ def narrow(x: Tensor, start: int, length: int) -> Tensor:
         full = np.zeros_like(x.data)
         full[rows] = g
         return (full,)
-
-    return x.tape._record((x,), out, vjp)
-
-
-def gather_rows(x: Tensor, index) -> Tensor:
-    """Rows of ``x`` picked by an integer index of any shape (no gradient to the index).
-
-    The result has shape ``index.shape + x.shape[1:]``; repeated indices
-    accumulate their gradients.
-    """
-    idx = np.asarray(index)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"gather_rows: index must be an integer array, got {idx.dtype} shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ValueError(f"gather_rows: index out of range for {x.data.shape[0]} rows")
-    out = x.data[idx]
-
-    def vjp(g):
-        # One sparse product: row r of the (rows, idx.size) selector holds a 1
-        # at each position of r in the flattened index, so each row's sum runs
-        # in index order, as np.add.at's would.
-        flat = idx.reshape(-1)
-        select = scipy.sparse.csr_array((np.ones(flat.size, g.dtype), (flat, np.arange(flat.size))), shape=(x.data.shape[0], flat.size))
-        return ((select @ g.reshape(flat.size, int(np.prod(x.data.shape[1:])))).reshape(x.data.shape),)
 
     return x.tape._record((x,), out, vjp)
 
@@ -380,89 +322,35 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
     return tape._record((x, weight, bias), out, vjp)
 
 
-def relu(x: Tensor) -> Tensor:
-    def vjp(g):
-        return (g * (x.data > 0).astype(x.data.dtype),)
-
-    return x.tape._record((x,), np.maximum(x.data, 0), vjp)
-
-
-def mean_axis(x: Tensor) -> Tensor:
-    """Mean of all entries, accumulated in float64."""
-    out = x.data.mean(dtype=np.float64).astype(x.data.dtype)
-    n = x.data.size
-
-    def vjp(g):
-        return (np.full_like(x.data, g / n),)
-
-    return x.tape._record((x,), np.asarray(out), vjp)
-
-
-_COS_EPS = 1e-8
+# The epsilon in every cosine denominator here and in the losses.
+COS_EPS = 1e-8
 
 
 def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity along the last axis.
+    """Row-wise cosine similarity of two equal-shape (n, d) matrices, shape (n,).
 
-    ``a`` and ``b`` are two vectors, two equal-shape matrices (row-wise), or
-    an (n, d) matrix against an (n, c, d) stack, which scores row i of ``a``
-    against each of the c rows of ``b[i]`` and returns (n, c).  An epsilon
-    of 1e-8 in the denominator guards near-zero norms; an exactly zero vector
-    is rejected because its direction is undefined.
+    An epsilon of ``COS_EPS`` in the denominator guards near-zero norms; an
+    exactly zero row is rejected because its direction is undefined.
     """
     tape = _check_tape(a, b)
-    sa, sb = a.data.shape, b.data.shape
-    stacked = len(sa) == 2 and len(sb) == 3 and (sb[0], sb[2]) == sa
-    if not (stacked or (sa == sb and len(sa) in (1, 2))):
-        raise ValueError(f"cosine_sim: expected matching vectors or matrices, or (n, d) against (n, c, d), got {sa} and {sb}")
-    ad = a.data[:, None, :] if stacked else a.data
-    na = np.linalg.norm(ad, axis=-1)
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ValueError(f"cosine_sim: expected two (n, d) matrices of one shape, got {a.data.shape} and {b.data.shape}")
+    na = np.linalg.norm(a.data, axis=-1)
     nb = np.linalg.norm(b.data, axis=-1)
     if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("cosine_sim: zero vector has no direction")
-    dot = (ad * b.data).sum(axis=-1, dtype=np.float64).astype(a.data.dtype)
-    denom = (na * nb + _COS_EPS).astype(a.data.dtype)
+    dot = (a.data * b.data).sum(axis=-1, dtype=np.float64).astype(a.data.dtype)
+    denom = (na * nb + COS_EPS).astype(a.data.dtype)
     out = dot / denom
 
     def vjp(g):
-        gc = (g / denom)[..., None]
-        sc = (g * dot / denom**2)[..., None]
-        ga = gc * b.data - sc * (nb / na)[..., None] * ad
-        gb = gc * ad - sc * (na / nb)[..., None] * b.data
-        if stacked:
-            ga = ga.sum(axis=1, dtype=np.float64)
+        gc = (g / denom)[:, None]
+        sc = (g * dot / denom**2)[:, None]
+        ga = gc * b.data - sc * (nb / na)[:, None] * a.data
+        gb = gc * a.data - sc * (na / nb)[:, None] * b.data
         return ga.astype(a.data.dtype), gb.astype(b.data.dtype)
 
-    return tape._record((a, b), np.asarray(out), vjp)
-
-
-def softmax_cross_entropy_with_index(logits: Tensor, index) -> Tensor:
-    """Per-row cross-entropy -log softmax(logits)[i, index[i]], shape (n,).
-
-    Uses the max-shift trick for stability; ``index`` is a constant integer
-    array and receives no gradient.
-    """
-    idx = np.asarray(index)
-    if logits.data.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy_with_index: logits must be (n, c), got {logits.data.shape}")
-    n, c = logits.data.shape
-    if idx.shape != (n,) or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"softmax_cross_entropy_with_index: index must be {n} ints, got {idx.dtype} shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= c):
-        raise ValueError(f"softmax_cross_entropy_with_index: index out of range for {c} classes")
-
-    shift = logits.data.max(axis=1, keepdims=True)
-    ex = np.exp(logits.data - shift)
-    z = ex.sum(axis=1, dtype=np.float64).astype(logits.data.dtype)
-    rows = np.arange(n)
-    out = np.log(z) + shift[:, 0] - logits.data[rows, idx]
-
-    def vjp(g):
-        p = ex / z[:, None]
-        p[rows, idx] -= 1
-        return (p * g[:, None],)
-
-    return logits.tape._record((logits,), out, vjp)
+    return tape._record((a, b), out, vjp)
 
 
 def tanh_scan(x: Tensor, w_in: Tensor, w_h: Tensor, b: Tensor) -> Tensor:

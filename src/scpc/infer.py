@@ -3,7 +3,8 @@
 Phoneme boundaries are prominence-filtered peaks of the normalized
 dissimilarity between adjacent frame latents.  Word boundaries are peaks of
 the dissimilarity between each causal context state and the following
-segment latent, emitted at the end time of the segment the context has seen.
+segment latent, emitted at the end time of the segment the context has seen,
+which is where the phoneme rule places the same frame junction.
 One ``predict(profile, level, prominence)`` serves both levels and every
 caller (``segment``, ``tune`` and validation); its result is a plain,
 strictly increasing float64 array of times in seconds.
@@ -61,7 +62,7 @@ class UtteranceProfile:
     id: str
     dissimilarity: np.ndarray        # (L-1,)
     word_scores: np.ndarray          # (M-1,)
-    segment_end_frames: np.ndarray   # (M,) last frame index of each segment
+    segment_ends: np.ndarray         # (M,) end of each segment's span, one past its last frame
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = a.astype(np.float64)
     b = b.astype(np.float64)
     num = (a * b).sum(axis=1)
-    den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1) + 1e-8
+    den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1) + dc.COS_EPS
     return num / den
 
 
@@ -98,7 +99,7 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str, th
 
     dissim = graph.boundaries.dissimilarity.astype(np.float64)
     spans = graph.boundaries.spans
-    end_frames = np.array([e - 1 for _, e in spans], dtype=np.int64)
+    ends = np.array([e for _, e in spans], dtype=np.int64)
     m = len(spans)
     if m >= 2:
         seg = graph.segments.data
@@ -106,7 +107,7 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str, th
         word_scores = 1.0 - _rowwise_cosine(ctx[: m - 1], seg[1:])
     else:
         word_scores = empty
-    return UtteranceProfile(utt_id, dissim, word_scores, end_frames)
+    return UtteranceProfile(utt_id, dissim, word_scores, ends)
 
 
 def _profile_share(_inherited, net: model.SCPCModel, threads: int, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
@@ -145,10 +146,10 @@ def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarra
     - phoneme: junction t lies between frames t and t + 1, and a peak there
       is reported at (t + 1) * 10 ms, the start of frame t + 1;
     - word: junction t follows segment t, and a peak there is reported at
-      e * 10 ms, where e is the last frame index of segment t, so one hop
-      earlier than the phoneme rule would place the same junction.
-      Fewer than three segments give at most two scores, which hold no
-      interior peak.
+      e * 10 ms, where e is the end of segment t's span, so the first frame
+      of segment t + 1: the phoneme rule's time for the junction between
+      frames e - 1 and e.  Fewer than three segments give at most two
+      scores, which hold no interior peak.
     Both arrays are strictly increasing.  ``find_peaks(curve,
     prominence=p)`` returns exactly the peaks whose prominence is >= p, so
     these serve every prominence.
@@ -158,7 +159,7 @@ def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarra
         times = (idx + 1) * model.FRAME_HOP_S
     elif level == "word":
         idx, props = find_peaks(profile.word_scores, prominence=0)
-        times = profile.segment_end_frames[idx] * model.FRAME_HOP_S
+        times = profile.segment_ends[idx] * model.FRAME_HOP_S
     else:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     return times.astype(np.float64), props["prominences"]

@@ -132,14 +132,23 @@ def frame_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarr
 
 
 def segment_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], means: dc.Tensor) -> dc.Tensor:
-    """Re-encode segment means (n_segments, frame_dim) -> (n_segments, segment_dim).
+    """Re-encode segment means (n_segments, frame_dim) -> (n_segments, segment_dim)
+    as one tape node: relu(means @ w1 + b1) @ w2 + b2 + ``LATENT_EPS``.
 
-    ``LATENT_EPS`` is added so a dead hidden layer (output equal to the bias,
-    zero at init) cannot produce the exact zero vector.
+    The epsilon keeps a dead hidden layer (output equal to the bias, zero at
+    init) from producing the exact zero vector.  The backward sums the bias
+    gradients in float64, and the relu passes none at exactly zero.
     """
-    h = dc.relu(dc.add(dc.matmul(means, leaves["seg_w1"]), leaves["seg_b1"]))
-    out = dc.add(dc.matmul(h, leaves["seg_w2"]), leaves["seg_b2"])
-    return dc.add(out, tape.constant(np.float32(LATENT_EPS)))
+    w1, b1, w2, b2 = (leaves[k] for k in ("seg_w1", "seg_b1", "seg_w2", "seg_b2"))
+    pre = means.data @ w1.data + b1.data
+    h = np.maximum(pre, 0)
+
+    def vjp(g):
+        g_pre = g @ w2.data.T * (pre > 0).astype(pre.dtype)
+        return (g_pre @ w1.data.T, means.data.T @ g_pre, g_pre.sum(axis=0, dtype=np.float64).astype(g_pre.dtype),
+                h.T @ g, g.sum(axis=0, dtype=np.float64).astype(g.dtype))
+
+    return tape._record((means, w1, b1, w2, b2), h @ w2.data + b2.data + np.float32(LATENT_EPS), vjp)
 
 
 def context_states(tape: dc.Tape, leaves: dict[str, dc.Tensor], segments: dc.Tensor) -> dc.Tensor:

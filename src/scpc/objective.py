@@ -3,9 +3,9 @@
 Both losses are the same noise-contrastive estimate: an anchor must pick its
 true successor out of k distractors drawn uniformly without replacement from
 the same utterance.  One integer table of shape (n - 1, k + 1) holds every
-anchor's candidates, the positive in column 0; the candidates are gathered in
-one op and scored by cosine similarity in one op, so a loss records the same
-five tape nodes for any k.  Frame anchors predict the next frame latent;
+anchor's candidates, the positive in column 0; the gather, the cosine scores,
+the cross-entropy and the mean are one hand-written op, so a loss records one
+tape node for any k.  Frame anchors predict the next frame latent;
 segment anchors are causal context states predicting the next segment
 latent.  The segment loss joins the total only from a configured epoch
 onward, giving the frame encoder a head start.
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import diffcore as dc
 
@@ -59,16 +60,46 @@ def sample_distractors(rng: np.random.Generator, n_items: int, k: int) -> np.nda
 
 
 def _successor_loss(sources: dc.Tensor, pool: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor:
-    """Mean cross-entropy of each source row i < n - 1 picking pool row i + 1.
+    """Mean cross-entropy of each source row i < n - 1 picking pool row i + 1,
+    as one tape node over (sources, pool).
 
     The candidates of anchor i are pool rows: the positive i + 1, then k
-    distractors; similarities are cosine.
+    distractors.  Logits are cosines (float64 dot products, ``dc.COS_EPS``
+    in the denominator), the cross-entropy against column 0 is max-shifted,
+    and the mean accumulates in float64.  The backward scatters the
+    candidates' gradients into the pool with one sparse product, each
+    row's sum in table order.
     """
     n = pool.shape[0]
     table = np.column_stack([np.arange(1, n), sample_distractors(rng, n, k)])
-    logits = dc.cosine_sim(dc.narrow(sources, 0, n - 1), dc.gather_rows(pool, table))
-    losses = dc.softmax_cross_entropy_with_index(logits, np.zeros(n - 1, dtype=np.int64))
-    return dc.mean_axis(losses)
+    a = sources.data[: n - 1, None, :]   # (n - 1, 1, d) anchors
+    b = pool.data[table]                 # (n - 1, k + 1, d) candidates
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ValueError("contrastive loss: zero vector has no direction")
+    dt = sources.data.dtype
+    dot = (a * b).sum(axis=-1, dtype=np.float64).astype(dt)
+    denom = (na * nb + dc.COS_EPS).astype(dt)
+    logits = dot / denom
+    shift = logits.max(axis=1, keepdims=True)
+    ex = np.exp(logits - shift)
+    z = ex.sum(axis=1, dtype=np.float64).astype(dt)
+    losses = np.log(z) + shift[:, 0] - logits[:, 0]
+
+    def vjp(g):
+        p = ex / z[:, None]
+        p[:, 0] -= 1
+        g = p * np.full_like(losses, g / losses.size)[:, None]   # d loss / d logits
+        gc = (g / denom)[..., None]
+        sc = (g * dot / denom**2)[..., None]
+        g_sources = np.zeros_like(sources.data)
+        g_sources[: n - 1] = (gc * b - sc * (nb / na)[..., None] * a).sum(axis=1, dtype=np.float64)
+        gb = (gc * a - sc * (na / nb)[..., None] * b).reshape(table.size, -1)
+        select = scipy.sparse.csr_array((np.ones(table.size, gb.dtype), (table.ravel(), np.arange(table.size))), shape=(n, table.size))
+        return g_sources, select @ gb
+
+    return sources.tape._record((sources, pool), np.asarray(losses.mean(dtype=np.float64).astype(dt)), vjp)
 
 
 def nfc_loss(frames: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor:

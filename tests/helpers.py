@@ -41,16 +41,19 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def weighted_mean(out: dc.Tensor, w) -> dc.Tensor:
-    """mean(out * w) over every entry, for a constant array ``w`` of out's
-    shape: one tape node, the projection gradient checks backpropagate from.
+    """mean(out * w) over every entry, for a constant ``w`` of out's shape or
+    a scalar: one tape node, the reduction the gradient checks and the
+    contract tests backpropagate from.
 
     The product takes numpy's promoted dtype and the mean accumulates in
-    float64, as a product node followed by ``dc.mean_axis`` would.
+    float64.  The node holds only ``w``, so a memory test that ends in it
+    measures the op under test.
     """
     w = np.asarray(w)
     prod = out.data * w
+    shape, dtype, n = prod.shape, prod.dtype, prod.size
 
     def vjp(g):
-        return (np.full_like(prod, g / prod.size) * w,)
+        return (np.full(shape, g / n, dtype) * w,)
 
-    return out.tape._record((out,), np.asarray(prod.mean(dtype=np.float64).astype(prod.dtype)), vjp)
+    return out.tape._record((out,), np.asarray(prod.mean(dtype=np.float64).astype(dtype)), vjp)

@@ -388,6 +388,6 @@ class TestDetectSegments:
         tape = dc.Tape()
         z = tape.tensor(rng.standard_normal((30, 8)).astype(np.float32) + 0.1, requires_grad=True)
         graph = boundary.detect_segments(z, thres=0.05)
-        tape.backward(dc.mean_axis(graph.means))
+        tape.backward(weighted_mean(graph.means, np.float32(1)))
         assert z.grad is not None
         assert np.abs(z.grad).max() > 0

@@ -62,12 +62,6 @@ def run_gradcheck(build, n_points=N_POINTS, tol=GRAD_TOL):
             assert err <= tol, f"seed {seed}: gradient mismatch (rel err {err:.2e})"
 
 
-def away_from(rng, shape, lo=0.05, hi=1.5):
-    """Values with magnitude in [lo, hi]: clear of relu/abs kinks at zero."""
-    mag = rng.uniform(lo, hi, size=shape)
-    return mag * rng.choice([-1.0, 1.0], size=shape)
-
-
 def tent_case(rng, n=7, d=3, steps=(0, 1), spare=1):
     """Frames (n, d) and an indicator (n - 1,) for ``segment_pool``, plus a
     segment count.
@@ -113,52 +107,27 @@ class TestElementwiseGrads:
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal((3, 4))], lambda t, xs: dc.add(xs[0], xs[1])))
 
     def test_add_row_broadcast(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal(4)], lambda t, xs: dc.add(xs[0], xs[1])))
+        # Only a scalar broadcasts; a row vector against a matrix is an error.
+        tape = dc.Tape()
+        with pytest.raises(ValueError, match=r"\(3, 4\).*\(4,\)"):
+            dc.add(tape.tensor(np.zeros((3, 4))), tape.tensor(np.zeros(4)))
 
     def test_add_scalar_broadcast(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal(())], lambda t, xs: dc.add(xs[0], xs[1])))
 
-class TestNonlinearGrads:
-    def test_relu(self):
-        run_gradcheck(lambda rng: ([away_from(rng, (3, 4))], lambda t, xs: dc.relu(xs[0])))
-
-class TestReductionGrads:
-    def test_mean_axis(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4))], lambda t, xs: dc.mean_axis(xs[0])))
+    def test_add_passes_no_gradient_to_a_constant(self):
+        # The tape would drop it; a constant's reduction is not even computed.
+        tape = dc.Tape()
+        x = tape.tensor(np.ones((3, 4)), requires_grad=True)
+        dc.add(x, tape.constant(np.float64(2.0)))
+        g = np.ones((3, 4))
+        grads = tape._nodes[0].vjp(g)
+        assert grads[0] is g and grads[1] is None
 
 
 class TestLinalgGrads:
-    def test_matmul(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal((4, 2))], lambda t, xs: dc.matmul(xs[0], xs[1])))
-
     def test_narrow(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((6, 3))], lambda t, xs: dc.narrow(xs[0], 1, 4)))
-
-    def test_gather_rows_with_repeats(self):
-        def build(rng):
-            x = rng.standard_normal((5, 3))
-            idx = rng.integers(0, 5, size=7)
-            return [x], lambda t, xs: dc.gather_rows(xs[0], idx)
-
-        run_gradcheck(build)
-
-    def test_gather_rows_2d_index(self):
-        def build(rng):
-            x = rng.standard_normal((5, 3))
-            idx = rng.integers(0, 5, size=(4, 3))
-            return [x], lambda t, xs: dc.gather_rows(xs[0], idx)
-
-        run_gradcheck(build)
-
-    def test_gather_rows_output_shape(self):
-        tape = dc.Tape()
-        x = tape.tensor(np.arange(12.0).reshape(4, 3))
-        idx = np.array([[3, 0], [1, 1], [2, 3]])
-        out = dc.gather_rows(x, idx)
-        assert out.shape == (3, 2, 3)
-        np.testing.assert_array_equal(out.data, x.data[idx])
-        with pytest.raises(ValueError, match="integer"):
-            dc.gather_rows(x, np.zeros((2, 2)))
 
 
 def conv_reference(x, w, b, stride):
@@ -242,7 +211,7 @@ class TestConv1dGrads:
         b = tape.tensor(np.array([0.5, -1.0]), requires_grad=True)
         out = dc.conv1d(x, w, b, stride=2)
         np.testing.assert_array_equal(out.data, [[3.5, 0.0], [7.5, 1.0]])
-        tape.backward(dc.mean_axis(out))   # each output weighs 1/4
+        tape.backward(weighted_mean(out, np.ones((2, 2))))   # each output weighs 1/4
         np.testing.assert_array_equal(b.grad, [0.5, 0.25])
         np.testing.assert_array_equal(w.grad, [[[1.0, 1.5]], [[0.75, 1.0]]])
         np.testing.assert_array_equal(x.grad, [[0.25], [0.25], [0.75], [0.0]])
@@ -282,7 +251,7 @@ class TestConv1dGrads:
         tracemalloc.start()
         try:
             out = dc.conv1d(x, w, b, stride, threads=threads)
-            tape.backward(dc.mean_axis(out))
+            tape.backward(weighted_mean(out, np.float32(1)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,7 +351,7 @@ class TestFusedOps:
         tracemalloc.start()
         try:
             means = dc.segment_pool(frames, indicator, m)
-            tape.backward(dc.mean_axis(means))
+            tape.backward(weighted_mean(means, np.float32(1)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -405,91 +374,46 @@ class TestFusedOps:
 
 
 class TestCosineGrads:
-    def test_vector(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal(5) + 0.2, rng.standard_normal(5) + 0.2], lambda t, xs: dc.cosine_sim(xs[0], xs[1])))
-
     def test_rowwise(self):
         run_gradcheck(lambda rng: ([rng.standard_normal((4, 3)) + 0.2, rng.standard_normal((4, 3)) + 0.2], lambda t, xs: dc.cosine_sim(xs[0], xs[1])))
 
     def test_known_values(self):
         tape = dc.Tape()
-        a = tape.tensor([1.0, 1.0])
-        b = tape.tensor([1.0, 0.0])
-        assert float(dc.cosine_sim(a, b).data) == pytest.approx(0.70710678, abs=1e-6)
-        c = tape.tensor([2.0, 0.0])
-        d = tape.tensor([5.0, 0.0])
-        assert float(dc.cosine_sim(c, d).data) == pytest.approx(1.0, abs=1e-6)
-        e = tape.tensor([0.0, 1.0])
-        f = tape.tensor([1.0, 0.0])
-        assert float(dc.cosine_sim(e, f).data) == pytest.approx(0.0, abs=1e-8)
+        a = tape.tensor([[1.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
+        b = tape.tensor([[1.0, 0.0], [5.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_allclose(dc.cosine_sim(a, b).data, [0.70710678, 1.0, 0.0], atol=1e-6)
+        assert dc.cosine_sim(a, b).data[2] == 0.0
 
     def test_zero_vector_rejected(self):
         tape = dc.Tape()
-        a = tape.tensor([0.0, 0.0])
-        b = tape.tensor([1.0, 0.0])
+        a = tape.tensor([[1.0, 1.0], [0.0, 0.0]])
+        b = tape.tensor([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="zero vector"):
             dc.cosine_sim(a, b)
 
-    def test_stacked(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((4, 3)) + 0.2, rng.standard_normal((4, 2, 3)) + 0.2], lambda t, xs: dc.cosine_sim(xs[0], xs[1])))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_stacked_matches_each_column_bitwise(self, dtype):
-        rng = np.random.default_rng(5)
-        tape = dc.Tape()
-        a = tape.tensor(rng.standard_normal((6, 64)).astype(dtype))
-        b = tape.tensor(rng.standard_normal((6, 11, 64)).astype(dtype))
-        stacked = dc.cosine_sim(a, b).data
-        assert stacked.shape == (6, 11) and stacked.dtype == dtype
-        for c in range(11):
-            column = dc.cosine_sim(a, tape.tensor(np.ascontiguousarray(b.data[:, c]))).data
-            np.testing.assert_array_equal(stacked[:, c], column)
-
     def test_rejects_mismatched_shapes(self):
         tape = dc.Tape()
-        with pytest.raises(ValueError, match=r"\(n, c, d\)"):
-            dc.cosine_sim(tape.tensor(np.ones((4, 3))), tape.tensor(np.ones((4, 2, 2))))
-        with pytest.raises(ValueError, match=r"\(n, c, d\)"):
-            dc.cosine_sim(tape.tensor(np.ones((4, 3))), tape.tensor(np.ones((3, 3))))
-
-
-class TestSoftmaxCrossEntropy:
-    def test_grad(self):
-        def build(rng):
-            logits = rng.standard_normal((4, 3))
-            idx = rng.integers(0, 3, size=4)
-            return [logits], lambda t, xs: dc.softmax_cross_entropy_with_index(xs[0], idx)
-
-        run_gradcheck(build)
-
-    def test_uniform_logits_value(self):
-        tape = dc.Tape()
-        logits = tape.tensor(np.zeros((2, 11), dtype=np.float64))
-        losses = dc.softmax_cross_entropy_with_index(logits, np.array([0, 5]))
-        np.testing.assert_allclose(losses.data, np.log(11.0), atol=1e-12)
-
-    def test_large_logits_stable(self):
-        tape = dc.Tape()
-        logits = tape.tensor(np.array([[1000.0, 0.0]], dtype=np.float64))
-        losses = dc.softmax_cross_entropy_with_index(logits, np.array([0]))
-        assert np.isfinite(losses.data).all()
-        assert losses.data[0] == pytest.approx(0.0, abs=1e-12)
+        for sa, sb in (((4, 3), (4, 2, 3)), ((4, 3), (3, 3)), ((3,), (3,))):
+            with pytest.raises(ValueError, match=r"two \(n, d\) matrices"):
+                dc.cosine_sim(tape.tensor(np.ones(sa)), tape.tensor(np.ones(sb)))
 
 
 class TestTapeContracts:
     def test_square_gradient(self):
+        # x enters one node as the input, the input weight and the recurrent
+        # weight: h = tanh(x * x), so the gradient sums both product-rule terms.
         tape = dc.Tape()
-        x = tape.tensor(np.array([[3.0]]), requires_grad=True)
-        loss = dc.mean_axis(dc.matmul(x, x))
+        x = tape.tensor(np.array([[0.5]]), requires_grad=True)
+        loss = weighted_mean(dc.tanh_scan(x, x, x, tape.constant(np.zeros(1))), np.ones((1, 1)))
         tape.backward(loss)
-        assert float(loss.data) == pytest.approx(9.0)
-        assert x.grad == pytest.approx(6.0)
+        assert float(loss.data) == pytest.approx(np.tanh(0.25))
+        assert x.grad == pytest.approx(2 * 0.5 * (1 - np.tanh(0.25) ** 2))
 
     def test_unreached_leaf_gets_zero_gradient(self):
         tape = dc.Tape()
         x = tape.tensor(np.array(3.0), requires_grad=True)
         y = tape.tensor(np.array(2.0), requires_grad=True)
-        dc.relu(x)   # recorded, but the loss does not use it
+        dc.add(x, x)   # recorded, but the loss does not use it
         loss = dc.add(y, y)
         tape.backward(loss)
         assert float(loss.data) == pytest.approx(4.0)
@@ -499,7 +423,7 @@ class TestTapeContracts:
     def test_backward_requires_scalar(self):
         tape = dc.Tape()
         x = tape.tensor([1.0, 2.0], requires_grad=True)
-        y = dc.relu(x)
+        y = dc.narrow(x, 0, 2)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -535,19 +459,19 @@ class TestTapeContracts:
 
     def test_grad_accumulates_across_uses(self):
         tape = dc.Tape()
-        x = tape.tensor(np.array([[2.0]]), requires_grad=True)
-        loss = dc.mean_axis(dc.add(dc.matmul(x, x), x))  # x^2 + x
+        x = tape.tensor(np.array(2.0), requires_grad=True)
+        loss = dc.add(dc.add(x, x), x)  # 3x, over two nodes
         tape.backward(loss)
-        assert x.grad == pytest.approx(5.0)
+        assert x.grad == pytest.approx(3.0)
 
     def test_forward_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(123)
             tape = dc.Tape()
             x = tape.tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
-            w = tape.tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
-            h = dc.relu(dc.matmul(x, w))
-            loss = dc.mean_axis(h)
+            w = tape.tensor(rng.standard_normal((8, 8, 1)).astype(np.float32), requires_grad=True)
+            h = dc.conv1d(x, w, tape.constant(np.zeros(8, np.float32)), stride=1)
+            loss = weighted_mean(h, np.float32(1))
             tape.backward(loss)
             return loss.data.copy(), x.grad.copy()
 
@@ -617,16 +541,23 @@ class TestGraphLifetime:
 
 class TestConventions:
     def test_relu_zero_input_zero_grad(self):
+        # conv1d's pre-activations are 0, -1 and 1 (windows [1, 2], [0, 2], [3, 1]).
         tape = dc.Tape()
-        x = tape.tensor(np.array([0.0, -1.0, 1.0]), requires_grad=True)
-        tape.backward(dc.mean_axis(dc.relu(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0 / 3])
+        x = tape.tensor(np.array([[1.0], [2.0], [0.0], [2.0], [3.0], [1.0]]), requires_grad=True)
+        w = tape.tensor(np.ones((1, 1, 2)), requires_grad=True)
+        b = tape.tensor(np.array([-3.0]), requires_grad=True)
+        tape.backward(weighted_mean(dc.conv1d(x, w, b, stride=2), np.ones((3, 1))))
+        np.testing.assert_array_equal(b.grad, [1.0 / 3])
+        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [0.0], [0.0], [1.0 / 3], [1.0 / 3]])
 
     def test_mean_accumulates_in_float64(self):
+        # A contrastive loss over 2^18 identical anchors is each anchor's
+        # loss exactly; a float32 running sum would drift from it.
         tape = dc.Tape()
-        x = tape.tensor(np.full(2**20, 0.1, dtype=np.float32))
-        out = dc.mean_axis(x)
-        assert out.data == np.float32(0.1)
+        frames = np.tile(np.float32([0.3, -0.7]), (2**18 + 1, 1))
+        one = obj.nfc_loss(tape.tensor(frames[:3]), 1, np.random.default_rng(0)).data
+        assert np.full(2**18, one).mean(dtype=np.float32) != one
+        assert obj.nfc_loss(tape.tensor(frames), 1, np.random.default_rng(0)).data == one
 
     def test_int_data_rejected(self):
         tape = dc.Tape()

@@ -98,25 +98,27 @@ def test_emitted_boundaries_are_strict_local_maxima():
 
 
 def test_word_boundary_at_segment_end_time():
-    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20])
-    assert np.allclose(infer.predict(profile, "word", 0.5), [0.070])
+    # Segment 1 spans frames [4, 8): the junction after it is reported at
+    # 80 ms, the start of frame 8, as the phoneme rule reports junction 7.
+    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[4, 8, 13, 21])
+    assert np.allclose(infer.predict(profile, "word", 0.5), [0.080])
 
 
 def test_word_needs_three_segments():
-    profile = make_profile(word=[0.9], ends=[3, 8])
+    profile = make_profile(word=[0.9], ends=[4, 9])
     assert infer.predict(profile, "word", 0.0).size == 0
 
 
 def test_prominence_above_max_gives_empty():
-    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[3, 7, 12, 20])
+    profile = make_profile(word=[0.1, 0.9, 0.2], ends=[4, 8, 13, 21])
     assert infer.predict(profile, "word", 2.0).size == 0
 
 
 def test_predict_dispatches_on_level():
     # The same junction index maps to different times at the two levels.
-    profile = make_profile(dissim=[0.0, 1.0, 0.0], word=[0.1, 0.9, 0.2], ends=[0, 4, 9, 12])
+    profile = make_profile(dissim=[0.0, 1.0, 0.0], word=[0.1, 0.9, 0.2], ends=[1, 5, 10, 13])
     assert np.allclose(infer.predict(profile, "phoneme"), [0.020])
-    assert np.allclose(infer.predict(profile, "word"), [0.040])
+    assert np.allclose(infer.predict(profile, "word"), [0.050])
 
 
 # ------------------------------------------------------------- model pass
@@ -135,9 +137,9 @@ def test_profile_shapes_are_consistent(small_net, synth_utt):
     profile = infer.profile_utterance(small_net, synth_utt.waveform.samples, "u0")
     n = model.n_frames(synth_utt.waveform.samples.size)
     assert profile.dissimilarity.shape == (n - 1,)
-    m = profile.segment_end_frames.size
+    m = profile.segment_ends.size
     assert m >= 1
-    assert profile.segment_end_frames[-1] == n - 1
+    assert profile.segment_ends[-1] == n
     assert profile.word_scores.shape == ((m - 1) if m >= 2 else 0,)
 
 
@@ -164,7 +166,7 @@ def test_profiles_are_bit_reproducible(small_net, synth_utt):
     b = infer.profile_utterance(small_net, synth_utt.waveform.samples, "u0")
     assert np.array_equal(a.dissimilarity, b.dissimilarity)
     assert np.array_equal(a.word_scores, b.word_scores)
-    assert np.array_equal(a.segment_end_frames, b.segment_end_frames)
+    assert np.array_equal(a.segment_ends, b.segment_ends)
     assert np.array_equal(infer.predict(a, "phoneme"), infer.predict(b, "phoneme"))
 
 
@@ -231,10 +233,10 @@ def _random_corpus(rng, n_utts):
     for u in range(n_utts):
         n = int(rng.integers(0, 40))
         curve = 0.4 * rng.random(n)
-        ends = np.cumsum(rng.integers(1, 4, n + 1)) - 1
+        ends = np.cumsum(rng.integers(1, 4, n + 1))
         profiles.append(make_profile(f"u{u}", dissim=curve, word=curve, ends=ends))
-        duration = (ends[-1] + 1) * model.FRAME_HOP_S
-        frames = rng.choice(np.arange(ends[-1] + 2), size=min(int(rng.integers(1, 12)), ends[-1] + 2), replace=False)
+        duration = ends[-1] * model.FRAME_HOP_S
+        frames = rng.choice(np.arange(ends[-1] + 1), size=min(int(rng.integers(1, 12)), ends[-1] + 1), replace=False)
         refs[f"u{u}"] = np.sort(frames * model.FRAME_HOP_S + rng.uniform(-0.015, 0.015, frames.size)).clip(0, duration)
         durations[f"u{u}"] = duration
     return profiles, refs, durations

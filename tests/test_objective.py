@@ -5,7 +5,7 @@ give log(K+1); two-candidate setups give log(1 + e^margin)).  Distractor
 sampling is checked for exclusion, determinism, uniformity over indices and
 over k-subsets, generator consumption and linear memory; composite
 finite-difference checks cover the full loss graphs, and tape-node counts pin
-one gathered candidate table per loss.
+one node per loss.
 """
 
 from __future__ import annotations
@@ -214,12 +214,11 @@ def test_nfc_matches_per_column_loop(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [2, 10])
-def test_nfc_records_five_tape_nodes(k):
-    # narrow, gather_rows, cosine_sim, cross-entropy, mean: one of each for any k
+def test_nfc_records_one_tape_node(k):
     tape = dc.Tape()
     frames = f64(tape, np.random.default_rng(0).normal(size=(30, 4)))
     obj.nfc_loss(frames, k, np.random.default_rng(1))
-    assert len(tape._nodes) == 5
+    assert len(tape._nodes) == 1
 
 
 # ------------------------------------------------------------ segment loss
@@ -287,12 +286,12 @@ def test_nsc_gradient_matches_fd():
 
 
 @pytest.mark.parametrize("k", [0, 5])
-def test_nsc_records_five_tape_nodes(k):
+def test_nsc_records_one_tape_node(k):
     tape = dc.Tape()
     rng = np.random.default_rng(2)
     segments, contexts = f64(tape, rng.normal(size=(9, 4))), f64(tape, rng.normal(size=(9, 4)))
     obj.nsc_loss(segments, contexts, k, np.random.default_rng(3))
-    assert len(tape._nodes) == 5
+    assert len(tape._nodes) == 1
 
 
 # ------------------------------------------------------------- total loss
