@@ -8,6 +8,7 @@ single-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -21,6 +22,18 @@ from . import model
 from . import trainer
 
 __all__ = ["main"]
+
+
+def _keep_freed_memory() -> None:
+    """Keep what a training step frees mapped for the next step instead of
+    faulting it in again: glibc's mmap threshold to 32 MB and trim threshold
+    to 256 MB, both, since either alone stops glibc adapting the other.
+    Forked children inherit them; without glibc's ``mallopt``, nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
 
 
 def _usable_cores() -> int:
@@ -208,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.fn(args)
     except (OSError, ValueError, trainer.DivergenceError) as e:

@@ -110,8 +110,8 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str, th
     return UtteranceProfile(utt_id, dissim, word_scores, ends)
 
 
-def _profile_share(_inherited, net: model.SCPCModel, threads: int, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
-    return [profile_utterance(net, audio.load_wav(wav).samples, utt_id, threads) for wav, utt_id in entries]
+def _profile_item(_inherited, net: model.SCPCModel, threads: int, entry: tuple[str, str]) -> UtteranceProfile:
+    return profile_utterance(net, audio.load_wav(entry[0]).samples, entry[1], threads)
 
 
 def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers: int = 1) -> list[UtteranceProfile]:
@@ -130,13 +130,13 @@ def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers
 
 def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]], threads: int) -> list[UtteranceProfile]:
     """``profile_corpus`` on an open group, which a training run forks once
-    and reuses for validation every epoch: the entries are split by file
-    size, each process receives the model once per call and runs the
-    encoder on ``threads`` threads.
+    and reuses for validation every epoch: the entries are dealt to the
+    processes as they come free, largest file first, each process receives
+    the model once per call and runs the encoder on ``threads`` threads.
 
     Audio is read one utterance at a time, so only the profiles accumulate.
     """
-    return group.map(_profile_share, entries, [os.path.getsize(wav) for wav, _ in entries], net, threads)
+    return list(group.map(_profile_item, entries, [os.path.getsize(wav) for wav, _ in entries], net, threads))
 
 
 def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarray]:

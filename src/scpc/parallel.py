@@ -7,11 +7,12 @@ process the cores left over as threads for its numpy work.
 ``ForkGroup(n, inherited)`` forks ``n - 1`` children once, with the ``fork``
 start method, so every child holds ``inherited`` (the training corpus, say)
 through the fork and no audio is ever pickled.  Each child has its own
-``Pipe`` and serves one request at a time, ``fn(inherited, *args)``, where
-``fn`` is a module-level function sent by reference.  ``map`` splits its
-items into balanced shares, computes share 0 in the calling process and
-receives the other shares on the calling thread, so there is no helper
-thread, queue or result handler.
+``Pipe`` and serves one request at a time.  ``map`` queues its items
+heaviest first and deals them from a counter shared through the fork:
+process i, the caller being 0, starts at position i and then takes the next
+position whenever it is free, calling ``fn(inherited, *args, item)``, a
+module-level function sent by reference.  The caller then receives each
+child's results on its own thread.  One process yields its results lazily.
 
 Children ignore SIGINT and exit when their pipe reaches end of file: when
 the group closes, or when the parent dies without closing it.  A child that
@@ -28,9 +29,9 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-__all__ = ["ForkGroup", "balance", "split_cores", "fan_out"]
+__all__ = ["ForkGroup", "split_cores", "fan_out"]
 
 
 def split_cores(workers: int, jobs: int) -> tuple[int, int]:
@@ -65,32 +66,29 @@ def fan_out(fn: Callable[[int], None], n: int) -> None:
         raise errors[0]
 
 
-def balance(weights: Sequence[float], n: int) -> list[list[int]]:
-    """Indices of ``weights`` in at most ``n`` non-empty shares, each in
-    ascending order.  Heaviest first, each index goes to the lightest share
-    so far (ties to the lower share and, among equal weights, the lower
-    index first)."""
-    totals = [0.0] * max(n, 1)
-    shares: list[list[int]] = [[] for _ in totals]
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        s = totals.index(min(totals))
-        shares[s].append(i)
-        totals[s] += weights[i]
-    return [sorted(s) for s in shares if s]
+def _take(counter, rank: int, queue: list) -> Iterator:
+    """The entries of ``queue`` that one process takes: position ``rank``
+    first, then whichever position ``counter`` holds next, until none is left."""
+    i = rank
+    while i < len(queue):
+        yield queue[i]
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
 
 
-def _serve(conn, inherited, foreign) -> None:
+def _serve(conn, inherited, counter, rank, foreign) -> None:
     """A child's loop: answer requests on ``conn`` until it reaches end of file."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and closes the group
     for other in foreign:   # the parent's ends; holding them would hide its death
         other.close()
     while True:
         try:
-            fn, args = conn.recv()
+            fn, args, queue = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, fn(inherited, *args))
+            reply = (True, [(i, fn(inherited, *args, item)) for i, item in _take(counter, rank, queue)])
         except Exception as exc:
             reply = (False, exc)
         try:
@@ -107,11 +105,12 @@ class ForkGroup:
         self._conns: list = []
         self._procs: list = []
         ctx = multiprocessing.get_context("fork")
+        self._next = ctx.Value("q", 0)   # the next queue position to take, shared through the fork
         try:
-            for _ in range(n - 1):
+            for rank in range(1, n):
                 mine, theirs = ctx.Pipe()
                 self._conns.append(mine)
-                proc = ctx.Process(target=_serve, args=(theirs, inherited, list(self._conns)), daemon=True)
+                proc = ctx.Process(target=_serve, args=(theirs, inherited, self._next, rank, list(self._conns)), daemon=True)
                 proc.start()
                 theirs.close()
                 self._procs.append(proc)
@@ -119,39 +118,36 @@ class ForkGroup:
             self.close()
             raise
 
-    def map(self, fn: Callable, items: Sequence, weights: Sequence[float], *args) -> list:
-        """One result per item of ``items``, in their order.
+    def map(self, fn: Callable, items: Sequence, weights: Sequence[float], *args) -> Iterator:
+        """One result ``fn(inherited, *args, item)`` per item of ``items``, in their order.
 
-        ``balance`` splits the items by ``weights`` into at most one share
-        per process; ``fn(inherited, *args, share_items)`` returns one result per
-        item of its share.  Share 0 runs here, share i in child i.  The
-        group closes if any share fails.
+        Without children the results are computed lazily, one per step of
+        the iterator.  Otherwise the items are queued by ``weights``,
+        heaviest first, and dealt to the processes as they come free; the
+        group closes if any item fails.
         """
-        shares = balance(weights, len(self._procs) + 1)
-        if not shares:
-            return []
-        jobs = [(*args, [items[i] for i in share]) for share in shares]
+        if not self._procs:
+            return (fn(self._inherited, *args, item) for item in items)
+        queue = sorted(enumerate(items), key=lambda pair: -weights[pair[0]])
+        busy = list(zip(self._conns, self._procs))[: max(len(queue) - 1, 0)]
         try:
-            for conn, job in zip(self._conns, jobs[1:]):
-                conn.send((fn, job))
-            replies = [fn(self._inherited, *jobs[0])]
-            for conn, proc in zip(self._conns, self._procs[: len(jobs) - 1]):
+            self._next.value = len(busy) + 1   # the children are idle between calls
+            for conn, _ in busy:
+                conn.send((fn, args, queue))
+            taken = [(i, fn(self._inherited, *args, item)) for i, item in _take(self._next, 0, queue)]
+            for conn, proc in busy:
                 try:
                     ok, value = conn.recv()
                 except EOFError:
                     proc.join()
-                    raise ChildProcessError(f"worker process {proc.pid} exited with code {proc.exitcode} before returning its share") from None
+                    raise ChildProcessError(f"worker process {proc.pid} exited with code {proc.exitcode} before returning its items") from None
                 if not ok:
                     raise value
-                replies.append(value)
+                taken += value
         except BaseException:
             self.close()
             raise
-        results = [None] * len(items)
-        for share, reply in zip(shares, replies):
-            for i, result in zip(share, reply):
-                results[i] = result
-        return results
+        return (result for _, result in sorted(taken, key=lambda pair: pair[0]))
 
     def close(self) -> None:
         """Close every pipe and reap every child; idle children exit at once."""

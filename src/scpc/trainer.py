@@ -220,12 +220,10 @@ def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: 
     return {k: leaves[k].grad for k in params}, report, graph.boundaries.n_segments
 
 
-def _step_share(items: list[tuple[str, np.ndarray]], params: dict[str, np.ndarray], config: TrainConfig, epoch: int, threads: int, indices: list[int]) -> list[tuple]:
-    """``_utterance_step`` for the utterances ``indices`` of the training
-    corpus ``items``, each on its own (seed, epoch, utterance) stream; the
-    parent runs one share and every child of the group another."""
-    nsc_active = epoch >= config.add_nsc_epoch
-    return [_utterance_step(params, items[i][1], config, nsc_active, np.random.default_rng([config.seed, epoch, i]), threads) for i in indices]
+def _step_item(items: list[tuple[str, np.ndarray]], params: dict[str, np.ndarray], config: TrainConfig, epoch: int, threads: int, i: int) -> tuple:
+    """``_utterance_step`` for utterance ``i`` of the training corpus
+    ``items``, on its own (seed, epoch, utterance) stream."""
+    return _utterance_step(params, items[i][1], config, epoch >= config.add_nsc_epoch, np.random.default_rng([config.seed, epoch, i]), threads)
 
 
 @dataclass(frozen=True)
@@ -278,10 +276,11 @@ def train(
     run forks min(workers, batch_size) - 1 children once, each holding the
     training audio through the fork, and every process runs its encoder
     layers on the cores left over, workers // processes threads.  A
-    batch's utterances are split among the processes by length, and their
-    gradients, losses and divergence checks are folded in batch order, so
-    every output is byte-identical for any ``workers``.  Validation
-    profiles on the same processes and threads.
+    batch's utterances are dealt to the processes as they come free,
+    longest first, and their gradients, losses and divergence checks are
+    folded in batch order, so every output is byte-identical for any
+    ``workers``; one process folds each gradient before computing the
+    next.  Validation profiles on the same processes and threads.
     """
     processes, threads = parallel.split_cores(workers, config.batch_size)
     out = Path(out_dir)
@@ -345,7 +344,7 @@ def train(
                         batch.append(int(idx))
                 if not batch:
                     continue
-                steps = group.map(_step_share, batch, [items[idx][1].size for idx in batch], params, config, epoch, threads)
+                steps = group.map(_step_item, batch, [items[idx][1].size for idx in batch], params, config, epoch, threads)
                 # Fold in batch order, so the sums are the same for any group size.
                 grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
                 for idx, (utt_grads, report, n_segments) in zip(batch, steps):
@@ -353,6 +352,7 @@ def train(
                         raise DivergenceError(f"non-finite loss on utterance {items[idx][0]} in epoch {epoch}; last-good checkpoint retained")
                     for k in params:
                         grads[k] += utt_grads[k].astype(np.float64)
+                    del utt_grads   # not held through the next step of a one-process group
                     n_used += 1
                     nfc_sum += report.nfc
                     seg_sum += n_segments

@@ -6,11 +6,15 @@ asserted cheaply; one test drives the installed console script.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import os
+import platform
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +381,35 @@ def test_workers_below_one_is_an_argparse_error(workspace, tmp_path, capsys, wor
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"scpc train: error: argument --workers: expected an integer >= 1, got {workers!r}"
     assert not (tmp_path / "run").exists()
+
+
+_TWO_TRAINS = """
+import resource, sys
+from scpc import cli
+faults = []
+for out in sys.argv[3:]:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["train", "--manifest", sys.argv[1], "--config", sys.argv[2], "--out", out, "--workers", "1"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_a_repeated_train_command_faults_in_almost_no_memory(tmp_path):
+    # The first command maps the working set of one 5 s step; the second
+    # reuses it instead of having it handed back and faulted in again.  A
+    # fresh process, because pages this one wrote before its last fork
+    # fault again on their next write, whatever the allocator keeps.
+    spec = dataclasses.replace(audio.default_spec(seed=5), words_per_utterance=(14, 14))
+    utts = audio.generate_corpus(spec, 1)
+    assert 4.5 < utts[0].waveform.samples.size / audio.SAMPLE_RATE < 5.5
+    manifest = audio.save_corpus(utts, tmp_path / "corpus")
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("epochs = 1\nbatch_size = 1\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _TWO_TRAINS, manifest, cfg, tmp_path / "run0", tmp_path / "run1"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(n) for n in proc.stdout.split()[-2:]]
+    assert faults[1] < 500, f"minor faults per command: {faults}"

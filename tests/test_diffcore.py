@@ -21,7 +21,7 @@ import pytest
 
 from helpers import numeric_grad, rel_err, weighted_mean
 
-from scpc import audio, infer, model
+from scpc import audio, infer, model, parallel
 from scpc import diffcore as dc
 from scpc import objective as obj
 
@@ -237,10 +237,11 @@ class TestConv1dGrads:
     # Each thread holds one block-sized product of the input gradient, so at
     # this 1.5 s shape a third thread would pass the bound.
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_conv1d_memory_stays_below_one_window_matrix(self, threads):
+    def test_conv1d_memory_stays_below_one_window_matrix(self, threads, monkeypatch):
         # Encoder layer 1 on 1.5 s of audio: 4799 x 64 in, k = 8, stride 4.
         # Forward and backward together allocate less than one im2col window
         # matrix, t_out x (c_in * k) float32, would take on its own.
+        monkeypatch.setattr(dc, "_THREAD_ROWS", 1)   # threads even below their row floor
         t, c, k, stride = 4799, 64, 8, 4
         t_out = 1 + (t - k) // stride
         rng = np.random.default_rng(0)
@@ -266,7 +267,8 @@ class TestConv1dGrads:
     @pytest.mark.parametrize("t_out", [100, 1200, 1025])
     @pytest.mark.parametrize("k, stride, c_in", [(k, s, 1 if i == 0 else 64) for i, (k, s) in enumerate(zip(model.KERNELS, model.STRIDES))]
                              + [(6, 2, 64)])
-    def test_conv1d_threads_give_identical_bits(self, k, stride, c_in, t_out, fast_switching):
+    def test_conv1d_threads_give_identical_bits(self, k, stride, c_in, t_out, fast_switching, monkeypatch):
+        monkeypatch.setattr(dc, "_THREAD_ROWS", 1)   # threads even below their row floor
         rng = np.random.default_rng(t_out)
         x0 = rng.standard_normal(((t_out - 1) * stride + k + stride - 1, c_in)).astype(np.float32)
         w0 = (rng.standard_normal((64, c_in, k)) / np.sqrt(c_in * k)).astype(np.float32)
@@ -285,6 +287,18 @@ class TestConv1dGrads:
             assert 0 < np.count_nonzero(out.data) < out.data.size
             assert (runs[0][1] is None) == (not x_grad)
             assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("t_out, helpers", [(dc._THREAD_ROWS - 1, 0), (dc._THREAD_ROWS, 1)])
+    def test_conv1d_threads_start_at_their_row_floor(self, t_out, helpers, monkeypatch):
+        calls = []
+        fan_out = parallel.fan_out
+        monkeypatch.setattr(parallel, "fan_out", lambda fn, n: (calls.append(n), fan_out(fn, n)))
+        tape = dc.Tape()
+        x = tape.tensor(np.ones(((t_out - 1) * 2 + 4, 64), np.float32), requires_grad=True)
+        w = tape.tensor(np.ones((64, 64, 4), np.float32), requires_grad=True)
+        b = tape.tensor(np.zeros(64, np.float32), requires_grad=True)
+        tape.backward(weighted_mean(dc.conv1d(x, w, b, 2, threads=2), np.float32(1)))
+        assert max(calls) == 1 + helpers
 
     def test_conv1d_output_length(self):
         tape = dc.Tape()

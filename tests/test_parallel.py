@@ -37,18 +37,7 @@ def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
-# ------------------------------------------------------------ load balance
-
-def test_balance_heaviest_first_to_the_lighter_share():
-    assert parallel.balance([5, 1, 4, 3, 2], 2) == [[0, 1, 4], [2, 3]]   # totals 8 and 7
-    assert parallel.balance([1, 1, 1], 2) == [[0, 2], [1]]
-
-
-def test_balance_drops_empty_shares_and_keeps_one_share_in_order():
-    assert parallel.balance([7.0], 4) == [[0]]
-    assert parallel.balance([], 2) == []
-    assert parallel.balance([1, 3, 2], 1) == [[0, 1, 2]]
-
+# ------------------------------------------------------------- dealing
 
 def test_split_cores_spends_processes_first_then_threads():
     assert parallel.split_cores(2, 8) == (2, 1)
@@ -76,8 +65,9 @@ def test_fan_out_joins_every_thread_and_raises_a_helpers_error():
     assert threading.active_count() == threads_before
 
 
-def _tag(inherited, offset, share):
-    return [(inherited[i] + offset, os.getpid()) for i in share]
+def _tag(inherited, offset, item):
+    time.sleep(0.005)
+    return inherited[item] + offset, os.getpid()
 
 
 def test_map_returns_results_in_item_order_from_every_process():
@@ -85,10 +75,55 @@ def test_map_returns_results_in_item_order_from_every_process():
     # byte-identity tests, so the order is pinned here.
     items = list(range(7))
     with parallel.ForkGroup(3, inherited=[10 * i for i in items]) as group:
-        out = group.map(_tag, items, [3, 1, 4, 1, 5, 9, 2], 1)
+        out = list(group.map(_tag, items, [3, 1, 4, 1, 5, 9, 2], 1))
     assert [value for value, _ in out] == [10 * i + 1 for i in items]
     assert len({pid for _, pid in out}) == 3
     assert multiprocessing.active_children() == []
+
+
+def _sleep(_inherited, item):
+    time.sleep(item)
+    return os.getpid()
+
+
+def test_a_slow_item_holds_up_no_other_item():
+    # Equal weights do not see the slow item: a static split by weight
+    # would give its process three of the quick ones too.
+    items = [0.5] + [0.01] * 7
+    with parallel.ForkGroup(2) as group:
+        pids = list(group.map(_sleep, items, [1.0] * 8))
+    assert pids.count(pids[0]) == 1
+    assert len(set(pids)) == 2
+
+
+def _fail_in_child(_inherited, parent, item):
+    if os.getpid() == parent:
+        time.sleep(0.3 if item == 0 else 0.01)
+    elif item >= 2:
+        raise ValueError(f"item {item} failed in a child")
+    return item
+
+
+def test_an_error_in_a_child_mid_queue_surfaces_and_closes_the_group():
+    # The parent starts on item 0 and the child on item 1; the child then
+    # takes item 2, which fails, while the parent is still busy.
+    group = parallel.ForkGroup(2)
+    with pytest.raises(ValueError, match=r"item \d failed in a child"):
+        group.map(_fail_in_child, list(range(8)), [8 - i for i in range(8)], os.getpid())
+    assert group._procs == [] and multiprocessing.active_children() == []
+
+
+def test_one_process_computes_each_result_when_it_is_taken():
+    calls = []
+
+    def record(_inherited, item):
+        calls.append(item)
+        return item
+
+    results = parallel.ForkGroup(1).map(record, [3, 1, 2], [1, 2, 3])
+    assert calls == []
+    assert next(results) == 3 and calls == [3]
+    assert list(results) == [1, 2] and calls == [3, 1, 2]
 
 
 # ------------------------------------------------------- byte-identical runs
@@ -216,23 +251,22 @@ def test_train_leaves_no_children(corpus, tmp_path):
 
 
 def _child_first_victims(manifest) -> tuple[str, str]:
-    """Two utterances of one epoch-0 batch: the first lies in the child's
-    share and comes earlier in batch order than the second, in the parent's."""
+    """Two utterances of one epoch-0 batch: the batch's heaviest, which the
+    parent takes first, and its second heaviest, which the child takes
+    first and which comes earlier in batch order."""
     items = list(trainer.load_dataset(manifest).items())
     order = np.random.default_rng([TINY.seed, 0]).permutation(len(items))
     for start in range(0, len(order), TINY.batch_size):
         batch = [int(i) for i in order[start : start + TINY.batch_size]]
-        parent, child = parallel.balance([items[i][1].size for i in batch], 2)
-        for c in child:
-            later = [p for p in parent if p > c]
-            if later:
-                return items[batch[c]][0], items[batch[later[0]]][0]
-    raise AssertionError("no batch puts a child's utterance before a parent's")
+        parent, child = sorted(batch, key=lambda i: -items[i][1].size)[:2]
+        if batch.index(child) < batch.index(parent):
+            return items[child][0], items[parent][0]
+    raise AssertionError("no batch puts its second heaviest utterance before its heaviest")
 
 
 def test_divergence_in_a_child_share_names_the_same_utterance(corpus, tmp_path, monkeypatch):
     first, second = _child_first_victims(corpus)
-    wavs = {audio.read_manifest(corpus)[u][0] for u in (first, second)}
+    wavs = {audio.read_manifest(corpus)[u][0]: u for u in (first, second)}
     load_wav = audio.load_wav
 
     def load_nan(path):
@@ -240,12 +274,27 @@ def test_divergence_in_a_child_share_names_the_same_utterance(corpus, tmp_path, 
         return audio.Waveform(np.full_like(wave.samples, np.nan), wave.sample_rate) if Path(path) in wavs else wave
 
     monkeypatch.setattr(audio, "load_wav", load_nan)
+    # Which process stepped each diverging utterance, keyed by its length.
+    sizes = {load_wav(w).samples.size: u for w, u in wavs.items()}
+    log = tmp_path / "steps.log"
+    step = trainer._utterance_step
+
+    def logged(params, samples, *args):
+        if np.isnan(samples).any():
+            with open(log, "a") as f:
+                f.write(f"{sizes[samples.size]} {os.getpid()}\n")
+        return step(params, samples, *args)
+
+    monkeypatch.setattr(trainer, "_utterance_step", logged)
     messages = []
     for workers in (1, 2):
+        log.write_text("")
         with pytest.raises(trainer.DivergenceError, match=f"non-finite loss on utterance {first} ") as err:
             trainer.train(corpus, TINY, tmp_path / f"w{workers}", workers=workers)
         assert multiprocessing.active_children() == []
         messages.append(str(err.value))
+    stepped = dict(line.split() for line in log.read_text().splitlines())
+    assert stepped == {first: stepped[first], second: str(os.getpid())} and stepped[first] != str(os.getpid())
     assert messages[0] == messages[1]
 
 

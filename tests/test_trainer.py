@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,30 @@ def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path, monke
     kept, _, _ = model.load_checkpoint(out / "checkpoint.npz")
     for k in kept.params:
         assert np.array_equal(kept.params[k], good.model.params[k])
+
+
+def test_one_process_folds_each_gradient_before_the_next_step(tmp_path):
+    # At one worker a batch of 8 holds no more per-utterance gradients at
+    # its peak than a batch of 1 does.  The longest utterance, whose step
+    # sets the peak, comes last in the batch, after 7 gradients.
+    spec = dataclasses.replace(audio.default_spec(seed=7), words_per_utterance=(6, 12))
+    rows = list(audio.read_manifest(audio.save_corpus(audio.generate_corpus(spec, 8), tmp_path / "corpus")).values())
+    rows.sort(key=lambda row: audio.load_wav(row[0]).samples.size)
+    last = int(np.random.default_rng([0, 0]).permutation(8)[-1])
+    rows.insert(last, rows.pop())
+    manifest = tmp_path / "manifest.tsv"
+    audio.write_manifest(rows, manifest)
+    peaks = {}
+    for batch_size in (1, 8):
+        config = trainer.TrainConfig(epochs=1, batch_size=batch_size, add_nsc_epoch=0)
+        tracemalloc.start()
+        try:
+            trainer.train(manifest, config, tmp_path / f"batch{batch_size}", workers=1)
+            peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    gradient = sum(p.nbytes for p in model.SCPCModel.init(model.ModelConfig()).params.values())
+    assert peaks[8] - peaks[1] < gradient, f"peaks {peaks}, one gradient {gradient} bytes"
 
 
 def test_short_utterances_are_skipped_not_fatal(corpus, tmp_path):
