@@ -37,7 +37,7 @@ def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
-# ------------------------------------------------------------- dealing
+# ----------------------------------------------------- cores and dealing
 
 def test_split_cores_spends_processes_first_then_threads():
     assert parallel.split_cores(2, 8) == (2, 1)
