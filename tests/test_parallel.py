@@ -113,6 +113,20 @@ def test_an_error_in_a_child_mid_queue_surfaces_and_closes_the_group():
     assert group._procs == [] and multiprocessing.active_children() == []
 
 
+def _ident(_inherited, item):
+    return item
+
+
+def test_no_item_is_dealt_twice_or_skipped_under_contention():
+    # More processes than cores and items too quick to matter, so every
+    # process keeps taking from the counter: a lost update would repeat or
+    # skip an item.
+    items = list(range(20000))
+    with parallel.ForkGroup(4) as group:
+        for _ in range(3):
+            assert list(group.map(_ident, items, [1.0] * len(items))) == items
+
+
 def test_one_process_computes_each_result_when_it_is_taken():
     calls = []
 
