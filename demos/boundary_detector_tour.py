@@ -11,8 +11,9 @@ The detector turns a sequence of frame vectors into segments in four moves:
      in at most two segments, and each segment's weights are normalized to
      sum to one, so no frame-by-segment matrix is ever built.
 
-Moves 1-3 are one tape op, ``boundary.boundary_indicator``; its first two
-stages are also plain numpy functions, which the tour calls to show them.
+Moves 1-3 are one tape op on the frames, ``boundary.boundary_indicator``,
+which returns the dissimilarity beside the indicator; its peak scores are
+also a plain numpy function, which the tour calls to show them.
 
 Here the frames are built by hand, three plateaus with small noise, so every
 intermediate quantity can be checked against what we planted.
@@ -34,9 +35,8 @@ true_changes = [7, 13]  # junction t sits between frames t and t+1
 tape = dc.Tape()
 frames = tape.tensor(frames0, requires_grad=True)
 n = frames.shape[0]
-sim = dc.cosine_sim(dc.narrow(frames, 0, n - 1), dc.narrow(frames, 1, n - 1))
+dissim, indicator = boundary.boundary_indicator(frames, thres=0.09)
 
-dissim = boundary.dissimilarity(sim.data)
 print("dissimilarity per junction (1 = sharpest change in this utterance):")
 print(np.array2string(dissim, precision=2, suppress_small=True))
 print(f"planted changes at junctions {true_changes}, "
@@ -46,7 +46,6 @@ narrow, wide, final = boundary.peak_scores(dissim, thres=0.09)
 print("final peak scores (nonzero only at isolated maxima clearing the threshold):")
 print(np.array2string(final, precision=2, suppress_small=True), "\n")
 
-_, indicator = boundary.boundary_indicator(sim, thres=0.09)
 print("straight-through indicator, forward values:", np.round(indicator.data, 3))
 print("equal to hard tanh(1000 p):", bool(np.array_equal(indicator.data, np.tanh(boundary.HARD_SLOPE * final))), "\n")
 
@@ -66,6 +65,9 @@ print("\npredicted boundary times:", [(int(t) + 1) * 0.010 for t in peak_junctio
 
 # Gradients reach the frames through the soft path even though the forward
 # pass used saturated indicators.  The loss asks each segment mean to pick
-# its successor out of one distractor, as the training losses do.
-tape.backward(objective.nfc_loss(means, 1, rng))
+# its successor out of one distractor, as the training losses do: with its
+# segment branch off, utterance_loss is the next-frame loss alone, and the
+# segment means stand in for its frames.
+loss, _ = objective.utterance_loss(means, means, means, 1, 1, False, rng)
+tape.backward(loss)
 print("gradient flows to every frame:", bool(np.all(np.any(frames.grad != 0, axis=1))))

@@ -1,15 +1,15 @@
 """Differentiable boundary detection between consecutive frame latents.
 
-The chain is: cosine similarity of adjacent frames -> one straight-through
-op, ``boundary_indicator`` -> tent-weighted segment means
+The chain is: one straight-through op on the frame latents,
+``boundary_indicator`` -> tent-weighted segment means
 (``diffcore.segment_pool``), each frame weighted into the two segments
-nearest its running boundary count.  The op's forward normalizes the
-similarity into a dissimilarity per utterance, scores two-scale peaks above a
-threshold and saturates them into hard indicators; its backward follows the
-soft slope through the same peak rule and normalization.  So boundary
-placement participates in training on four tape nodes (two ``narrow``, the
-similarity and the op), and the hard segment count and spans are read off
-the forward values.  ``dissimilarity`` and ``peak_scores`` are the op's
+nearest its running boundary count.  The op's forward takes the cosine
+similarity of adjacent frames, normalizes it into a dissimilarity per
+utterance, scores two-scale peaks above a threshold and saturates them into
+hard indicators; its backward follows the soft slope through the same peak
+rule, the normalization and the cosine.  So boundary placement participates
+in training on one tape node, and the hard segment count and spans are read
+off the forward values.  ``dissimilarity`` and ``peak_scores`` are the op's
 forward stages as plain numpy functions.
 """
 
@@ -81,23 +81,44 @@ def peak_scores(dissim: np.ndarray, thres: float) -> tuple[np.ndarray, np.ndarra
     return narrow, wide, final
 
 
-def boundary_indicator(sim: dc.Tensor, thres: float) -> tuple[np.ndarray, dc.Tensor]:
-    """Straight-through boundary indicator from junction similarities (L-1,).
+def _junction_cosine(f: np.ndarray):
+    """Cosine of each row of ``f`` (L, d) with the next, (L-1,), on the views
+    ``f[:-1]`` and ``f[1:]`` (float64 dot products, ``dc.COS_EPS`` in the
+    denominator, an exactly zero row rejected), and its vjp: two zero-padded
+    (L, d) terms, the one for rows 1 .. L-1 first, then rows 0 .. L-2."""
+    a, b = f[:-1], f[1:]
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ValueError("junction cosine: zero vector has no direction")
+    dot = (a * b).sum(axis=-1, dtype=np.float64).astype(f.dtype)
+    denom = (na * nb + dc.COS_EPS).astype(f.dtype)
 
-    Returns the dissimilarity and the indicator tanh(1000 p) of the final
-    peak scores p, as one tape node.  Its backward pass sees d tanh(10 p)/dp
-    instead, carried through the peak rule and the normalization to ``sim``:
-    minimum/maximum ties go to the first argument, relu takes the zero
-    branch, and the normalization's min and max take their first
-    occurrence.  An all-zero dissimilarity gives a constant indicator.
-    """
-    s, dt = sim.data, sim.data.dtype
+    def vjp(g):
+        gc = (g / denom)[:, None]
+        sc = (g * dot / denom**2)[:, None]
+        g_b, g_a = np.zeros_like(f), np.zeros_like(f)
+        g_b[1:] = gc * a - sc * (na / nb)[:, None] * b
+        g_a[:-1] = gc * b - sc * (nb / na)[:, None] * a
+        return g_b, g_a
+
+    return dot / denom, vjp
+
+
+def _straight_through(s: np.ndarray, thres: float):
+    """The dissimilarity of junction similarities ``s`` (L-1,), the indicator
+    tanh(1000 p) of its final peak scores p, and the vjp to ``s`` (None when
+    the dissimilarity is all zeros).  The vjp follows d tanh(10 p)/dp through
+    the peak rule and the normalization: minimum/maximum ties go to the first
+    argument, relu takes the zero branch, and the normalization's min and max
+    take their first occurrence."""
+    dt = s.dtype
     d = dissimilarity(s)
     rises, narrow, wide, over, final = _peak_parts(d, thres)
     soft = np.tanh(final * SOFT_SLOPE)
     indicator = np.tanh(final * HARD_SLOPE) + (soft - soft)
     if not d.any():   # a normalized dissimilarity holds a 1 at the minimum similarity
-        return d, sim.tape.constant(indicator)
+        return d, indicator, None
     i_lo, i_hi = int(np.argmin(s)), int(np.argmax(s))
     span = s[i_hi] - s[i_lo]
 
@@ -123,9 +144,22 @@ def boundary_indicator(sim: dc.Tensor, thres: float) -> tuple[np.ndarray, dc.Ten
             one_hot = np.zeros_like(s)
             one_hot[i] = g_i
             g_sim = g_sim + one_hot
-        return (g_sim,)
+        return g_sim
 
-    return d, sim.tape._record((sim,), indicator, vjp)
+    return d, indicator, vjp
+
+
+def boundary_indicator(frames: dc.Tensor, thres: float) -> tuple[np.ndarray, dc.Tensor]:
+    """Straight-through boundary indicator from frame latents (L, d), L >= 2:
+    the dissimilarity and the indicator, each (L-1,), as one tape node over
+    (frames, frames) whose vjp chains ``_straight_through``'s into
+    ``_junction_cosine``'s.  An all-zero dissimilarity gives a constant
+    indicator and records nothing."""
+    sim, cos_vjp = _junction_cosine(frames.data)
+    d, indicator, vjp = _straight_through(sim, thres)
+    if vjp is None:
+        return d, frames.tape.constant(indicator)
+    return d, frames.tape._record((frames, frames), indicator, lambda g: cos_vjp(vjp(g)))
 
 
 def _spans_from_hard(hard_values: np.ndarray, n_frames: int) -> tuple[tuple[int, int], ...]:
@@ -153,7 +187,6 @@ def detect_segments(frames: dc.Tensor, thres: float) -> BoundaryGraph:
     n = frames.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 frames to compare, got {n}")
-    sim = dc.cosine_sim(dc.narrow(frames, 0, n - 1), dc.narrow(frames, 1, n - 1))
-    dissim, indicator = boundary_indicator(sim, thres)
+    dissim, indicator = boundary_indicator(frames, thres)
     spans = _spans_from_hard(indicator.data, n)
     return BoundaryGraph(dissim, spans, dc.segment_pool(frames, indicator, len(spans)))

@@ -5,13 +5,13 @@ The tape records a node only for an op with at least one grad-requiring input
 and replays the chain rule over those nodes in exact reverse execution order,
 so gradients are deterministic for a fixed op sequence.  Ops on constants
 alone, which is all of inference, record nothing.  Only the ops the
-pipeline calls are implemented: the fused encoder layer, the segment pooling
-and the context scan, plus the few generic ops around them (``add``,
-``narrow``, ``cosine_sim``).  An op outside this module records itself with
-``Tape._record`` as these do: the boundary detector's straight-through op,
-the segment MLP and each contrastive loss are one node each.  Shapes are
-validated eagerly and mismatches raise with both offending shapes in the
-message.
+pipeline calls are implemented, one tape node per pipeline stage: here the
+fused encoder layer, the segment pooling and the context scan.  An op
+outside this module records itself with ``Tape._record`` as these do: the
+latent epsilon shift, the boundary detector's op (junction cosine and
+straight-through indicator), the segment MLP and the loss (both contrastive
+terms) are one node each.  Shapes are validated eagerly and mismatches raise
+with both offending shapes in the message.
 
 Conventions:
 
@@ -38,10 +38,7 @@ __all__ = [
     "Tape",
     "Tensor",
     "COS_EPS",
-    "add",
-    "narrow",
     "conv1d",
-    "cosine_sim",
     "tanh_scan",
     "segment_pool",
 ]
@@ -156,37 +153,6 @@ def _check_tape(*tensors: Tensor) -> Tape:
         if t.tape is not tape:
             raise ValueError("op mixes tensors from different tapes")
     return tape
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """``a + b`` for equal shapes, or with a scalar on either side."""
-    tape = _check_tape(a, b)
-    if a.data.shape != b.data.shape and () not in (a.data.shape, b.data.shape):
-        raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = a.data + b.data
-
-    def vjp(g):
-        # A scalar operand's gradient is the float64 sum; a constant gets none.
-        return tuple(None if not t.requires_grad else g if t.data.shape == g.shape
-                     else np.asarray(g.sum(dtype=np.float64), dtype=g.dtype) for t in (a, b))
-
-    return tape._record((a, b), out, vjp)
-
-
-def narrow(x: Tensor, start: int, length: int) -> Tensor:
-    """Rows ``start`` .. ``start + length - 1`` of ``x``, as a copy."""
-    n = x.data.shape[0]
-    if start < 0 or length < 0 or start + length > n:
-        raise ValueError(f"narrow: rows [{start}, {start + length}) out of range for {n} rows")
-    rows = slice(start, start + length)
-    out = x.data[rows].copy()
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full[rows] = g
-        return (full,)
-
-    return x.tape._record((x,), out, vjp)
 
 
 # Elements per temporary product in conv1d.  numpy has no in-place GEMM
@@ -330,35 +296,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
     return tape._record((x, weight, bias), out, vjp)
 
 
-# The epsilon in every cosine denominator here and in the losses.
+# The epsilon in every cosine denominator: the boundary op's junction cosine
+# and the losses.
 COS_EPS = 1e-8
-
-
-def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity of two equal-shape (n, d) matrices, shape (n,).
-
-    An epsilon of ``COS_EPS`` in the denominator guards near-zero norms; an
-    exactly zero row is rejected because its direction is undefined.
-    """
-    tape = _check_tape(a, b)
-    if a.data.ndim != 2 or a.data.shape != b.data.shape:
-        raise ValueError(f"cosine_sim: expected two (n, d) matrices of one shape, got {a.data.shape} and {b.data.shape}")
-    na = np.linalg.norm(a.data, axis=-1)
-    nb = np.linalg.norm(b.data, axis=-1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("cosine_sim: zero vector has no direction")
-    dot = (a.data * b.data).sum(axis=-1, dtype=np.float64).astype(a.data.dtype)
-    denom = (na * nb + COS_EPS).astype(a.data.dtype)
-    out = dot / denom
-
-    def vjp(g):
-        gc = (g / denom)[:, None]
-        sc = (g * dot / denom**2)[:, None]
-        ga = gc * b.data - sc * (nb / na)[:, None] * a.data
-        gb = gc * a.data - sc * (na / nb)[:, None] * b.data
-        return ga.astype(a.data.dtype), gb.astype(b.data.dtype)
-
-    return tape._record((a, b), out, vjp)
 
 
 def tanh_scan(x: Tensor, w_in: Tensor, w_h: Tensor, b: Tensor) -> Tensor:

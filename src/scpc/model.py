@@ -128,7 +128,7 @@ def frame_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarr
     x = tape.tensor(samples.reshape(-1, 1))   # (t, 1)
     for i, s in enumerate(STRIDES):
         x = dc.conv1d(x, leaves[f"frame_conv{i}_w"], leaves[f"frame_conv{i}_b"], stride=s, threads=threads)
-    return dc.add(x, tape.constant(np.float32(LATENT_EPS)))
+    return tape._record((x,), x.data + np.float32(LATENT_EPS), lambda g: (g,))
 
 
 def segment_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], means: dc.Tensor) -> dc.Tensor:
@@ -194,13 +194,14 @@ def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray],
     its config; returns (model, extra arrays, train config echo).  Every
     structural fault is a one-line ``ValueError`` that names the file."""
     path = Path(path)
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not an npz checkpoint") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):   # a bare .npy array
-        raise ValueError(f"{path}: not an npz checkpoint")
-    with data:
+    # np.load is handed an open file, so a zip it rejects cannot leak the handle.
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not an npz checkpoint") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):   # a bare .npy array
+            raise ValueError(f"{path}: not an npz checkpoint")
         if "format_version" not in data or int(data["format_version"]) != CHECKPOINT_VERSION:
             found = int(data["format_version"]) if "format_version" in data else None
             raise ValueError(f"{path}: checkpoint format version mismatch (found {found}, expected {CHECKPOINT_VERSION})")

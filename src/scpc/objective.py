@@ -4,11 +4,11 @@ Both losses are the same noise-contrastive estimate: an anchor must pick its
 true successor out of k distractors drawn uniformly without replacement from
 the same utterance.  One integer table of shape (n - 1, k + 1) holds every
 anchor's candidates, the positive in column 0; the gather, the cosine scores,
-the cross-entropy and the mean are one hand-written op, so a loss records one
-tape node for any k.  Frame anchors predict the next frame latent;
-segment anchors are causal context states predicting the next segment
-latent.  The segment loss joins the total only from a configured epoch
-onward, giving the frame encoder a head start.
+the cross-entropy and the mean are one hand-written function with its vjp.
+Frame anchors predict the next frame latent; segment anchors are causal
+context states predicting the next segment latent.  The segment loss joins
+the total only from a configured epoch onward, giving the frame encoder a
+head start.  The total, both terms together, records one tape node for any k.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from . import diffcore as dc
 __all__ = [
     "LossReport",
     "sample_distractors",
-    "nfc_loss",
-    "nsc_loss",
     "utterance_loss",
 ]
 
@@ -59,9 +57,9 @@ def sample_distractors(rng: np.random.Generator, n_items: int, k: int) -> np.nda
     return out + 2 * (out >= np.arange(n_items - 1)[:, None])
 
 
-def _successor_loss(sources: dc.Tensor, pool: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor:
+def _successor_loss(sources: np.ndarray, pool: np.ndarray, k: int, rng: np.random.Generator):
     """Mean cross-entropy of each source row i < n - 1 picking pool row i + 1,
-    as one tape node over (sources, pool).
+    as a 0-d array of the sources' dtype, and its vjp to (sources, pool).
 
     The candidates of anchor i are pool rows: the positive i + 1, then k
     distractors.  Logits are cosines (float64 dot products, ``dc.COS_EPS``
@@ -72,13 +70,13 @@ def _successor_loss(sources: dc.Tensor, pool: dc.Tensor, k: int, rng: np.random.
     """
     n = pool.shape[0]
     table = np.column_stack([np.arange(1, n), sample_distractors(rng, n, k)])
-    a = sources.data[: n - 1, None, :]   # (n - 1, 1, d) anchors
-    b = pool.data[table]                 # (n - 1, k + 1, d) candidates
+    a = sources[: n - 1, None, :]   # (n - 1, 1, d) anchors
+    b = pool[table]                 # (n - 1, k + 1, d) candidates
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
     if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("contrastive loss: zero vector has no direction")
-    dt = sources.data.dtype
+    dt = sources.dtype
     dot = (a * b).sum(axis=-1, dtype=np.float64).astype(dt)
     denom = (na * nb + dc.COS_EPS).astype(dt)
     logits = dot / denom
@@ -93,58 +91,37 @@ def _successor_loss(sources: dc.Tensor, pool: dc.Tensor, k: int, rng: np.random.
         g = p * np.full_like(losses, g / losses.size)[:, None]   # d loss / d logits
         gc = (g / denom)[..., None]
         sc = (g * dot / denom**2)[..., None]
-        g_sources = np.zeros_like(sources.data)
+        g_sources = np.zeros_like(sources)
         g_sources[: n - 1] = (gc * b - sc * (nb / na)[..., None] * a).sum(axis=1, dtype=np.float64)
         gb = (gc * a - sc * (na / nb)[..., None] * b).reshape(table.size, -1)
         select = scipy.sparse.csr_array((np.ones(table.size, gb.dtype), (table.ravel(), np.arange(table.size))), shape=(n, table.size))
         return g_sources, select @ gb
 
-    return sources.tape._record((sources, pool), np.asarray(losses.mean(dtype=np.float64).astype(dt)), vjp)
-
-
-def nfc_loss(frames: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor:
-    """Next-frame classification loss over all adjacent frame pairs.
-
-    Every frame except the last is an anchor; its positive is the next frame
-    and the k distractors come from the rest of the utterance.  Requires at
-    least k + 2 frames (callers skip shorter utterances).
-    """
-    n = frames.shape[0]
-    if n < k + 2:
-        raise ValueError(f"utterance has {n} frames; next-frame loss needs at least k + 2 = {k + 2}")
-    return _successor_loss(frames, frames, k, rng)
-
-
-def nsc_loss(segments: dc.Tensor, contexts: dc.Tensor, k: int, rng: np.random.Generator) -> dc.Tensor | None:
-    """Next-segment classification loss from causal context states.
-
-    The context after segment t must identify segment t+1 among distractor
-    segments.  The distractor count shrinks to min(k, M - 2) on short
-    utterances; with fewer than two segments there are no anchors and the
-    loss is None.
-    """
-    m = segments.shape[0]
-    if segments.shape != contexts.shape:
-        raise ValueError(f"segments {segments.shape} and contexts {contexts.shape} must match")
-    if m < 2:
-        return None
-    return _successor_loss(contexts, segments, min(k, m - 2), rng)
+    return np.asarray(losses.mean(dtype=np.float64).astype(dt)), vjp
 
 
 def utterance_loss(frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, k_frame: int, k_seg: int, nsc_active: bool, rng: np.random.Generator) -> tuple[dc.Tensor, LossReport]:
-    """Total objective for one utterance: frame loss plus, once active, the
-    segment loss.
+    """Total objective for one utterance, as one tape node: the next-frame
+    loss (NFC) plus, once active, the next-segment loss (NSC), summed in the
+    latents' dtype (float32 in training).
 
-    The segment branch is not even built while inactive, so early epochs pay
-    no graph cost for it.
+    NFC anchors are the frames but the last, each picking the next frame out
+    of k_frame distractors; it needs k_frame + 2 frames (callers skip shorter
+    utterances).  NSC anchors are the contexts, each picking the next
+    segment out of min(k_seg, M - 2); with fewer than two segments it is
+    None.  The node's inputs are (frames, frames), plus (contexts, segments)
+    with NSC, whose branch is not even built while inactive; NFC draws its
+    distractors first.
     """
-    nfc = nfc_loss(frames, k_frame, rng)
-    nsc = nsc_loss(segments, contexts, k_seg, rng) if nsc_active else None
-    if nsc is not None:
-        total = dc.add(nfc, nsc)
-        nsc_val = float(nsc.data)
-    else:
-        total = nfc
-        nsc_val = None
-    report = LossReport(nfc=float(nfc.data), nsc=nsc_val, total=float(total.data))
-    return total, report
+    n, m = frames.shape[0], segments.shape[0]
+    if n < k_frame + 2:
+        raise ValueError(f"utterance has {n} frames; next-frame loss needs at least k + 2 = {k_frame + 2}")
+    nfc, nfc_vjp = _successor_loss(frames.data, frames.data, k_frame, rng)
+    if not nsc_active or m < 2:
+        return frames.tape._record((frames, frames), nfc, nfc_vjp), LossReport(nfc=float(nfc), nsc=None, total=float(nfc))
+    if segments.shape != contexts.shape:
+        raise ValueError(f"segments {segments.shape} and contexts {contexts.shape} must match")
+    nsc, nsc_vjp = _successor_loss(contexts.data, segments.data, min(k_seg, m - 2), rng)
+    total = nfc + nsc
+    report = LossReport(nfc=float(nfc), nsc=float(nsc), total=float(total))
+    return frames.tape._record((frames, frames, contexts, segments), np.asarray(total), lambda g: nfc_vjp(g) + nsc_vjp(g)), report

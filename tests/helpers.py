@@ -6,6 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from scpc import boundary
 from scpc import diffcore as dc
 
 
@@ -57,3 +58,11 @@ def weighted_mean(out: dc.Tensor, w) -> dc.Tensor:
         return (np.full(shape, g / n, dtype) * w,)
 
     return out.tape._record((out,), np.asarray(prod.mean(dtype=np.float64).astype(dtype)), vjp)
+
+
+def junction_cosine(x: dc.Tensor) -> dc.Tensor:
+    """The boundary op's first stage alone: the cosine of each row of ``x``
+    with the next, recorded as one node over (x, x) as the op records its
+    frames."""
+    sim, vjp = boundary._junction_cosine(x.data)
+    return x.tape._record((x, x), sim, vjp)

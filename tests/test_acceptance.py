@@ -25,7 +25,7 @@ import pytest
 
 import test_diffcore as op_checks
 from helpers import numeric_grad, rel_err, weighted_mean
-from test_boundary import indicator_grad_oracle, means_oracle, peak_oracle, soft_loss
+from test_boundary import indicator_grad_oracle, junction_sim, means_oracle, peak_oracle, soft_loss
 
 from scpc import audio, boundary, cli, infer, metrics, model
 from scpc import diffcore as dc
@@ -140,13 +140,6 @@ class TestOracleEquivalence:
 
 def _op_cases():
     cases = [
-        ("add", lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal((3, 4))],
-                             lambda t, xs: dc.add(xs[0], xs[1]))),
-        ("add scalar", lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal(())],
-                                    lambda t, xs: dc.add(xs[0], xs[1]))),
-        ("narrow", lambda rng: ([rng.standard_normal((5, 3))], lambda t, xs: dc.narrow(xs[0], 1, 3))),
-        ("cosine_sim", lambda rng: ([_unit_rows(rng, 3, 4), _unit_rows(rng, 3, 4)],
-                                    lambda t, xs: dc.cosine_sim(xs[0], xs[1]))),
         ("tanh_scan", lambda rng: (op_checks.scan_case(rng), lambda t, xs: dc.tanh_scan(*xs))),
     ]
     for spare in (2, 0):
@@ -186,37 +179,40 @@ class TestGradientCorrectness:
 
     def test_straight_through_indicator_both_paths(self):
         rng = np.random.default_rng(21)
-        sim0 = rng.uniform(-1.0, 1.0, 9)
+        frames0 = _unit_rows(rng, 10, 4)
         w = rng.standard_normal(9)
+        sim0 = junction_sim(frames0)
 
         tape = dc.Tape()
-        sim = tape.tensor(sim0, requires_grad=True)
-        _, indicator = boundary.boundary_indicator(sim, 0.05)
+        frames = tape.tensor(frames0, requires_grad=True)
+        _, indicator = boundary.boundary_indicator(frames, 0.05)
         # Forward: bit for bit the hard path.
         final = boundary.peak_scores(boundary.dissimilarity(sim0), 0.05)[2]
         np.testing.assert_array_equal(indicator.data, np.tanh(1000.0 * final))
-        # Backward: exactly the soft path's derivative.
+        # Backward: exactly the soft path's derivative, then the cosine's.
         tape.backward(weighted_mean(indicator, w))
-        analytic = sim.grad
-        np.testing.assert_allclose(analytic, indicator_grad_oracle(sim0, w, 0.05), rtol=1e-12)
+        g_b, g_a = boundary._junction_cosine(frames0)[1](indicator_grad_oracle(sim0, w, 0.05))
+        np.testing.assert_allclose(frames.grad, g_b + g_a, rtol=1e-10, atol=1e-15)
 
-        numeric = numeric_grad(lambda arrs: soft_loss(arrs[0], w, 0.05), [sim0.copy()])[0]
-        assert rel_err(analytic, numeric) <= 1e-4
-        print("PASS  straight-through indicator: hard forward (exact), soft backward (FD checked)")
+        numeric = numeric_grad(lambda arrs: soft_loss(junction_sim(arrs[0]), w, 0.05), [frames0.copy()])[0]
+        assert rel_err(frames.grad, numeric) <= 1e-4
+        print("PASS  straight-through indicator over frames: hard forward (exact), soft backward (FD checked)")
 
     def test_composite_frame_loss_finite_differences(self):
+        # The loss node with its segment branch off is the frame loss alone.
         rng = np.random.default_rng(3)
         frames0 = rng.standard_normal((8, 3))
         k = 2
 
+        def frame_loss(x):
+            return obj.utterance_loss(x, x, x, k, k, False, np.random.default_rng(99))[0]
+
         def scalar(arrs):
-            t = dc.Tape()
-            loss = obj.nfc_loss(t.tensor(arrs[0]), k, np.random.default_rng(99))
-            return float(loss.data)
+            return float(frame_loss(dc.Tape().tensor(arrs[0])).data)
 
         tape = dc.Tape()
         leaf = tape.tensor(frames0, requires_grad=True)
-        loss = obj.nfc_loss(leaf, k, np.random.default_rng(99))
+        loss = frame_loss(leaf)
         tape.backward(loss)
         numeric = numeric_grad(scalar, [frames0.copy()])[0]
         err = rel_err(leaf.grad, numeric)

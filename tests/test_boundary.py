@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,10 +43,7 @@ def means_oracle(z, hard):
 
 def junction_sim(z):
     """Cosine similarity of adjacent rows of ``z``, as the pipeline computes it."""
-    tape = dc.Tape()
-    zt = tape.tensor(z)
-    n = z.shape[0]
-    return dc.cosine_sim(dc.narrow(zt, 0, n - 1), dc.narrow(zt, 1, n - 1)).data
+    return boundary._junction_cosine(z)[0]
 
 
 def soft_loss(sim, w, thres):
@@ -55,12 +54,8 @@ def soft_loss(sim, w, thres):
 
 
 def indicator_grad(sim0, w, thres):
-    """d mean(w * indicator) / d sim through the straight-through op."""
-    tape = dc.Tape()
-    sim = tape.tensor(sim0, requires_grad=True)
-    _, indicator = boundary.boundary_indicator(sim, thres)
-    tape.backward(weighted_mean(indicator, w))
-    return sim.grad
+    """d mean(w * indicator) / d sim through the op's straight-through stage."""
+    return boundary._straight_through(sim0, thres)[2](w / w.size)
 
 
 def indicator_grad_oracle(sim, w, thres, flip=()):
@@ -111,10 +106,10 @@ class TestDissimilarity:
         np.testing.assert_allclose(dissim, [1.0, 0.5, 0.0], atol=1e-6)
 
     def test_degenerate_constant_similarity(self):
-        sim = junction_sim(np.tile([1.0, 2.0], (5, 1)))
-        np.testing.assert_array_equal(boundary.dissimilarity(sim), np.zeros(4))
+        frames = np.tile([1.0, 2.0], (5, 1))
+        np.testing.assert_array_equal(boundary.dissimilarity(junction_sim(frames)), np.zeros(4))
         tape = dc.Tape()
-        dissim, indicator = boundary.boundary_indicator(tape.tensor(sim, requires_grad=True), 0.09)
+        dissim, indicator = boundary.boundary_indicator(tape.tensor(frames, requires_grad=True), 0.09)
         np.testing.assert_array_equal(dissim, np.zeros(4))
         assert not indicator.requires_grad and not tape._nodes
 
@@ -132,20 +127,21 @@ class TestDissimilarity:
             boundary.detect_segments(z, 0.09)
 
     def test_gradient_matches_finite_differences(self):
-        # Frames -> similarity -> the straight-through op, against finite
-        # differences of the soft path mean(w * tanh(10 * final)).
-        for seed in range(30):
+        # The op over frames (junction cosine and straight-through stage, one
+        # node), against finite differences of the soft path
+        # mean(w * tanh(10 * final)) of the frames' junction similarities.
+        for seed, thres in itertools.product(range(30), (0.0, 0.09)):
             rng = np.random.default_rng(seed)
-            z0 = rng.standard_normal((6, 4)) + 0.2
-            w = rng.standard_normal(5)
+            z0 = rng.standard_normal((8, 4)) + 0.2
+            w = rng.standard_normal(7)
 
             def f(arrs):
-                return soft_loss(junction_sim(arrs[0]), w, 0.0)
+                return soft_loss(junction_sim(arrs[0]), w, thres)
 
             tape = dc.Tape()
             z = tape.tensor(z0, requires_grad=True)
-            sim = dc.cosine_sim(dc.narrow(z, 0, 5), dc.narrow(z, 1, 5))
-            _, indicator = boundary.boundary_indicator(sim, 0.0)
+            _, indicator = boundary.boundary_indicator(z, thres)
+            assert len(tape._nodes) == 1 and tape._nodes[0].inputs == (z, z)
             tape.backward(weighted_mean(indicator, w))
             err = rel_err(z.grad, numeric_grad(f, [z0])[0])
             assert err <= 1e-4, f"seed {seed}: rel err {err:.2e}"
@@ -221,11 +217,11 @@ class TestStraightThrough:
     def test_forward_equals_hard(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            sim = rng.uniform(-1, 1, 12)
+            frames = rng.standard_normal((13, 4))
             tape = dc.Tape()
-            dissim, ind = boundary.boundary_indicator(tape.tensor(sim, requires_grad=True), 0.05)
+            dissim, ind = boundary.boundary_indicator(tape.tensor(frames, requires_grad=True), 0.05)
             final = boundary.peak_scores(dissim, 0.05)[2]
-            np.testing.assert_array_equal(dissim, boundary.dissimilarity(sim))
+            np.testing.assert_array_equal(dissim, boundary.dissimilarity(junction_sim(frames)))
             np.testing.assert_array_equal(ind.data, np.tanh(boundary.HARD_SLOPE * final))
         hard = np.tanh(boundary.HARD_SLOPE * np.array([0.0, 0.001, 0.005, 0.05, 0.8]))
         assert hard[0] == 0.0
@@ -236,7 +232,7 @@ class TestStraightThrough:
         rng = np.random.default_rng(4)
         for thres in np.linspace(0, 1, 11):
             tape = dc.Tape()
-            _, ind = boundary.boundary_indicator(tape.tensor(rng.uniform(-1, 1, 50)), float(thres))
+            _, ind = boundary.boundary_indicator(tape.tensor(rng.standard_normal((51, 4))), float(thres))
             assert np.all(ind.data >= 0.0)
             assert np.all(ind.data <= 1.0)
 

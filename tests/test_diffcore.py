@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err, weighted_mean
+from helpers import junction_cosine, numeric_grad, rel_err, weighted_mean
 
-from scpc import audio, infer, model, parallel
+from scpc import audio, boundary, infer, model, parallel
 from scpc import diffcore as dc
 from scpc import objective as obj
 
@@ -103,31 +103,36 @@ def scan_loop(x, w_in, w_h, b, g):
 
 
 class TestElementwiseGrads:
-    def test_add(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal((3, 4))], lambda t, xs: dc.add(xs[0], xs[1])))
-
-    def test_add_row_broadcast(self):
-        # Only a scalar broadcasts; a row vector against a matrix is an error.
-        tape = dc.Tape()
-        with pytest.raises(ValueError, match=r"\(3, 4\).*\(4,\)"):
-            dc.add(tape.tensor(np.zeros((3, 4))), tape.tensor(np.zeros(4)))
-
-    def test_add_scalar_broadcast(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((3, 4)), rng.standard_normal(())], lambda t, xs: dc.add(xs[0], xs[1])))
-
     def test_add_passes_no_gradient_to_a_constant(self):
-        # The tape would drop it; a constant's reduction is not even computed.
+        # The LATENT_EPS shift, frame_latents' last node, takes the shift as a
+        # number rather than a constant input, and its vjp passes the
+        # gradient itself through, uncopied.
+        net = model.SCPCModel.init(model.ModelConfig(frame_dim=4, segment_dim=4), seed=0)
         tape = dc.Tape()
-        x = tape.tensor(np.ones((3, 4)), requires_grad=True)
-        dc.add(x, tape.constant(np.float64(2.0)))
-        g = np.ones((3, 4))
-        grads = tape._nodes[0].vjp(g)
-        assert grads[0] is g and grads[1] is None
+        leaves = {k: tape.tensor(p, requires_grad=True) for k, p in net.params.items()}
+        out = model.frame_latents(tape, leaves, np.zeros(1000, np.float32))
+        node = tape._nodes[-1]
+        assert node.output is out and len(node.inputs) == 1
+        np.testing.assert_array_equal(out.data, node.inputs[0].data + np.float32(model.LATENT_EPS))
+        g = np.ones(out.shape, np.float32)
+        assert node.vjp(g)[0] is g
 
 
 class TestLinalgGrads:
     def test_narrow(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((6, 3))], lambda t, xs: dc.narrow(xs[0], 1, 4)))
+        # The junction cosine reads rows 0 .. L-2 and 1 .. L-1 of the frames;
+        # its vjp returns one zero-padded (L, d) term per side, the rows
+        # 1 .. L-1 term first, which the tape adds in that order.
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal((6, 3))
+        g = rng.standard_normal(5)
+        g_b, g_a = boundary._junction_cosine(f)[1](np.full(5, 1 / 5) * g)   # weighted_mean's upstream
+        assert g_b.shape == g_a.shape == f.shape
+        assert not g_b[0].any() and not g_a[-1].any()
+        tape = dc.Tape()
+        x = tape.tensor(f, requires_grad=True)
+        tape.backward(weighted_mean(junction_cosine(x), g))
+        np.testing.assert_array_equal(x.grad, g_b + g_a)
 
 
 def conv_reference(x, w, b, stride):
@@ -388,28 +393,22 @@ class TestFusedOps:
 
 
 class TestCosineGrads:
+    """The boundary op's junction cosine, the first stage of its one node."""
+
     def test_rowwise(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((4, 3)) + 0.2, rng.standard_normal((4, 3)) + 0.2], lambda t, xs: dc.cosine_sim(xs[0], xs[1])))
+        run_gradcheck(lambda rng: ([rng.standard_normal((5, 3)) + 0.2], lambda t, xs: junction_cosine(xs[0])))
 
     def test_known_values(self):
         tape = dc.Tape()
-        a = tape.tensor([[1.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
-        b = tape.tensor([[1.0, 0.0], [5.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_allclose(dc.cosine_sim(a, b).data, [0.70710678, 1.0, 0.0], atol=1e-6)
-        assert dc.cosine_sim(a, b).data[2] == 0.0
+        frames = tape.tensor([[1.0, 1.0], [1.0, 0.0], [5.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(junction_cosine(frames).data, [0.70710678, 1.0, 0.0], atol=1e-6)
+        assert junction_cosine(frames).data[2] == 0.0
 
     def test_zero_vector_rejected(self):
         tape = dc.Tape()
-        a = tape.tensor([[1.0, 1.0], [0.0, 0.0]])
-        b = tape.tensor([[1.0, 0.0], [1.0, 0.0]])
+        frames = tape.tensor([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="zero vector"):
-            dc.cosine_sim(a, b)
-
-    def test_rejects_mismatched_shapes(self):
-        tape = dc.Tape()
-        for sa, sb in (((4, 3), (4, 2, 3)), ((4, 3), (3, 3)), ((3,), (3,))):
-            with pytest.raises(ValueError, match=r"two \(n, d\) matrices"):
-                dc.cosine_sim(tape.tensor(np.ones(sa)), tape.tensor(np.ones(sb)))
+            boundary.boundary_indicator(frames, 0.09)
 
 
 class TestTapeContracts:
@@ -425,10 +424,10 @@ class TestTapeContracts:
 
     def test_unreached_leaf_gets_zero_gradient(self):
         tape = dc.Tape()
-        x = tape.tensor(np.array(3.0), requires_grad=True)
-        y = tape.tensor(np.array(2.0), requires_grad=True)
-        dc.add(x, x)   # recorded, but the loss does not use it
-        loss = dc.add(y, y)
+        x = tape.tensor(np.array([3.0]), requires_grad=True)
+        y = tape.tensor(np.array([2.0]), requires_grad=True)
+        weighted_mean(x, 1.0)   # recorded, but the loss does not use it
+        loss = weighted_mean(y, 2.0)
         tape.backward(loss)
         assert float(loss.data) == pytest.approx(4.0)
         assert x.grad == pytest.approx(0.0)  # reachable leaf: explicit zero
@@ -436,15 +435,15 @@ class TestTapeContracts:
 
     def test_backward_requires_scalar(self):
         tape = dc.Tape()
-        x = tape.tensor([1.0, 2.0], requires_grad=True)
-        y = dc.narrow(x, 0, 2)
+        x = tape.tensor(np.ones((2, 1)), requires_grad=True)
+        y = dc.tanh_scan(x, tape.constant(np.ones((1, 1))), tape.constant(np.zeros((1, 1))), tape.constant(np.zeros(1)))
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
     def test_backward_twice_errors(self):
         tape = dc.Tape()
-        x = tape.tensor(2.0, requires_grad=True)
-        loss = dc.add(x, x)
+        x = tape.tensor(np.array([2.0]), requires_grad=True)
+        loss = weighted_mean(x, 2.0)
         tape.backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             tape.backward(loss)
@@ -459,24 +458,30 @@ class TestTapeContracts:
     def test_mixing_tapes_rejected(self):
         tape_a = dc.Tape()
         tape_b = dc.Tape()
-        x = tape_a.tensor([1.0])
-        y = tape_b.tensor([1.0])
+        x = tape_a.tensor(np.ones((2, 1)))
+        w = tape_b.tensor(np.ones((1, 1)))
         with pytest.raises(ValueError, match="tapes"):
-            dc.add(x, y)
+            dc.tanh_scan(x, w, w, tape_b.tensor(np.ones(1)))
 
     def test_shape_mismatch_names_both_shapes(self):
         tape = dc.Tape()
-        a = tape.tensor(np.zeros((2, 3), dtype=np.float32))
-        b = tape.tensor(np.zeros((4, 5), dtype=np.float32))
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-            dc.add(a, b)
+        frames = tape.tensor(np.zeros((2, 3), dtype=np.float32))
+        indicator = tape.tensor(np.zeros((4, 5), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"\(4, 5\).*\(2, 3\)"):
+            dc.segment_pool(frames, indicator, 1)
 
     def test_grad_accumulates_across_uses(self):
+        # x feeds two nodes: s = tanh(x), then h = tanh(s * x), so
+        # dh/dx = (1 - h^2) (s + x (1 - s^2)) sums a term from each.
         tape = dc.Tape()
-        x = tape.tensor(np.array(2.0), requires_grad=True)
-        loss = dc.add(dc.add(x, x), x)  # 3x, over two nodes
-        tape.backward(loss)
-        assert x.grad == pytest.approx(3.0)
+        x = tape.tensor(np.array([[0.5]]), requires_grad=True)
+        zero, one = tape.constant(np.zeros((1, 1))), tape.constant(np.ones((1, 1)))
+        s = dc.tanh_scan(x, one, zero, tape.constant(np.zeros(1)))
+        h = dc.tanh_scan(s, x, zero, tape.constant(np.zeros(1)))
+        tape.backward(weighted_mean(h, 1.0))
+        s0 = np.tanh(0.5)
+        h0 = np.tanh(s0 * 0.5)
+        assert x.grad == pytest.approx((1 - h0**2) * (s0 + 0.5 * (1 - s0**2)))
 
     def test_forward_determinism_bitwise(self):
         def run():
@@ -567,11 +572,14 @@ class TestConventions:
     def test_mean_accumulates_in_float64(self):
         # A contrastive loss over 2^18 identical anchors is each anchor's
         # loss exactly; a float32 running sum would drift from it.
-        tape = dc.Tape()
+        def nfc(frames):
+            x = dc.Tape().tensor(frames)
+            return obj.utterance_loss(x, x, x, 1, 1, False, np.random.default_rng(0))[0].data
+
         frames = np.tile(np.float32([0.3, -0.7]), (2**18 + 1, 1))
-        one = obj.nfc_loss(tape.tensor(frames[:3]), 1, np.random.default_rng(0)).data
+        one = nfc(frames[:3])
         assert np.full(2**18, one).mean(dtype=np.float32) != one
-        assert obj.nfc_loss(tape.tensor(frames), 1, np.random.default_rng(0)).data == one
+        assert nfc(frames) == one
 
     def test_int_data_rejected(self):
         tape = dc.Tape()

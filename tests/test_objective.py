@@ -4,8 +4,9 @@ Hand-built latent geometries pin exact loss values (uniform similarities
 give log(K+1); two-candidate setups give log(1 + e^margin)).  Distractor
 sampling is checked for exclusion, determinism, uniformity over indices and
 over k-subsets, generator consumption and linear memory; composite
-finite-difference checks cover the full loss graphs, and tape-node counts pin
-one node per loss.
+finite-difference checks cover the loss node with the segment term on and
+off, and tape-node counts pin one node for both terms.  The frame and
+segment terms are read through ``utterance_loss``, the one entry point.
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ from scpc import trainer
 
 def f64(tape, arr):
     return tape.tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+
+
+def nfc(frames, k, rng):
+    """The next-frame loss alone: ``utterance_loss`` with its segment branch off."""
+    return obj.utterance_loss(frames, frames, frames, k, 1, False, rng)[0]
+
+
+def nsc(segments, contexts, k, rng):
+    """``utterance_loss`` with its segment branch on, over three fixed
+    frames: the loss node and the report, whose ``nsc`` is the segment term."""
+    frames = segments.tape.tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    return obj.utterance_loss(frames, segments, contexts, 1, k, True, rng)
 
 
 # ---------------------------------------------------------------- sampling
@@ -131,7 +144,7 @@ def test_sample_distractors_memory_linear():
 def test_nfc_uniform_similarities_gives_log_k_plus_1():
     tape = dc.Tape()
     frames = f64(tape, np.tile([0.3, -0.7, 0.2], (12, 1)))
-    loss = obj.nfc_loss(frames, 10, np.random.default_rng(0))
+    loss = nfc(frames, 10, np.random.default_rng(0))
     assert abs(float(loss.data) - np.log(11.0)) <= 1e-6
 
 
@@ -141,7 +154,7 @@ def test_nfc_hand_value():
     # to positive-first (-1 vs distractor 1) -> log(1 + e^2).
     tape = dc.Tape()
     frames = f64(tape, [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    loss = obj.nfc_loss(frames, 1, np.random.default_rng(0))
+    loss = nfc(frames, 1, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-2.0)) + np.log1p(np.exp(2.0))) / 2
     assert abs(float(loss.data) - expected) <= 1e-6
 
@@ -150,7 +163,7 @@ def test_nfc_short_utterance_raises():
     tape = dc.Tape()
     frames = f64(tape, np.ones((4, 2)))
     with pytest.raises(ValueError, match="at least"):
-        obj.nfc_loss(frames, 3, np.random.default_rng(0))
+        nfc(frames, 3, np.random.default_rng(0))
 
 
 def test_nfc_gradient_matches_fd():
@@ -159,12 +172,12 @@ def test_nfc_gradient_matches_fd():
     def f(arrays):
         tape = dc.Tape()
         x = tape.tensor(arrays[0], requires_grad=True)
-        loss = obj.nfc_loss(x, 2, np.random.default_rng(7))
+        loss = nfc(x, 2, np.random.default_rng(7))
         return float(loss.data)
 
     tape = dc.Tape()
     x = tape.tensor(base, requires_grad=True)
-    loss = obj.nfc_loss(x, 2, np.random.default_rng(7))
+    loss = nfc(x, 2, np.random.default_rng(7))
     tape.backward(loss)
     num = numeric_grad(f, [base])[0]
     assert rel_err(x.grad, num) <= 1e-4
@@ -178,7 +191,7 @@ def test_nfc_matches_per_column_loop(monkeypatch):
 
     tape = dc.Tape()
     x = tape.tensor(base, requires_grad=True)
-    loss = obj.nfc_loss(x, 3, np.random.default_rng(0))
+    loss = nfc(x, 3, np.random.default_rng(0))
     tape.backward(loss)
 
     # The reference in numpy, in the ops' float32 arithmetic: each column's
@@ -217,8 +230,8 @@ def test_nfc_matches_per_column_loop(monkeypatch):
 def test_nfc_records_one_tape_node(k):
     tape = dc.Tape()
     frames = f64(tape, np.random.default_rng(0).normal(size=(30, 4)))
-    obj.nfc_loss(frames, k, np.random.default_rng(1))
-    assert len(tape._nodes) == 1
+    nfc(frames, k, np.random.default_rng(1))
+    assert len(tape._nodes) == 1 and tape._nodes[0].inputs == (frames, frames)
 
 
 # ------------------------------------------------------------ segment loss
@@ -229,23 +242,23 @@ def test_nsc_hand_value():
     tape = dc.Tape()
     segments = f64(tape, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     contexts = f64(tape, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    loss = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
+    _, report = nsc(segments, contexts, 5, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-1.0)) + np.log1p(np.exp(1.0))) / 2
-    assert abs(float(loss.data) - expected) <= 1e-6
+    assert abs(report.nsc - expected) <= 1e-6
 
 
 def test_nsc_uniform_similarities_gives_log_k_plus_1():
     tape = dc.Tape()
     same = np.tile([0.5, 0.5], (9, 1))
-    loss = obj.nsc_loss(f64(tape, same), f64(tape, same), 5, np.random.default_rng(0))
-    assert abs(float(loss.data) - np.log(6.0)) <= 1e-6
+    _, report = nsc(f64(tape, same), f64(tape, same), 5, np.random.default_rng(0))
+    assert abs(report.nsc - np.log(6.0)) <= 1e-6
 
 
 def test_nsc_single_segment_gives_none():
     tape = dc.Tape()
     one = f64(tape, [[1.0, 0.0]])
-    loss = obj.nsc_loss(one, one, 5, np.random.default_rng(0))
-    assert loss is None
+    _, report = nsc(one, one, 5, np.random.default_rng(0))
+    assert report.nsc is None and report.total == report.nfc
 
 
 def test_nsc_two_segments_zero_loss():
@@ -253,14 +266,14 @@ def test_nsc_two_segments_zero_loss():
     tape = dc.Tape()
     segments = f64(tape, [[1.0, 0.0], [0.0, 1.0]])
     contexts = f64(tape, [[0.5, 0.5], [0.5, 0.5]])
-    loss = obj.nsc_loss(segments, contexts, 5, np.random.default_rng(0))
-    assert float(loss.data) == 0.0
+    _, report = nsc(segments, contexts, 5, np.random.default_rng(0))
+    assert report.nsc == 0.0
 
 
 def test_nsc_shape_mismatch_raises():
     tape = dc.Tape()
     with pytest.raises(ValueError, match="match"):
-        obj.nsc_loss(f64(tape, np.ones((3, 2))), f64(tape, np.ones((2, 2))), 5, np.random.default_rng(0))
+        nsc(f64(tape, np.ones((3, 2))), f64(tape, np.ones((2, 2))), 5, np.random.default_rng(0))
 
 
 def test_nsc_gradient_matches_fd():
@@ -272,13 +285,12 @@ def test_nsc_gradient_matches_fd():
         tape = dc.Tape()
         s = tape.tensor(arrays[0], requires_grad=True)
         c = tape.tensor(arrays[1], requires_grad=True)
-        loss = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
-        return float(loss.data)
+        return nsc(s, c, 2, np.random.default_rng(13))[1].nsc
 
     tape = dc.Tape()
     s = tape.tensor(seg0, requires_grad=True)
     c = tape.tensor(ctx0, requires_grad=True)
-    loss = obj.nsc_loss(s, c, 2, np.random.default_rng(13))
+    loss, _ = nsc(s, c, 2, np.random.default_rng(13))
     tape.backward(loss)
     nums = numeric_grad(f, [seg0, ctx0])
     assert rel_err(s.grad, nums[0]) <= 1e-4
@@ -290,8 +302,8 @@ def test_nsc_records_one_tape_node(k):
     tape = dc.Tape()
     rng = np.random.default_rng(2)
     segments, contexts = f64(tape, rng.normal(size=(9, 4))), f64(tape, rng.normal(size=(9, 4)))
-    obj.nsc_loss(segments, contexts, k, np.random.default_rng(3))
-    assert len(tape._nodes) == 1
+    nsc(segments, contexts, k, np.random.default_rng(3))
+    assert len(tape._nodes) == 1 and tape._nodes[0].inputs[2:] == (contexts, segments)
 
 
 # ------------------------------------------------------------- total loss
@@ -320,6 +332,38 @@ def test_utterance_loss_active_adds_both():
     assert abs(report.nfc - nfc_expected) <= 1e-6
     assert abs(report.nsc - nsc_expected) <= 1e-6
     assert abs(float(total.data) - (nfc_expected + nsc_expected)) <= 1e-6
+
+
+@pytest.mark.parametrize("nsc_active", [False, True])
+def test_utterance_loss_gradient_matches_fd(nsc_active):
+    # One node over (frames, frames) or (frames, frames, contexts, segments):
+    # every input's gradient against finite differences of the total.
+    rng = np.random.default_rng(17)
+    base = [rng.normal(size=(8, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
+
+    def run(arrays):
+        tape = dc.Tape()
+        leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
+        return leaves, obj.utterance_loss(*leaves, 2, 2, nsc_active, np.random.default_rng(19))
+
+    leaves, (total, report) = run(base)
+    assert (report.nsc is not None) == nsc_active
+    total.tape.backward(total)
+    nums = numeric_grad(lambda arrays: run(arrays)[1][1].total, base)
+    for leaf, num in zip(leaves if nsc_active else leaves[:1], nums):
+        assert rel_err(leaf.grad, num) <= 1e-4
+    if not nsc_active:
+        assert leaves[1].grad is None and leaves[2].grad is None
+
+
+def test_utterance_loss_sums_both_terms_in_float32():
+    rng = np.random.default_rng(23)
+    tape = dc.Tape()
+    frames, segments, contexts = (tape.tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+                                  for shape in ((12, 4), (6, 4), (6, 4)))
+    total, report = obj.utterance_loss(frames, segments, contexts, 3, 2, True, np.random.default_rng(0))
+    assert total.data.dtype == np.float32 and total.data.shape == ()
+    assert total.data == np.float32(report.nfc) + np.float32(report.nsc) == np.float32(report.total)
 
 
 def test_full_model_all_parameters_receive_gradient():

@@ -274,6 +274,25 @@ def test_one_process_folds_each_gradient_before_the_next_step(tmp_path):
     assert peaks[8] - peaks[1] < gradient, f"peaks {peaks}, one gradient {gradient} bytes"
 
 
+def test_a_training_step_peaks_below_4_mb_per_audio_second():
+    # One 20 s step with the segment loss on, one thread: the traced peak,
+    # activations held for backward and the gradients together, grows
+    # linearly with length.  It read 3.68 MB per audio second; a vjp that
+    # kept a buffer alive by mistake would push it up.
+    net = model.SCPCModel.init(model.ModelConfig(), seed=0)
+    spec = audio.default_spec(seed=0)
+    samples = np.concatenate([u.waveform.samples for u in audio.generate_corpus(spec, 80)])[: 20 * 16000]
+    assert samples.size == 20 * 16000
+    tracemalloc.start()
+    try:
+        grads, report, _ = trainer._utterance_step(net.params, samples, trainer.TrainConfig(), True, np.random.default_rng(0), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grads is not None and report.nsc is not None
+    assert peak / 2**20 / 20 <= 4.0, f"peak {peak / 2**20:.1f} MB for 20 s"
+
+
 def test_short_utterances_are_skipped_not_fatal(corpus, tmp_path):
     data = tmp_path / "with_tiny"
     spec = dataclasses.replace(audio.default_spec(seed=22), words_per_utterance=(2, 2))
