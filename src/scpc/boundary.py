@@ -6,9 +6,9 @@ The chain is: one straight-through op on the frame latents,
 nearest its running boundary count.  The op's forward takes the cosine
 similarity of adjacent frames, normalizes it into a dissimilarity per
 utterance, scores two-scale peaks above a threshold and saturates them into
-hard indicators; its backward follows the soft slope through the same peak
-rule, the normalization and the cosine.  So boundary placement participates
-in training on one tape node, and the hard segment count and spans are read
+hard indicators; its vjp follows the soft slope through the same peak rule,
+the normalization and the cosine.  So boundary placement participates in
+training as one tape stage, and the hard segment count and spans are read
 off the forward values.  ``dissimilarity`` and ``peak_scores`` are the op's
 forward stages as plain numpy functions.
 """
@@ -81,30 +81,6 @@ def peak_scores(dissim: np.ndarray, thres: float) -> tuple[np.ndarray, np.ndarra
     return narrow, wide, final
 
 
-def _junction_cosine(f: np.ndarray):
-    """Cosine of each row of ``f`` (L, d) with the next, (L-1,), on the views
-    ``f[:-1]`` and ``f[1:]`` (float64 dot products, ``dc.COS_EPS`` in the
-    denominator, an exactly zero row rejected), and its vjp: two zero-padded
-    (L, d) terms, the one for rows 1 .. L-1 first, then rows 0 .. L-2."""
-    a, b = f[:-1], f[1:]
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("junction cosine: zero vector has no direction")
-    dot = (a * b).sum(axis=-1, dtype=np.float64).astype(f.dtype)
-    denom = (na * nb + dc.COS_EPS).astype(f.dtype)
-
-    def vjp(g):
-        gc = (g / denom)[:, None]
-        sc = (g * dot / denom**2)[:, None]
-        g_b, g_a = np.zeros_like(f), np.zeros_like(f)
-        g_b[1:] = gc * a - sc * (na / nb)[:, None] * b
-        g_a[:-1] = gc * b - sc * (nb / na)[:, None] * a
-        return g_b, g_a
-
-    return dot / denom, vjp
-
-
 def _straight_through(s: np.ndarray, thres: float):
     """The dissimilarity of junction similarities ``s`` (L-1,), the indicator
     tanh(1000 p) of its final peak scores p, and the vjp to ``s`` (None when
@@ -149,17 +125,24 @@ def _straight_through(s: np.ndarray, thres: float):
     return d, indicator, vjp
 
 
-def boundary_indicator(frames: dc.Tensor, thres: float) -> tuple[np.ndarray, dc.Tensor]:
+def boundary_indicator(frames: np.ndarray, thres: float):
     """Straight-through boundary indicator from frame latents (L, d), L >= 2:
-    the dissimilarity and the indicator, each (L-1,), as one tape node over
-    (frames, frames) whose vjp chains ``_straight_through``'s into
-    ``_junction_cosine``'s.  An all-zero dissimilarity gives a constant
-    indicator and records nothing."""
-    sim, cos_vjp = _junction_cosine(frames.data)
+    the dissimilarity and the indicator, each (L-1,), and a vjp that chains
+    ``_straight_through``'s into ``dc.cosine``'s of ``frames[:-1]`` and
+    ``frames[1:]``: two zero-padded (L, d) terms, rows 1 .. L-1 first.  An
+    all-zero dissimilarity gives a constant indicator and no vjp (None)."""
+    sim, cos_vjp = dc.cosine(frames[:-1], frames[1:])
     d, indicator, vjp = _straight_through(sim, thres)
     if vjp is None:
-        return d, frames.tape.constant(indicator)
-    return d, frames.tape._record((frames, frames), indicator, lambda g: cos_vjp(vjp(g)))
+        return d, indicator, None
+
+    def frames_vjp(g):
+        g_a, g_b = cos_vjp(vjp(g))   # of frames[:-1] and frames[1:]
+        pad_b, pad_a = np.zeros_like(frames), np.zeros_like(frames)
+        pad_b[1:], pad_a[:-1] = g_b, g_a
+        return pad_b, pad_a
+
+    return d, indicator, frames_vjp
 
 
 def _spans_from_hard(hard_values: np.ndarray, n_frames: int) -> tuple[tuple[int, int], ...]:
@@ -175,18 +158,24 @@ class BoundaryGraph:
 
     dissimilarity: np.ndarray   # normalized, (L-1,)
     spans: tuple[tuple[int, int], ...]
-    means: dc.Tensor            # (M, frame_dim)
+    means: np.ndarray           # (M, frame_dim)
 
     @property
     def n_segments(self) -> int:
         return len(self.spans)
 
 
-def detect_segments(frames: dc.Tensor, thres: float) -> BoundaryGraph:
-    """Run the full boundary chain on frame latents (L, frame_dim), L >= 2."""
+def detect_segments(frames: np.ndarray, thres: float, tape: dc.Tape | None = None) -> BoundaryGraph:
+    """Run the full boundary chain on frame latents (L, frame_dim), L >= 2;
+    a constant indicator records no stage, so it passes no gradient."""
     n = frames.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 frames to compare, got {n}")
-    dissim, indicator = boundary_indicator(frames, thres)
-    spans = _spans_from_hard(indicator.data, n)
-    return BoundaryGraph(dissim, spans, dc.segment_pool(frames, indicator, len(spans)))
+    dissim, indicator, vjp = boundary_indicator(frames, thres)
+    spans = _spans_from_hard(indicator, n)
+    means, pool_vjp = dc.segment_pool(frames, indicator, len(spans))
+    if tape is not None:
+        if vjp is not None:
+            tape.record(("frames", "frames"), "indicator", vjp)
+        tape.record(("frames", "indicator"), "means", pool_vjp)
+    return BoundaryGraph(dissim, spans, means)

@@ -1,21 +1,20 @@
-"""Reverse-mode automatic differentiation over dense numpy arrays.
+"""Array ops with hand-written vjps, and the tape that replays them.
 
-Training and inference run the same primitive operations on a :class:`Tape`.
-The tape records a node only for an op with at least one grad-requiring input
-and replays the chain rule over those nodes in exact reverse execution order,
-so gradients are deterministic for a fixed op sequence.  Ops on constants
-alone, which is all of inference, record nothing.  Only the ops the
-pipeline calls are implemented, one tape node per pipeline stage: here the
-fused encoder layer, the segment pooling and the context scan.  An op
-outside this module records itself with ``Tape._record`` as these do: the
-latent epsilon shift, the boundary detector's op (junction cosine and
-straight-through indicator), the segment MLP and the loss (both contrastive
-terms) are one node each.  Shapes are validated eagerly and mismatches raise
-with both offending shapes in the message.
+Every op is a function on numpy arrays that returns ``(output, vjp)``:
+``vjp(g)`` maps the gradient of the output to one gradient per input, in
+argument order, None for an input it skips.  A training step records each
+op it runs on a :class:`Tape` as a stage, (names read, name written, vjp),
+and :meth:`Tape.backward` replays the stages in reverse, so gradients are
+deterministic for a fixed op sequence.  Inference calls the same ops and
+drops the vjps.  Only the ops the pipeline calls live here: the fused
+encoder layer, the cosine, the segment pooling and the context scan; the
+boundary detector's op, the segment MLP and the loss return their vjps from
+their own modules.  Shapes are validated eagerly and mismatches raise with both
+offending shapes in the message.
 
 Conventions:
 
-* tensors hold float32 or float64 data; reductions accumulate in float64;
+* arrays are float32 or float64; reductions accumulate in float64;
 * subgradients at kinks (relu, the segment_pool tent) take the zero branch;
 * ``conv1d`` is a whole encoder layer, relu(conv + bias), channels-last,
   in polyphase form: a sum of ceil(k / stride) GEMMs over a zero-copy view
@@ -36,123 +35,47 @@ from . import parallel
 
 __all__ = [
     "Tape",
-    "Tensor",
     "COS_EPS",
     "conv1d",
+    "cosine",
     "tanh_scan",
     "segment_pool",
 ]
 
-_ALLOWED_DTYPES = (np.float32, np.float64)
-
-
-class Tensor:
-    """A dense array plus its gradient slot, bound to one tape."""
-
-    __slots__ = ("data", "requires_grad", "grad", "tape", "is_leaf")
-
-    def __init__(self, data: np.ndarray, requires_grad: bool, tape: "Tape", is_leaf: bool):
-        self.data = data
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        self.tape = tape
-        self.is_leaf = is_leaf
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-class _Node:
-    __slots__ = ("inputs", "output", "vjp")
-
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, vjp: Callable):
-        self.inputs = inputs
-        self.output = output
-        self.vjp = vjp
-
 
 class Tape:
-    """Records primitive ops and runs the chain rule in reverse order.
+    """The stages of one training step in forward order, each (names read,
+    name written, vjp); parameters are read by their checkpoint names.
 
-    Only ops with a grad-requiring input are recorded.  A tape is single-use:
-    :meth:`backward` releases the recorded nodes, so the graph is freed by
-    reference counting once the caller drops its tensors, and a second
-    backward call is an error.  Tapes are not thread-safe; confine each tape
-    to one thread.  An op, forward or vjp, may fan its numpy work out to
-    helper threads (``parallel.fan_out``) that touch only the op's own
-    arrays and are joined before it returns.
+    :meth:`backward` pops each stage as it replays it, freeing its arrays,
+    so a tape is replayed once.  Confine each tape to one thread; a vjp may
+    fan out to helper threads (``parallel.fan_out``) joined before it returns.
     """
 
     def __init__(self) -> None:
-        self._nodes: list[_Node] = []
-        self._spent = False
+        self._stages: list[tuple[tuple[str, ...], str, Callable]] = []
 
-    def tensor(self, data, requires_grad: bool = False) -> Tensor:
-        """Create a leaf tensor on this tape.
+    def record(self, reads: tuple[str, ...], writes: str, vjp: Callable) -> None:
+        self._stages.append((reads, writes, vjp))
 
-        Python and numpy scalars and lists become float32; numpy arrays keep
-        their dtype, which must be float32 or float64.
-        """
-        arr = np.asarray(data, dtype=None if isinstance(data, np.ndarray) else np.float32)
-        if arr.dtype.type not in _ALLOWED_DTYPES:
-            raise TypeError(f"tensor dtype must be float32 or float64, got {arr.dtype}")
-        return Tensor(arr, requires_grad, self, is_leaf=True)
-
-    def constant(self, data) -> Tensor:
-        return self.tensor(data, requires_grad=False)
-
-    def _record(self, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callable) -> Tensor:
-        out = Tensor(out_data, any(t.requires_grad for t in inputs), self, is_leaf=False)
-        if out.requires_grad:
-            self._nodes.append(_Node(inputs, out, vjp))
-        return out
-
-    def backward(self, loss: Tensor) -> None:
-        """Propagate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
-
-        ``loss`` must be a scalar produced on this tape.  Leaves that feed the
-        graph but receive no gradient signal (e.g. through a branch the loss
-        does not use) end up with an explicit zero gradient rather than ``None``.
-        """
-        if loss.tape is not self:
-            raise ValueError("backward() called with a tensor detached from this tape")
-        if loss.data.shape != ():
-            raise ValueError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
-        if self._spent:
-            raise RuntimeError("backward() already ran on this tape; record a fresh graph on a new tape")
-        self._spent = True
-
-        loss.grad = np.ones((), dtype=loss.data.dtype)
-        for node in reversed(self._nodes):
-            g_out = node.output.grad
+    def backward(self, loss: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of the scalar ``loss``, the last stage's output, by name;
+        a name that gets none is absent.  A stage whose output got no gradient
+        is skipped, and a name read more than once sums in replay order."""
+        if np.ndim(loss) != 0:
+            raise ValueError(f"backward() needs a scalar loss, got shape {np.shape(loss)}")
+        if not self._stages:
+            raise RuntimeError("backward() found no stages: a tape is replayed once, after its stages are recorded")
+        grads = {self._stages[-1][1]: np.ones_like(loss)}
+        while self._stages:
+            reads, writes, vjp = self._stages.pop()
+            g_out = grads.pop(writes, None)
             if g_out is None:
                 continue
-            grads = node.vjp(g_out)
-            for inp, g in zip(node.inputs, grads):
-                if g is None or not inp.requires_grad:
-                    continue
-                if inp.grad is None:
-                    inp.grad = g
-                else:
-                    inp.grad = inp.grad + g
-        # Reachable grad-requiring leaves always end with a concrete gradient.
-        for node in self._nodes:
-            for inp in node.inputs:
-                if inp.is_leaf and inp.requires_grad and inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-        self._nodes = []
-
-
-def _check_tape(*tensors: Tensor) -> Tape:
-    tape = tensors[0].tape
-    for t in tensors[1:]:
-        if t.tape is not tape:
-            raise ValueError("op mixes tensors from different tapes")
-    return tape
+            for name, g in zip(reads, vjp(g_out)):
+                if g is not None:
+                    grads[name] = g if name not in grads else grads[name] + g
+        return grads
 
 
 # Elements per temporary product in conv1d.  numpy has no in-place GEMM
@@ -184,13 +107,14 @@ def _add_rows(buf: np.ndarray, row: int, p: np.ndarray, own: int, held: list) ->
     buf[row + cut : row + p.shape[0]] += p[cut:]
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 1) -> Tensor:
+def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, threads: int = 1, grad_input: bool = True) -> tuple[np.ndarray, Callable]:
     """One encoder layer: relu of a valid-mode strided 1-D convolution plus bias.
 
     Channels-last: ``x`` has shape (t, c_in), ``weight`` (c_out, c_in, k) and
     ``bias`` (c_out,); the result has shape (1 + (t - k) // stride, c_out).
-    No padding is applied to the convolution.  The input gradient is skipped
-    when ``x`` does not require grad, as for raw audio.
+    No padding is applied to the convolution.  The vjp returns the input,
+    weight and bias gradients; the input's is None unless ``grad_input``,
+    which raw audio does not need.
 
     Polyphase form: with m = ceil(k / stride), the first
     (t_out + m - 1) * stride input rows are viewed, without a copy, as a
@@ -212,11 +136,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
     are dealt into contiguous runs, and the input-gradient rows where two
     runs meet are summed after the join in the one-thread order.
     """
-    tape = _check_tape(x, weight, bias)
-    if x.data.ndim != 2 or weight.data.ndim != 3 or weight.data.shape[1] != x.data.shape[1] or bias.data.shape != weight.data.shape[:1]:
-        raise ValueError(f"conv1d: expected (t, c_in), (c_out, c_in, k) and (c_out,), got {x.data.shape}, {weight.data.shape} and {bias.data.shape}")
-    t, c_in = x.data.shape
-    c_out, _, k = weight.data.shape
+    if x.ndim != 2 or weight.ndim != 3 or weight.shape[1] != x.shape[1] or bias.shape != weight.shape[:1]:
+        raise ValueError(f"conv1d: expected (t, c_in), (c_out, c_in, k) and (c_out,), got {x.shape}, {weight.shape} and {bias.shape}")
+    t, c_in = x.shape
+    c_out, _, k = weight.shape
     if stride < 1 or threads < 1:
         raise ValueError(f"conv1d: stride and threads must be positive, got {stride} and {threads}")
     if t < k:
@@ -226,11 +149,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
         threads = 1
     m = -(-k // stride)
     n = (t_out + m - 1) * stride
-    xs = x.data[:n]
+    xs = x[:n]
     if n > t:
         xs = np.pad(xs, ((0, n - t), (0, 0)))
     xb = xs.reshape(t_out + m - 1, stride * c_in)
-    w = weight.data
+    w = weight
     if m * stride != k:
         w = np.pad(w, ((0, 0), (0, 0), (0, m * stride - k)))
     # wb[j, r * c_in + c, o] = weight[o, c, j * stride + r]
@@ -244,7 +167,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
             np.matmul(xb[i : i + o.shape[0]], wb[0], out=o)
             for j in range(1, m):
                 o += xb[i + j : i + j + o.shape[0]] @ wb[j]
-            o += bias.data
+            o += bias
             np.maximum(o, 0, out=o)
 
     parallel.fan_out(forward, len(runs))
@@ -269,7 +192,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
         # the peak never holds it together with one product per thread.
         del g
         gx = None
-        if x.requires_grad:
+        if grad_input:
             gx = np.zeros((max(n, t), c_in), out.dtype)
             gxb = gx[:n].reshape(t_out + m - 1, stride * c_in)
             gx_runs = _runs(t_out, max(1, _CONV_BLOCK // (stride * c_in)), threads)
@@ -293,7 +216,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
         gw = gwb.reshape(m * stride, c_in, c_out).transpose(2, 1, 0)[:, :, :k]
         return gx, gw, gb[0]
 
-    return tape._record((x, weight, bias), out, vjp)
+    return out, vjp
 
 
 # The epsilon in every cosine denominator: the boundary op's junction cosine
@@ -301,41 +224,63 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, threads: int = 
 COS_EPS = 1e-8
 
 
-def tanh_scan(x: Tensor, w_in: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+def cosine(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Cosine similarity of ``a`` and ``b`` along their last axis, broadcast
+    over the leading ones: float64 dot products, ``COS_EPS`` in the
+    denominator, an exactly zero vector rejected.  The vjp returns the two
+    gradients at the broadcast shape; a caller sums over any axis it
+    broadcast.
+    """
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ValueError("cosine: zero vector has no direction")
+    dt = np.result_type(a, b)
+    dot = (a * b).sum(axis=-1, dtype=np.float64).astype(dt)
+    denom = (na * nb + COS_EPS).astype(dt)
+
+    def vjp(g):
+        gc = (g / denom)[..., None]
+        sc = (g * dot / denom**2)[..., None]
+        return gc * b - sc * (nb / na)[..., None] * a, gc * a - sc * (na / nb)[..., None] * b
+
+    return dot / denom, vjp
+
+
+def tanh_scan(x: np.ndarray, w_in: np.ndarray, w_h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Callable]:
     """Causal tanh recurrence h_i = tanh(x_i @ w_in + h_{i-1} @ w_h + b), h_{-1} = 0.
 
     ``x`` is (n, d), ``w_in`` (d, q), ``w_h`` (q, q) and ``b`` (q,); the
     result stacks h_0 .. h_{n-1} as (n, q).  The input projection is one
     GEMM and the recurrence a loop over the rows.  Backward is one reverse
     loop (backpropagation through time) for the pre-activation gradient,
-    then one product per input.  One tape node whatever n is.
+    then one product per input.  One vjp whatever n is.
     """
-    tape = _check_tape(x, w_in, w_h, b)
-    q = w_h.data.shape[-1]
-    if x.data.ndim != 2 or w_in.data.shape != (x.data.shape[1], q) or w_h.data.shape != (q, q) or b.data.shape != (q,):
-        raise ValueError(f"tanh_scan: expected (n, d), (d, q), (q, q) and (q,), got {x.data.shape}, {w_in.data.shape}, {w_h.data.shape} and {b.data.shape}")
-    xw = x.data @ w_in.data
+    q = w_h.shape[-1]
+    if x.ndim != 2 or w_in.shape != (x.shape[1], q) or w_h.shape != (q, q) or b.shape != (q,):
+        raise ValueError(f"tanh_scan: expected (n, d), (d, q), (q, q) and (q,), got {x.shape}, {w_in.shape}, {w_h.shape} and {b.shape}")
+    xw = x @ w_in
     h = np.empty_like(xw)
     prev = np.zeros(q, xw.dtype)
     for i in range(h.shape[0]):
-        prev = np.tanh(xw[i] + prev @ w_h.data + b.data, out=h[i])
+        prev = np.tanh(xw[i] + prev @ w_h + b, out=h[i])
 
     def vjp(g):
         dpre = np.empty_like(h)
         carry = np.zeros(q, h.dtype)
         for i in range(h.shape[0] - 1, -1, -1):
             dpre[i] = (g[i] + carry) * (1 - h[i] * h[i])
-            carry = dpre[i] @ w_h.data.T
+            carry = dpre[i] @ w_h.T
         gb = dpre.sum(axis=0, dtype=np.float64).astype(dpre.dtype)
-        return dpre @ w_in.data.T, x.data.T @ dpre, h[:-1].T @ dpre[1:], gb
+        return dpre @ w_in.T, x.T @ dpre, h[:-1].T @ dpre[1:], gb
 
-    return tape._record((x, w_in, w_h, b), h, vjp)
+    return h, vjp
 
 
 _COLSUM_EPS = 1e-8
 
 
-def segment_pool(frames: Tensor, indicator: Tensor, n_segments: int) -> Tensor:
+def segment_pool(frames: np.ndarray, indicator: np.ndarray, n_segments: int) -> tuple[np.ndarray, Callable]:
     """Tent-weighted frame means per segment, shape (n_segments, frame_dim).
 
     ``frames`` is (L, d) and ``indicator`` (L - 1,) soft boundary values.
@@ -348,14 +293,13 @@ def segment_pool(frames: Tensor, indicator: Tensor, n_segments: int) -> Tensor:
     [0, n_segments) are dropped.  At the tent's kinks the subgradient takes
     the zero branch, so a frame whose coordinate is an exact integer passes
     no gradient to the indicator.  A non-finite coordinate makes every mean
-    NaN.
+    NaN.  The vjp returns the frames' and the indicator's gradients.
     """
-    tape = _check_tape(frames, indicator)
-    n = frames.data.shape[0]
-    if frames.data.ndim != 2 or indicator.data.shape != (n - 1,):
-        raise ValueError(f"segment_pool: indicator shape {indicator.data.shape} does not match {frames.data.shape} frames")
-    m, dt = n_segments, indicator.data.dtype
-    c = np.concatenate([np.zeros(1, dt), np.cumsum(indicator.data, dtype=np.float64).astype(dt)])
+    n = frames.shape[0]
+    if frames.ndim != 2 or indicator.shape != (n - 1,):
+        raise ValueError(f"segment_pool: indicator shape {indicator.shape} does not match {frames.shape} frames")
+    m, dt = n_segments, indicator.dtype
+    c = np.concatenate([np.zeros(1, dt), np.cumsum(indicator, dtype=np.float64).astype(dt)])
     k = np.floor(np.nan_to_num(c))   # finite, so the column cast below cannot warn
     tent = np.stack([1 - (c - k), 1 - ((k + 1) - c)], axis=1)   # (L, 2): columns k, k + 1
     # Columns shifted by one into [0, m + 2): rows 0 and m + 1 collect the dropped weights.
@@ -366,16 +310,16 @@ def segment_pool(frames: Tensor, indicator: Tensor, n_segments: int) -> Tensor:
     s = (colsum.astype(dt) + dt.type(_COLSUM_EPS))[cols]   # each weight's column sum
     w = tent / s
     pool = scipy.sparse.csc_array((w.ravel(), cols.ravel(), np.arange(0, 2 * n + 1, 2)), shape=(m + 2, n))
-    out = (pool @ frames.data)[1 : m + 1]
+    out = (pool @ frames)[1 : m + 1]
 
     def vjp(g):
         gp = np.zeros((m + 2, g.shape[1]), g.dtype)
         gp[1 : m + 1] = g
-        dw = np.einsum("tcd,td->tc", gp[cols], frames.data)   # g . frame, per weight
+        dw = np.einsum("tcd,td->tc", gp[cols], frames)   # g . frame, per weight
         # d/d tent of tent / s, with s = the column sum: dw / s - sum(dw * tent / s^2).
         ds = np.bincount(cols.ravel(), (-dw * tent / (s * s)).ravel(), minlength=m + 2).astype(dt)
         dtent = (dw / s + ds[cols]) * (tent > 0)
         dcoord = dtent[:, 1] - dtent[:, 0] * (c > k)
         return pool.T @ gp, np.cumsum(dcoord[:0:-1])[::-1].astype(dt)
 
-    return tape._record((frames, indicator), out, vjp)
+    return out, vjp

@@ -8,9 +8,9 @@ which is where the phoneme rule places the same frame junction.
 One ``predict(profile, level, prominence)`` serves both levels and every
 caller (``segment``, ``tune`` and validation); its result is a plain,
 strictly increasing float64 array of times in seconds.
-Inference is forward-only: parameters enter the tape as constants, so the
-tape records nothing and each intermediate is freed once consumed; only the
-score curves are kept, so sweeping prominence never reruns the model.
+Inference is forward-only: it runs the model without a tape, so each op's
+vjp is dropped and each intermediate freed once consumed; only the score
+curves are kept, so sweeping prominence never reruns the model.
 """
 
 from __future__ import annotations
@@ -72,14 +72,6 @@ class TuneResult:
     rows: tuple[tuple[float, float | None], ...]  # (prominence, r_value) per grid point
 
 
-def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
-    num = (a * b).sum(axis=1)
-    den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1) + dc.COS_EPS
-    return num / den
-
-
 def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str, threads: int = 1) -> UtteranceProfile:
     """Run the model forward, its frame encoder on ``threads`` threads, and
     keep only what peak picking needs.
@@ -93,18 +85,14 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str, th
         warnings.warn(f"utterance {utt_id}: {samples.size} samples is too short to segment; emitting no boundaries")
         return UtteranceProfile(utt_id, empty, empty, np.empty(0, dtype=np.int64))
 
-    tape = dc.Tape()
-    leaves = {name: tape.constant(arr) for name, arr in net.params.items()}
-    graph = model.analyze_utterance(tape, leaves, samples, net.config.thres, threads)
+    graph = model.analyze_utterance(net.params, samples, net.config.thres, threads)
 
     dissim = graph.boundaries.dissimilarity.astype(np.float64)
     spans = graph.boundaries.spans
     ends = np.array([e for _, e in spans], dtype=np.int64)
     m = len(spans)
     if m >= 2:
-        seg = graph.segments.data
-        ctx = graph.contexts.data
-        word_scores = 1.0 - _rowwise_cosine(ctx[: m - 1], seg[1:])
+        word_scores = 1.0 - dc.cosine(graph.contexts[: m - 1].astype(np.float64), graph.segments[1:].astype(np.float64))[0]
     else:
         word_scores = empty
     return UtteranceProfile(utt_id, dissim, word_scores, ends)

@@ -1,4 +1,4 @@
-"""Model parameters and computation-graph builders for the segmentation model.
+"""Model parameters and the forward pass of the segmentation model.
 
 Three trainable blocks:
 
@@ -9,7 +9,8 @@ Three trainable blocks:
 * a single-layer tanh recurrence producing a causal context state per segment.
 
 Parameters live in a flat name -> float32 array dict so the optimizer,
-gradient clipping, and checkpoints can treat them uniformly.
+gradient clipping, and checkpoints can treat them uniformly.  In training
+the forward functions record their stages on a ``diffcore.Tape`` by name.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 
 
 class SCPCModel:
-    """Parameter container; the actual math lives in the graph builders below."""
+    """Parameter container; the actual math lives in the forward functions below."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
@@ -117,62 +118,76 @@ class SCPCModel:
         return cls(config, params)
 
 
-def frame_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray, threads: int = 1) -> dc.Tensor:
+def frame_latents(params: dict[str, np.ndarray], samples: np.ndarray, threads: int = 1, tape: dc.Tape | None = None) -> np.ndarray:
     """Encode raw samples into frame latents, shape (n_frames, frame_dim).
 
     ``samples`` must be float32, at least one receptive field long; the caller
     is responsible for the sample rate being 16 kHz.  Each layer spreads its
-    GEMMs over ``threads`` threads, with the same result for any count.
+    GEMMs over ``threads`` threads, with the same result for any count.  The
+    last layer's stage writes "frames": the ``LATENT_EPS`` shift's vjp is identity.
     """
     n_frames(samples.size)  # validates length
-    x = tape.tensor(samples.reshape(-1, 1))   # (t, 1)
+    x, read = samples.reshape(-1, 1), "samples"   # (t, 1), which needs no gradient
     for i, s in enumerate(STRIDES):
-        x = dc.conv1d(x, leaves[f"frame_conv{i}_w"], leaves[f"frame_conv{i}_b"], stride=s, threads=threads)
-    return tape._record((x,), x.data + np.float32(LATENT_EPS), lambda g: (g,))
+        w, b, out = f"frame_conv{i}_w", f"frame_conv{i}_b", f"conv{i}" if i < len(STRIDES) - 1 else "frames"
+        x, vjp = dc.conv1d(x, params[w], params[b], stride=s, threads=threads, grad_input=i > 0)
+        if tape is not None:
+            tape.record((read, w, b), out, vjp)
+        del vjp   # untaped, it would keep this layer's input alive through the next layer
+        read = out
+    return x + np.float32(LATENT_EPS)
 
 
-def segment_latents(tape: dc.Tape, leaves: dict[str, dc.Tensor], means: dc.Tensor) -> dc.Tensor:
-    """Re-encode segment means (n_segments, frame_dim) -> (n_segments, segment_dim)
-    as one tape node: relu(means @ w1 + b1) @ w2 + b2 + ``LATENT_EPS``.
+def segment_latents(params: dict[str, np.ndarray], means: np.ndarray, tape: dc.Tape | None = None) -> np.ndarray:
+    """Re-encode segment means (n_segments, frame_dim) -> (n_segments, segment_dim):
+    relu(means @ w1 + b1) @ w2 + b2 + ``LATENT_EPS``, one tape stage.
 
     The epsilon keeps a dead hidden layer (output equal to the bias, zero at
-    init) from producing the exact zero vector.  The backward sums the bias
+    init) from producing the exact zero vector.  The vjp sums the bias
     gradients in float64, and the relu passes none at exactly zero.
     """
-    w1, b1, w2, b2 = (leaves[k] for k in ("seg_w1", "seg_b1", "seg_w2", "seg_b2"))
-    pre = means.data @ w1.data + b1.data
+    names = ("seg_w1", "seg_b1", "seg_w2", "seg_b2")
+    w1, b1, w2, b2 = (params[k] for k in names)
+    pre = means @ w1 + b1
     h = np.maximum(pre, 0)
 
     def vjp(g):
-        g_pre = g @ w2.data.T * (pre > 0).astype(pre.dtype)
-        return (g_pre @ w1.data.T, means.data.T @ g_pre, g_pre.sum(axis=0, dtype=np.float64).astype(g_pre.dtype),
+        g_pre = g @ w2.T * (pre > 0).astype(pre.dtype)
+        return (g_pre @ w1.T, means.T @ g_pre, g_pre.sum(axis=0, dtype=np.float64).astype(g_pre.dtype),
                 h.T @ g, g.sum(axis=0, dtype=np.float64).astype(g.dtype))
 
-    return tape._record((means, w1, b1, w2, b2), h @ w2.data + b2.data + np.float32(LATENT_EPS), vjp)
+    if tape is not None:
+        tape.record(("means", *names), "segments", vjp)
+    return h @ w2 + b2 + np.float32(LATENT_EPS)
 
 
-def context_states(tape: dc.Tape, leaves: dict[str, dc.Tensor], segments: dc.Tensor) -> dc.Tensor:
+def context_states(params: dict[str, np.ndarray], segments: np.ndarray, tape: dc.Tape | None = None) -> np.ndarray:
     """Causal tanh recurrence over segment latents; row i sees segments 0..i."""
-    return dc.tanh_scan(segments, leaves["ctx_w_in"], leaves["ctx_w_h"], leaves["ctx_b"])
+    names = ("ctx_w_in", "ctx_w_h", "ctx_b")
+    h, vjp = dc.tanh_scan(segments, *(params[k] for k in names))
+    if tape is not None:
+        tape.record(("segments", *names), "contexts", vjp)
+    return h
 
 
 @dataclass(frozen=True)
 class UtteranceGraph:
-    """Every stage of one utterance's forward pass, on a live tape."""
+    """Every stage of one utterance's forward pass."""
 
-    frames: dc.Tensor          # (L, frame_dim)
+    frames: np.ndarray         # (L, frame_dim)
     boundaries: bd.BoundaryGraph
-    segments: dc.Tensor        # (M, segment_dim)
-    contexts: dc.Tensor        # (M, segment_dim)
+    segments: np.ndarray       # (M, segment_dim)
+    contexts: np.ndarray       # (M, segment_dim)
 
 
-def analyze_utterance(tape: dc.Tape, leaves: dict[str, dc.Tensor], samples: np.ndarray, thres: float, threads: int = 1) -> UtteranceGraph:
-    """Frames -> boundaries -> segment latents -> causal context, one tape;
-    the frame encoder runs on ``threads`` threads."""
-    frames = frame_latents(tape, leaves, samples, threads)
-    graph = bd.detect_segments(frames, thres)
-    segments = segment_latents(tape, leaves, graph.means)
-    contexts = context_states(tape, leaves, segments)
+def analyze_utterance(params: dict[str, np.ndarray], samples: np.ndarray, thres: float, threads: int = 1, tape: dc.Tape | None = None) -> UtteranceGraph:
+    """Frames -> boundaries -> segment latents -> causal context, each stage
+    recorded on ``tape`` when given; the frame encoder runs on ``threads``
+    threads."""
+    frames = frame_latents(params, samples, threads, tape)
+    graph = bd.detect_segments(frames, thres, tape)
+    segments = segment_latents(params, graph.means, tape)
+    contexts = context_states(params, segments, tape)
     return UtteranceGraph(frames, graph, segments, contexts)
 
 
@@ -202,9 +217,10 @@ def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray],
             raise ValueError(f"{path}: not an npz checkpoint") from exc
         if not isinstance(data, np.lib.npyio.NpzFile):   # a bare .npy array
             raise ValueError(f"{path}: not an npz checkpoint")
-        if "format_version" not in data or int(data["format_version"]) != CHECKPOINT_VERSION:
-            found = int(data["format_version"]) if "format_version" in data else None
-            raise ValueError(f"{path}: checkpoint format version mismatch (found {found}, expected {CHECKPOINT_VERSION})")
+        version = data.get("format_version")
+        if version is None or version.shape != () or version.dtype.kind not in "iu" or int(version) != CHECKPOINT_VERSION:
+            found = None if version is None else repr(version.item()) if version.shape == () else f"shape {version.shape}"
+            raise ValueError(f"{path}: checkpoint format version mismatch (found {found}, expected the 0-d integer {CHECKPOINT_VERSION})")
         try:
             config_raw = json.loads(str(data["config_json"]))
             config = ModelConfig(**config_raw["model"])

@@ -8,7 +8,7 @@ the cross-entropy and the mean are one hand-written function with its vjp.
 Frame anchors predict the next frame latent; segment anchors are causal
 context states predicting the next segment latent.  The segment loss joins
 the total only from a configured epoch onward, giving the frame encoder a
-head start.  The total, both terms together, records one tape node for any k.
+head start.  The total, both terms together, is one tape stage for any k.
 """
 
 from __future__ import annotations
@@ -62,24 +62,16 @@ def _successor_loss(sources: np.ndarray, pool: np.ndarray, k: int, rng: np.rando
     as a 0-d array of the sources' dtype, and its vjp to (sources, pool).
 
     The candidates of anchor i are pool rows: the positive i + 1, then k
-    distractors.  Logits are cosines (float64 dot products, ``dc.COS_EPS``
-    in the denominator), the cross-entropy against column 0 is max-shifted,
+    distractors.  Logits are cosines (``dc.COS_EPS`` in the denominator,
+    via ``dc.cosine``), the cross-entropy against column 0 is max-shifted,
     and the mean accumulates in float64.  The backward scatters the
     candidates' gradients into the pool with one sparse product, each
     row's sum in table order.
     """
-    n = pool.shape[0]
+    n, dt = pool.shape[0], sources.dtype
     table = np.column_stack([np.arange(1, n), sample_distractors(rng, n, k)])
-    a = sources[: n - 1, None, :]   # (n - 1, 1, d) anchors
-    b = pool[table]                 # (n - 1, k + 1, d) candidates
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("contrastive loss: zero vector has no direction")
-    dt = sources.dtype
-    dot = (a * b).sum(axis=-1, dtype=np.float64).astype(dt)
-    denom = (na * nb + dc.COS_EPS).astype(dt)
-    logits = dot / denom
+    # anchors (n - 1, 1, d) against candidates (n - 1, k + 1, d)
+    logits, cos_vjp = dc.cosine(sources[: n - 1, None, :], pool[table])
     shift = logits.max(axis=1, keepdims=True)
     ex = np.exp(logits - shift)
     z = ex.sum(axis=1, dtype=np.float64).astype(dt)
@@ -88,40 +80,42 @@ def _successor_loss(sources: np.ndarray, pool: np.ndarray, k: int, rng: np.rando
     def vjp(g):
         p = ex / z[:, None]
         p[:, 0] -= 1
-        g = p * np.full_like(losses, g / losses.size)[:, None]   # d loss / d logits
-        gc = (g / denom)[..., None]
-        sc = (g * dot / denom**2)[..., None]
+        ga, gb = cos_vjp(p * np.full_like(losses, g / losses.size)[:, None])   # of the logits
         g_sources = np.zeros_like(sources)
-        g_sources[: n - 1] = (gc * b - sc * (nb / na)[..., None] * a).sum(axis=1, dtype=np.float64)
-        gb = (gc * a - sc * (na / nb)[..., None] * b).reshape(table.size, -1)
+        g_sources[: n - 1] = ga.sum(axis=1, dtype=np.float64)
+        gb = gb.reshape(table.size, -1)
         select = scipy.sparse.csr_array((np.ones(table.size, gb.dtype), (table.ravel(), np.arange(table.size))), shape=(n, table.size))
         return g_sources, select @ gb
 
     return np.asarray(losses.mean(dtype=np.float64).astype(dt)), vjp
 
 
-def utterance_loss(frames: dc.Tensor, segments: dc.Tensor, contexts: dc.Tensor, k_frame: int, k_seg: int, nsc_active: bool, rng: np.random.Generator) -> tuple[dc.Tensor, LossReport]:
-    """Total objective for one utterance, as one tape node: the next-frame
-    loss (NFC) plus, once active, the next-segment loss (NSC), summed in the
-    latents' dtype (float32 in training).
+def utterance_loss(frames: np.ndarray, segments: np.ndarray, contexts: np.ndarray, k_frame: int, k_seg: int, nsc_active: bool, rng: np.random.Generator, tape: dc.Tape | None = None) -> tuple[np.ndarray, LossReport]:
+    """Total objective for one utterance: the next-frame loss (NFC) plus,
+    once active, the next-segment loss (NSC), summed in the latents' dtype
+    (float32 in training).
 
     NFC anchors are the frames but the last, each picking the next frame out
     of k_frame distractors; it needs k_frame + 2 frames (callers skip shorter
     utterances).  NSC anchors are the contexts, each picking the next
     segment out of min(k_seg, M - 2); with fewer than two segments it is
-    None.  The node's inputs are (frames, frames), plus (contexts, segments)
-    with NSC, whose branch is not even built while inactive; NFC draws its
-    distractors first.
+    None.  On a ``tape`` the total is one stage that writes "loss" and reads
+    ("frames", "frames"), plus ("contexts", "segments") with NSC, whose
+    branch is not even built while inactive; NFC draws its distractors
+    first.
     """
     n, m = frames.shape[0], segments.shape[0]
     if n < k_frame + 2:
         raise ValueError(f"utterance has {n} frames; next-frame loss needs at least k + 2 = {k_frame + 2}")
-    nfc, nfc_vjp = _successor_loss(frames.data, frames.data, k_frame, rng)
+    nfc, nfc_vjp = _successor_loss(frames, frames, k_frame, rng)
     if not nsc_active or m < 2:
-        return frames.tape._record((frames, frames), nfc, nfc_vjp), LossReport(nfc=float(nfc), nsc=None, total=float(nfc))
+        if tape is not None:
+            tape.record(("frames", "frames"), "loss", nfc_vjp)
+        return nfc, LossReport(nfc=float(nfc), nsc=None, total=float(nfc))
     if segments.shape != contexts.shape:
         raise ValueError(f"segments {segments.shape} and contexts {contexts.shape} must match")
-    nsc, nsc_vjp = _successor_loss(contexts.data, segments.data, min(k_seg, m - 2), rng)
-    total = nfc + nsc
-    report = LossReport(nfc=float(nfc), nsc=float(nsc), total=float(total))
-    return frames.tape._record((frames, frames, contexts, segments), np.asarray(total), lambda g: nfc_vjp(g) + nsc_vjp(g)), report
+    nsc, nsc_vjp = _successor_loss(contexts, segments, min(k_seg, m - 2), rng)
+    total = np.asarray(nfc + nsc)
+    if tape is not None:
+        tape.record(("frames", "frames", "contexts", "segments"), "loss", lambda g: nfc_vjp(g) + nsc_vjp(g))
+    return total, LossReport(nfc=float(nfc), nsc=float(nsc), total=float(total))

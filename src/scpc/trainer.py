@@ -75,6 +75,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):   # a float field takes an int too; bool fits neither
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if f.type == "float" else int):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         model.ModelConfig(self.frame_dim, self.segment_dim, self.thres)   # checks thres and the widths
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
@@ -208,16 +212,15 @@ def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[s
 
 def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: TrainConfig, nsc_active: bool, rng: np.random.Generator, threads: int) -> tuple[dict[str, np.ndarray] | None, obj.LossReport, int]:
     """One utterance's forward and backward, the encoder on ``threads``
-    threads: its float32 gradients (None when the loss is non-finite), its
-    loss terms and its segment count."""
+    threads: its float32 gradients (None when the loss is non-finite, zeros
+    where it reaches no parameter), its loss terms and its segment count."""
     tape = dc.Tape()
-    leaves = {k: tape.tensor(p, requires_grad=True) for k, p in params.items()}
-    graph = model.analyze_utterance(tape, leaves, samples, config.thres, threads)
-    total, report = obj.utterance_loss(graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng)
+    graph = model.analyze_utterance(params, samples, config.thres, threads, tape)
+    total, report = obj.utterance_loss(graph.frames, graph.segments, graph.contexts, config.k_frame, config.k_seg, nsc_active, rng, tape)
     if not np.isfinite(report.total):
         return None, report, graph.boundaries.n_segments
-    tape.backward(total)
-    return {k: leaves[k].grad for k in params}, report, graph.boundaries.n_segments
+    grads = tape.backward(total)
+    return {k: grads[k] if k in grads else np.zeros_like(p) for k, p in params.items()}, report, graph.boundaries.n_segments
 
 
 def _step_item(items: list[tuple[str, np.ndarray]], params: dict[str, np.ndarray], config: TrainConfig, epoch: int, threads: int, i: int) -> tuple:
@@ -296,12 +299,15 @@ def train(
 
     if resume_from is not None:
         net, extras, echoed = model.load_checkpoint(resume_from)
-        if echoed is None:
-            raise ValueError(f"{resume_from}: checkpoint carries no training config; cannot resume")
+        if not isinstance(echoed, dict):   # None when no training run wrote it
+            raise ValueError(f"{resume_from}: checkpoint carries no training config object (found {json.dumps(echoed)}); cannot resume")
         unknown = sorted(set(echoed) - {f.name for f in dataclasses.fields(TrainConfig)})
         if unknown:
             raise ValueError(f"{resume_from}: checkpoint training config has unknown keys: {', '.join(unknown)}; cannot resume")
-        stored = TrainConfig(**echoed)
+        try:
+            stored = TrainConfig(**echoed)
+        except ValueError as e:
+            raise ValueError(f"{resume_from}: checkpoint training config: {e}; cannot resume") from e
         mismatched = [   # epochs is the run's extent, not its math
             f.name for f in dataclasses.fields(TrainConfig)
             if f.name != "epochs" and getattr(stored, f.name) != getattr(config, f.name)

@@ -6,7 +6,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from scpc import boundary
 from scpc import diffcore as dc
 
 
@@ -41,28 +40,33 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(a - n).max(initial=0.0) / denom)
 
 
-def weighted_mean(out: dc.Tensor, w) -> dc.Tensor:
+def weighted_mean(out: np.ndarray, w) -> tuple[np.ndarray, Callable]:
     """mean(out * w) over every entry, for a constant ``w`` of out's shape or
-    a scalar: one tape node, the reduction the gradient checks and the
-    contract tests backpropagate from.
+    a scalar, and its vjp to ``out``: the reduction the gradient checks and
+    the tape tests backpropagate from.
 
     The product takes numpy's promoted dtype and the mean accumulates in
-    float64.  The node holds only ``w``, so a memory test that ends in it
+    float64.  The vjp holds only ``w``, so a memory test that ends in it
     measures the op under test.
     """
     w = np.asarray(w)
-    prod = out.data * w
+    prod = out * w
     shape, dtype, n = prod.shape, prod.dtype, prod.size
 
     def vjp(g):
         return (np.full(shape, g / n, dtype) * w,)
 
-    return out.tape._record((out,), np.asarray(prod.mean(dtype=np.float64).astype(dtype)), vjp)
+    return np.asarray(prod.mean(dtype=np.float64).astype(dtype)), vjp
 
 
-def junction_cosine(x: dc.Tensor) -> dc.Tensor:
-    """The boundary op's first stage alone: the cosine of each row of ``x``
-    with the next, recorded as one node over (x, x) as the op records its
-    frames."""
-    sim, vjp = boundary._junction_cosine(x.data)
-    return x.tape._record((x, x), sim, vjp)
+def mean_grad(out: np.ndarray, w) -> np.ndarray:
+    """d mean(out * w) / d out: the upstream gradient an op check hands to
+    the op's vjp, as ``weighted_mean``'s vjp gives it at a unit loss gradient."""
+    loss, vjp = weighted_mean(out, w)
+    return vjp(np.ones_like(loss))[0]
+
+
+def only_stage(tape: dc.Tape):
+    """The (names read, name written, vjp) of the one stage on ``tape``."""
+    (stage,) = tape._stages
+    return stage

@@ -3,7 +3,7 @@
 Covers, in order: reproduction of externally reported segmentation score
 rows from their printed precision/recall, oracle equivalence of the
 vectorized segment extraction, finite-difference validation of every
-autodiff op plus the composite frame loss and the segment MLP, end-to-end learning on the
+op's vjp plus the composite frame loss and the segment MLP, end-to-end learning on the
 bundled synthetic corpus against matched baselines, sweep behavior, and an
 optional real-corpus recipe.  The synthetic end-to-end gate trains a full
 model at the default worker count, which took 192 s on 2 cores (two
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import test_diffcore as op_checks
-from helpers import numeric_grad, rel_err, weighted_mean
+from helpers import mean_grad, numeric_grad, only_stage, rel_err
 from test_boundary import indicator_grad_oracle, junction_sim, means_oracle, peak_oracle, soft_loss
 
 from scpc import audio, boundary, cli, infer, metrics, model
@@ -106,9 +106,8 @@ class TestOracleEquivalence:
             dim = int(rng.integers(1, 8))
             hard = (rng.random(n - 1) < 0.3).astype(np.float64)
             z = rng.standard_normal((n, dim))
-            tape = dc.Tape()
-            means = dc.segment_pool(tape.tensor(z), tape.tensor(hard), len(boundary._spans_from_hard(hard, n)))
-            np.testing.assert_allclose(means.data, means_oracle(z, hard), atol=1e-6, err_msg=f"case {case}")
+            means, _ = dc.segment_pool(z, hard, len(boundary._spans_from_hard(hard, n)))
+            np.testing.assert_allclose(means, means_oracle(z, hard), atol=1e-6, err_msg=f"case {case}")
         print("PASS  pooled segment means == loop oracle on 200 random cases (atol 1e-6)")
 
     def test_segment_means_worked_example(self):
@@ -116,10 +115,9 @@ class TestOracleEquivalence:
         z = np.arange(12, dtype=np.float64).reshape(6, 2)
         hard = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
         assert boundary._spans_from_hard(hard, 6) == ((0, 4), (4, 6))
-        tape = dc.Tape()
-        means = dc.segment_pool(tape.tensor(z), tape.tensor(hard), 2)
-        np.testing.assert_allclose(means.data, [z[:4].mean(axis=0), z[4:].mean(axis=0)], atol=1e-12)
-        np.testing.assert_allclose(means.data, means_oracle(z, hard), atol=1e-12)
+        means, _ = dc.segment_pool(z, hard, 2)
+        np.testing.assert_allclose(means, [z[:4].mean(axis=0), z[4:].mean(axis=0)], atol=1e-12)
+        np.testing.assert_allclose(means, means_oracle(z, hard), atol=1e-12)
         print("PASS  worked example (frames 1-4 / 5-6) segment means exact")
 
     def test_peak_scores_match_brute_force_1000_vectors(self):
@@ -140,21 +138,22 @@ class TestOracleEquivalence:
 
 def _op_cases():
     cases = [
-        ("tanh_scan", lambda rng: (op_checks.scan_case(rng), lambda t, xs: dc.tanh_scan(*xs))),
+        ("tanh_scan", lambda rng: (op_checks.scan_case(rng), lambda xs: dc.tanh_scan(*xs))),
+        ("cosine", lambda rng: ([_unit_rows(rng, 6, 3), _unit_rows(rng, 6, 3)], lambda xs: dc.cosine(*xs))),
     ]
     for spare in (2, 0):
         cases.append((f"segment_pool spare {spare}", _pool_case(spare)))
     for stride in (1, 2, 3):
         cases.append((f"conv1d stride {stride}", lambda rng, s=stride: (
             list(op_checks.conv_case(rng, s)),
-            lambda t, xs: dc.conv1d(xs[0], xs[1], xs[2], s))))
+            lambda xs: dc.conv1d(xs[0], xs[1], xs[2], s))))
     return cases
 
 
 def _pool_case(spare):
     def build(rng):
         arrays, m = op_checks.tent_case(rng, spare=spare)
-        return arrays, lambda t, xs: dc.segment_pool(xs[0], xs[1], m)
+        return arrays, lambda xs: dc.segment_pool(xs[0], xs[1], m)
 
     return build
 
@@ -183,39 +182,35 @@ class TestGradientCorrectness:
         w = rng.standard_normal(9)
         sim0 = junction_sim(frames0)
 
-        tape = dc.Tape()
-        frames = tape.tensor(frames0, requires_grad=True)
-        _, indicator = boundary.boundary_indicator(frames, 0.05)
+        _, indicator, vjp = boundary.boundary_indicator(frames0, 0.05)
         # Forward: bit for bit the hard path.
         final = boundary.peak_scores(boundary.dissimilarity(sim0), 0.05)[2]
-        np.testing.assert_array_equal(indicator.data, np.tanh(1000.0 * final))
+        np.testing.assert_array_equal(indicator, np.tanh(1000.0 * final))
         # Backward: exactly the soft path's derivative, then the cosine's.
-        tape.backward(weighted_mean(indicator, w))
-        g_b, g_a = boundary._junction_cosine(frames0)[1](indicator_grad_oracle(sim0, w, 0.05))
-        np.testing.assert_allclose(frames.grad, g_b + g_a, rtol=1e-10, atol=1e-15)
+        grad = sum(vjp(mean_grad(indicator, w)))
+        g_a, g_b = dc.cosine(frames0[:-1], frames0[1:])[1](indicator_grad_oracle(sim0, w, 0.05))
+        oracle = np.zeros_like(frames0)
+        oracle[1:] += g_b
+        oracle[:-1] += g_a
+        np.testing.assert_allclose(grad, oracle, rtol=1e-10, atol=1e-15)
 
         numeric = numeric_grad(lambda arrs: soft_loss(junction_sim(arrs[0]), w, 0.05), [frames0.copy()])[0]
-        assert rel_err(frames.grad, numeric) <= 1e-4
+        assert rel_err(grad, numeric) <= 1e-4
         print("PASS  straight-through indicator over frames: hard forward (exact), soft backward (FD checked)")
 
     def test_composite_frame_loss_finite_differences(self):
-        # The loss node with its segment branch off is the frame loss alone.
+        # The loss with its segment branch off is the frame loss alone.
         rng = np.random.default_rng(3)
         frames0 = rng.standard_normal((8, 3))
         k = 2
 
-        def frame_loss(x):
-            return obj.utterance_loss(x, x, x, k, k, False, np.random.default_rng(99))[0]
-
-        def scalar(arrs):
-            return float(frame_loss(dc.Tape().tensor(arrs[0])).data)
+        def frame_loss(x, tape=None):
+            return obj.utterance_loss(x, x, x, k, k, False, np.random.default_rng(99), tape)[0]
 
         tape = dc.Tape()
-        leaf = tape.tensor(frames0, requires_grad=True)
-        loss = frame_loss(leaf)
-        tape.backward(loss)
-        numeric = numeric_grad(scalar, [frames0.copy()])[0]
-        err = rel_err(leaf.grad, numeric)
+        grad = tape.backward(frame_loss(frames0, tape))["frames"]
+        numeric = numeric_grad(lambda arrs: float(frame_loss(arrs[0])), [frames0.copy()])[0]
+        err = rel_err(grad, numeric)
         assert err <= 1e-3, f"composite frame-loss gradient rel err {err:.2e}"
         print("PASS  composite frame loss passes finite differences (rel err <= 1e-3)")
 
@@ -226,7 +221,12 @@ class TestGradientCorrectness:
             # Means (5, 3), hidden width 4, output width 2.
             arrays = [rng.standard_normal(shape) for shape in ((5, 3), (3, 4), (4,), (4, 2), (2,))]
             assert np.abs(arrays[0] @ arrays[1] + arrays[2]).min() >= 1e-3, "pre-activation near the relu kink"
-            return arrays, lambda t, xs: model.segment_latents(t, dict(zip(names, xs[1:])), xs[0])
+            return arrays, segment_mlp
+
+        def segment_mlp(xs):
+            tape = dc.Tape()
+            out = model.segment_latents(dict(zip(names, xs[1:])), xs[0], tape)
+            return out, only_stage(tape)[2]
 
         op_checks.run_gradcheck(build, n_points=5, tol=1e-4)
         print("PASS  segment MLP passes finite differences in its means and four parameters (rel err <= 1e-4)")

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err, weighted_mean
+from helpers import mean_grad, numeric_grad, rel_err
 
 from scpc import boundary
 from scpc import diffcore as dc
@@ -43,7 +43,7 @@ def means_oracle(z, hard):
 
 def junction_sim(z):
     """Cosine similarity of adjacent rows of ``z``, as the pipeline computes it."""
-    return boundary._junction_cosine(z)[0]
+    return dc.cosine(z[:-1], z[1:])[0]
 
 
 def soft_loss(sim, w, thres):
@@ -108,10 +108,13 @@ class TestDissimilarity:
     def test_degenerate_constant_similarity(self):
         frames = np.tile([1.0, 2.0], (5, 1))
         np.testing.assert_array_equal(boundary.dissimilarity(junction_sim(frames)), np.zeros(4))
-        tape = dc.Tape()
-        dissim, indicator = boundary.boundary_indicator(tape.tensor(frames, requires_grad=True), 0.09)
+        dissim, indicator, vjp = boundary.boundary_indicator(frames, 0.09)
         np.testing.assert_array_equal(dissim, np.zeros(4))
-        assert not indicator.requires_grad and not tape._nodes
+        np.testing.assert_array_equal(indicator, np.zeros(4))
+        assert vjp is None
+        tape = dc.Tape()
+        boundary.detect_segments(frames, 0.09, tape)
+        assert [writes for _, writes, _ in tape._stages] == ["means"]   # no boundary stage
 
     def test_range_bounds(self):
         rng = np.random.default_rng(0)
@@ -121,14 +124,12 @@ class TestDissimilarity:
             assert dissim.max() <= 1.0 + 1e-7
 
     def test_needs_two_frames(self):
-        tape = dc.Tape()
-        z = tape.tensor(np.ones((1, 4)))
         with pytest.raises(ValueError, match="at least 2"):
-            boundary.detect_segments(z, 0.09)
+            boundary.detect_segments(np.ones((1, 4)), 0.09)
 
     def test_gradient_matches_finite_differences(self):
         # The op over frames (junction cosine and straight-through stage, one
-        # node), against finite differences of the soft path
+        # vjp), against finite differences of the soft path
         # mean(w * tanh(10 * final)) of the frames' junction similarities.
         for seed, thres in itertools.product(range(30), (0.0, 0.09)):
             rng = np.random.default_rng(seed)
@@ -138,12 +139,9 @@ class TestDissimilarity:
             def f(arrs):
                 return soft_loss(junction_sim(arrs[0]), w, thres)
 
-            tape = dc.Tape()
-            z = tape.tensor(z0, requires_grad=True)
-            _, indicator = boundary.boundary_indicator(z, thres)
-            assert len(tape._nodes) == 1 and tape._nodes[0].inputs == (z, z)
-            tape.backward(weighted_mean(indicator, w))
-            err = rel_err(z.grad, numeric_grad(f, [z0])[0])
+            _, indicator, vjp = boundary.boundary_indicator(z0, thres)
+            g_b, g_a = vjp(mean_grad(indicator, w))
+            err = rel_err(g_b + g_a, numeric_grad(f, [z0])[0])
             assert err <= 1e-4, f"seed {seed}: rel err {err:.2e}"
 
 
@@ -218,11 +216,10 @@ class TestStraightThrough:
         rng = np.random.default_rng(3)
         for _ in range(20):
             frames = rng.standard_normal((13, 4))
-            tape = dc.Tape()
-            dissim, ind = boundary.boundary_indicator(tape.tensor(frames, requires_grad=True), 0.05)
+            dissim, ind, _ = boundary.boundary_indicator(frames, 0.05)
             final = boundary.peak_scores(dissim, 0.05)[2]
             np.testing.assert_array_equal(dissim, boundary.dissimilarity(junction_sim(frames)))
-            np.testing.assert_array_equal(ind.data, np.tanh(boundary.HARD_SLOPE * final))
+            np.testing.assert_array_equal(ind, np.tanh(boundary.HARD_SLOPE * final))
         hard = np.tanh(boundary.HARD_SLOPE * np.array([0.0, 0.001, 0.005, 0.05, 0.8]))
         assert hard[0] == 0.0
         assert hard[2] >= 0.9999
@@ -231,10 +228,9 @@ class TestStraightThrough:
     def test_values_bounded(self):
         rng = np.random.default_rng(4)
         for thres in np.linspace(0, 1, 11):
-            tape = dc.Tape()
-            _, ind = boundary.boundary_indicator(tape.tensor(rng.standard_normal((51, 4))), float(thres))
-            assert np.all(ind.data >= 0.0)
-            assert np.all(ind.data <= 1.0)
+            _, ind, _ = boundary.boundary_indicator(rng.standard_normal((51, 4)), float(thres))
+            assert np.all(ind >= 0.0)
+            assert np.all(ind <= 1.0)
 
     def test_backward_follows_soft_path(self):
         # Kink-free similarities: the op's gradient is that of the soft path.
@@ -258,11 +254,11 @@ class TestStraightThrough:
         assert np.abs(flipped - grad).max() > 0.1 * np.abs(grad).max()
 
 
-def pooled_weights(tape, indicator, n_segments):
-    """The tent weights of ``dc.segment_pool``, (n_segments, n_frames): pooled
-    one-hot frames make row j of the means segment j's weight per frame."""
-    eye = tape.constant(np.eye(indicator.shape[0] + 1, dtype=indicator.data.dtype))
-    return dc.segment_pool(eye, indicator, n_segments)
+def pooled_weights(indicator, n_segments):
+    """The tent weights of ``dc.segment_pool``, (n_segments, n_frames), and
+    their vjp: pooled one-hot frames make row j of the means segment j's
+    weight per frame."""
+    return dc.segment_pool(np.eye(indicator.shape[0] + 1, dtype=indicator.dtype), indicator, n_segments)
 
 
 def dense_tent_indicator_grad(z, indicator, n_segments, g):
@@ -283,25 +279,21 @@ class TestSegmentWeights:
     """The tent weights behind ``dc.segment_pool``, read through its means."""
 
     def test_hand_case_two_segments(self):
-        tape = dc.Tape()
-        b = tape.tensor(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
-        assert boundary._spans_from_hard(b.data, 6) == ((0, 4), (4, 6))
-        weights = pooled_weights(tape, b, 2).data
+        b = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+        assert boundary._spans_from_hard(b, 6) == ((0, 4), (4, 6))
+        weights, _ = pooled_weights(b, 2)
         np.testing.assert_allclose(weights[0], [0.25, 0.25, 0.25, 0.25, 0.0, 0.0], atol=1e-7)
         np.testing.assert_allclose(weights[1], [0.0, 0.0, 0.0, 0.0, 0.5, 0.5], atol=1e-7)
 
     def test_hand_case_means(self):
-        tape = dc.Tape()
-        z = tape.tensor(np.array([[1.0], [1.0], [1.0], [1.0], [5.0], [7.0]]))
-        b = tape.tensor(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
-        means = dc.segment_pool(z, b, 2)
-        np.testing.assert_allclose(means.data, [[1.0], [6.0]], atol=1e-6)
+        z = np.array([[1.0], [1.0], [1.0], [1.0], [5.0], [7.0]])
+        means, _ = dc.segment_pool(z, np.array([0.0, 0.0, 0.0, 1.0, 0.0]), 2)
+        np.testing.assert_allclose(means, [[1.0], [6.0]], atol=1e-6)
 
     def test_all_boundaries_gives_identity(self):
-        tape = dc.Tape()
-        b = tape.tensor(np.array([1.0, 1.0]))
-        assert boundary._spans_from_hard(b.data, 3) == ((0, 1), (1, 2), (2, 3))
-        np.testing.assert_allclose(pooled_weights(tape, b, 3).data, np.eye(3), atol=1e-7)
+        b = np.array([1.0, 1.0])
+        assert boundary._spans_from_hard(b, 3) == ((0, 1), (1, 2), (2, 3))
+        np.testing.assert_allclose(pooled_weights(b, 3)[0], np.eye(3), atol=1e-7)
 
     def test_matches_means_oracle(self):
         rng = np.random.default_rng(11)
@@ -309,9 +301,8 @@ class TestSegmentWeights:
             n = int(rng.integers(2, 25))
             hard = (rng.random(n - 1) < 0.3).astype(np.float64)
             z0 = rng.standard_normal((n, 4))
-            tape = dc.Tape()
-            means = dc.segment_pool(tape.tensor(z0), tape.tensor(hard), len(boundary._spans_from_hard(hard, n)))
-            np.testing.assert_allclose(means.data, means_oracle(z0, hard), atol=1e-6, err_msg=f"case {case}")
+            means, _ = dc.segment_pool(z0, hard, len(boundary._spans_from_hard(hard, n)))
+            np.testing.assert_allclose(means, means_oracle(z0, hard), atol=1e-6, err_msg=f"case {case}")
 
     def test_hard_weight_matrix_properties(self):
         rng = np.random.default_rng(13)
@@ -319,8 +310,7 @@ class TestSegmentWeights:
             n = int(rng.integers(2, 25))
             hard = (rng.random(n - 1) < 0.3).astype(np.float64)
             spans = boundary._spans_from_hard(hard, n)
-            tape = dc.Tape()
-            w = pooled_weights(tape, tape.tensor(hard), len(spans)).data.T
+            w = pooled_weights(hard, len(spans))[0].T
             np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-6)
             assert np.all((w > 0).sum(axis=1) == 1)  # each frame in exactly one segment
             for j, (s, e) in enumerate(spans):
@@ -332,14 +322,11 @@ class TestSegmentWeights:
         w_loss = rng.standard_normal((3, 3))
 
         def f(arrs):
-            t = dc.Tape()
-            return float((pooled_weights(t, t.tensor(arrs[0]), 3).data * w_loss).mean())
+            return float((pooled_weights(arrs[0], 3)[0] * w_loss).mean())
 
-        tape = dc.Tape()
-        b = tape.tensor(b0, requires_grad=True)
-        weights = pooled_weights(tape, b, 3)
-        tape.backward(weighted_mean(weights, w_loss))
-        err = rel_err(b.grad, numeric_grad(f, [b0])[0])
+        weights, vjp = pooled_weights(b0, 3)
+        _, g_b = vjp(mean_grad(weights, w_loss))
+        err = rel_err(g_b, numeric_grad(f, [b0])[0])
         assert err <= 1e-4
 
     def test_integer_coordinates_match_dense_tent_gradient(self):
@@ -353,26 +340,21 @@ class TestSegmentWeights:
             m = max(1, int(ind.sum()) + int(rng.integers(-1, 3)))
             z = rng.standard_normal((n, 3))
             g = rng.standard_normal((m, 3))
-            tape = dc.Tape()
-            b = tape.tensor(ind, requires_grad=True)
-            means = dc.segment_pool(tape.tensor(z), b, m)
-            tape.backward(weighted_mean(means, g * g.size))
-            np.testing.assert_allclose(b.grad, dense_tent_indicator_grad(z, ind, m, g), rtol=0, atol=1e-12, err_msg=f"case {case}")
-            n_zero += int(np.sum(b.grad == 0))
+            means, vjp = dc.segment_pool(z, ind, m)
+            _, g_b = vjp(mean_grad(means, g * g.size))
+            np.testing.assert_allclose(g_b, dense_tent_indicator_grad(z, ind, m, g), rtol=0, atol=1e-12, err_msg=f"case {case}")
+            n_zero += int(np.sum(g_b == 0))
         assert n_zero > 0
 
     def test_shape_mismatch_rejected(self):
-        tape = dc.Tape()
         with pytest.raises(ValueError, match="does not match"):
-            dc.segment_pool(tape.tensor(np.zeros((4, 1))), tape.tensor(np.zeros(4)), 4)
+            dc.segment_pool(np.zeros((4, 1)), np.zeros(4), 4)
 
 
 class TestDetectSegments:
     def test_pipeline_consistency(self):
         rng = np.random.default_rng(21)
-        tape = dc.Tape()
-        z = tape.tensor(rng.standard_normal((30, 8)).astype(np.float32) + 0.1, requires_grad=True)
-        graph = boundary.detect_segments(z, thres=0.05)
+        graph = boundary.detect_segments(rng.standard_normal((30, 8)).astype(np.float32) + 0.1, thres=0.05)
         n_seg = graph.n_segments
         assert graph.means.shape == (n_seg, 8)
         assert graph.spans[0][0] == 0 and graph.spans[-1][1] == 30
@@ -382,8 +364,8 @@ class TestDetectSegments:
     def test_segment_branch_gradient_reaches_frames(self):
         rng = np.random.default_rng(22)
         tape = dc.Tape()
-        z = tape.tensor(rng.standard_normal((30, 8)).astype(np.float32) + 0.1, requires_grad=True)
-        graph = boundary.detect_segments(z, thres=0.05)
-        tape.backward(weighted_mean(graph.means, np.float32(1)))
-        assert z.grad is not None
-        assert np.abs(z.grad).max() > 0
+        graph = boundary.detect_segments(rng.standard_normal((30, 8)).astype(np.float32) + 0.1, 0.05, tape)
+        assert [stage[:2] for stage in tape._stages] == [(("frames", "frames"), "indicator"), (("frames", "indicator"), "means")]
+        tape.record(("means",), "loss", lambda g: (g * mean_grad(graph.means, np.float32(1)),))
+        g_frames = tape.backward(np.float32(0))["frames"]
+        assert np.abs(g_frames).max() > 0

@@ -256,13 +256,28 @@ def unknown_model_key(arrays):
     arrays["config_json"] = np.asarray(json.dumps(echo))
 
 
-@pytest.mark.parametrize("edit", [unknown_model_key, lambda a: a.pop("config_json")], ids=["unknown_model_key", "no_config_json"])
-def test_bad_checkpoint_config_fails_in_one_line(workspace, tmp_path, capsys, edit):
+def set_version(value):
+    return lambda arrays: arrays.update({"format_version": np.asarray(value)})
+
+
+VERSION_MISMATCH = "bad.npz: checkpoint format version mismatch (found {}, expected the 0-d integer 1)"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (unknown_model_key, "bad.npz: unreadable model config"),
+    (lambda a: a.pop("config_json"), "bad.npz: unreadable model config"),
+    (set_version([1, 1]), VERSION_MISMATCH.format("shape (2,)")),
+    (set_version("1"), VERSION_MISMATCH.format("'1'")),
+    (set_version(1.5), VERSION_MISMATCH.format("1.5")),
+    (set_version(True), VERSION_MISMATCH.format("True")),
+    (lambda a: a.pop("format_version"), VERSION_MISMATCH.format("None")),
+], ids=["unknown_model_key", "no_config_json", "version_shape_2", "version_string", "version_float", "version_bool", "no_version"])
+def test_bad_checkpoint_config_fails_in_one_line(workspace, tmp_path, capsys, edit, message):
     bad = tmp_path / "bad.npz"
     rewrite_checkpoint(workspace / "run" / "checkpoint.npz", bad, edit)
     code = run_cli("segment", "--ckpt", bad, "--manifest", workspace / "val" / "manifest.tsv",
                    "--level", "phoneme", "--out", tmp_path / "pred")
-    assert "bad.npz: unreadable model config" in one_line_error(capsys, code)
+    assert message in one_line_error(capsys, code)
 
 
 def npy_bytes() -> bytes:

@@ -1,7 +1,7 @@
-"""Gradient and contract checks for the autodiff substrate.
+"""Gradient checks for the array ops and contract checks for the tape.
 
-Every differentiable op is validated against central finite differences in
-float64 at 100 random points, sampled away from subgradient kinks.
+Every op's vjp is validated against central finite differences in float64
+at 100 random points, sampled away from subgradient kinks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import junction_cosine, numeric_grad, rel_err, weighted_mean
+from helpers import mean_grad, numeric_grad, only_stage, rel_err, weighted_mean
 
 from scpc import audio, boundary, infer, model, parallel
 from scpc import diffcore as dc
@@ -30,35 +30,25 @@ N_POINTS = 100
 
 
 def run_gradcheck(build, n_points=N_POINTS, tol=GRAD_TOL):
-    """Compare tape gradients of a weighted-sum loss against finite differences.
+    """Compare an op's vjp on a weighted-sum loss against finite differences.
 
-    ``build(rng)`` returns ``(arrays, apply)`` where ``apply(tape, tensors)``
-    produces the op output tensor.  The loss is mean(output * w) for a fixed
+    ``build(rng)`` returns ``(arrays, apply)`` where ``apply(arrays)`` runs
+    the op and returns its ``(output, vjp)``; the vjp's gradients come in
+    the order of ``arrays``.  The loss is mean(output * w) for a fixed
     random weight array, which exercises every output coordinate.
     """
     for seed in range(n_points):
         rng = np.random.default_rng(seed)
         arrays, apply = build(rng)
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-
-        probe_tape = dc.Tape()
-        probe = apply(probe_tape, [probe_tape.tensor(a) for a in arrays])
-        w = rng.standard_normal(probe.data.shape)
-
-        def scalar_f(arrs):
-            t = dc.Tape()
-            out = apply(t, [t.tensor(a) for a in arrs])
-            return float((out.data * w).mean())
-
-        tape = dc.Tape()
-        leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
-        out = apply(tape, leaves)
-        tape.backward(weighted_mean(out, w))
-
-        numeric = numeric_grad(scalar_f, arrays)
-        for leaf, num in zip(leaves, numeric):
-            assert leaf.grad is not None
-            err = rel_err(leaf.grad, num)
+        out, vjp = apply(arrays)
+        w = rng.standard_normal(out.shape)
+        grads = vjp(mean_grad(out, w))
+        numeric = numeric_grad(lambda arrs: float((apply(arrs)[0] * w).mean()), arrays)
+        assert len(grads) == len(arrays)
+        for g, num in zip(grads, numeric):
+            assert g is not None
+            err = rel_err(g, num)
             assert err <= tol, f"seed {seed}: gradient mismatch (rel err {err:.2e})"
 
 
@@ -103,36 +93,43 @@ def scan_loop(x, w_in, w_h, b, g):
 
 
 class TestElementwiseGrads:
-    def test_add_passes_no_gradient_to_a_constant(self):
-        # The LATENT_EPS shift, frame_latents' last node, takes the shift as a
-        # number rather than a constant input, and its vjp passes the
-        # gradient itself through, uncopied.
+    def test_add_passes_no_gradient_to_a_constant(self, monkeypatch):
+        # The LATENT_EPS shift adds a number, not an input: it records no
+        # stage, and the last conv layer's stage writes "frames" itself,
+        # as the shift's vjp would pass the gradient through unchanged.
         net = model.SCPCModel.init(model.ModelConfig(frame_dim=4, segment_dim=4), seed=0)
+        outputs = []
+        real_conv1d = dc.conv1d
+
+        def spy(*args, **kwargs):
+            outputs.append(real_conv1d(*args, **kwargs)[0])
+            return outputs[-1], lambda g: (None, None, None)
+
+        monkeypatch.setattr(dc, "conv1d", spy)
         tape = dc.Tape()
-        leaves = {k: tape.tensor(p, requires_grad=True) for k, p in net.params.items()}
-        out = model.frame_latents(tape, leaves, np.zeros(1000, np.float32))
-        node = tape._nodes[-1]
-        assert node.output is out and len(node.inputs) == 1
-        np.testing.assert_array_equal(out.data, node.inputs[0].data + np.float32(model.LATENT_EPS))
-        g = np.ones(out.shape, np.float32)
-        assert node.vjp(g)[0] is g
+        out = model.frame_latents(net.params, np.zeros(1000, np.float32), tape=tape)
+        assert [(reads, writes) for reads, writes, _ in tape._stages] == [
+            (("samples" if i == 0 else f"conv{i - 1}", f"frame_conv{i}_w", f"frame_conv{i}_b"),
+             "frames" if i == len(model.KERNELS) - 1 else f"conv{i}") for i in range(len(model.KERNELS))]
+        np.testing.assert_array_equal(out, outputs[-1] + np.float32(model.LATENT_EPS))
 
 
 class TestLinalgGrads:
     def test_narrow(self):
-        # The junction cosine reads rows 0 .. L-2 and 1 .. L-1 of the frames;
-        # its vjp returns one zero-padded (L, d) term per side, the rows
-        # 1 .. L-1 term first, which the tape adds in that order.
+        # The boundary op reads the frames twice, as rows 1 .. L-1 and rows
+        # 0 .. L-2 of the junction cosine; its vjp returns one zero-padded
+        # (L, d) term per read, the rows 1 .. L-1 term first, which the tape
+        # adds in that order.
         rng = np.random.default_rng(0)
         f = rng.standard_normal((6, 3))
         g = rng.standard_normal(5)
-        g_b, g_a = boundary._junction_cosine(f)[1](np.full(5, 1 / 5) * g)   # weighted_mean's upstream
+        _, _, vjp = boundary.boundary_indicator(f, 0.0)
+        g_b, g_a = vjp(g)
         assert g_b.shape == g_a.shape == f.shape
         assert not g_b[0].any() and not g_a[-1].any()
         tape = dc.Tape()
-        x = tape.tensor(f, requires_grad=True)
-        tape.backward(weighted_mean(junction_cosine(x), g))
-        np.testing.assert_array_equal(x.grad, g_b + g_a)
+        tape.record(("x", "x"), "loss", lambda one: vjp(one * g))
+        np.testing.assert_array_equal(tape.backward(np.float64(0))["x"], g_b + g_a)
 
 
 def conv_reference(x, w, b, stride):
@@ -180,7 +177,7 @@ class TestConv1dGrads:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_conv1d(self, stride):
         def build(rng):
-            return list(conv_case(rng, stride)), lambda t, xs: dc.conv1d(xs[0], xs[1], xs[2], stride)
+            return list(conv_case(rng, stride)), lambda xs: dc.conv1d(xs[0], xs[1], xs[2], stride)
 
         run_gradcheck(build, n_points=40)
 
@@ -189,7 +186,7 @@ class TestConv1dGrads:
         # The kernel, and here the input too, are zero-padded to whole
         # polyphase blocks of stride taps.
         def build(rng):
-            return list(conv_case(rng, stride, k=k)), lambda t, xs: dc.conv1d(xs[0], xs[1], xs[2], stride)
+            return list(conv_case(rng, stride, k=k)), lambda xs: dc.conv1d(xs[0], xs[1], xs[2], stride)
 
         run_gradcheck(build, n_points=40)
 
@@ -204,36 +201,31 @@ class TestConv1dGrads:
     ])
     def test_conv1d_matches_direct_loop(self, stride, k, t, c_in, c_out):
         x, w, b = conv_case(np.random.default_rng(stride), stride, t=t, c_in=c_in, c_out=c_out, k=k)
-        tape = dc.Tape()
-        out = dc.conv1d(tape.tensor(x), tape.tensor(w), tape.tensor(b), stride)
-        np.testing.assert_allclose(out.data, np.maximum(conv_reference(x, w, b, stride), 0), rtol=1e-12, atol=1e-12)
+        out, _ = dc.conv1d(x, w, b, stride)
+        np.testing.assert_allclose(out, np.maximum(conv_reference(x, w, b, stride), 0), rtol=1e-12, atol=1e-12)
 
     def test_conv1d_hand_case(self):
         # Windows [1, 2] and [3, 4]; channel 1 clips its first pre-activation (-1) to 0.
-        tape = dc.Tape()
-        x = tape.tensor(np.array([[1.0], [2.0], [3.0], [4.0]]), requires_grad=True)
-        w = tape.tensor(np.array([[[1.0, 1.0]], [[2.0, -1.0]]]), requires_grad=True)
-        b = tape.tensor(np.array([0.5, -1.0]), requires_grad=True)
-        out = dc.conv1d(x, w, b, stride=2)
-        np.testing.assert_array_equal(out.data, [[3.5, 0.0], [7.5, 1.0]])
-        tape.backward(weighted_mean(out, np.ones((2, 2))))   # each output weighs 1/4
-        np.testing.assert_array_equal(b.grad, [0.5, 0.25])
-        np.testing.assert_array_equal(w.grad, [[[1.0, 1.5]], [[0.75, 1.0]]])
-        np.testing.assert_array_equal(x.grad, [[0.25], [0.25], [0.75], [0.0]])
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        w = np.array([[[1.0, 1.0]], [[2.0, -1.0]]])
+        b = np.array([0.5, -1.0])
+        out, vjp = dc.conv1d(x, w, b, stride=2)
+        np.testing.assert_array_equal(out, [[3.5, 0.0], [7.5, 1.0]])
+        gx, gw, gb = vjp(mean_grad(out, np.ones((2, 2))))   # each output weighs 1/4
+        np.testing.assert_array_equal(gb, [0.5, 0.25])
+        np.testing.assert_array_equal(gw, [[[1.0, 1.5]], [[0.75, 1.0]]])
+        np.testing.assert_array_equal(gx, [[0.25], [0.25], [0.75], [0.0]])
 
     def test_conv1d_constant_input_gets_no_gradient(self):
+        # Raw audio needs no gradient: grad_input=False skips it and leaves
+        # the weight and bias gradients as they were.
         rng = np.random.default_rng(0)
-        x0, w0, b0 = conv_case(rng, stride=2)
+        x, w, b = conv_case(rng, stride=2)
         g = rng.standard_normal((7, 3))
         grads = []
-        for x_requires_grad in (False, True):
-            tape = dc.Tape()
-            x = tape.tensor(x0, requires_grad=x_requires_grad)
-            w = tape.tensor(w0, requires_grad=True)
-            b = tape.tensor(b0, requires_grad=True)
-            out = dc.conv1d(x, w, b, stride=2)
-            tape.backward(weighted_mean(out, g))
-            grads.append((x.grad, w.grad, b.grad))
+        for grad_input in (False, True):
+            out, vjp = dc.conv1d(x, w, b, stride=2, grad_input=grad_input)
+            grads.append(vjp(mean_grad(out, g)))
         (gx_const, gw_const, gb_const), (gx, gw, gb) = grads
         assert gx_const is None and gx is not None
         np.testing.assert_array_equal(gw_const, gw)
@@ -250,18 +242,17 @@ class TestConv1dGrads:
         t, c, k, stride = 4799, 64, 8, 4
         t_out = 1 + (t - k) // stride
         rng = np.random.default_rng(0)
-        tape = dc.Tape()
-        x = tape.tensor(rng.standard_normal((t, c)).astype(np.float32), requires_grad=True)
-        w = tape.tensor(rng.standard_normal((c, c, k)).astype(np.float32), requires_grad=True)
-        b = tape.tensor(np.zeros(c, np.float32), requires_grad=True)
+        x = rng.standard_normal((t, c)).astype(np.float32)
+        w = rng.standard_normal((c, c, k)).astype(np.float32)
+        b = np.zeros(c, np.float32)
         tracemalloc.start()
         try:
-            out = dc.conv1d(x, w, b, stride, threads=threads)
-            tape.backward(weighted_mean(out, np.float32(1)))
+            out, vjp = dc.conv1d(x, w, b, stride, threads=threads)
+            gx, gw, _ = vjp(mean_grad(out, np.float32(1)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert x.grad.shape == (t, c) and w.grad.shape == (c, c, k)
+        assert gx.shape == (t, c) and gw.shape == (c, c, k)
         assert peak < t_out * c * k * 4, f"peak {peak} bytes"
 
     # t_out of one row block, of several, and of whole blocks plus a one-row
@@ -282,14 +273,9 @@ class TestConv1dGrads:
         for x_grad in (True, False):   # False: a constant input, as raw audio
             runs = []
             for threads in (1, 2, 3):
-                tape = dc.Tape()
-                x = tape.tensor(x0, requires_grad=x_grad)
-                w = tape.tensor(w0, requires_grad=True)
-                b = tape.tensor(b0, requires_grad=True)
-                out = dc.conv1d(x, w, b, stride, threads=threads)
-                tape.backward(weighted_mean(out, g))
-                runs.append([None if a is None else a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
-            assert 0 < np.count_nonzero(out.data) < out.data.size
+                out, vjp = dc.conv1d(x0, w0, b0, stride, threads=threads, grad_input=x_grad)
+                runs.append([None if a is None else a.tobytes() for a in (out, *vjp(mean_grad(out, g)))])
+            assert 0 < np.count_nonzero(out) < out.size
             assert (runs[0][1] is None) == (not x_grad)
             assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -298,40 +284,34 @@ class TestConv1dGrads:
         calls = []
         fan_out = parallel.fan_out
         monkeypatch.setattr(parallel, "fan_out", lambda fn, n: (calls.append(n), fan_out(fn, n)))
-        tape = dc.Tape()
-        x = tape.tensor(np.ones(((t_out - 1) * 2 + 4, 64), np.float32), requires_grad=True)
-        w = tape.tensor(np.ones((64, 64, 4), np.float32), requires_grad=True)
-        b = tape.tensor(np.zeros(64, np.float32), requires_grad=True)
-        tape.backward(weighted_mean(dc.conv1d(x, w, b, 2, threads=2), np.float32(1)))
+        x = np.ones(((t_out - 1) * 2 + 4, 64), np.float32)
+        out, vjp = dc.conv1d(x, np.ones((64, 64, 4), np.float32), np.zeros(64, np.float32), 2, threads=2)
+        vjp(mean_grad(out, np.float32(1)))
         assert max(calls) == 1 + helpers
 
     def test_conv1d_output_length(self):
-        tape = dc.Tape()
-        x = tape.tensor(np.zeros((100, 1), dtype=np.float32))
-        w = tape.tensor(np.zeros((4, 1, 10), dtype=np.float32))
-        b = tape.tensor(np.zeros(4, dtype=np.float32))
-        assert dc.conv1d(x, w, b, stride=5).shape == (19, 4)
+        out, _ = dc.conv1d(np.zeros((100, 1), np.float32), np.zeros((4, 1, 10), np.float32), np.zeros(4, np.float32), stride=5)
+        assert out.shape == (19, 4)
 
     def test_conv1d_rejects_mismatched_shapes(self):
-        tape = dc.Tape()
-        x = tape.tensor(np.zeros((20, 2)))
-        w = tape.tensor(np.zeros((4, 2, 3)))
+        x = np.zeros((20, 2))
+        w = np.zeros((4, 2, 3))
         with pytest.raises(ValueError, match=r"expected \(t, c_in\)"):
-            dc.conv1d(tape.tensor(np.zeros((20, 3))), w, tape.tensor(np.zeros(4)), stride=1)
+            dc.conv1d(np.zeros((20, 3)), w, np.zeros(4), stride=1)
         with pytest.raises(ValueError, match=r"expected \(t, c_in\)"):
-            dc.conv1d(x, w, tape.tensor(np.zeros(3)), stride=1)
+            dc.conv1d(x, w, np.zeros(3), stride=1)
 
 
 class TestFusedOps:
     def test_tanh_scan(self):
-        run_gradcheck(lambda rng: (scan_case(rng), lambda t, xs: dc.tanh_scan(*xs)))
+        run_gradcheck(lambda rng: (scan_case(rng), lambda xs: dc.tanh_scan(*xs)))
 
     @pytest.mark.parametrize("steps, spare", [((0, 1), 2), ((0, 1), 0), ((-1, 0, 1), 1)],
                              ids=["all-columns", "dropped-columns", "negative-coordinates"])
     def test_segment_pool(self, steps, spare):
         def build(rng):
             arrays, m = tent_case(rng, steps=steps, spare=spare)
-            return arrays, lambda t, xs: dc.segment_pool(xs[0], xs[1], m)
+            return arrays, lambda xs: dc.segment_pool(xs[0], xs[1], m)
 
         run_gradcheck(build)
 
@@ -342,20 +322,18 @@ class TestFusedOps:
         arrays = [a.astype(dtype) for a in scan_case(rng, n=176, d=64, q=64)]
         arrays[1:3] = [a / 8 for a in arrays[1:3]]
         g = rng.standard_normal((176, 64)).astype(dtype)
-        tape = dc.Tape()
-        leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
-        out = dc.tanh_scan(*leaves)
-        tape.backward(weighted_mean(out, g))
-        fused = [out.data] + [leaf.grad * g.size for leaf in leaves]
+        out, vjp = dc.tanh_scan(*arrays)
+        fused = [out] + [grad * g.size for grad in vjp(mean_grad(out, g))]
         for fused, loop in zip(fused, scan_loop(*arrays, g)):
             assert fused.dtype == dtype
             np.testing.assert_allclose(fused, loop, rtol=tol, atol=tol)
 
     def test_tanh_scan_records_one_node(self):
+        # The context recurrence is one tape stage whatever the segment count.
+        net = model.SCPCModel.init(model.ModelConfig(frame_dim=3, segment_dim=4), seed=0)
         tape = dc.Tape()
-        leaves = [tape.tensor(a, requires_grad=True) for a in scan_case(np.random.default_rng(0), n=40)]
-        dc.tanh_scan(*leaves)
-        assert len(tape._nodes) == 1
+        model.context_states(net.params, scan_case(np.random.default_rng(0), n=40, d=4)[0], tape)
+        assert only_stage(tape)[:2] == (("segments", "ctx_w_in", "ctx_w_h", "ctx_b"), "contexts")
 
     def test_segment_pool_memory_stays_below_one_dense_tent(self):
         # 60 s of frames in 600 segments: forward and backward together
@@ -364,135 +342,144 @@ class TestFusedOps:
         rng = np.random.default_rng(0)
         hard = np.zeros(n - 1, np.float32)
         hard[rng.choice(n - 1, m - 1, replace=False)] = 1.0
-        tape = dc.Tape()
-        frames = tape.tensor(rng.standard_normal((n, d)).astype(np.float32), requires_grad=True)
-        indicator = tape.tensor(hard, requires_grad=True)
+        frames = rng.standard_normal((n, d)).astype(np.float32)
         tracemalloc.start()
         try:
-            means = dc.segment_pool(frames, indicator, m)
-            tape.backward(weighted_mean(means, np.float32(1)))
+            means, vjp = dc.segment_pool(frames, hard, m)
+            g_frames, g_indicator = vjp(mean_grad(means, np.float32(1)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert means.shape == (m, d) and frames.grad.shape == (n, d) and indicator.grad.shape == (n - 1,)
+        assert means.shape == (m, d) and g_frames.shape == (n, d) and g_indicator.shape == (n - 1,)
         assert peak < n * m * 4, f"peak {peak} bytes"
 
     def test_segment_pool_rejects_mismatched_shapes(self):
-        tape = dc.Tape()
         with pytest.raises(ValueError, match="does not match"):
-            dc.segment_pool(tape.tensor(np.zeros((4, 2))), tape.tensor(np.zeros(4)), 2)
+            dc.segment_pool(np.zeros((4, 2)), np.zeros(4), 2)
 
     def test_segment_pool_non_finite_indicator_gives_nan_means(self):
-        tape = dc.Tape()
-        frames = tape.tensor(np.ones((5, 2), np.float32))
+        frames = np.ones((5, 2), np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for bad in (np.nan, np.inf):
-                out = dc.segment_pool(frames, tape.tensor(np.array([0.0, bad, 1.0, 0.0], np.float32)), 2)
-                assert np.isnan(out.data).all()
+                out, _ = dc.segment_pool(frames, np.array([0.0, bad, 1.0, 0.0], np.float32), 2)
+                assert np.isnan(out).all()
 
 
 class TestCosineGrads:
-    """The boundary op's junction cosine, the first stage of its one node."""
+    """``dc.cosine``: the boundary op's junction cosine and the losses' logits."""
 
     def test_rowwise(self):
-        run_gradcheck(lambda rng: ([rng.standard_normal((5, 3)) + 0.2], lambda t, xs: junction_cosine(xs[0])))
+        run_gradcheck(lambda rng: ([rng.standard_normal((5, 3)) + 0.2, rng.standard_normal((5, 3)) + 0.2],
+                                   lambda xs: dc.cosine(xs[0], xs[1])))
+
+    def test_broadcast_over_leading_axes(self):
+        # The losses' shape: one anchor row against k + 1 candidate rows.
+        # Each gradient comes at the broadcast shape; the anchor's sums over
+        # its candidates.
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((4, 1, 3)), rng.standard_normal((4, 5, 3))
+        value, vjp = dc.cosine(a, b)
+        g = rng.standard_normal((4, 5))
+        g_a, g_b = vjp(g)
+        assert value.shape == (4, 5) and g_a.shape == g_b.shape == (4, 5, 3)
+        for i, j in [(0, 0), (3, 4)]:
+            row, row_vjp = dc.cosine(a[i, 0], b[i, j])
+            assert row == pytest.approx(value[i, j], abs=1e-15)
+            ra, rb = row_vjp(g[i, j])
+            np.testing.assert_allclose(g_a[i, j], ra, rtol=1e-12)
+            np.testing.assert_allclose(g_b[i, j], rb, rtol=1e-12)
+        f = lambda arrs: float((dc.cosine(*arrs)[0] * g).sum())
+        num_a, num_b = numeric_grad(f, [a, b])
+        assert rel_err(g_a.sum(axis=1, keepdims=True), num_a) <= GRAD_TOL
+        assert rel_err(g_b, num_b) <= GRAD_TOL
 
     def test_known_values(self):
-        tape = dc.Tape()
-        frames = tape.tensor([[1.0, 1.0], [1.0, 0.0], [5.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(junction_cosine(frames).data, [0.70710678, 1.0, 0.0], atol=1e-6)
-        assert junction_cosine(frames).data[2] == 0.0
+        frames = np.array([[1.0, 1.0], [1.0, 0.0], [5.0, 0.0], [0.0, 1.0]])
+        sim, _ = dc.cosine(frames[:-1], frames[1:])
+        np.testing.assert_allclose(sim, [0.70710678, 1.0, 0.0], atol=1e-6)
+        assert sim[2] == 0.0
 
     def test_zero_vector_rejected(self):
-        tape = dc.Tape()
-        frames = tape.tensor([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        frames = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="zero vector"):
             boundary.boundary_indicator(frames, 0.09)
 
 
 class TestTapeContracts:
     def test_square_gradient(self):
-        # x enters one node as the input, the input weight and the recurrent
-        # weight: h = tanh(x * x), so the gradient sums both product-rule terms.
+        # x is read three times by one stage, as the input, the input weight
+        # and the recurrent weight: h = tanh(x * x), so the gradient sums
+        # both product-rule terms.
+        x = np.array([[0.5]])
+        h, vjp = dc.tanh_scan(x, x, x, np.zeros(1))
         tape = dc.Tape()
-        x = tape.tensor(np.array([[0.5]]), requires_grad=True)
-        loss = weighted_mean(dc.tanh_scan(x, x, x, tape.constant(np.zeros(1))), np.ones((1, 1)))
-        tape.backward(loss)
-        assert float(loss.data) == pytest.approx(np.tanh(0.25))
-        assert x.grad == pytest.approx(2 * 0.5 * (1 - np.tanh(0.25) ** 2))
+        tape.record(("x", "x", "x", "b"), "h", vjp)
+        loss, mean_vjp = weighted_mean(h, np.ones((1, 1)))
+        tape.record(("h",), "loss", mean_vjp)
+        grads = tape.backward(loss)
+        assert float(loss) == pytest.approx(np.tanh(0.25))
+        assert grads["x"] == pytest.approx(2 * 0.5 * (1 - np.tanh(0.25) ** 2))
 
-    def test_unreached_leaf_gets_zero_gradient(self):
+    def test_unreached_name_gets_no_gradient(self):
+        # A stage whose output the loss does not read is skipped, so its
+        # inputs get no entry; the training step zero-fills such parameters.
         tape = dc.Tape()
-        x = tape.tensor(np.array([3.0]), requires_grad=True)
-        y = tape.tensor(np.array([2.0]), requires_grad=True)
-        weighted_mean(x, 1.0)   # recorded, but the loss does not use it
-        loss = weighted_mean(y, 2.0)
-        tape.backward(loss)
-        assert float(loss.data) == pytest.approx(4.0)
-        assert x.grad == pytest.approx(0.0)  # reachable leaf: explicit zero
-        assert y.grad == pytest.approx(2.0)
+        tape.record(("x",), "unused", lambda g: pytest.fail("replayed a stage the loss does not reach"))
+        loss, vjp = weighted_mean(np.array([2.0]), 2.0)
+        tape.record(("y",), "loss", vjp)
+        grads = tape.backward(loss)
+        assert float(loss) == pytest.approx(4.0)
+        assert "x" not in grads and "unused" not in grads
+        assert grads["y"] == pytest.approx(2.0)
 
     def test_backward_requires_scalar(self):
         tape = dc.Tape()
-        x = tape.tensor(np.ones((2, 1)), requires_grad=True)
-        y = dc.tanh_scan(x, tape.constant(np.ones((1, 1))), tape.constant(np.zeros((1, 1))), tape.constant(np.zeros(1)))
+        y, vjp = dc.tanh_scan(np.ones((2, 1)), np.ones((1, 1)), np.zeros((1, 1)), np.zeros(1))
+        tape.record(("x", "w_in", "w_h", "b"), "y", vjp)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
     def test_backward_twice_errors(self):
         tape = dc.Tape()
-        x = tape.tensor(np.array([2.0]), requires_grad=True)
-        loss = weighted_mean(x, 2.0)
+        loss, vjp = weighted_mean(np.array([2.0]), 2.0)
+        tape.record(("x",), "loss", vjp)
         tape.backward(loss)
-        with pytest.raises(RuntimeError, match="already ran"):
+        assert not tape._stages   # released as replayed
+        with pytest.raises(RuntimeError, match="replayed once"):
             tape.backward(loss)
 
-    def test_detached_tensor_rejected(self):
-        tape_a = dc.Tape()
-        tape_b = dc.Tape()
-        x = tape_a.tensor(1.0, requires_grad=True)
-        with pytest.raises(ValueError, match="detached"):
-            tape_b.backward(x)
-
-    def test_mixing_tapes_rejected(self):
-        tape_a = dc.Tape()
-        tape_b = dc.Tape()
-        x = tape_a.tensor(np.ones((2, 1)))
-        w = tape_b.tensor(np.ones((1, 1)))
-        with pytest.raises(ValueError, match="tapes"):
-            dc.tanh_scan(x, w, w, tape_b.tensor(np.ones(1)))
-
     def test_shape_mismatch_names_both_shapes(self):
-        tape = dc.Tape()
-        frames = tape.tensor(np.zeros((2, 3), dtype=np.float32))
-        indicator = tape.tensor(np.zeros((4, 5), dtype=np.float32))
+        frames = np.zeros((2, 3), dtype=np.float32)
+        indicator = np.zeros((4, 5), dtype=np.float32)
         with pytest.raises(ValueError, match=r"\(4, 5\).*\(2, 3\)"):
             dc.segment_pool(frames, indicator, 1)
 
     def test_grad_accumulates_across_uses(self):
-        # x feeds two nodes: s = tanh(x), then h = tanh(s * x), so
+        # x feeds two stages: s = tanh(x), then h = tanh(s * x), so
         # dh/dx = (1 - h^2) (s + x (1 - s^2)) sums a term from each.
+        x = np.array([[0.5]])
+        zero, one = np.zeros((1, 1)), np.ones((1, 1))
         tape = dc.Tape()
-        x = tape.tensor(np.array([[0.5]]), requires_grad=True)
-        zero, one = tape.constant(np.zeros((1, 1))), tape.constant(np.ones((1, 1)))
-        s = dc.tanh_scan(x, one, zero, tape.constant(np.zeros(1)))
-        h = dc.tanh_scan(s, x, zero, tape.constant(np.zeros(1)))
-        tape.backward(weighted_mean(h, 1.0))
+        s, vjp = dc.tanh_scan(x, one, zero, np.zeros(1))
+        tape.record(("x", "one", "zero", "b"), "s", vjp)
+        h, vjp = dc.tanh_scan(s, x, zero, np.zeros(1))
+        tape.record(("s", "x", "zero", "b"), "h", vjp)
+        loss, vjp = weighted_mean(h, 1.0)
+        tape.record(("h",), "loss", vjp)
+        grads = tape.backward(loss)
         s0 = np.tanh(0.5)
         h0 = np.tanh(s0 * 0.5)
-        assert x.grad == pytest.approx((1 - h0**2) * (s0 + 0.5 * (1 - s0**2)))
+        assert grads["x"] == pytest.approx((1 - h0**2) * (s0 + 0.5 * (1 - s0**2)))
 
     def test_forward_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(123)
-            tape = dc.Tape()
-            x = tape.tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
-            w = tape.tensor(rng.standard_normal((8, 8, 1)).astype(np.float32), requires_grad=True)
-            h = dc.conv1d(x, w, tape.constant(np.zeros(8, np.float32)), stride=1)
-            loss = weighted_mean(h, np.float32(1))
-            tape.backward(loss)
-            return loss.data.copy(), x.grad.copy()
+            x = rng.standard_normal((8, 8)).astype(np.float32)
+            w = rng.standard_normal((8, 8, 1)).astype(np.float32)
+            h, vjp = dc.conv1d(x, w, np.zeros(8, np.float32), stride=1)
+            loss, mean_vjp = weighted_mean(h, np.float32(1))
+            return loss, vjp(mean_vjp(np.ones_like(loss))[0])[0]
 
         l1, g1 = run()
         l2, g2 = run()
@@ -501,7 +488,7 @@ class TestTapeContracts:
 
 
 class TestGraphLifetime:
-    """The tape holds only what backward needs, and nothing after it.
+    """The tape holds only what backward needs, and frees it as it goes.
 
     The cyclic collector is off in these tests, so anything that stays alive
     is held by a reference cycle or a live name, not by collector timing.
@@ -522,69 +509,54 @@ class TestGraphLifetime:
         conv_outputs = []
         real_conv1d = dc.conv1d
 
-        def spy(x, weight, bias, stride, threads=1):
-            out = real_conv1d(x, weight, bias, stride, threads)
-            conv_outputs.append(weakref.ref(out.data))
-            return out
+        def spy(*args, **kwargs):
+            out, vjp = real_conv1d(*args, **kwargs)
+            conv_outputs.append(weakref.ref(out))
+            return out, vjp
 
         monkeypatch.setattr(dc, "conv1d", spy)
         net = model.SCPCModel.init(model.ModelConfig(frame_dim=8, segment_dim=8), seed=0)
         tape = dc.Tape()
-        leaves = {k: tape.tensor(p, requires_grad=True) for k, p in net.params.items()}
-        graph = model.analyze_utterance(tape, leaves, self._utterance(), thres=0.0)
+        graph = model.analyze_utterance(net.params, self._utterance(), 0.0, tape=tape)
         total, _ = obj.utterance_loss(graph.frames, graph.segments, graph.contexts,
-                                      4, 2, True, np.random.default_rng(0))
+                                      4, 2, True, np.random.default_rng(0), tape)
         assert len(conv_outputs) == len(model.KERNELS)
         assert all(ref() is not None for ref in conv_outputs)   # held for backward
-        tape.backward(total)
-        grads = {k: leaf.grad for k, leaf in leaves.items()}
-        del tape, leaves, graph, total
+        grads = tape.backward(total)
+        # Freed as their stages were replayed, while the caller still holds
+        # the forward's outputs.
         assert all(ref() is None for ref in conv_outputs)
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert set(net.params) <= set(grads)
+        assert all(np.all(np.isfinite(grads[k])) for k in net.params)
 
     def test_inference_records_no_nodes(self, monkeypatch):
-        lengths = []
-        real_record = dc.Tape._record
-
-        def spy(self, inputs, out_data, vjp):
-            out = real_record(self, inputs, out_data, vjp)
-            lengths.append(len(self._nodes))
-            return out
-
-        monkeypatch.setattr(dc.Tape, "_record", spy)
+        tapes = []
+        monkeypatch.setattr(dc.Tape, "__init__", lambda self: tapes.append(self))
         net = model.SCPCModel.init(model.ModelConfig(frame_dim=8, segment_dim=8), seed=0)
         profile = infer.profile_utterance(net, self._utterance(), "u")
         assert profile.dissimilarity.size > 0
-        assert lengths and max(lengths) == 0
+        assert not tapes
 
 
 class TestConventions:
     def test_relu_zero_input_zero_grad(self):
         # conv1d's pre-activations are 0, -1 and 1 (windows [1, 2], [0, 2], [3, 1]).
-        tape = dc.Tape()
-        x = tape.tensor(np.array([[1.0], [2.0], [0.0], [2.0], [3.0], [1.0]]), requires_grad=True)
-        w = tape.tensor(np.ones((1, 1, 2)), requires_grad=True)
-        b = tape.tensor(np.array([-3.0]), requires_grad=True)
-        tape.backward(weighted_mean(dc.conv1d(x, w, b, stride=2), np.ones((3, 1))))
-        np.testing.assert_array_equal(b.grad, [1.0 / 3])
-        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [0.0], [0.0], [1.0 / 3], [1.0 / 3]])
+        x = np.array([[1.0], [2.0], [0.0], [2.0], [3.0], [1.0]])
+        out, vjp = dc.conv1d(x, np.ones((1, 1, 2)), np.array([-3.0]), stride=2)
+        gx, _, gb = vjp(mean_grad(out, np.ones((3, 1))))
+        np.testing.assert_array_equal(gb, [1.0 / 3])
+        np.testing.assert_array_equal(gx, [[0.0], [0.0], [0.0], [0.0], [1.0 / 3], [1.0 / 3]])
 
     def test_mean_accumulates_in_float64(self):
         # A contrastive loss over 2^18 identical anchors is each anchor's
         # loss exactly; a float32 running sum would drift from it.
         def nfc(frames):
-            x = dc.Tape().tensor(frames)
-            return obj.utterance_loss(x, x, x, 1, 1, False, np.random.default_rng(0))[0].data
+            return obj.utterance_loss(frames, frames, frames, 1, 1, False, np.random.default_rng(0))[0]
 
         frames = np.tile(np.float32([0.3, -0.7]), (2**18 + 1, 1))
         one = nfc(frames[:3])
         assert np.full(2**18, one).mean(dtype=np.float32) != one
         assert nfc(frames) == one
-
-    def test_int_data_rejected(self):
-        tape = dc.Tape()
-        with pytest.raises(TypeError, match="float32 or float64"):
-            tape.tensor(np.array([1, 2, 3]))
 
     # Public names the pipeline never uses, each kept for a stated reader.
     NO_PIPELINE_CALLER = {

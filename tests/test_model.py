@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import only_stage
+
 from scpc import boundary as bd
 from scpc import diffcore as dc
 from scpc import model
@@ -18,13 +20,8 @@ def small_model(seed=0, p=8, q=6):
     return model.SCPCModel.init(model.ModelConfig(frame_dim=p, segment_dim=q), seed=seed)
 
 
-def grad_leaves(m, tape):
-    return {k: tape.tensor(p, requires_grad=True) for k, p in m.params.items()}
-
-
 def encode(m, samples):
-    tape = dc.Tape()
-    return model.frame_latents(tape, grad_leaves(m, tape), samples).data
+    return model.frame_latents(m.params, samples)
 
 
 class TestFrameEncoderGeometry:
@@ -63,11 +60,12 @@ class TestFrameEncoderGeometry:
         np.testing.assert_array_equal(head, full[:5])
 
     def test_one_tape_node_per_layer(self):
-        # Each conv layer is one fused op; the LATENT_EPS shift is the last node.
+        # Each conv layer is one fused op and one stage; the LATENT_EPS shift
+        # adds none, so the last layer writes "frames".
         m = small_model()
         tape = dc.Tape()
-        model.frame_latents(tape, grad_leaves(m, tape), np.zeros(2000, dtype=np.float32))
-        assert len(tape._nodes) == len(model.KERNELS) + 1
+        model.frame_latents(m.params, np.zeros(2000, dtype=np.float32), tape=tape)
+        assert len(tape._stages) == len(model.KERNELS) and tape._stages[-1][1] == "frames"
 
     def test_silence_latents_nonzero(self):
         m = small_model()
@@ -82,16 +80,14 @@ class TestFrameEncoderGeometry:
             m.params[f"frame_conv{i}_b"] = np.full(8, -10.0, dtype=np.float32)
         z = encode(m, np.random.default_rng(0).standard_normal(2000).astype(np.float32))
         assert np.all(np.linalg.norm(z, axis=1) > 0)
-        tape = dc.Tape()
-        dissim, _ = bd.boundary_indicator(tape.constant(z), 0.09)
+        dissim, _, _ = bd.boundary_indicator(z, 0.09)
         assert np.all(np.isfinite(dissim))
 
     def test_dead_segment_mlp_still_nonzero(self):
         m = small_model()
         m.params["seg_b1"] = np.full(6, -10.0, dtype=np.float32)  # dead hidden layer
-        tape = dc.Tape()
-        means = tape.constant(np.random.default_rng(1).standard_normal((4, 8)).astype(np.float32))
-        s = model.segment_latents(tape, grad_leaves(m, tape), means).data
+        means = np.random.default_rng(1).standard_normal((4, 8)).astype(np.float32)
+        s = model.segment_latents(m.params, means)
         assert np.all(np.linalg.norm(s, axis=1) > 0)
 
 
@@ -121,9 +117,7 @@ class TestInit:
 class TestSegmentAndContext:
     def test_segment_latents_shape(self):
         m = small_model()
-        tape = dc.Tape()
-        means = tape.tensor(np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32))
-        out = model.segment_latents(tape, grad_leaves(m, tape), means)
+        out = model.segment_latents(m.params, np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32))
         assert out.shape == (4, 6)
 
     def test_segment_latents_match_layer_chain_bitwise(self):
@@ -138,11 +132,10 @@ class TestSegmentAndContext:
         means0 = rng.standard_normal((7, 8)).astype(np.float32)
         g = rng.standard_normal((7, 6)).astype(np.float32)
         tape = dc.Tape()
-        leaves = grad_leaves(m, tape)
-        means = tape.tensor(means0, requires_grad=True)
-        out = model.segment_latents(tape, leaves, means)
-        assert len(tape._nodes) == 1
-        fused = [out.data, *tape._nodes[0].vjp(g)]
+        out = model.segment_latents(m.params, means0, tape)
+        reads, writes, vjp = only_stage(tape)
+        assert reads == ("means", "seg_w1", "seg_b1", "seg_w2", "seg_b2") and writes == "segments"
+        fused = [out, *vjp(g)]
 
         w1, b1, w2, b2 = (m.params[k] for k in ("seg_w1", "seg_b1", "seg_w2", "seg_b2"))
         pre = means0 @ w1 + b1
@@ -162,8 +155,7 @@ class TestSegmentAndContext:
         segs = rng.standard_normal((5, 6)).astype(np.float32)
 
         def run(arr):
-            tape = dc.Tape()
-            return model.context_states(tape, grad_leaves(m, tape), tape.tensor(arr)).data
+            return model.context_states(m.params, arr)
 
         base = run(segs)
         bumped = segs.copy()
@@ -175,10 +167,8 @@ class TestSegmentAndContext:
 
     def test_context_bounded_by_tanh(self):
         m = small_model()
-        tape = dc.Tape()
-        segs = tape.tensor(np.random.default_rng(4).standard_normal((7, 6)).astype(np.float32) * 10)
-        out = model.context_states(tape, grad_leaves(m, tape), segs)
-        assert np.all(np.abs(out.data) <= 1.0)
+        segs = np.random.default_rng(4).standard_normal((7, 6)).astype(np.float32) * 10
+        assert np.all(np.abs(model.context_states(m.params, segs)) <= 1.0)
 
     def test_training_step_tape_size_independent_of_segment_count(self):
         # Noise through an untrained encoder at threshold 0 gives about one
@@ -188,12 +178,12 @@ class TestSegmentAndContext:
         for seconds in (0.7, 6.3):
             samples = np.random.default_rng(0).standard_normal(int(seconds * 16000)).astype(np.float32)
             tape = dc.Tape()
-            graph = model.analyze_utterance(tape, grad_leaves(m, tape), samples, thres=0.0)
-            obj.utterance_loss(graph.frames, graph.segments, graph.contexts, 4, 2, True, np.random.default_rng(0))
-            sizes[graph.boundaries.n_segments] = len(tape._nodes)
-        (few, n_few), (many, n_many) = sorted(sizes.items())
+            graph = model.analyze_utterance(m.params, samples, 0.0, tape=tape)
+            obj.utterance_loss(graph.frames, graph.segments, graph.contexts, 4, 2, True, np.random.default_rng(0), tape)
+            sizes[graph.boundaries.n_segments] = [writes for _, writes, _ in tape._stages]
+        (few, stages_few), (many, stages_many) = sorted(sizes.items())
         assert 15 <= few <= 25 and 160 <= many <= 200, sizes
-        assert n_few == n_many == 11, sizes
+        assert stages_few == stages_many == ["conv0", "conv1", "conv2", "conv3", "frames", "indicator", "means", "segments", "contexts", "loss"], sizes
 
 
 class TestCheckpoint:

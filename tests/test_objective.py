@@ -4,8 +4,8 @@ Hand-built latent geometries pin exact loss values (uniform similarities
 give log(K+1); two-candidate setups give log(1 + e^margin)).  Distractor
 sampling is checked for exclusion, determinism, uniformity over indices and
 over k-subsets, generator consumption and linear memory; composite
-finite-difference checks cover the loss node with the segment term on and
-off, and tape-node counts pin one node for both terms.  The frame and
+finite-difference checks cover the loss stage with the segment term on and
+off, and tape-stage counts pin one stage for both terms.  The frame and
 segment terms are read through ``utterance_loss``, the one entry point.
 """
 
@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, only_stage, rel_err
 
 from scpc import audio
 from scpc import diffcore as dc
@@ -26,20 +26,20 @@ from scpc import objective as obj
 from scpc import trainer
 
 
-def f64(tape, arr):
-    return tape.tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+def f64(arr):
+    return np.asarray(arr, dtype=np.float64)
 
 
-def nfc(frames, k, rng):
+def nfc(frames, k, rng, tape=None):
     """The next-frame loss alone: ``utterance_loss`` with its segment branch off."""
-    return obj.utterance_loss(frames, frames, frames, k, 1, False, rng)[0]
+    return obj.utterance_loss(frames, frames, frames, k, 1, False, rng, tape)[0]
 
 
-def nsc(segments, contexts, k, rng):
+def nsc(segments, contexts, k, rng, tape=None):
     """``utterance_loss`` with its segment branch on, over three fixed
-    frames: the loss node and the report, whose ``nsc`` is the segment term."""
-    frames = segments.tape.tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    return obj.utterance_loss(frames, segments, contexts, 1, k, True, rng)
+    frames: the total and the report, whose ``nsc`` is the segment term."""
+    frames = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    return obj.utterance_loss(frames, segments, contexts, 1, k, True, rng, tape)
 
 
 # ---------------------------------------------------------------- sampling
@@ -142,45 +142,34 @@ def test_sample_distractors_memory_linear():
 # -------------------------------------------------------------- frame loss
 
 def test_nfc_uniform_similarities_gives_log_k_plus_1():
-    tape = dc.Tape()
-    frames = f64(tape, np.tile([0.3, -0.7, 0.2], (12, 1)))
-    loss = nfc(frames, 10, np.random.default_rng(0))
-    assert abs(float(loss.data) - np.log(11.0)) <= 1e-6
+    loss = nfc(f64(np.tile([0.3, -0.7, 0.2], (12, 1))), 10, np.random.default_rng(0))
+    assert abs(float(loss) - np.log(11.0)) <= 1e-6
 
 
 def test_nfc_hand_value():
     # Three frames on a line: cos(f0,f1)=1, cos(f0,f2)=cos(f1,f2)=-1.
     # Anchor 0: logits (1, -1) -> log(1 + e^-2); anchor 1: logits (-1, 1) flipped
     # to positive-first (-1 vs distractor 1) -> log(1 + e^2).
-    tape = dc.Tape()
-    frames = f64(tape, [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    loss = nfc(frames, 1, np.random.default_rng(0))
+    loss = nfc(f64([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]), 1, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-2.0)) + np.log1p(np.exp(2.0))) / 2
-    assert abs(float(loss.data) - expected) <= 1e-6
+    assert abs(float(loss) - expected) <= 1e-6
 
 
 def test_nfc_short_utterance_raises():
-    tape = dc.Tape()
-    frames = f64(tape, np.ones((4, 2)))
     with pytest.raises(ValueError, match="at least"):
-        nfc(frames, 3, np.random.default_rng(0))
+        nfc(f64(np.ones((4, 2))), 3, np.random.default_rng(0))
 
 
 def test_nfc_gradient_matches_fd():
     base = np.random.default_rng(3).normal(size=(6, 3)).astype(np.float64)
 
     def f(arrays):
-        tape = dc.Tape()
-        x = tape.tensor(arrays[0], requires_grad=True)
-        loss = nfc(x, 2, np.random.default_rng(7))
-        return float(loss.data)
+        return float(nfc(arrays[0], 2, np.random.default_rng(7)))
 
     tape = dc.Tape()
-    x = tape.tensor(base, requires_grad=True)
-    loss = nfc(x, 2, np.random.default_rng(7))
-    tape.backward(loss)
+    grads = tape.backward(nfc(base, 2, np.random.default_rng(7), tape))
     num = numeric_grad(f, [base])[0]
-    assert rel_err(x.grad, num) <= 1e-4
+    assert rel_err(grads["frames"], num) <= 1e-4
 
 
 def test_nfc_matches_per_column_loop(monkeypatch):
@@ -190,9 +179,8 @@ def test_nfc_matches_per_column_loop(monkeypatch):
     monkeypatch.setattr(obj, "sample_distractors", lambda rng, n_items, k: table)
 
     tape = dc.Tape()
-    x = tape.tensor(base, requires_grad=True)
-    loss = nfc(x, 3, np.random.default_rng(0))
-    tape.backward(loss)
+    loss = nfc(base, 3, np.random.default_rng(0), tape)
+    grad = tape.backward(loss)["frames"]
 
     # The reference in numpy, in the ops' float32 arithmetic: each column's
     # cosines, cross-entropy against column 0, and the mean.
@@ -222,16 +210,15 @@ def test_nfc_matches_per_column_loop(monkeypatch):
         ref_grad[:11] += g * (b64 / (na * nb) - cos * a64 / na**2)
         np.add.at(ref_grad, c, g * (a64 / (na * nb) - cos * b64 / nb**2))
 
-    assert loss.data == ref
-    np.testing.assert_allclose(x.grad, ref_grad, rtol=0, atol=1e-6)
+    assert loss == ref
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("k", [2, 10])
 def test_nfc_records_one_tape_node(k):
     tape = dc.Tape()
-    frames = f64(tape, np.random.default_rng(0).normal(size=(30, 4)))
-    nfc(frames, k, np.random.default_rng(1))
-    assert len(tape._nodes) == 1 and tape._nodes[0].inputs == (frames, frames)
+    nfc(f64(np.random.default_rng(0).normal(size=(30, 4))), k, np.random.default_rng(1), tape)
+    assert only_stage(tape)[:2] == (("frames", "frames"), "loss")
 
 
 # ------------------------------------------------------------ segment loss
@@ -239,41 +226,36 @@ def test_nfc_records_one_tape_node(k):
 def test_nsc_hand_value():
     # Anchor c0 = [1,0]: positive s1 cos 1, distractor s2 cos 0 -> log(1 + e^-1).
     # Anchor c1 = [1,0]: positive s2 cos 0, distractor s0 cos 1 -> log(1 + e^1).
-    tape = dc.Tape()
-    segments = f64(tape, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    contexts = f64(tape, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    segments = f64([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    contexts = f64([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     _, report = nsc(segments, contexts, 5, np.random.default_rng(0))
     expected = (np.log1p(np.exp(-1.0)) + np.log1p(np.exp(1.0))) / 2
     assert abs(report.nsc - expected) <= 1e-6
 
 
 def test_nsc_uniform_similarities_gives_log_k_plus_1():
-    tape = dc.Tape()
-    same = np.tile([0.5, 0.5], (9, 1))
-    _, report = nsc(f64(tape, same), f64(tape, same), 5, np.random.default_rng(0))
+    same = f64(np.tile([0.5, 0.5], (9, 1)))
+    _, report = nsc(same, same, 5, np.random.default_rng(0))
     assert abs(report.nsc - np.log(6.0)) <= 1e-6
 
 
 def test_nsc_single_segment_gives_none():
-    tape = dc.Tape()
-    one = f64(tape, [[1.0, 0.0]])
+    one = f64([[1.0, 0.0]])
     _, report = nsc(one, one, 5, np.random.default_rng(0))
     assert report.nsc is None and report.total == report.nfc
 
 
 def test_nsc_two_segments_zero_loss():
     # Only one candidate (the positive): cross-entropy over a single logit is 0.
-    tape = dc.Tape()
-    segments = f64(tape, [[1.0, 0.0], [0.0, 1.0]])
-    contexts = f64(tape, [[0.5, 0.5], [0.5, 0.5]])
+    segments = f64([[1.0, 0.0], [0.0, 1.0]])
+    contexts = f64([[0.5, 0.5], [0.5, 0.5]])
     _, report = nsc(segments, contexts, 5, np.random.default_rng(0))
     assert report.nsc == 0.0
 
 
 def test_nsc_shape_mismatch_raises():
-    tape = dc.Tape()
     with pytest.raises(ValueError, match="match"):
-        nsc(f64(tape, np.ones((3, 2))), f64(tape, np.ones((2, 2))), 5, np.random.default_rng(0))
+        nsc(f64(np.ones((3, 2))), f64(np.ones((2, 2))), 5, np.random.default_rng(0))
 
 
 def test_nsc_gradient_matches_fd():
@@ -282,88 +264,77 @@ def test_nsc_gradient_matches_fd():
     ctx0 = rng.normal(size=(5, 3)).astype(np.float64)
 
     def f(arrays):
-        tape = dc.Tape()
-        s = tape.tensor(arrays[0], requires_grad=True)
-        c = tape.tensor(arrays[1], requires_grad=True)
-        return nsc(s, c, 2, np.random.default_rng(13))[1].nsc
+        return nsc(arrays[0], arrays[1], 2, np.random.default_rng(13))[1].nsc
 
     tape = dc.Tape()
-    s = tape.tensor(seg0, requires_grad=True)
-    c = tape.tensor(ctx0, requires_grad=True)
-    loss, _ = nsc(s, c, 2, np.random.default_rng(13))
-    tape.backward(loss)
+    loss, _ = nsc(seg0, ctx0, 2, np.random.default_rng(13), tape)
+    grads = tape.backward(loss)
     nums = numeric_grad(f, [seg0, ctx0])
-    assert rel_err(s.grad, nums[0]) <= 1e-4
-    assert rel_err(c.grad, nums[1]) <= 1e-4
+    assert rel_err(grads["segments"], nums[0]) <= 1e-4
+    assert rel_err(grads["contexts"], nums[1]) <= 1e-4
 
 
 @pytest.mark.parametrize("k", [0, 5])
 def test_nsc_records_one_tape_node(k):
     tape = dc.Tape()
     rng = np.random.default_rng(2)
-    segments, contexts = f64(tape, rng.normal(size=(9, 4))), f64(tape, rng.normal(size=(9, 4)))
-    nsc(segments, contexts, k, np.random.default_rng(3))
-    assert len(tape._nodes) == 1 and tape._nodes[0].inputs[2:] == (contexts, segments)
+    nsc(rng.normal(size=(9, 4)), rng.normal(size=(9, 4)), k, np.random.default_rng(3), tape)
+    assert only_stage(tape)[:2] == (("frames", "frames", "contexts", "segments"), "loss")
 
 
 # ------------------------------------------------------------- total loss
 
-def _tiny_graph(tape):
-    frames = f64(tape, [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    segments = f64(tape, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    contexts = f64(tape, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+def _tiny_graph():
+    frames = f64([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    segments = f64([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    contexts = f64([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     return frames, segments, contexts
 
 
 def test_utterance_loss_inactive_skips_segment_branch():
-    tape = dc.Tape()
-    frames, segments, contexts = _tiny_graph(tape)
+    frames, segments, contexts = _tiny_graph()
     total, report = obj.utterance_loss(frames, segments, contexts, 1, 1, False, np.random.default_rng(0))
     assert report.nsc is None
-    assert report.total == report.nfc == float(total.data)
+    assert report.total == report.nfc == float(total)
 
 
 def test_utterance_loss_active_adds_both():
-    tape = dc.Tape()
-    frames, segments, contexts = _tiny_graph(tape)
+    frames, segments, contexts = _tiny_graph()
     total, report = obj.utterance_loss(frames, segments, contexts, 1, 1, True, np.random.default_rng(0))
     nfc_expected = (np.log1p(np.exp(-2.0)) + np.log1p(np.exp(2.0))) / 2
     nsc_expected = (np.log1p(np.exp(-1.0)) + np.log1p(np.exp(1.0))) / 2
     assert abs(report.nfc - nfc_expected) <= 1e-6
     assert abs(report.nsc - nsc_expected) <= 1e-6
-    assert abs(float(total.data) - (nfc_expected + nsc_expected)) <= 1e-6
+    assert abs(float(total) - (nfc_expected + nsc_expected)) <= 1e-6
 
 
 @pytest.mark.parametrize("nsc_active", [False, True])
 def test_utterance_loss_gradient_matches_fd(nsc_active):
-    # One node over (frames, frames) or (frames, frames, contexts, segments):
+    # One stage over (frames, frames) or (frames, frames, contexts, segments):
     # every input's gradient against finite differences of the total.
     rng = np.random.default_rng(17)
     base = [rng.normal(size=(8, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
 
-    def run(arrays):
-        tape = dc.Tape()
-        leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
-        return leaves, obj.utterance_loss(*leaves, 2, 2, nsc_active, np.random.default_rng(19))
+    def run(arrays, tape=None):
+        return obj.utterance_loss(*arrays, 2, 2, nsc_active, np.random.default_rng(19), tape)
 
-    leaves, (total, report) = run(base)
+    tape = dc.Tape()
+    total, report = run(base, tape)
     assert (report.nsc is not None) == nsc_active
-    total.tape.backward(total)
-    nums = numeric_grad(lambda arrays: run(arrays)[1][1].total, base)
-    for leaf, num in zip(leaves if nsc_active else leaves[:1], nums):
-        assert rel_err(leaf.grad, num) <= 1e-4
-    if not nsc_active:
-        assert leaves[1].grad is None and leaves[2].grad is None
+    grads = tape.backward(total)
+    names = ["frames", "segments", "contexts"] if nsc_active else ["frames"]
+    nums = numeric_grad(lambda arrays: run(arrays)[1].total, base)
+    for name, num in zip(names, nums):
+        assert rel_err(grads[name], num) <= 1e-4
+    assert sorted(grads) == sorted(names)
 
 
 def test_utterance_loss_sums_both_terms_in_float32():
     rng = np.random.default_rng(23)
-    tape = dc.Tape()
-    frames, segments, contexts = (tape.tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-                                  for shape in ((12, 4), (6, 4), (6, 4)))
+    frames, segments, contexts = (rng.normal(size=shape).astype(np.float32) for shape in ((12, 4), (6, 4), (6, 4)))
     total, report = obj.utterance_loss(frames, segments, contexts, 3, 2, True, np.random.default_rng(0))
-    assert total.data.dtype == np.float32 and total.data.shape == ()
-    assert total.data == np.float32(report.nfc) + np.float32(report.nsc) == np.float32(report.total)
+    assert total.dtype == np.float32 and total.shape == ()
+    assert total == np.float32(report.nfc) + np.float32(report.nsc) == np.float32(report.total)
 
 
 def test_full_model_all_parameters_receive_gradient():
@@ -377,15 +348,14 @@ def test_full_model_all_parameters_receive_gradient():
     net = model.SCPCModel.init(model.ModelConfig(frame_dim=16, segment_dim=16), seed=1)
 
     tape = dc.Tape()
-    leaves = {k: tape.tensor(p, requires_grad=True) for k, p in net.params.items()}
-    graph = model.analyze_utterance(tape, leaves, utt.waveform.samples, thres=0.0)
+    graph = model.analyze_utterance(net.params, utt.waveform.samples, 0.0, tape=tape)
     m = graph.segments.shape[0]
     assert m >= 3, f"expected several segments at thres 0, got {m}"
     total, report = obj.utterance_loss(
         graph.frames, graph.segments, graph.contexts,
-        10, 5, True, np.random.default_rng(0))
+        10, 5, True, np.random.default_rng(0), tape)
     assert np.isfinite(report.total)
     assert report.nsc is not None
-    tape.backward(total)
-    for name, leaf in leaves.items():
-        assert leaf.grad is not None and np.any(leaf.grad != 0), f"no gradient reached {name}"
+    grads = tape.backward(total)
+    for name in net.params:
+        assert name in grads and np.any(grads[name] != 0), f"no gradient reached {name}"
