@@ -78,7 +78,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = trainer.resolve_config(args.config, overrides={"seed": args.seed})
+    config = trainer.resolve_config(args.config)
     out = Path(args.out)
     _echo_config(out, {"command": "train", "manifest": str(args.manifest), "val": args.val and str(args.val),
                        "workers": args.workers, "resume": args.resume and str(args.resume),
@@ -118,9 +118,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = trainer.resolve_config(args.config, overrides={"seed": args.seed})
+    config = trainer.resolve_config(args.config)
     out = Path(args.out)
-    values = tuple(float(v) if args.grid == "thres" else int(v) for v in args.values.split(",")) if args.values else None
+    kind = type(trainer.SWEEP_GRIDS[args.grid][0])   # each point has the type of the grid's reference points
+    try:
+        values = tuple(kind(v) for v in args.values.split(",")) if args.values else None
+    except ValueError:
+        raise ValueError(f"--values: cannot parse {args.values!r} as {kind.__name__} points of grid {args.grid}") from None
     _echo_config(out, {"command": "sweep", "grid": args.grid, "values": values,
                        "manifest": str(args.manifest), "val": str(args.val),
                        "workers": args.workers, "config": dataclasses.asdict(config)})
@@ -174,7 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value training config")
     p.add_argument("--out", required=True)
     p.add_argument("--val", help="validation manifest for per-epoch R-values")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--workers", **workers)
     p.set_defaults(fn=_cmd_train)
@@ -203,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--grid", choices=sorted(trainer.SWEEP_GRIDS), required=True)
     p.add_argument("--values", help="comma-separated grid override (default: reference grid)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--workers", **workers)
     p.set_defaults(fn=_cmd_sweep)
 

@@ -155,8 +155,8 @@ def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarra
 
 def predict(profile: UtteranceProfile, level: str, prominence: float = DEFAULT_PROMINENCE) -> np.ndarray:
     """Boundary times (s) of the ``level`` peaks whose prominence is >= ``prominence``."""
-    if prominence < 0:
-        raise ValueError(f"prominence must be >= 0, got {prominence}")
+    if not 0 <= prominence < np.inf:
+        raise ValueError(f"prominence must be >= 0 and finite, got {prominence}")
     times, prominences = _peaks(profile, level)
     return times[prominences >= prominence]
 

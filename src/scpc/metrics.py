@@ -94,8 +94,8 @@ def match(pred: Sequence[float], ref: Sequence[float], tolerance: float = DEFAUL
 
 
 def _check_tolerance(tolerance: float) -> None:
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be nonnegative and finite, got {tolerance}")
 
 
 def _hits(p: np.ndarray, r: np.ndarray, tolerance: float) -> int:

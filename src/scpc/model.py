@@ -71,15 +71,12 @@ class ModelConfig:
     frame_dim: int = 64    # latent width per frame
     segment_dim: int = 64  # segment and context width
     thres: float = 0.09    # peak threshold used for segmentation
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         if self.frame_dim < 1 or self.segment_dim < 1:
             raise ValueError(f"dims must be positive, got frame_dim={self.frame_dim} segment_dim={self.segment_dim}")
         if not 0.0 <= self.thres <= 1.0:
             raise ValueError(f"thres must be in [0, 1], got {self.thres}")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"only 16 kHz input is supported, got {self.sample_rate}; resample first")
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -192,10 +189,12 @@ def analyze_utterance(params: dict[str, np.ndarray], samples: np.ndarray, thres:
 
 
 def save_checkpoint(path: str | Path, model: SCPCModel, extra_arrays: dict[str, np.ndarray] | None = None, train_config: dict | None = None) -> None:
-    """Write a versioned npz container: params, config echo, optional extras."""
+    """Write a versioned npz container: params, config echo (the model's
+    ending with the one sample rate it takes), optional extras."""
+    echo = {"model": {**asdict(model.config), "sample_rate": SAMPLE_RATE}, "train": train_config}
     payload: dict[str, np.ndarray] = {
         "format_version": np.asarray(CHECKPOINT_VERSION),
-        "config_json": np.asarray(json.dumps({"model": asdict(model.config), "train": train_config})),
+        "config_json": np.asarray(json.dumps(echo)),
     }
     for name, arr in model.params.items():
         payload[f"param/{name}"] = arr
@@ -209,6 +208,7 @@ def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray],
     its config; returns (model, extra arrays, train config echo).  Every
     structural fault is a one-line ``ValueError`` that names the file."""
     path = Path(path)
+    arrays: dict[str, np.ndarray] = {}
     # np.load is handed an open file, so a zip it rejects cannot leak the handle.
     with open(path, "rb") as fh:
         try:
@@ -217,17 +217,26 @@ def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray],
             raise ValueError(f"{path}: not an npz checkpoint") from exc
         if not isinstance(data, np.lib.npyio.NpzFile):   # a bare .npy array
             raise ValueError(f"{path}: not an npz checkpoint")
-        version = data.get("format_version")
-        if version is None or version.shape != () or version.dtype.kind not in "iu" or int(version) != CHECKPOINT_VERSION:
-            found = None if version is None else repr(version.item()) if version.shape == () else f"shape {version.shape}"
-            raise ValueError(f"{path}: checkpoint format version mismatch (found {found}, expected the 0-d integer {CHECKPOINT_VERSION})")
-        try:
-            config_raw = json.loads(str(data["config_json"]))
-            config = ModelConfig(**config_raw["model"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: unreadable model config ({type(exc).__name__}: {exc})") from exc
-        params = {k[len("param/") :]: data[k] for k in data.files if k.startswith("param/")}
-        extras = {k[len("extra/") :]: data[k] for k in data.files if k.startswith("extra/")}
+        for key in data.files:   # numpy's own error, as for an object array, names neither
+            try:
+                arrays[key] = data[key]
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise ValueError(f"{path}: unreadable checkpoint entry {key} ({exc})") from exc
+    version = arrays.get("format_version")
+    if version is None or version.shape != () or version.dtype.kind not in "iu" or int(version) != CHECKPOINT_VERSION:
+        found = None if version is None else repr(version.item()) if version.shape == () else f"shape {version.shape}"
+        raise ValueError(f"{path}: checkpoint format version mismatch (found {found}, expected the 0-d integer {CHECKPOINT_VERSION})")
+    try:
+        config_raw = json.loads(str(arrays["config_json"]))
+        model_echo = {**config_raw["model"]}
+        rate = model_echo.pop("sample_rate", SAMPLE_RATE)
+        config = ModelConfig(**model_echo)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: unreadable model config ({type(exc).__name__}: {exc})") from exc
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: checkpoint model takes sample_rate {rate!r}; only {SAMPLE_RATE} Hz input is supported")
+    params = {k[len("param/") :]: a for k, a in arrays.items() if k.startswith("param/")}
+    extras = {k[len("extra/") :]: a for k, a in arrays.items() if k.startswith("extra/")}
     expected = SCPCModel.init(config, seed=0).params
     if set(params) != set(expected):
         raise ValueError(f"{path}: checkpoint parameter set does not match this model (missing {sorted(set(expected) - set(params))})")

@@ -1,8 +1,8 @@
 """Optimization loop: joint contrastive training with a staged segment loss.
 
 A run is determined by its data and a ``TrainConfig``: the defaults,
-overridden by a flat config file and then by explicit overrides (the CLI's
-``--seed``); nothing is read from the environment.  A single optimizer
+overridden by a flat config file, its one source of settings; nothing is
+read from the environment or the command line.  A single optimizer
 writer updates the parameters; per-utterance randomness is derived
 functionally from (seed, epoch, utterance index), so two runs of the same
 build produce bitwise-identical checkpoints, whatever the number of worker
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +62,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run except the data itself."""
+    """Everything that determines a training run except the data itself:
+    each setting's name, type (that of its default), default and range."""
 
     lr: float = 1e-3          # Adam step size
     batch_size: int = 8       # utterances per update
@@ -76,12 +78,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):   # a float field takes an int too; bool fits neither
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float) if f.type == "float" else int):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         model.ModelConfig(self.frame_dim, self.segment_dim, self.thres)   # checks thres and the widths
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.add_nsc_epoch < 0:
             raise ValueError(f"add_nsc_epoch must be >= 0, got {self.add_nsc_epoch}")
         if self.batch_size < 1 or self.epochs < 1:
@@ -111,40 +113,31 @@ def parse_config_text(text: str, path: str | Path) -> dict[str, str]:
     return out
 
 
-_FIELD_TYPES = {"int": int, "float": float}
-
-
-def resolve_config(path: str | Path | None = None, overrides: dict | None = None) -> TrainConfig:
-    """Defaults, overridden in order by the config file and by explicit
-    overrides (None override values are ignored).
-
-    Errors in the file name it.  Unknown file keys are rejected together,
-    so a typo'd config fails with the full list.
-    """
-    fields = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(TrainConfig)}
-    values: dict[str, object] = {}
-    where = "" if path is None else f"{path}: "
-    if path is not None:
-        raw = parse_config_text(Path(path).read_text(), path)
-        unknown = sorted(set(raw) - set(fields))
-        if unknown:
-            raise ValueError(f"{where}unknown config keys: {', '.join(unknown)}")
-        values.update(raw)
-    for name, value in (overrides or {}).items():
-        if name not in fields:
-            raise ValueError(f"unknown config keys: {name}")
-        if value is not None:
-            values[name] = value
-    typed = {}
-    for name, value in values.items():
-        try:
-            typed[name] = fields[name](value)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{where}config key {name!r}: cannot parse {value!r} as {fields[name].__name__}") from e
+def _settings(values: dict[str, object], where: str) -> TrainConfig:
+    """``TrainConfig`` from ``values``, unknown keys listed together; every
+    error is one line that starts with ``where``."""
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(TrainConfig)})
     try:
-        return TrainConfig(**typed)
+        if unknown:
+            raise ValueError(f"unknown keys: {', '.join(unknown)}")
+        return TrainConfig(**values)
     except ValueError as e:
         raise ValueError(f"{where}{e}") from e
+
+
+def resolve_config(path: str | Path | None = None) -> TrainConfig:
+    """The defaults, overridden by the config file ``path`` when given, each
+    value parsed as its field's type.  Errors name the file; unknown keys
+    are rejected together, so a typo'd config fails with the full list."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+    typed: dict[str, object] = {}
+    for name, text in (parse_config_text(Path(path).read_text(), path) if path is not None else {}).items():
+        kind = kinds.get(name, str)   # an unknown key stays text for _settings to list
+        try:
+            typed[name] = kind(text)
+        except ValueError as e:
+            raise ValueError(f"{path}: config key {name!r}: cannot parse {text!r} as {kind.__name__}") from e
+    return _settings(typed, f"{path}: ")
 
 
 # ------------------------------------------------------------------- data
@@ -291,23 +284,20 @@ def train(
     items = list(load_dataset(manifest_path).items())
     if len(items) < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
+    min_samples = model.RECEPTIVE_FIELD + (config.k_frame + 1) * model.TOTAL_STRIDE   # the k_frame + 2 frames NFC needs
+    if all(samples.size < min_samples for _, samples in items):
+        raise ValueError(f"{manifest_path}: no utterance is long enough to train on; "
+                         f"k_frame={config.k_frame} needs at least {min_samples} samples")
     # Validation holds only annotations; profile_corpus streams its audio each epoch.
     val_rows = audio.read_manifest(val_manifest_path) if val_manifest_path else {}
     val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in val_rows.items()]
     val_refs = {level: audio.load_references(val_rows, level) for level in infer.LEVELS}
-    min_frames = config.k_frame + 2
 
     if resume_from is not None:
         net, extras, echoed = model.load_checkpoint(resume_from)
         if not isinstance(echoed, dict):   # None when no training run wrote it
             raise ValueError(f"{resume_from}: checkpoint carries no training config object (found {json.dumps(echoed)}); cannot resume")
-        unknown = sorted(set(echoed) - {f.name for f in dataclasses.fields(TrainConfig)})
-        if unknown:
-            raise ValueError(f"{resume_from}: checkpoint training config has unknown keys: {', '.join(unknown)}; cannot resume")
-        try:
-            stored = TrainConfig(**echoed)
-        except ValueError as e:
-            raise ValueError(f"{resume_from}: checkpoint training config: {e}; cannot resume") from e
+        stored = _settings(echoed, f"{resume_from}: checkpoint training config: ")
         mismatched = [   # epochs is the run's extent, not its math
             f.name for f in dataclasses.fields(TrainConfig)
             if f.name != "epochs" and getattr(stored, f.name) != getattr(config, f.name)
@@ -343,8 +333,7 @@ def train(
             for start in range(0, len(order), config.batch_size):
                 batch = []
                 for idx in order[start : start + config.batch_size]:
-                    samples = items[int(idx)][1]
-                    if samples.size < model.RECEPTIVE_FIELD or model.n_frames(samples.size) < min_frames:
+                    if items[int(idx)][1].size < min_samples:
                         skipped += 1
                     else:
                         batch.append(int(idx))
@@ -416,11 +405,11 @@ def sweep(
     rows = []
     for value in grid:
         if grid_name == "thres":
-            config = dataclasses.replace(base_config, thres=float(value))
+            config = dataclasses.replace(base_config, thres=value)
             tag = f"thres_{value:.2f}"
         else:
-            config = dataclasses.replace(base_config, add_nsc_epoch=int(value))
-            tag = f"nsc_epoch_{int(value)}"
+            config = dataclasses.replace(base_config, add_nsc_epoch=value)
+            tag = f"nsc_epoch_{value}"
         result = train(manifest_path, config, out / tag, val_manifest_path, workers=workers)
         last = result.history[-1]
         rows.append({

@@ -6,6 +6,8 @@ asserted cheaply; one test drives the installed console script.
 
 from __future__ import annotations
 
+import argparse
+import ast
 import dataclasses
 import io
 import json
@@ -163,6 +165,45 @@ def test_segment_short_utterance_warns_but_succeeds(workspace, tmp_path):
     assert (tmp_path / "short_pred" / "tiny.txt").read_text() == ""
 
 
+def test_train_without_a_long_enough_utterance_fails_in_one_line(workspace, tmp_path, capsys):
+    # k_frame = 4 needs 465 + 5 * 160 samples; none of these has them.
+    data = tmp_path / "short"
+    data.mkdir()
+    for i in range(4):
+        audio.write_wav(data / f"s{i}.wav", audio.Waveform(np.zeros(1264, dtype=np.float32), 16000))
+        (data / f"s{i}.phn").write_text("0 1264 p0\n")
+        (data / f"s{i}.wrd").write_text("0 1264 w0\n")
+    (data / "manifest.tsv").write_text("".join(f"s{i}.wav\ts{i}.phn\ts{i}.wrd\n" for i in range(4)))
+    code = run_cli("train", "--manifest", data / "manifest.tsv", "--config", workspace / "train.cfg", "--out", tmp_path / "run")
+    err = one_line_error(capsys, code)
+    assert f"{data / 'manifest.tsv'}: no utterance is long enough to train on; k_frame=4 needs at least 1265 samples" in err
+    assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_segment_rejects_a_prominence_that_is_not_finite_and_nonnegative(workspace, tmp_path, capsys, value):
+    code = run_cli("segment", "--ckpt", workspace / "run" / "checkpoint.npz", "--manifest", workspace / "val" / "manifest.tsv",
+                   "--level", "phoneme", "--out", tmp_path / "pred", "--prominence", value)
+    assert f"prominence must be >= 0 and finite, got {float(value)}" in one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_rejects_a_tolerance_that_is_not_finite_and_nonnegative(workspace, tmp_path, capsys, value):
+    refs_as_preds = {utt_id: audio.parse_alignment_file(phn)
+                     for utt_id, (_, phn, _) in audio.read_manifest(workspace / "val" / "manifest.tsv").items()}
+    infer.write_predictions(refs_as_preds, tmp_path / "pred", "phoneme")
+    code = run_cli("eval", "--pred", tmp_path / "pred", "--ref", workspace / "val" / "manifest.tsv",
+                   "--level", "phoneme", "--tol", value)
+    assert f"tolerance must be nonnegative and finite, got {float(value)}" in one_line_error(capsys, code)
+
+
+def test_tune_rejects_a_nan_tolerance(workspace, tmp_path, capsys):
+    code = run_cli("tune", "--ckpt", workspace / "run" / "checkpoint.npz", "--manifest", workspace / "val" / "manifest.tsv",
+                   "--level", "word", "--tol", "nan", "--out", tmp_path / "tuned")
+    assert "tolerance must be nonnegative and finite, got nan" in one_line_error(capsys, code)
+    assert not (tmp_path / "tuned").exists()
+
+
 def test_eval_of_references_scores_perfectly(workspace, capsys):
     refs_as_preds = {utt_id: audio.parse_alignment_file(phn)
                      for utt_id, (_, phn, _) in audio.read_manifest(workspace / "val" / "manifest.tsv").items()}
@@ -260,6 +301,14 @@ def set_version(value):
     return lambda arrays: arrays.update({"format_version": np.asarray(value)})
 
 
+def pickled_reference_ctx_b(arrays):
+    # The committed reference checkpoint with one entry numpy loads only by unpickling.
+    with np.load(Path(__file__).resolve().parents[1] / "bench" / "reference" / "checkpoint.npz") as ref:
+        arrays.clear()
+        arrays.update(ref)
+    arrays["param/ctx_b"] = arrays["param/ctx_b"].astype(object)
+
+
 VERSION_MISMATCH = "bad.npz: checkpoint format version mismatch (found {}, expected the 0-d integer 1)"
 
 
@@ -271,7 +320,9 @@ VERSION_MISMATCH = "bad.npz: checkpoint format version mismatch (found {}, expec
     (set_version(1.5), VERSION_MISMATCH.format("1.5")),
     (set_version(True), VERSION_MISMATCH.format("True")),
     (lambda a: a.pop("format_version"), VERSION_MISMATCH.format("None")),
-], ids=["unknown_model_key", "no_config_json", "version_shape_2", "version_string", "version_float", "version_bool", "no_version"])
+    (pickled_reference_ctx_b, "bad.npz: unreadable checkpoint entry param/ctx_b (Object arrays cannot be loaded"),
+], ids=["unknown_model_key", "no_config_json", "version_shape_2", "version_string", "version_float", "version_bool", "no_version",
+        "object_array"])
 def test_bad_checkpoint_config_fails_in_one_line(workspace, tmp_path, capsys, edit, message):
     bad = tmp_path / "bad.npz"
     rewrite_checkpoint(workspace / "run" / "checkpoint.npz", bad, edit)
@@ -313,10 +364,12 @@ def test_bad_predictions_fail_in_one_line(workspace, tmp_path, capsys, line, fil
 
 @pytest.mark.parametrize("text, message", [
     ("epochs = 2\njust words\n", "bad.cfg:2: expected 'key = value'"),
-    ("epoch = 2\n", "bad.cfg: unknown config keys: epoch"),
+    ("epoch = 2\n", "bad.cfg: unknown keys: epoch"),
     ("lr = fast\n", "bad.cfg: config key 'lr': cannot parse"),
     ("lr = -1\n", "bad.cfg: lr must be positive"),
-], ids=["malformed", "unknown_key", "unparsable", "invalid"])
+    ("lr = nan\n", "bad.cfg: lr must be positive and finite, got nan"),
+    ("lr = inf\n", "bad.cfg: lr must be positive and finite, got inf"),
+], ids=["malformed", "unknown_key", "unparsable", "invalid", "nan_lr", "inf_lr"])
 def test_bad_config_fails_in_one_line_naming_the_file(workspace, tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -337,7 +390,7 @@ def test_sweep_single_point_table(workspace, tmp_path, capsys):
     code = run_cli("sweep", "--manifest", workspace / "train" / "manifest.tsv",
                    "--val", workspace / "val" / "manifest.tsv",
                    "--config", workspace / "train.cfg", "--out", tmp_path / "sweep",
-                   "--grid", "thres", "--values", "0.02")
+                   "--grid", "thres", "--values", "0.02", "--workers", 2)
     captured = capsys.readouterr()
     assert code == 0
     lines = [l for l in captured.out.splitlines() if l.strip()]
@@ -345,6 +398,13 @@ def test_sweep_single_point_table(workspace, tmp_path, capsys):
     assert len(lines) == 2
     table = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert len(table) == 1 and table[0]["value"] == 0.02
+
+
+def test_sweep_values_of_the_wrong_type_fail_in_one_line(workspace, tmp_path, capsys):
+    code = run_cli("sweep", "--manifest", workspace / "train" / "manifest.tsv", "--val", workspace / "val" / "manifest.tsv",
+                   "--config", workspace / "train.cfg", "--out", tmp_path / "sweep", "--grid", "nsc_epoch", "--values", "1,2.5")
+    assert "--values: cannot parse '1,2.5' as int points of grid nsc_epoch" in one_line_error(capsys, code)
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_tune_prints_and_writes(workspace, tmp_path, capsys):
@@ -428,3 +488,33 @@ def test_a_repeated_train_command_faults_in_almost_no_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     faults = [int(n) for n in proc.stdout.split()[-2:]]
     assert faults[1] < 500, f"minor faults per command: {faults}"
+
+
+# Options that no CLI call under tests/ passes, each with the reader that sets it.
+NO_TEST_CALLER: dict[str, str] = {}
+
+
+def test_every_cli_option_is_passed_by_some_test():
+    # A (subcommand, option) pair must appear in a run_cli, _run_cli or
+    # cli.main([...]) call under tests/ whose first literal is the
+    # subcommand, or be listed above: an option nothing sets goes.
+    passed = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("run_cli", "_run_cli"):
+                args = node.args
+            elif isinstance(func, ast.Attribute) and func.attr == "main" and getattr(func.value, "id", None) == "cli" \
+                    and node.args and isinstance(node.args[0], ast.List):
+                args = node.args[0].elts
+            else:
+                continue
+            literals = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            passed.update(f"{literals[0]} {a}" for a in literals[1:] if a.startswith("--"))
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [f"{name} {opt}" for name, p in subparsers.choices.items() for a in p._actions
+               if not isinstance(a, argparse._HelpAction) for opt in a.option_strings]
+    assert len(options) > 20
+    assert sorted(set(options) - passed) == sorted(NO_TEST_CALLER)

@@ -590,7 +590,6 @@ class TestConventions:
     # skipped whole: nothing calls them, so nothing passes their parameters.
     NO_MEMBER_CALLER = {
         "cli.main(argv)": "tests and the benchmark drive the CLI in-process",
-        "model.ModelConfig.sample_rate": "the checkpoint echo carries it, and committed checkpoints must keep loading",
         "audio.SynthSpec.words_per_utterance": "the benchmark and tests shorten utterances with it",
         "audio.SynthSpec.silence_prob": "a test turns silences on; its draw is part of every utterance's random stream",
         "trainer.TrainConfig.*": "resolve_config sets every field by name from the config file",

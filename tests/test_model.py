@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import warnings
 
 import numpy as np
@@ -108,8 +109,6 @@ class TestInit:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="thres"):
             model.ModelConfig(thres=1.5)
-        with pytest.raises(ValueError, match="16 kHz"):
-            model.ModelConfig(sample_rate=44100)
         with pytest.raises(ValueError, match="dims"):
             model.ModelConfig(frame_dim=0)
 
@@ -212,6 +211,20 @@ class TestCheckpoint:
         for name in m.params:
             np.testing.assert_array_equal(loaded.params[name], m.params[name])
         np.testing.assert_array_equal(extras_back["adam_m/seg_w1"], extras["adam_m/seg_w1"])
+
+    def test_other_sample_rate_rejected(self, tmp_path):
+        # The model echo ends with the one rate the encoder takes.
+        path = tmp_path / "ckpt.npz"
+        model.save_checkpoint(path, small_model())
+        with np.load(path, allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        echo = json.loads(str(payload["config_json"]))
+        assert list(echo["model"].items())[-1] == ("sample_rate", 16000)
+        echo["model"]["sample_rate"] = 44100
+        payload["config_json"] = np.asarray(json.dumps(echo))
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=r"ckpt.npz: checkpoint model takes sample_rate 44100; only 16000 Hz"):
+            model.load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         m = small_model()
