@@ -94,6 +94,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_segment(args) -> int:
     out = Path(args.out)
+    infer._check_prominence(args.prominence)
     profiles = _profile_manifest(args, audio.read_manifest(args.manifest))
     preds = {p.id: infer.predict(p, args.level, args.prominence) for p in profiles}
     infer.write_predictions(preds, out, args.level)
@@ -142,9 +143,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    metrics._check_tolerance(args.tol)
     rows = audio.read_manifest(args.manifest)
-    profiles = _profile_manifest(args, rows)
     refs, durations = audio.load_references(rows, args.level)
+    profiles = _profile_manifest(args, rows)
     result = infer.tune_prominence(profiles, refs, args.level, durations=durations, tolerance=args.tol)
     print(f"prominence {result.prominence:.2f}  r_value {metrics.format_pct(result.r_value)}")
     if args.out:

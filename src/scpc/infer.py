@@ -4,7 +4,10 @@ Phoneme boundaries are prominence-filtered peaks of the normalized
 dissimilarity between adjacent frame latents.  Word boundaries are peaks of
 the dissimilarity between each causal context state and the following
 segment latent, emitted at the end time of the segment the context has seen,
-which is where the phoneme rule places the same frame junction.
+which is where the phoneme rule places the same frame junction.  Both
+curves' peaks and prominences come from ``_find_peaks``, a numpy peak
+finder that returns what ``scipy.signal.find_peaks(curve, prominence=0)``
+does, bit for bit, without importing ``scipy.signal``.
 One ``predict(profile, level, prominence)`` serves both levels and every
 caller (``segment``, ``tune`` and validation); its result is a plain,
 strictly increasing float64 array of times in seconds.
@@ -23,7 +26,6 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import audio
 from . import diffcore as dc
@@ -127,6 +129,49 @@ def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[
     return list(group.map(_profile_item, entries, [os.path.getsize(wav) for wav, _ in entries], net, threads))
 
 
+def _find_peaks(curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and prominence of every peak of ``curve``, in float64, equal in
+    bytes to ``scipy.signal.find_peaks(curve, prominence=0)``.
+
+    A peak is an interior run of equal values strictly above the runs on
+    both sides, reported at its middle sample (rounded down).  On each side
+    its base is the minimum from the peak up to the nearest sample strictly
+    higher than the peak, or NaN, or the curve's end; its prominence is its
+    value minus the higher base.  The walk may stop at the nearest strictly
+    higher peak instead, as any dip below the base beyond the first higher
+    sample would leave a higher peak nearer still: one stack over the peaks
+    finds both stops, and one ``minimum.reduceat`` takes both minima.
+    """
+    x = np.asarray(curve, dtype=np.float64)
+    n = x.size
+    b = np.flatnonzero(x[1:] != x[:-1]) + 1   # where each run but the first starts
+    lo, hi = b[:-1], b[1:]                    # the interior runs, x[lo:hi]
+    top = x[lo]
+    run = np.flatnonzero((top > x[lo - 1]) & (top > x[hi]))
+    peaks = (lo[run] + hi[run] - 1) // 2
+    heights, pos = x[peaks].tolist(), peaks.tolist()
+    # Per peak, the first sample of its left walk and one past its right walk.
+    left, right = [0] * len(pos), [n] * len(pos)
+    stack: list[int] = []
+    for i, h in enumerate(heights):
+        while stack and heights[stack[-1]] < h:
+            right[stack.pop()] = pos[i]
+        if stack:
+            t = stack[-1]
+            left[i] = left[t] if heights[t] == h else pos[t] + 1
+        stack.append(i)
+    # Rows (left, peak + 1, peak, right): x[left:peak + 1] and x[peak:right].
+    bounds = np.empty((len(pos), 4), dtype=np.intp)
+    bounds[:, 0], bounds[:, 1], bounds[:, 2], bounds[:, 3] = left, peaks + 1, peaks, right
+    gaps = np.flatnonzero(np.isnan(x))
+    if gaps.size:   # a walk also stops at a NaN
+        k = np.searchsorted(gaps, peaks)
+        np.maximum(bounds[:, 0], np.concatenate(([-1], gaps))[k] + 1, out=bounds[:, 0])
+        np.minimum(bounds[:, 3], np.concatenate((gaps, [n]))[k], out=bounds[:, 3])
+    mins = np.minimum.reduceat(np.concatenate((x, [0.0])), bounds.ravel())   # the pad makes index n valid
+    return peaks, x[peaks] - np.maximum(mins[0::4], mins[2::4])
+
+
 def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarray]:
     """Time (s) and prominence of every peak of one level's score curve.
 
@@ -138,25 +183,29 @@ def _peaks(profile: UtteranceProfile, level: str) -> tuple[np.ndarray, np.ndarra
       of segment t + 1: the phoneme rule's time for the junction between
       frames e - 1 and e.  Fewer than three segments give at most two
       scores, which hold no interior peak.
-    Both arrays are strictly increasing.  ``find_peaks(curve,
-    prominence=p)`` returns exactly the peaks whose prominence is >= p, so
-    these serve every prominence.
+    Both arrays are strictly increasing.  ``_find_peaks`` returns every
+    peak with its prominence, and the boundaries at prominence p are the
+    peaks whose prominence is >= p, so these serve every prominence.
     """
     if level == "phoneme":
-        idx, props = find_peaks(profile.dissimilarity, prominence=0)
+        idx, prominences = _find_peaks(profile.dissimilarity)
         times = (idx + 1) * model.FRAME_HOP_S
     elif level == "word":
-        idx, props = find_peaks(profile.word_scores, prominence=0)
+        idx, prominences = _find_peaks(profile.word_scores)
         times = profile.segment_ends[idx] * model.FRAME_HOP_S
     else:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    return times.astype(np.float64), props["prominences"]
+    return times.astype(np.float64), prominences
+
+
+def _check_prominence(prominence: float) -> None:
+    if not 0 <= prominence < np.inf:
+        raise ValueError(f"prominence must be >= 0 and finite, got {prominence}")
 
 
 def predict(profile: UtteranceProfile, level: str, prominence: float = DEFAULT_PROMINENCE) -> np.ndarray:
     """Boundary times (s) of the ``level`` peaks whose prominence is >= ``prominence``."""
-    if not 0 <= prominence < np.inf:
-        raise ValueError(f"prominence must be >= 0 and finite, got {prominence}")
+    _check_prominence(prominence)
     times, prominences = _peaks(profile, level)
     return times[prominences >= prominence]
 

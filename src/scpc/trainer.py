@@ -400,17 +400,14 @@ def sweep(
     if grid_name not in SWEEP_GRIDS:
         raise ValueError(f"grid must be one of {sorted(SWEEP_GRIDS)}, got {grid_name!r}")
     grid = SWEEP_GRIDS[grid_name] if values is None else tuple(values)
+    field, tag = ("thres", "thres_{:.2f}") if grid_name == "thres" else ("add_nsc_epoch", "nsc_epoch_{}")
+    # Every point's config is built, and so checked, before the first trains.
+    configs = [dataclasses.replace(base_config, **{field: value}) for value in grid]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in grid:
-        if grid_name == "thres":
-            config = dataclasses.replace(base_config, thres=value)
-            tag = f"thres_{value:.2f}"
-        else:
-            config = dataclasses.replace(base_config, add_nsc_epoch=value)
-            tag = f"nsc_epoch_{value}"
-        result = train(manifest_path, config, out / tag, val_manifest_path, workers=workers)
+    for value, config in zip(grid, configs):
+        result = train(manifest_path, config, out / tag.format(value), val_manifest_path, workers=workers)
         last = result.history[-1]
         rows.append({
             "param": grid_name,

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ import pytest
 from scpc import audio
 from scpc import cli
 from scpc import infer
+from scpc import trainer
 
 TINY_CONFIG = """
 batch_size = 4
@@ -202,6 +204,39 @@ def test_tune_rejects_a_nan_tolerance(workspace, tmp_path, capsys):
                    "--level", "word", "--tol", "nan", "--out", tmp_path / "tuned")
     assert "tolerance must be nonnegative and finite, got nan" in one_line_error(capsys, code)
     assert not (tmp_path / "tuned").exists()
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Arguments of every ``infer.profile_corpus`` call, which does no work."""
+    calls = []
+    monkeypatch.setattr(infer, "profile_corpus", lambda *a, **k: calls.append(a) or [])
+    return calls
+
+
+def test_segment_checks_the_prominence_before_profiling(workspace, tmp_path, capsys, profile_calls):
+    code = run_cli("segment", "--ckpt", workspace / "run" / "checkpoint.npz", "--manifest", workspace / "val" / "manifest.tsv",
+                   "--level", "phoneme", "--out", tmp_path / "pred", "--prominence", "nan")
+    assert "prominence must be >= 0 and finite, got nan" in one_line_error(capsys, code)
+    assert profile_calls == []
+
+
+def test_tune_checks_the_tolerance_before_profiling(workspace, tmp_path, capsys, profile_calls):
+    code = run_cli("tune", "--ckpt", workspace / "run" / "checkpoint.npz", "--manifest", workspace / "val" / "manifest.tsv",
+                   "--level", "word", "--tol", "nan")
+    assert "tolerance must be nonnegative and finite, got nan" in one_line_error(capsys, code)
+    assert profile_calls == []
+
+
+def test_tune_reads_its_references_before_profiling(workspace, tmp_path, capsys, profile_calls):
+    data = tmp_path / "val"
+    shutil.copytree(workspace / "val", data)
+    _, phn, _ = next(iter(audio.read_manifest(data / "manifest.tsv").values()))
+    phn.write_text(phn.read_text() + "12 x\n")
+    code = run_cli("tune", "--ckpt", workspace / "run" / "checkpoint.npz", "--manifest", data / "manifest.tsv",
+                   "--level", "phoneme")
+    assert f"{phn}:" in one_line_error(capsys, code)
+    assert profile_calls == []
 
 
 def test_eval_of_references_scores_perfectly(workspace, capsys):
@@ -405,6 +440,16 @@ def test_sweep_values_of_the_wrong_type_fail_in_one_line(workspace, tmp_path, ca
                    "--config", workspace / "train.cfg", "--out", tmp_path / "sweep", "--grid", "nsc_epoch", "--values", "1,2.5")
     assert "--values: cannot parse '1,2.5' as int points of grid nsc_epoch" in one_line_error(capsys, code)
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_checks_every_point_before_training(workspace, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "train", lambda *a, **k: calls.append(a))
+    code = run_cli("sweep", "--manifest", workspace / "train" / "manifest.tsv", "--val", workspace / "val" / "manifest.tsv",
+                   "--config", workspace / "train.cfg", "--out", tmp_path / "sweep", "--grid", "thres", "--values", "0.05,2")
+    assert "thres must be in [0, 1], got 2.0" in one_line_error(capsys, code)
+    assert calls == []
+    assert not (tmp_path / "sweep" / "thres_0.05").exists()
 
 
 def test_tune_prints_and_writes(workspace, tmp_path, capsys):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from scpc import audio
 from scpc import infer
@@ -55,6 +60,52 @@ def test_predicted_boundaries_must_increase(curve, gaps, lo, hi):
             assert times.dtype == np.float64
             assert np.all(np.diff(times) > 0)
         assert np.isin(high, low).all()
+
+
+def assert_peaks_match_scipy(curve: np.ndarray) -> None:
+    # scipy's find_peaks is the oracle: equal dtypes and equal bytes.
+    idx, prominences = infer._find_peaks(curve)
+    want_idx, props = find_peaks(curve, prominence=0)
+    want = props["prominences"]
+    assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes(), (curve, idx, want_idx)
+    assert prominences.dtype == want.dtype and prominences.tobytes() == want.tobytes(), (curve, prominences, want)
+
+
+# Few integer levels give plateaus and ties; the specials cover signed
+# zeros, infinities and NaN, where a base walk stops.
+peak_values = st.one_of(
+    st.integers(0, 3).map(float),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+@given(st.lists(peak_values, max_size=60), st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=1000, deadline=None)
+def test_find_peaks_equals_scipy_in_bytes(values, dtype):
+    assert_peaks_match_scipy(np.array(values, dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("values", [
+    [], [1.0], [0.0, 1.0], [1.0, 1.0],                      # lengths 0 to 2
+    [0.5] * 7, list(range(9)), list(range(9, 0, -1)),       # constant and monotone
+    [2.0, 2.0, 0.0, 1.0, 1.0, 0.0, 2.0, 2.0],               # edge plateaus around an interior one
+    [0.0, 1.0, 1.0], [1.0, 1.0, 0.0],                       # a plateau at either end is no peak
+    [0.0, 3.0, 1.0, 3.0, 1.0, 3.0, 0.0],                    # tied peaks: the walk passes through them
+    [0.0, 2.0, 2.0, 2.0, 2.0, 0.0],                         # even plateau: its middle rounds down
+    [1.0, 0.0, 2.0, np.nan, 3.0, 1.0, 2.0, 0.0],            # NaN ends a walk
+])
+def test_find_peaks_equals_scipy_on_named_shapes(values, dtype):
+    assert_peaks_match_scipy(np.array(values, dtype=dtype))
+
+
+def test_no_scpc_process_loads_scipy_signal():
+    src = Path(infer.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", "import sys, scpc.cli; print('scipy.signal' in sys.modules)"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_single_peak_lands_at_20ms():
