@@ -126,6 +126,7 @@ def _cmd_sweep(args) -> int:
         values = tuple(kind(v) for v in args.values.split(",")) if args.values else None
     except ValueError:
         raise ValueError(f"--values: cannot parse {args.values!r} as {kind.__name__} points of grid {args.grid}") from None
+    trainer.sweep_points(config, args.grid, values)   # a grid that fails its check writes nothing
     _echo_config(out, {"command": "sweep", "grid": args.grid, "values": values,
                        "manifest": str(args.manifest), "val": str(args.val),
                        "workers": args.workers, "config": dataclasses.asdict(config)})

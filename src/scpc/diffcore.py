@@ -10,7 +10,9 @@ drops the vjps.  Only the ops the pipeline calls live here: the fused
 encoder layer, the cosine, the segment pooling and the context scan; the
 boundary detector's op, the segment MLP and the loss return their vjps from
 their own modules.  Shapes are validated eagerly and mismatches raise with both
-offending shapes in the message.
+offending shapes in the message.  A vjp owns the gradient it is handed and may
+overwrite it (see :class:`Tape`), and returns each gradient at its input's
+shape.
 
 Conventions:
 
@@ -50,6 +52,10 @@ class Tape:
     :meth:`backward` pops each stage as it replays it, freeing its arrays,
     so a tape is replayed once.  Confine each tape to one thread; a vjp may
     fan out to helper threads (``parallel.fan_out``) joined before it returns.
+
+    Ownership: backward hands each vjp a gradient no other live array
+    shares, and the vjp may overwrite it.  So a vjp returns arrays sharing
+    memory with nothing still live, bar its incoming gradient passed on whole.
     """
 
     def __init__(self) -> None:
@@ -114,7 +120,8 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, thr
     ``bias`` (c_out,); the result has shape (1 + (t - k) // stride, c_out).
     No padding is applied to the convolution.  The vjp returns the input,
     weight and bias gradients; the input's is None unless ``grad_input``,
-    which raw audio does not need.
+    which raw audio does not need.  The vjp masks the gradient it is handed
+    in place (the tape's ownership rule), so backward holds one copy of it.
 
     Polyphase form: with m = ceil(k / stride), the first
     (t_out + m - 1) * stride input rows are viewed, without a copy, as a
@@ -172,11 +179,10 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, thr
 
     parallel.fan_out(forward, len(runs))
 
-    def vjp(g_out):
-        # relu: out > 0 exactly where the pre-activation is
-        g = np.empty_like(g_out)
+    def vjp(g):
+        # relu: out > 0 exactly where the pre-activation is; g is the vjp's own, so masked in place
         spans = [slice(r.start, r.stop) for r in runs]
-        parallel.fan_out(lambda q: np.multiply(g_out[spans[q]], out[spans[q]] > 0, out=g[spans[q]]), len(spans))
+        parallel.fan_out(lambda q: np.multiply(g[spans[q]], out[spans[q]] > 0, out=g[spans[q]]), len(spans))
         gwb = np.empty((m, stride * c_in, c_out), out.dtype)
         gb = []
         n_gw = min(threads, m)
@@ -188,9 +194,6 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, thr
                 np.matmul(xb[j : j + t_out].T, g, out=gwb[j])
 
         parallel.fan_out(weight_grad, n_gw)
-        # Freed before the input gradient, which masks a block at a time, so
-        # the peak never holds it together with one product per thread.
-        del g
         gx = None
         if grad_input:
             gx = np.zeros((max(n, t), c_in), out.dtype)
@@ -202,7 +205,7 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, thr
                 run = gx_runs[q]
                 own = run.start + m - 1 if q else 0   # the first row no earlier run reaches
                 for i in run:
-                    gi = g_out[i : i + run.step] * (out[i : i + run.step] > 0)
+                    gi = g[i : i + run.step]
                     for j in range(m):
                         _add_rows(gxb, i + j, gi @ wb[j].T, own, seams[q])
 
@@ -227,9 +230,10 @@ COS_EPS = 1e-8
 def cosine(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Callable]:
     """Cosine similarity of ``a`` and ``b`` along their last axis, broadcast
     over the leading ones: float64 dot products, ``COS_EPS`` in the
-    denominator, an exactly zero vector rejected.  The vjp returns the two
-    gradients at the broadcast shape; a caller sums over any axis it
-    broadcast.
+    denominator, an exactly zero vector rejected.  The vjp returns each
+    gradient at its input's shape: an input broadcast along an axis gets
+    the float64 sum over that axis, taken before the other input's
+    gradient is formed, so only one broadcast-shaped gradient is held.
     """
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
@@ -239,10 +243,16 @@ def cosine(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Callable]:
     dot = (a * b).sum(axis=-1, dtype=np.float64).astype(dt)
     denom = (na * nb + COS_EPS).astype(dt)
 
+    def grad(gc, sc, x, y, nx, ny):   # of x, summed over its broadcast axes in float64
+        gx = gc * y
+        gx -= sc * (ny / nx)[..., None] * x
+        axes = tuple(i for i, n in enumerate((1,) * (gx.ndim - x.ndim) + x.shape) if n < gx.shape[i])
+        return gx.sum(axis=axes, dtype=np.float64).reshape(x.shape).astype(dt) if axes else gx
+
     def vjp(g):
         gc = (g / denom)[..., None]
         sc = (g * dot / denom**2)[..., None]
-        return gc * b - sc * (nb / na)[..., None] * a, gc * a - sc * (na / nb)[..., None] * b
+        return grad(gc, sc, a, b, na, nb), grad(gc, sc, b, a, nb, na)   # a's summed before b's exists
 
     return dot / denom, vjp
 

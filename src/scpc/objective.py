@@ -82,7 +82,7 @@ def _successor_loss(sources: np.ndarray, pool: np.ndarray, k: int, rng: np.rando
         p[:, 0] -= 1
         ga, gb = cos_vjp(p * np.full_like(losses, g / losses.size)[:, None])   # of the logits
         g_sources = np.zeros_like(sources)
-        g_sources[: n - 1] = ga.sum(axis=1, dtype=np.float64)
+        g_sources[: n - 1] = ga[:, 0]
         gb = gb.reshape(table.size, -1)
         select = scipy.sparse.csr_array((np.ones(table.size, gb.dtype), (table.ravel(), np.arange(table.size))), shape=(n, table.size))
         return g_sources, select @ gb

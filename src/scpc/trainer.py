@@ -42,6 +42,7 @@ __all__ = [
     "resolve_config",
     "load_dataset",
     "train",
+    "sweep_points",
     "sweep",
 ]
 
@@ -279,20 +280,7 @@ def train(
     next.  Validation profiles on the same processes and threads.
     """
     processes, threads = parallel.split_cores(workers, config.batch_size)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    items = list(load_dataset(manifest_path).items())
-    if len(items) < config.batch_size:
-        raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
-    min_samples = model.RECEPTIVE_FIELD + (config.k_frame + 1) * model.TOTAL_STRIDE   # the k_frame + 2 frames NFC needs
-    if all(samples.size < min_samples for _, samples in items):
-        raise ValueError(f"{manifest_path}: no utterance is long enough to train on; "
-                         f"k_frame={config.k_frame} needs at least {min_samples} samples")
-    # Validation holds only annotations; profile_corpus streams its audio each epoch.
-    val_rows = audio.read_manifest(val_manifest_path) if val_manifest_path else {}
-    val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in val_rows.items()]
-    val_refs = {level: audio.load_references(val_rows, level) for level in infer.LEVELS}
-
+    # A resume is checked in full before any audio is read.
     if resume_from is not None:
         net, extras, echoed = model.load_checkpoint(resume_from)
         if not isinstance(echoed, dict):   # None when no training run wrote it
@@ -317,6 +305,20 @@ def train(
         net = model.SCPCModel.init(model.ModelConfig(config.frame_dim, config.segment_dim, config.thres), seed=config.seed)
         start_epoch = 0
         state = _OptState(0, {k: np.zeros_like(p) for k, p in net.params.items()}, {k: np.zeros_like(p) for k, p in net.params.items()})
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    items = list(load_dataset(manifest_path).items())
+    if len(items) < config.batch_size:
+        raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
+    min_samples = model.RECEPTIVE_FIELD + (config.k_frame + 1) * model.TOTAL_STRIDE   # the k_frame + 2 frames NFC needs
+    if all(samples.size < min_samples for _, samples in items):
+        raise ValueError(f"{manifest_path}: no utterance is long enough to train on; "
+                         f"k_frame={config.k_frame} needs at least {min_samples} samples")
+    # Validation holds only annotations; profile_corpus streams its audio each epoch.
+    val_rows = audio.read_manifest(val_manifest_path) if val_manifest_path else {}
+    val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in val_rows.items()]
+    val_refs = {level: audio.load_references(val_rows, level) for level in infer.LEVELS}
 
     params = dict(net.params)
     ckpt_path = out / "checkpoint.npz"
@@ -383,6 +385,15 @@ def train(
 
 # ----------------------------------------------------------------- sweeps
 
+def sweep_points(base_config: TrainConfig, grid_name: str, values: tuple | None = None) -> list[tuple[object, TrainConfig]]:
+    """(value, config) for each point of the grid ``grid_name``, its
+    reference points unless ``values``; building each config checks it."""
+    if grid_name not in SWEEP_GRIDS:
+        raise ValueError(f"grid must be one of {sorted(SWEEP_GRIDS)}, got {grid_name!r}")
+    field = "thres" if grid_name == "thres" else "add_nsc_epoch"
+    return [(value, dataclasses.replace(base_config, **{field: value})) for value in (SWEEP_GRIDS[grid_name] if values is None else values)]
+
+
 def sweep(
     manifest_path: str | Path,
     val_manifest_path: str | Path,
@@ -392,21 +403,18 @@ def sweep(
     values: tuple | None = None,
     workers: int = 1,
 ) -> list[dict]:
-    """One full train+eval per grid point, same seed and data throughout.
+    """One full train+eval per grid point, same seed and data throughout;
+    every point is checked (``sweep_points``) before the first trains.
 
     Rows carry the final epoch's validation R-values and the mean number of
     training-time segments per utterance; the table lands in ``sweep.json``.
     """
-    if grid_name not in SWEEP_GRIDS:
-        raise ValueError(f"grid must be one of {sorted(SWEEP_GRIDS)}, got {grid_name!r}")
-    grid = SWEEP_GRIDS[grid_name] if values is None else tuple(values)
-    field, tag = ("thres", "thres_{:.2f}") if grid_name == "thres" else ("add_nsc_epoch", "nsc_epoch_{}")
-    # Every point's config is built, and so checked, before the first trains.
-    configs = [dataclasses.replace(base_config, **{field: value}) for value in grid]
+    points = sweep_points(base_config, grid_name, values)
+    tag = "thres_{:.2f}" if grid_name == "thres" else "nsc_epoch_{}"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, config in zip(grid, configs):
+    for value, config in points:
         result = train(manifest_path, config, out / tag.format(value), val_manifest_path, workers=workers)
         last = result.history[-1]
         rows.append({

@@ -450,6 +450,8 @@ def test_sweep_checks_every_point_before_training(workspace, tmp_path, capsys, m
     assert "thres must be in [0, 1], got 2.0" in one_line_error(capsys, code)
     assert calls == []
     assert not (tmp_path / "sweep" / "thres_0.05").exists()
+    assert not (tmp_path / "sweep" / "config_resolved.json").exists()
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_tune_prints_and_writes(workspace, tmp_path, capsys):

@@ -255,6 +255,28 @@ class TestConv1dGrads:
         assert gx.shape == (t, c) and gw.shape == (c, c, k)
         assert peak < t_out * c * k * 4, f"peak {peak} bytes"
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_conv1d_backward_masks_its_gradient_in_place(self, threads):
+        # Encoder layer 0 on 15 s of audio, whose input needs no gradient:
+        # the vjp owns the gradient it is handed (the tape's rule) and masks
+        # it in place, so it allocates no second gradient-sized array; the
+        # relu mask, one byte per element, is a quarter of one.
+        k, stride = model.KERNELS[0], model.STRIDES[0]
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((15 * 16000, 1)).astype(np.float32)
+        w = (rng.standard_normal((64, 1, k)) / np.sqrt(k)).astype(np.float32)
+        out, vjp = dc.conv1d(x, w, np.full(64, 0.01, np.float32), stride, threads=threads, grad_input=False)
+        assert out.shape[0] >= dc._THREAD_ROWS and 0 < np.count_nonzero(out) < out.size
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            gx, _, _ = vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx is None
+        assert peak < g.nbytes / 2, f"peak {peak / g.nbytes:.2f} x the incoming gradient"
+
     # t_out of one row block, of several, and of whole blocks plus a one-row
     # tail (1025 = 2 * 512 = 8 * 128 = 4 * 256, plus 1), which OpenBLAS
     # multiplies on its one-row path.  Every encoder layer has m = 2, where
@@ -375,23 +397,26 @@ class TestCosineGrads:
 
     def test_broadcast_over_leading_axes(self):
         # The losses' shape: one anchor row against k + 1 candidate rows.
-        # Each gradient comes at the broadcast shape; the anchor's sums over
+        # Each gradient comes at its input's shape; the anchor's sums over
         # its candidates.
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal((4, 1, 3)), rng.standard_normal((4, 5, 3))
         value, vjp = dc.cosine(a, b)
         g = rng.standard_normal((4, 5))
         g_a, g_b = vjp(g)
-        assert value.shape == (4, 5) and g_a.shape == g_b.shape == (4, 5, 3)
-        for i, j in [(0, 0), (3, 4)]:
-            row, row_vjp = dc.cosine(a[i, 0], b[i, j])
-            assert row == pytest.approx(value[i, j], abs=1e-15)
-            ra, rb = row_vjp(g[i, j])
-            np.testing.assert_allclose(g_a[i, j], ra, rtol=1e-12)
-            np.testing.assert_allclose(g_b[i, j], rb, rtol=1e-12)
+        assert value.shape == (4, 5) and g_a.shape == (4, 1, 3) and g_b.shape == (4, 5, 3)
+        for i in (0, 3):
+            row_a = np.zeros(3)
+            for j in range(5):
+                row, row_vjp = dc.cosine(a[i, 0], b[i, j])
+                assert row == pytest.approx(value[i, j], abs=1e-15)
+                ra, rb = row_vjp(g[i, j])
+                np.testing.assert_allclose(g_b[i, j], rb, rtol=1e-12)
+                row_a += ra
+            np.testing.assert_allclose(g_a[i, 0], row_a, rtol=1e-12)
         f = lambda arrs: float((dc.cosine(*arrs)[0] * g).sum())
         num_a, num_b = numeric_grad(f, [a, b])
-        assert rel_err(g_a.sum(axis=1, keepdims=True), num_a) <= GRAD_TOL
+        assert rel_err(g_a, num_a) <= GRAD_TOL
         assert rel_err(g_b, num_b) <= GRAD_TOL
 
     def test_known_values(self):

@@ -200,6 +200,29 @@ def test_resume_rejects_changed_math(corpus, tmp_path):
         trainer.train(corpus[0], dataclasses.replace(TINY, epochs=1), tmp_path / "c", resume_from=partial.checkpoint)
 
 
+def _without_extra(run, tmp_path, name):
+    """A copy of ``run``'s checkpoint without the optimizer-state array ``name``."""
+    with np.load(run.checkpoint) as data:
+        arrays = {k: a for k, a in data.items() if k != f"extra/{name}"}
+    path = tmp_path / "no_state.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("epochs, lr, drop, message", [
+    (4, 0.5, None, "resume config differs from checkpoint on: lr"),
+    (4, TINY.lr, "adam_t", "optimizer state extra/adam_t is missing"),
+    (3, TINY.lr, None, "checkpoint already covers 3 epochs"),
+], ids=["config", "optimizer-state", "epochs"])
+def test_resume_fails_before_reading_audio(run, corpus, tmp_path, monkeypatch, epochs, lr, drop, message):
+    ckpt = run.checkpoint if drop is None else _without_extra(run, tmp_path, drop)
+    reads, load_wav = [], audio.load_wav
+    monkeypatch.setattr(audio, "load_wav", lambda path: (reads.append(path), load_wav(path))[1])
+    with pytest.raises(ValueError, match=message):
+        trainer.train(corpus[0], dataclasses.replace(TINY, epochs=epochs, lr=lr), tmp_path / "a", corpus[1], resume_from=ckpt)
+    assert reads == []
+
+
 @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("beta1", 0.9)], ids=["optimizer", "beta1"])
 def test_resume_rejects_unknown_config_keys(run, corpus, tmp_path, capsys, key, value):
     # Keys that checkpoints of older builds carry.
@@ -322,17 +345,25 @@ def test_one_process_folds_each_gradient_before_the_next_step(tmp_path):
     assert peaks[8] - peaks[1] < gradient, f"peaks {peaks}, one gradient {gradient} bytes"
 
 
-def test_a_training_step_peaks_below_3_mb_per_audio_second():
+def _long_samples(seconds):
+    """``seconds`` of synthetic speech, utterances joined end to end."""
+    spec = audio.default_spec(seed=0)
+    samples = np.concatenate([u.waveform.samples for u in audio.generate_corpus(spec, 4 * seconds)])[: seconds * 16000]
+    assert samples.size == seconds * 16000
+    return samples
+
+
+def test_a_training_step_peaks_below_2_3_mb_per_audio_second():
     # One 20 s step with the segment loss on, one thread: the traced peak,
     # activations held for backward and the gradients together, grows
-    # linearly with length.  It reads 2.60 MB per audio second, as backward
-    # frees each stage once replayed (3.68 while the tape held every stage
-    # until it finished); a vjp that kept a buffer alive by mistake would
-    # push it up.
+    # linearly with length.  It reads 2.11 MB per audio second, as backward
+    # frees each stage once replayed and each vjp overwrites the gradient it
+    # owns instead of copying it (2.60 while the conv vjp masked a copy and
+    # the cosine vjp returned broadcast-shaped gradients, 3.68 while the
+    # tape held every stage until it finished); a vjp that kept a buffer
+    # alive by mistake would push it up.
     net = model.SCPCModel.init(model.ModelConfig(), seed=0)
-    spec = audio.default_spec(seed=0)
-    samples = np.concatenate([u.waveform.samples for u in audio.generate_corpus(spec, 80)])[: 20 * 16000]
-    assert samples.size == 20 * 16000
+    samples = _long_samples(20)
     tracemalloc.start()
     try:
         grads, report, _ = trainer._utterance_step(net.params, samples, trainer.TrainConfig(), True, np.random.default_rng(0), 1)
@@ -340,7 +371,32 @@ def test_a_training_step_peaks_below_3_mb_per_audio_second():
     finally:
         tracemalloc.stop()
     assert grads is not None and report.nsc is not None
-    assert peak / 2**20 / 20 <= 3.0, f"peak {peak / 2**20:.1f} MB for 20 s"
+    assert peak / 2**20 / 20 <= 2.3, f"peak {peak / 2**20:.1f} MB for 20 s"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_vjps_may_overwrite_the_gradients_they_are_handed(threads, monkeypatch):
+    # The tape's ownership rule: each vjp is handed a gradient no other live
+    # array shares, so overwriting it (as the conv vjp masks it in place)
+    # changes nothing else.  A step whose vjps each get a private copy gives
+    # the same bytes; a vjp that returned an array aliasing another gradient
+    # would let a later overwrite reach that gradient and break the match.
+    net = model.SCPCModel.init(model.ModelConfig(), seed=0)
+    short = audio.generate_utterance(audio.default_spec(seed=0), 3).waveform.samples
+    for samples in (short, _long_samples(15)):
+        def step():
+            grads, report, _ = trainer._utterance_step(net.params, samples, trainer.TrainConfig(), True, np.random.default_rng(0), threads)
+            assert report.nsc is not None
+            return {k: g.tobytes() for k, g in grads.items()}
+
+        shared = step()
+        record = dc.Tape.record
+        with monkeypatch.context() as mp:
+            mp.setattr(dc.Tape, "record", lambda self, reads, writes, vjp: record(self, reads, writes, lambda g: vjp(g.copy())))
+            private = step()
+        assert shared.keys() == private.keys() == net.params.keys()
+        for k in shared:
+            assert shared[k] == private[k], k
 
 
 # ------------------------------------------------------- one training step
