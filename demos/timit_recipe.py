@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scpc import audio, cli
+from scpc import audio, cli, metrics
 
 
 def find_split(root: Path, name: str) -> Path:
@@ -96,7 +96,8 @@ def main() -> None:
         run("eval", "--pred", out / f"pred_{level}", "--ref", out / "test.tsv",
             "--level", level, "--out", out / f"eval_{level}")
         report = json.loads((out / f"eval_{level}" / "eval.json").read_text())
-        print(f"{level}: F1 {report['f1'] * 100:.2f}  R-value {report['r_value'] * 100:.2f}")
+        # r_value is null when no prediction hits; format_pct prints it as n/a
+        print(f"{level}: F1 {metrics.format_pct(report['f1'])}  R-value {metrics.format_pct(report['r_value'])}")
 
 
 if __name__ == "__main__":

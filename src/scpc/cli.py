@@ -79,6 +79,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     config = trainer.resolve_config(args.config)
+    if args.resume:
+        trainer._resume(args.resume, config)   # a failed resume leaves --out as it was
     out = Path(args.out)
     _echo_config(out, {"command": "train", "manifest": str(args.manifest), "val": args.val and str(args.val),
                        "workers": args.workers, "resume": args.resume and str(args.resume),

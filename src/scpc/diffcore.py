@@ -103,16 +103,6 @@ def _runs(n_rows: int, rows: int, threads: int) -> list[range]:
     return [starts[q * len(starts) // n : (q + 1) * len(starts) // n] for q in range(n)]
 
 
-def _add_rows(buf: np.ndarray, row: int, p: np.ndarray, own: int, held: list) -> None:
-    """``buf[row : row + len(p)] += p``, except that the rows of ``p`` that
-    land before row ``own`` are appended to ``held`` for the caller to add.
-    A product passed straight in is freed on return, before the next one."""
-    cut = min(max(own - row, 0), p.shape[0])
-    if cut:
-        held.append((row, p[:cut].copy()))
-    buf[row + cut : row + p.shape[0]] += p[cut:]
-
-
 def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, threads: int = 1, grad_input: bool = True) -> tuple[np.ndarray, Callable]:
     """One encoder layer: relu of a valid-mode strided 1-D convolution plus bias.
 
@@ -129,19 +119,21 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, thr
     from k to m * stride taps, as m blocks W_j of shape (stride * c_in,
     c_out).  The output is relu(sum_j X[j : j + t_out] @ W_j + b).  Backward
     is m GEMMs X[j : j + t_out].T @ g for the weight gradient, returned as a
-    (c_out, c_in, k) view of their blocks, and m products g @ W_j.T added
-    into rows j .. j + t_out of a zeroed buffer of X's shape, which is
-    returned as the (t, c_in) input gradient.  When k is not a multiple of
-    the stride, the padded taps can reach past the input, which is then
-    zero-padded to match.  The forward sums over m GEMMs, so it is not
+    (c_out, c_in, k) view of their blocks, and the input gradient, a zeroed
+    buffer of X's shape returned as (t, c_in), in gather form: a block of
+    rows at a time, row r sums g[r - j] @ W_j.T over the taps j.  OpenBLAS
+    rounds a product of a few rows apart from the same rows in a longer one,
+    so g's last row block is multiplied on its own, and with m <= 2 taps the
+    bits are those of scattering g's blocks times each W_j.  When k is not a
+    multiple of the stride, the padded taps can reach past the input, which
+    is then zero-padded.  The forward sums m GEMMs, so it is not
     bit-identical to one GEMM over the (t_out, c_in * k) window matrix.
 
     ``threads`` > 1 spreads the work over that many threads once the output
     has ``_THREAD_ROWS`` rows, every result bit-identical to one thread's:
-    every GEMM keeps its operands and row count (OpenBLAS rounds a one-row
-    product differently), the row blocks
-    are dealt into contiguous runs, and the input-gradient rows where two
-    runs meet are summed after the join in the one-thread order.
+    the row blocks are dealt into contiguous runs, every GEMM keeps its
+    operands and row count, and each input-gradient row is summed by the
+    one thread that owns its block.
     """
     if x.ndim != 2 or weight.ndim != 3 or weight.shape[1] != x.shape[1] or bias.shape != weight.shape[:1]:
         raise ValueError(f"conv1d: expected (t, c_in), (c_out, c_in, k) and (c_out,), got {x.shape}, {weight.shape} and {bias.shape}")
@@ -198,21 +190,19 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, thr
         if grad_input:
             gx = np.zeros((max(n, t), c_in), out.dtype)
             gxb = gx[:n].reshape(t_out + m - 1, stride * c_in)
-            gx_runs = _runs(t_out, max(1, _CONV_BLOCK // (stride * c_in)), threads)
-            seams = [[] for _ in gx_runs]
+            rows = max(1, _CONV_BLOCK // (stride * c_in))
+            tail = (t_out - 1) // rows * rows   # g's last block, multiplied on its own
+            gx_runs = _runs(max(tail, 1), rows, threads)
 
-            def input_grad(q):
-                run = gx_runs[q]
-                own = run.start + m - 1 if q else 0   # the first row no earlier run reaches
-                for i in run:
-                    gi = g[i : i + run.step]
+            def input_grad(q):   # gxb row r sums g[r - j] @ W_j.T over the taps j
+                for i in gx_runs[q]:
+                    stop = i + rows if i + rows < tail else t_out + m - 1
                     for j in range(m):
-                        _add_rows(gxb, i + j, gi @ wb[j].T, own, seams[q])
+                        for lo, hi in ((max(i - j, 0), min(stop - j, tail)), (max(i - j, tail), min(stop - j, t_out))):
+                            if lo < hi:
+                                gxb[lo + j : hi + j] += g[lo:hi] @ wb[j].T
 
             parallel.fan_out(input_grad, len(gx_runs))
-            for held in seams:   # after every run, in the one-thread order
-                for r, p in held:
-                    gxb[r : r + p.shape[0]] += p
             gx = gx[:t]
         # A (c_out, c_in, k) view of the blocks, inverting wb's layout; a
         # contiguous copy would add a weight-sized buffer at the layer's peak.

@@ -255,6 +255,30 @@ def _check_opt_state(path: str | Path, extras: dict[str, np.ndarray], params: di
             raise ValueError(f"{path}: optimizer state extra/{name} {got}, expected {ref.dtype} {ref.shape}; cannot resume")
 
 
+def _resume(path: str | Path, config: TrainConfig) -> tuple[model.SCPCModel, int, _OptState]:
+    """The model, epoch count and optimizer state to resume ``config``'s run
+    from checkpoint ``path``, checked in full before any file is touched."""
+    net, extras, echoed = model.load_checkpoint(path)
+    if not isinstance(echoed, dict):   # None when no training run wrote it
+        raise ValueError(f"{path}: checkpoint carries no training config object (found {json.dumps(echoed)}); cannot resume")
+    stored = _settings(echoed, f"{path}: checkpoint training config: ")
+    mismatched = [   # epochs is the run's extent, not its math
+        f.name for f in dataclasses.fields(TrainConfig)
+        if f.name != "epochs" and getattr(stored, f.name) != getattr(config, f.name)
+    ]
+    if mismatched:
+        raise ValueError(f"resume config differs from checkpoint on: {', '.join(mismatched)}")
+    _check_opt_state(path, extras, net.params)
+    start_epoch = int(extras["epoch"])
+    if start_epoch >= config.epochs:
+        raise ValueError(f"checkpoint already covers {start_epoch} epochs; nothing to resume for epochs={config.epochs}")
+    return net, start_epoch, _OptState(
+        t=int(extras["adam_t"]),
+        m={k: extras[f"adam_m/{k}"] for k in net.params},
+        v={k: extras[f"adam_v/{k}"] for k in net.params},
+    )
+
+
 def train(
     manifest_path: str | Path,
     config: TrainConfig,
@@ -280,27 +304,8 @@ def train(
     next.  Validation profiles on the same processes and threads.
     """
     processes, threads = parallel.split_cores(workers, config.batch_size)
-    # A resume is checked in full before any audio is read.
     if resume_from is not None:
-        net, extras, echoed = model.load_checkpoint(resume_from)
-        if not isinstance(echoed, dict):   # None when no training run wrote it
-            raise ValueError(f"{resume_from}: checkpoint carries no training config object (found {json.dumps(echoed)}); cannot resume")
-        stored = _settings(echoed, f"{resume_from}: checkpoint training config: ")
-        mismatched = [   # epochs is the run's extent, not its math
-            f.name for f in dataclasses.fields(TrainConfig)
-            if f.name != "epochs" and getattr(stored, f.name) != getattr(config, f.name)
-        ]
-        if mismatched:
-            raise ValueError(f"resume config differs from checkpoint on: {', '.join(mismatched)}")
-        _check_opt_state(resume_from, extras, net.params)
-        start_epoch = int(extras["epoch"])
-        if start_epoch >= config.epochs:
-            raise ValueError(f"checkpoint already covers {start_epoch} epochs; nothing to resume for epochs={config.epochs}")
-        state = _OptState(
-            t=int(extras["adam_t"]),
-            m={k: extras[f"adam_m/{k}"] for k in net.params},
-            v={k: extras[f"adam_v/{k}"] for k in net.params},
-        )
+        net, start_epoch, state = _resume(resume_from, config)
     else:
         net = model.SCPCModel.init(model.ModelConfig(config.frame_dim, config.segment_dim, config.thres), seed=config.seed)
         start_epoch = 0

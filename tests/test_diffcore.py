@@ -142,6 +142,17 @@ def conv_reference(x, w, b, stride):
     return out
 
 
+def conv_reference_vjp(x, w, b, stride, g):
+    """Direct-loop input, weight and bias gradients of sum(relu(conv + bias) * g)."""
+    k = w.shape[2]
+    gm = g * (conv_reference(x, w, b, stride) > 0)
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(gm.shape[0]):
+        gx[i * stride : i * stride + k] += np.einsum("o,ocj->jc", gm[i], w)
+        gw += np.einsum("o,jc->ocj", gm[i], x[i * stride : i * stride + k])
+    return gx, gw, gm.sum(axis=0)
+
+
 def conv_case(rng, stride, t=17, c_in=2, c_out=3, k=4):
     """Inputs (x, weight, bias) for the fused conv layer, float64.
 
@@ -198,11 +209,23 @@ class TestConv1dGrads:
         # the encoder's first two layers; 3 input rows lie past the last window
         pytest.param(5, 10, 24003, 1, 64, id="k10-s5"),
         pytest.param(4, 8, 4799, 64, 64, id="k8-s4"),
+        # m = 3 taps over two runs of row blocks: 4499 output rows in blocks
+        # of 4096, 4501 input-gradient rows in blocks of 2048; the input is
+        # zero-padded by a row
+        pytest.param(2, 5, 9001, 8, 8, id="k5-s2"),
     ])
-    def test_conv1d_matches_direct_loop(self, stride, k, t, c_in, c_out):
-        x, w, b = conv_case(np.random.default_rng(stride), stride, t=t, c_in=c_in, c_out=c_out, k=k)
-        out, _ = dc.conv1d(x, w, b, stride)
-        np.testing.assert_allclose(out, np.maximum(conv_reference(x, w, b, stride), 0), rtol=1e-12, atol=1e-12)
+    def test_conv1d_matches_direct_loop(self, stride, k, t, c_in, c_out, monkeypatch):
+        monkeypatch.setattr(dc, "_THREAD_ROWS", 1)   # threads even below their row floor
+        rng = np.random.default_rng(stride)
+        x, w, b = conv_case(rng, stride, t=t, c_in=c_in, c_out=c_out, k=k)
+        g = rng.standard_normal((1 + (t - k) // stride, c_out))
+        wants = conv_reference_vjp(x, w, b, stride, g)
+        for threads in (1, 2):
+            out, vjp = dc.conv1d(x, w, b, stride, threads=threads)
+            np.testing.assert_allclose(out, np.maximum(conv_reference(x, w, b, stride), 0), rtol=1e-12, atol=1e-12)
+            for got, want in zip(vjp(g.copy()), wants):
+                assert got.shape == want.shape
+                assert rel_err(got, want) <= 1e-12
 
     def test_conv1d_hand_case(self):
         # Windows [1, 2] and [3, 4]; channel 1 clips its first pre-activation (-1) to 0.
@@ -279,9 +302,12 @@ class TestConv1dGrads:
 
     # t_out of one row block, of several, and of whole blocks plus a one-row
     # tail (1025 = 2 * 512 = 8 * 128 = 4 * 256, plus 1), which OpenBLAS
-    # multiplies on its one-row path.  Every encoder layer has m = 2, where
-    # a row on the seam of two runs sums two products in either order; with
-    # k = 6, stride 2 (m = 3) it sums three, so the order shows in the bits.
+    # multiplies on its one-row path.  Each input-gradient row sums its taps
+    # in tap order on the one thread that owns its block.  Every encoder
+    # layer has m = 2, where that equals a block-by-block scatter in bits;
+    # with k = 6, stride 2 (m = 3) a block's edge rows sum their three taps
+    # in another order than the scatter did, and every thread count must
+    # still give identical bits.
     @pytest.mark.parametrize("t_out", [100, 1200, 1025])
     @pytest.mark.parametrize("k, stride, c_in", [(k, s, 1 if i == 0 else 64) for i, (k, s) in enumerate(zip(model.KERNELS, model.STRIDES))]
                              + [(6, 2, 64)])
@@ -592,12 +618,20 @@ class TestConventions:
     }
 
     def test_every_public_op_has_a_pipeline_caller(self):
-        # A name in any module's __all__ that nothing in src/scpc uses
-        # outside its own definition is dead code, unless listed above.
+        # A name in any module's __all__, or a module-level _function,
+        # _Class or _CONSTANT, that nothing in src/scpc uses outside its own
+        # definition is dead code; only public names may be listed above.
         src = Path(dc.__file__).parent
         used = set()
-        for path in src.glob("*.py"):
+        private = []
+        for path in sorted(src.glob("*.py")):
             for stmt in ast.parse(path.read_text()).body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names = [stmt.name]
+                else:
+                    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                    names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+                private += [f"{path.stem}.{n}" for n in names if n.startswith("_") and not n.startswith("__")]
                 own = getattr(stmt, "name", None)
                 for node in ast.walk(stmt):
                     if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
@@ -606,8 +640,9 @@ class TestConventions:
                             used.add(name)
         public = [f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
                   for name in getattr(importlib.import_module(f"scpc.{path.stem}"), "__all__", ())]
-        assert len(public) > len(dc.__all__)
+        assert len(public) > len(dc.__all__) and "diffcore._runs" in private and "diffcore._CONV_BLOCK" in private
         assert sorted(q for q in public if q.split(".")[1] not in used) == sorted(self.NO_PIPELINE_CALLER)
+        assert [q for q in private if q.split(".")[1] not in used] == []
 
     # Parameters with a default, dataclass fields with a default, and public
     # methods and properties that nothing in src/scpc passes or reads, each

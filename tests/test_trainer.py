@@ -214,12 +214,26 @@ def _without_extra(run, tmp_path, name):
     (4, TINY.lr, "adam_t", "optimizer state extra/adam_t is missing"),
     (3, TINY.lr, None, "checkpoint already covers 3 epochs"),
 ], ids=["config", "optimizer-state", "epochs"])
-def test_resume_fails_before_reading_audio(run, corpus, tmp_path, monkeypatch, epochs, lr, drop, message):
+def test_resume_fails_before_reading_audio(run, corpus, tmp_path, monkeypatch, capsys, epochs, lr, drop, message):
     ckpt = run.checkpoint if drop is None else _without_extra(run, tmp_path, drop)
     reads, load_wav = [], audio.load_wav
     monkeypatch.setattr(audio, "load_wav", lambda path: (reads.append(path), load_wav(path))[1])
+    config = dataclasses.replace(TINY, epochs=epochs, lr=lr)
+    out = tmp_path / "a"
     with pytest.raises(ValueError, match=message):
-        trainer.train(corpus[0], dataclasses.replace(TINY, epochs=epochs, lr=lr), tmp_path / "a", corpus[1], resume_from=ckpt)
+        trainer.train(corpus[0], config, out, corpus[1], resume_from=ckpt)
+    assert not out.exists()
+    # The command fails alike and leaves the echo of the run in --out as it was.
+    out.mkdir()
+    earlier = b'{"command": "train"}\n'
+    (out / "config_resolved.json").write_bytes(earlier)
+    cfg_file = tmp_path / "resume.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(config).items()))
+    code = cli.main(["train", "--manifest", str(corpus[0]), "--val", str(corpus[1]), "--config", str(cfg_file),
+                     "--out", str(out), "--resume", str(ckpt)])
+    assert code == 1 and message in capsys.readouterr().err
+    assert (out / "config_resolved.json").read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == ["config_resolved.json"]
     assert reads == []
 
 
