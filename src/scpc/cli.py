@@ -1,8 +1,8 @@
 """Command-line surface: synth | train | segment | eval | sweep | tune.
 
-Every run that has an output directory echoes its fully resolved
-configuration there as ``config_resolved.json``.  Errors exit nonzero with a
-single-line diagnostic on stderr.
+Every run that has an output directory echoes its resolved configuration
+there as ``config_resolved.json`` once its inputs have passed their checks.
+Errors exit nonzero with a single-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -43,20 +43,17 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _core_budget(text: str) -> int:
-    """``--workers``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _echo_config(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_resolved.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _int_at_least(floor: int):
+    """An argparse type: an integer of at least ``floor``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {text!r}")
+        return value
+    return parse
 
 
 def _profile_manifest(args, rows: dict[str, tuple[Path, Path, Path]]) -> list[infer.UtteranceProfile]:
@@ -68,24 +65,17 @@ def _profile_manifest(args, rows: dict[str, tuple[Path, Path, Path]]) -> list[in
 
 def _cmd_synth(args) -> int:
     spec = audio.default_spec(args.seed)
-    out = Path(args.out)
     utts = audio.generate_corpus(spec, args.n, start_index=args.start_index)
-    manifest = audio.save_corpus(utts, out)
-    _echo_config(out, {"command": "synth", "n": args.n, "start_index": args.start_index,
-                       "spec": dataclasses.asdict(spec)})
+    manifest = audio.save_corpus(utts, args.out)
+    trainer.echo_config(args.out, {"command": "synth", "n": args.n, "start_index": args.start_index,
+                                   "spec": dataclasses.asdict(spec)})
     print(f"wrote {args.n} utterances to {manifest}")
     return 0
 
 
 def _cmd_train(args) -> int:
     config = trainer.resolve_config(args.config)
-    if args.resume:
-        trainer._resume(args.resume, config)   # a failed resume leaves --out as it was
-    out = Path(args.out)
-    _echo_config(out, {"command": "train", "manifest": str(args.manifest), "val": args.val and str(args.val),
-                       "workers": args.workers, "resume": args.resume and str(args.resume),
-                       "config": dataclasses.asdict(config)})
-    result = trainer.train(args.manifest, config, out, val_manifest_path=args.val,
+    result = trainer.train(args.manifest, config, args.out, val_manifest_path=args.val,
                            resume_from=args.resume, workers=args.workers)
     last = result.history[-1]
     print(f"trained {config.epochs} epochs; checkpoint {result.checkpoint}")
@@ -100,8 +90,8 @@ def _cmd_segment(args) -> int:
     profiles = _profile_manifest(args, audio.read_manifest(args.manifest))
     preds = {p.id: infer.predict(p, args.level, args.prominence) for p in profiles}
     infer.write_predictions(preds, out, args.level)
-    _echo_config(out, {"command": "segment", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
-                       "level": args.level, "prominence": args.prominence, "workers": args.workers})
+    trainer.echo_config(out, {"command": "segment", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
+                              "level": args.level, "prominence": args.prominence, "workers": args.workers})
     total = sum(times.size for times in preds.values())
     print(f"wrote {len(preds)} boundary files ({total} boundaries) to {out}")
     return 0
@@ -114,25 +104,20 @@ def _cmd_eval(args) -> int:
     print(metrics.format_report(report, label=args.level))
     if args.out:
         out = Path(args.out)
-        _echo_config(out, {"command": "eval", "pred": str(args.pred), "ref": str(args.ref),
-                           "level": args.level, "tol": args.tol})
+        trainer.echo_config(out, {"command": "eval", "pred": str(args.pred), "ref": str(args.ref),
+                                  "level": args.level, "tol": args.tol})
         (out / "eval.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     config = trainer.resolve_config(args.config)
-    out = Path(args.out)
     kind = type(trainer.SWEEP_GRIDS[args.grid][0])   # each point has the type of the grid's reference points
     try:
         values = tuple(kind(v) for v in args.values.split(",")) if args.values else None
     except ValueError:
         raise ValueError(f"--values: cannot parse {args.values!r} as {kind.__name__} points of grid {args.grid}") from None
-    trainer.sweep_points(config, args.grid, values)   # a grid that fails its check writes nothing
-    _echo_config(out, {"command": "sweep", "grid": args.grid, "values": values,
-                       "manifest": str(args.manifest), "val": str(args.val),
-                       "workers": args.workers, "config": dataclasses.asdict(config)})
-    rows = trainer.sweep(args.manifest, args.val, config, args.grid, out, values=values, workers=args.workers)
+    rows = trainer.sweep(args.manifest, args.val, config, args.grid, args.out, values=values, workers=args.workers)
     fmt = "{:>11} {:>12} {:>12} {:>14}"
     print(fmt.format(args.grid, "phoneme_R", "word_R", "mean_segments"))
     for row in rows:
@@ -140,7 +125,7 @@ def _cmd_sweep(args) -> int:
             f"{row['value']:.2f}" if args.grid == "thres" else str(row["value"]),
             metrics.format_pct(row["phoneme_r_value"]),
             metrics.format_pct(row["word_r_value"]),
-            f"{row['mean_segments']:.2f}" if row["mean_segments"] is not None else "n/a",
+            f"{row['mean_segments']:.2f}",
         ))
     return 0
 
@@ -154,8 +139,8 @@ def _cmd_tune(args) -> int:
     print(f"prominence {result.prominence:.2f}  r_value {metrics.format_pct(result.r_value)}")
     if args.out:
         out = Path(args.out)
-        _echo_config(out, {"command": "tune", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
-                           "level": args.level, "tol": args.tol, "workers": args.workers})
+        trainer.echo_config(out, {"command": "tune", "ckpt": str(args.ckpt), "manifest": str(args.manifest),
+                                  "level": args.level, "tol": args.tol, "workers": args.workers})
         payload = {"level": args.level, "prominence": result.prominence, "r_value": result.r_value,
                    "grid": [{"prominence": p, "r_value": r} for p, r in result.rows]}
         (out / "tune.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -165,17 +150,17 @@ def _cmd_tune(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scpc", description="Joint frame/segment contrastive boundary detection.")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = {"type": _core_budget, "default": _usable_cores(),
+    workers = {"type": _int_at_least(1), "default": _usable_cores(),
                "help": "cores (default: usable cores): first one process per utterance of a batch or manifest, "
                        "forked once per command, then the rest as threads in each encoder layer; "
                        "outputs do not depend on it"}
 
     p = sub.add_parser("synth", help="render the built-in synthetic corpus with reference boundaries")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, required=True, help="number of utterances")
-    p.add_argument("--start-index", type=int, default=0,
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of utterances")
+    p.add_argument("--start-index", type=_int_at_least(0), default=0,
                    help="first utterance index; disjoint ranges under one seed give disjoint splits")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="corpus seed")
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model from a wav manifest")

@@ -41,6 +41,7 @@ __all__ = [
     "parse_config_text",
     "resolve_config",
     "load_dataset",
+    "echo_config",
     "train",
     "sweep_points",
     "sweep",
@@ -85,12 +86,9 @@ class TrainConfig:
         model.ModelConfig(self.frame_dim, self.segment_dim, self.thres)   # checks thres and the widths
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if self.add_nsc_epoch < 0:
-            raise ValueError(f"add_nsc_epoch must be >= 0, got {self.add_nsc_epoch}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
-        if self.k_frame < 1 or self.k_seg < 0:
-            raise ValueError(f"need k_frame >= 1 and k_seg >= 0, got {self.k_frame}, {self.k_seg}")
+        for name, floor in (("batch_size", 1), ("epochs", 1), ("add_nsc_epoch", 0), ("k_frame", 1), ("k_seg", 0), ("seed", 0)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
 
 
 # ------------------------------------------------------------ configuration
@@ -139,6 +137,13 @@ def resolve_config(path: str | Path | None = None) -> TrainConfig:
         except ValueError as e:
             raise ValueError(f"{path}: config key {name!r}: cannot parse {text!r} as {kind.__name__}") from e
     return _settings(typed, f"{path}: ")
+
+
+def echo_config(out_dir: str | Path, payload: dict) -> None:
+    """Echo a command's resolved settings into ``out_dir`` as ``config_resolved.json``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config_resolved.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------------- data
@@ -244,20 +249,10 @@ def _save_state(path: Path, net: model.SCPCModel, state: _OptState, completed_ep
     os.replace(tmp, path)
 
 
-def _check_opt_state(path: str | Path, extras: dict[str, np.ndarray], params: dict[str, np.ndarray]) -> None:
-    """Resume needs every array ``_save_state`` writes, with its shape and dtype."""
-    expected = {"epoch": np.int64(0), "adam_t": np.int64(0)}
-    expected.update({f"adam_{m}/{k}": p for m in "mv" for k, p in params.items()})
-    for name, ref in expected.items():
-        found = extras.get(name)
-        if found is None or found.shape != ref.shape or found.dtype != ref.dtype:
-            got = "is missing" if found is None else f"is {found.dtype} {found.shape}"
-            raise ValueError(f"{path}: optimizer state extra/{name} {got}, expected {ref.dtype} {ref.shape}; cannot resume")
-
-
 def _resume(path: str | Path, config: TrainConfig) -> tuple[model.SCPCModel, int, _OptState]:
     """The model, epoch count and optimizer state to resume ``config``'s run
-    from checkpoint ``path``, checked in full before any file is touched."""
+    from checkpoint ``path``; its config echo and every array ``_save_state``
+    writes, shape and dtype, are checked before any file is touched."""
     net, extras, echoed = model.load_checkpoint(path)
     if not isinstance(echoed, dict):   # None when no training run wrote it
         raise ValueError(f"{path}: checkpoint carries no training config object (found {json.dumps(echoed)}); cannot resume")
@@ -268,7 +263,15 @@ def _resume(path: str | Path, config: TrainConfig) -> tuple[model.SCPCModel, int
     ]
     if mismatched:
         raise ValueError(f"resume config differs from checkpoint on: {', '.join(mismatched)}")
-    _check_opt_state(path, extras, net.params)
+    expected = {"epoch": np.int64(0), "adam_t": np.int64(0)}
+    expected.update({f"adam_{m}/{k}": p for m in "mv" for k, p in net.params.items()})
+    for name, ref in expected.items():
+        found = extras.get(name)
+        if found is None or found.shape != ref.shape or found.dtype != ref.dtype:
+            got = "is missing" if found is None else f"is {found.dtype} {found.shape}"
+            raise ValueError(f"{path}: optimizer state extra/{name} {got}, expected {ref.dtype} {ref.shape}; cannot resume")
+        if name in ("epoch", "adam_t") and found < 0:
+            raise ValueError(f"{path}: optimizer state extra/{name} is {found}, expected >= 0; cannot resume")
     start_epoch = int(extras["epoch"])
     if start_epoch >= config.epochs:
         raise ValueError(f"checkpoint already covers {start_epoch} epochs; nothing to resume for epochs={config.epochs}")
@@ -277,6 +280,47 @@ def _resume(path: str | Path, config: TrainConfig) -> tuple[model.SCPCModel, int
         m={k: extras[f"adam_m/{k}"] for k in net.params},
         v={k: extras[f"adam_v/{k}"] for k in net.params},
     )
+
+
+def _train_batch(group: parallel.ForkGroup, items: list[tuple[str, np.ndarray]], usable: list[bool], picks: np.ndarray, params: dict[str, np.ndarray], state: _OptState, config: TrainConfig, epoch: int, threads: int, totals: dict[str, float]) -> None:
+    """One update from the ``usable`` utterances among ``picks``; each one's
+    losses and segment count join ``totals`` one at a time, in batch order."""
+    batch = [int(idx) for idx in picks if usable[idx]]
+    if not batch:
+        return
+    steps = group.map(_step_item, batch, [items[idx][1].size for idx in batch], params, config, epoch, threads)
+    # Fold in batch order, so the sums are the same for any group size.
+    grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
+    for idx, (utt_grads, report, n_segments) in zip(batch, steps):
+        if utt_grads is None:
+            raise DivergenceError(f"non-finite loss on utterance {items[idx][0]} in epoch {epoch}; last-good checkpoint retained")
+        for k in params:
+            grads[k] += utt_grads[k].astype(np.float64)
+        del utt_grads   # not held through the next step of a one-process group
+        totals["l_nfc"] += report.nfc
+        totals["segments"] += n_segments
+        if report.nsc is not None:
+            totals["l_nsc"] += report.nsc
+            totals["nsc_n"] += 1
+    for k in grads:
+        grads[k] /= len(batch)
+    norm = _clip_global_norm(grads, GRAD_CLIP_NORM)
+    if not np.isfinite(norm):
+        raise DivergenceError(f"non-finite gradient norm in epoch {epoch}; last-good checkpoint retained")
+    _apply_update(params, grads, state, config)
+
+
+def _epoch_record(epoch: int, totals: dict[str, float], n_used: int, n_skipped: int, r_values: tuple[float | None, ...]) -> dict:
+    """The ``metrics.jsonl`` record of ``epoch``, its ``totals`` over ``n_used`` utterances."""
+    return {
+        "epoch": epoch,
+        "l_nfc": totals["l_nfc"] / n_used,
+        "l_nsc": totals["l_nsc"] / totals["nsc_n"] if totals["nsc_n"] else None,
+        "mean_segments": totals["segments"] / n_used,
+        "n_skipped": n_skipped,
+        "val_r_phoneme": r_values[0],
+        "val_r_word": r_values[1],
+    }
 
 
 def train(
@@ -289,9 +333,10 @@ def train(
 ) -> TrainResult:
     """Train from a manifest, logging one JSON record per epoch.
 
-    A checkpoint is written atomically after every clean epoch, so a
-    divergence (non-finite loss, reported with the offending utterance)
-    leaves the last good checkpoint in place.
+    Every input is checked before the run's settings are echoed into
+    ``out_dir``.  A checkpoint is written atomically after every clean
+    epoch, so a divergence (non-finite loss, reported with the offending
+    utterance) leaves the last good checkpoint in place.
 
     ``workers`` is the run's core budget (``parallel.split_cores``): the
     run forks min(workers, batch_size) - 1 children once, each holding the
@@ -311,13 +356,13 @@ def train(
         start_epoch = 0
         state = _OptState(0, {k: np.zeros_like(p) for k, p in net.params.items()}, {k: np.zeros_like(p) for k, p in net.params.items()})
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     items = list(load_dataset(manifest_path).items())
     if len(items) < config.batch_size:
-        raise ValueError(f"need at least batch_size={config.batch_size} utterances, got {len(items)}")
+        raise ValueError(f"{manifest_path}: need at least batch_size={config.batch_size} utterances, got {len(items)}")
     min_samples = model.RECEPTIVE_FIELD + (config.k_frame + 1) * model.TOTAL_STRIDE   # the k_frame + 2 frames NFC needs
-    if all(samples.size < min_samples for _, samples in items):
+    usable = [samples.size >= min_samples for _, samples in items]
+    n_used = sum(usable)
+    if not n_used:
         raise ValueError(f"{manifest_path}: no utterance is long enough to train on; "
                          f"k_frame={config.k_frame} needs at least {min_samples} samples")
     # Validation holds only annotations; profile_corpus streams its audio each epoch.
@@ -325,6 +370,9 @@ def train(
     val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in val_rows.items()]
     val_refs = {level: audio.load_references(val_rows, level) for level in infer.LEVELS}
 
+    out = Path(out_dir)
+    echo_config(out, {"command": "train", "manifest": str(manifest_path), "val": val_manifest_path and str(val_manifest_path),
+                      "workers": workers, "resume": resume_from and str(resume_from), "config": dataclasses.asdict(config)})
     params = dict(net.params)
     ckpt_path = out / "checkpoint.npz"
     metrics_path = out / "metrics.jsonl"
@@ -334,52 +382,12 @@ def train(
             open(metrics_path, "w" if start_epoch == 0 else "a") as log:
         for epoch in range(start_epoch, config.epochs):
             order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
-            nfc_sum = nsc_sum = seg_sum = 0.0
-            n_used = nsc_n = skipped = 0
-
+            totals = {"l_nfc": 0.0, "l_nsc": 0.0, "nsc_n": 0, "segments": 0.0}
             for start in range(0, len(order), config.batch_size):
-                batch = []
-                for idx in order[start : start + config.batch_size]:
-                    if items[int(idx)][1].size < min_samples:
-                        skipped += 1
-                    else:
-                        batch.append(int(idx))
-                if not batch:
-                    continue
-                steps = group.map(_step_item, batch, [items[idx][1].size for idx in batch], params, config, epoch, threads)
-                # Fold in batch order, so the sums are the same for any group size.
-                grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
-                for idx, (utt_grads, report, n_segments) in zip(batch, steps):
-                    if utt_grads is None:
-                        raise DivergenceError(f"non-finite loss on utterance {items[idx][0]} in epoch {epoch}; last-good checkpoint retained")
-                    for k in params:
-                        grads[k] += utt_grads[k].astype(np.float64)
-                    del utt_grads   # not held through the next step of a one-process group
-                    n_used += 1
-                    nfc_sum += report.nfc
-                    seg_sum += n_segments
-                    if report.nsc is not None:
-                        nsc_sum += report.nsc
-                        nsc_n += 1
-                for k in grads:
-                    grads[k] /= len(batch)
-                norm = _clip_global_norm(grads, GRAD_CLIP_NORM)
-                if not np.isfinite(norm):
-                    raise DivergenceError(f"non-finite gradient norm in epoch {epoch}; last-good checkpoint retained")
-                _apply_update(params, grads, state, config)
-
+                _train_batch(group, items, usable, order[start : start + config.batch_size], params, state, config, epoch, threads, totals)
             net = model.SCPCModel(net.config, dict(params))
-            record = {
-                "epoch": epoch,
-                "l_nfc": nfc_sum / n_used if n_used else None,
-                "l_nsc": nsc_sum / nsc_n if nsc_n else None,
-                "mean_segments": seg_sum / n_used if n_used else None,
-                "n_skipped": skipped,
-                "val_r_phoneme": None,
-                "val_r_word": None,
-            }
-            if val_entries:
-                record["val_r_phoneme"], record["val_r_word"] = _validate(net, val_entries, val_refs, group, threads)
+            r_values = _validate(net, val_entries, val_refs, group, threads) if val_entries else (None, None)
+            record = _epoch_record(epoch, totals, n_used, len(items) - n_used, r_values)
             history.append(record)
             log.write(json.dumps(record) + "\n")
             log.flush()
@@ -390,13 +398,20 @@ def train(
 
 # ----------------------------------------------------------------- sweeps
 
-def sweep_points(base_config: TrainConfig, grid_name: str, values: tuple | None = None) -> list[tuple[object, TrainConfig]]:
-    """(value, config) for each point of the grid ``grid_name``, its
-    reference points unless ``values``; building each config checks it."""
+def sweep_points(base_config: TrainConfig, grid_name: str, values: tuple | None = None) -> list[tuple[str, object, TrainConfig]]:
+    """(directory name, value, config) for each point of the grid
+    ``grid_name``, its reference points unless ``values``; building each
+    config checks it, and no two points may share a directory."""
     if grid_name not in SWEEP_GRIDS:
         raise ValueError(f"grid must be one of {sorted(SWEEP_GRIDS)}, got {grid_name!r}")
-    field = "thres" if grid_name == "thres" else "add_nsc_epoch"
-    return [(value, dataclasses.replace(base_config, **{field: value})) for value in (SWEEP_GRIDS[grid_name] if values is None else values)]
+    field, tag = ("thres", "thres_{:.2f}") if grid_name == "thres" else ("add_nsc_epoch", "nsc_epoch_{}")
+    points = [(tag.format(value), value, dataclasses.replace(base_config, **{field: value}))
+              for value in (SWEEP_GRIDS[grid_name] if values is None else values)]
+    for i, (name, value, _) in enumerate(points):
+        for other, earlier, _ in points[:i]:
+            if other == name:
+                raise ValueError(f"grid points {earlier!r} and {value!r} both map to the directory {name}")
+    return points
 
 
 def sweep(
@@ -409,18 +424,18 @@ def sweep(
     workers: int = 1,
 ) -> list[dict]:
     """One full train+eval per grid point, same seed and data throughout;
-    every point is checked (``sweep_points``) before the first trains.
+    every point is checked (``sweep_points``) before the sweep's echo.
 
     Rows carry the final epoch's validation R-values and the mean number of
     training-time segments per utterance; the table lands in ``sweep.json``.
     """
     points = sweep_points(base_config, grid_name, values)
-    tag = "thres_{:.2f}" if grid_name == "thres" else "nsc_epoch_{}"
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    echo_config(out, {"command": "sweep", "grid": grid_name, "values": values, "manifest": str(manifest_path),
+                      "val": str(val_manifest_path), "workers": workers, "config": dataclasses.asdict(base_config)})
     rows = []
-    for value, config in points:
-        result = train(manifest_path, config, out / tag.format(value), val_manifest_path, workers=workers)
+    for name, value, config in points:
+        result = train(manifest_path, config, out / name, val_manifest_path, workers=workers)
         last = result.history[-1]
         rows.append({
             "param": grid_name,

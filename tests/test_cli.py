@@ -25,6 +25,7 @@ import pytest
 from scpc import audio
 from scpc import cli
 from scpc import infer
+from scpc import model
 from scpc import trainer
 
 TINY_CONFIG = """
@@ -59,9 +60,12 @@ def workspace(tmp_path_factory):
 
 
 def test_synth_zero_utterances(tmp_path, capsys):
-    assert run_cli("synth", "--out", tmp_path / "empty", "--n", 0) == 0
-    assert (tmp_path / "empty" / "manifest.tsv").read_text() == ""
-    assert (tmp_path / "empty" / "config_resolved.json").is_file()
+    # An empty manifest is one that train, segment and tune all reject.
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("synth", "--out", tmp_path / "empty", "--n", 0)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "scpc synth: error: argument --n: expected an integer >= 1, got '0'"
+    assert not (tmp_path / "empty").exists()
 
 
 def test_synth_same_seed_identical_directories(tmp_path):
@@ -167,18 +171,56 @@ def test_segment_short_utterance_warns_but_succeeds(workspace, tmp_path):
     assert (tmp_path / "short_pred" / "tiny.txt").read_text() == ""
 
 
+def short_manifest(root: Path, n: int) -> Path:
+    """A manifest of ``n`` silent 1264-sample utterances: k_frame = 4 needs
+    465 + 5 * 160 samples, and none of these has them."""
+    root.mkdir()
+    for i in range(n):
+        audio.write_wav(root / f"s{i}.wav", audio.Waveform(np.zeros(1264, dtype=np.float32), 16000))
+        (root / f"s{i}.phn").write_text("0 1264 p0\n")
+        (root / f"s{i}.wrd").write_text("0 1264 w0\n")
+    (root / "manifest.tsv").write_text("".join(f"s{i}.wav\ts{i}.phn\ts{i}.wrd\n" for i in range(n)))
+    return root / "manifest.tsv"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("two", "need at least batch_size=4 utterances, got 2"),
+    ("short", "no utterance is long enough to train on"),
+], ids=["too-few", "too-short"])
+def test_a_train_that_fails_its_manifest_checks_leaves_out_as_it_was(workspace, tmp_path, capsys, case, message):
+    if case == "two":
+        manifest = tmp_path / "two.tsv"
+        audio.write_manifest(list(audio.read_manifest(workspace / "train" / "manifest.tsv").values())[:2], manifest)
+    else:
+        manifest = short_manifest(tmp_path / "short", 4)
+    out = tmp_path / "run"
+    out.mkdir()
+    earlier = b'{"command": "train"}\n'
+    (out / "config_resolved.json").write_bytes(earlier)
+    code = run_cli("train", "--manifest", manifest, "--config", workspace / "train.cfg", "--out", out)
+    assert f"error: {manifest}: {message}" in one_line_error(capsys, code)
+    assert (out / "config_resolved.json").read_bytes() == earlier
+    assert [p.name for p in out.iterdir()] == ["config_resolved.json"]
+
+
+def test_train_reads_a_resumed_checkpoint_once(workspace, tmp_path, monkeypatch):
+    cfg = tmp_path / "more.cfg"
+    cfg.write_text(TINY_CONFIG.replace("epochs = 2", "epochs = 3"))
+    loads, load_checkpoint = [], model.load_checkpoint
+    monkeypatch.setattr(model, "load_checkpoint", lambda path: (loads.append(path), load_checkpoint(path))[1])
+    ckpt = workspace / "run" / "checkpoint.npz"
+    assert run_cli("train", "--manifest", workspace / "train" / "manifest.tsv", "--config", cfg,
+                   "--out", tmp_path / "more", "--resume", ckpt) == 0
+    assert loads == [str(ckpt)]
+    echo = json.loads((tmp_path / "more" / "config_resolved.json").read_text())
+    assert echo["resume"] == str(ckpt) and echo["config"]["epochs"] == 3
+
+
 def test_train_without_a_long_enough_utterance_fails_in_one_line(workspace, tmp_path, capsys):
-    # k_frame = 4 needs 465 + 5 * 160 samples; none of these has them.
-    data = tmp_path / "short"
-    data.mkdir()
-    for i in range(4):
-        audio.write_wav(data / f"s{i}.wav", audio.Waveform(np.zeros(1264, dtype=np.float32), 16000))
-        (data / f"s{i}.phn").write_text("0 1264 p0\n")
-        (data / f"s{i}.wrd").write_text("0 1264 w0\n")
-    (data / "manifest.tsv").write_text("".join(f"s{i}.wav\ts{i}.phn\ts{i}.wrd\n" for i in range(4)))
-    code = run_cli("train", "--manifest", data / "manifest.tsv", "--config", workspace / "train.cfg", "--out", tmp_path / "run")
+    manifest = short_manifest(tmp_path / "short", 4)
+    code = run_cli("train", "--manifest", manifest, "--config", workspace / "train.cfg", "--out", tmp_path / "run")
     err = one_line_error(capsys, code)
-    assert f"{data / 'manifest.tsv'}: no utterance is long enough to train on; k_frame=4 needs at least 1265 samples" in err
+    assert f"{manifest}: no utterance is long enough to train on; k_frame=4 needs at least 1265 samples" in err
     assert not (tmp_path / "run" / "checkpoint.npz").exists()
 
 
@@ -404,7 +446,8 @@ def test_bad_predictions_fail_in_one_line(workspace, tmp_path, capsys, line, fil
     ("lr = -1\n", "bad.cfg: lr must be positive"),
     ("lr = nan\n", "bad.cfg: lr must be positive and finite, got nan"),
     ("lr = inf\n", "bad.cfg: lr must be positive and finite, got inf"),
-], ids=["malformed", "unknown_key", "unparsable", "invalid", "nan_lr", "inf_lr"])
+    ("seed = -1\n", "bad.cfg: seed must be >= 0, got -1"),
+], ids=["malformed", "unknown_key", "unparsable", "invalid", "nan_lr", "inf_lr", "negative_seed"])
 def test_bad_config_fails_in_one_line_naming_the_file(workspace, tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -433,6 +476,26 @@ def test_sweep_single_point_table(workspace, tmp_path, capsys):
     assert len(lines) == 2
     table = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert len(table) == 1 and table[0]["value"] == 0.02
+    assert json.loads((tmp_path / "sweep" / "config_resolved.json").read_text())["command"] == "sweep"
+    point = json.loads((tmp_path / "sweep" / "thres_0.02" / "config_resolved.json").read_text())
+    assert point["command"] == "train" and point["config"]["thres"] == 0.02 and point["workers"] == 2
+
+
+def test_sweep_builds_its_grid_once(workspace, tmp_path, monkeypatch):
+    calls, sweep_points = [], trainer.sweep_points
+    monkeypatch.setattr(trainer, "sweep_points", lambda *a: (calls.append(a), sweep_points(*a))[1])
+    monkeypatch.setattr(trainer, "train", lambda *a, **k: trainer.TrainResult(None, None, [{
+        "val_r_phoneme": None, "val_r_word": None, "mean_segments": 1.0, "l_nfc": 1.0, "l_nsc": None}], None))
+    assert run_cli("sweep", "--manifest", workspace / "train" / "manifest.tsv", "--val", workspace / "val" / "manifest.tsv",
+                   "--config", workspace / "train.cfg", "--out", tmp_path / "sweep", "--grid", "nsc_epoch", "--values", "0,1") == 0
+    assert len(calls) == 1
+
+
+def test_sweep_rejects_points_that_share_a_directory(workspace, tmp_path, capsys):
+    code = run_cli("sweep", "--manifest", workspace / "train" / "manifest.tsv", "--val", workspace / "val" / "manifest.tsv",
+                   "--config", workspace / "train.cfg", "--out", tmp_path / "sweep", "--grid", "thres", "--values", "0.051,0.06,0.054")
+    assert "grid points 0.051 and 0.054 both map to the directory thres_0.05" in one_line_error(capsys, code)
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_values_of_the_wrong_type_fail_in_one_line(workspace, tmp_path, capsys):
@@ -494,14 +557,22 @@ def test_end_to_end_smoke_under_two_minutes(tmp_path, capsys):
     assert elapsed < 120, f"smoke pipeline took {elapsed:.1f}s"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", "two"])
-def test_workers_below_one_is_an_argparse_error(workspace, tmp_path, capsys, workers):
+@pytest.mark.parametrize("command, flag, value, floor", [
+    ("train", "--workers", "0", 1),
+    ("train", "--workers", "-3", 1),
+    ("train", "--workers", "two", 1),
+    ("synth", "--seed", "-1", 0),
+    ("synth", "--start-index", "-1", 0),
+    ("synth", "--n", "-2", 1),
+], ids=["0", "-3", "two", "synth-seed", "synth-start-index", "synth-n"])
+def test_workers_below_one_is_an_argparse_error(workspace, tmp_path, capsys, command, flag, value, floor):
+    # --workers and synth's counts share one integer-floor type.
+    inputs = {"train": ["--manifest", workspace / "train" / "manifest.tsv", "--config", workspace / "train.cfg"], "synth": ["--n", 1]}
     with pytest.raises(SystemExit) as exit_info:
-        run_cli("train", "--manifest", workspace / "train" / "manifest.tsv", "--config", workspace / "train.cfg",
-                "--out", tmp_path / "run", "--workers", workers)
+        run_cli(command, *inputs[command], "--out", tmp_path / "run", flag, value)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1] == f"scpc train: error: argument --workers: expected an integer >= 1, got {workers!r}"
+    assert err.splitlines()[-1] == f"scpc {command}: error: argument {flag}: expected an integer >= {floor}, got {value!r}"
     assert not (tmp_path / "run").exists()
 
 

@@ -644,6 +644,37 @@ class TestConventions:
         assert sorted(q for q in public if q.split(".")[1] not in used) == sorted(self.NO_PIPELINE_CALLER)
         assert [q for q in private if q.split(".")[1] not in used] == []
 
+    # Private names that one module of src/scpc reads from another, each with
+    # the reason it is read there rather than made public.
+    CROSS_MODULE_PRIVATE = {
+        "infer -> metrics._references": "tune_prominence scores against evaluate's references, checked and edge-stripped alike",
+        "infer -> metrics._hits": "tune_prominence counts hits with evaluate's greedy walk, on arrays it has already sorted",
+        "infer -> metrics._report": "tune_prominence turns pooled counts into rates as evaluate reports them",
+        "cli -> infer._check_prominence": "segment checks --prominence with predict's own rule before profiling",
+        "cli -> metrics._check_tolerance": "tune checks --tol with evaluate's own rule before profiling",
+    }
+
+    def test_every_private_name_read_across_modules_is_listed(self):
+        # A module reads another's private name as ``alias._name`` after
+        # ``from . import module as alias``, or by ``from .module import _name``.
+        src = Path(dc.__file__).parent
+        stems = {path.stem for path in src.glob("*.py")}
+        found = set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            aliases = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    if node.module is None:
+                        aliases.update({a.asname or a.name: a.name for a in node.names if a.name in stems})
+                    elif node.module in stems:
+                        found.update(f"{path.stem} -> {node.module}.{a.name}" for a in node.names if a.name.startswith("_"))
+            found.update(f"{path.stem} -> {aliases[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+                         and node.attr.startswith("_") and not node.attr.startswith("__"))
+        assert "cli -> trainer._resume" not in self.CROSS_MODULE_PRIVATE
+        assert sorted(found) == sorted(self.CROSS_MODULE_PRIVATE)
+
     # Parameters with a default, dataclass fields with a default, and public
     # methods and properties that nothing in src/scpc passes or reads, each
     # kept for a stated reader.  The module-level exceptions above are

@@ -92,6 +92,8 @@ def test_train_config_validation():
         trainer.TrainConfig(thres=1.5)
     with pytest.raises(ValueError, match="add_nsc_epoch"):
         trainer.TrainConfig(add_nsc_epoch=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        trainer.TrainConfig(seed=-1)
 
 
 # -------------------------------------------------------------------- data
@@ -200,22 +202,27 @@ def test_resume_rejects_changed_math(corpus, tmp_path):
         trainer.train(corpus[0], dataclasses.replace(TINY, epochs=1), tmp_path / "c", resume_from=partial.checkpoint)
 
 
-def _without_extra(run, tmp_path, name):
-    """A copy of ``run``'s checkpoint without the optimizer-state array ``name``."""
+def _with_extra(run, tmp_path, name, value):
+    """A copy of ``run``'s checkpoint whose optimizer-state array ``name``
+    is ``value``, or missing when ``value`` is None."""
     with np.load(run.checkpoint) as data:
         arrays = {k: a for k, a in data.items() if k != f"extra/{name}"}
-    path = tmp_path / "no_state.npz"
+    if value is not None:
+        arrays[f"extra/{name}"] = np.asarray(value, dtype=np.int64)
+    path = tmp_path / "state.npz"
     np.savez(path, **arrays)
     return path
 
 
-@pytest.mark.parametrize("epochs, lr, drop, message", [
+@pytest.mark.parametrize("epochs, lr, extra, message", [
     (4, 0.5, None, "resume config differs from checkpoint on: lr"),
-    (4, TINY.lr, "adam_t", "optimizer state extra/adam_t is missing"),
+    (4, TINY.lr, ("adam_t", None), "optimizer state extra/adam_t is missing"),
     (3, TINY.lr, None, "checkpoint already covers 3 epochs"),
-], ids=["config", "optimizer-state", "epochs"])
-def test_resume_fails_before_reading_audio(run, corpus, tmp_path, monkeypatch, capsys, epochs, lr, drop, message):
-    ckpt = run.checkpoint if drop is None else _without_extra(run, tmp_path, drop)
+    (4, TINY.lr, ("epoch", -1), "state.npz: optimizer state extra/epoch is -1, expected >= 0; cannot resume"),
+    (4, TINY.lr, ("adam_t", -3), "state.npz: optimizer state extra/adam_t is -3, expected >= 0; cannot resume"),
+], ids=["config", "optimizer-state", "epochs", "negative-epoch", "negative-adam-t"])
+def test_resume_fails_before_reading_audio(run, corpus, tmp_path, monkeypatch, capsys, epochs, lr, extra, message):
+    ckpt = run.checkpoint if extra is None else _with_extra(run, tmp_path, *extra)
     reads, load_wav = [], audio.load_wav
     monkeypatch.setattr(audio, "load_wav", lambda path: (reads.append(path), load_wav(path))[1])
     config = dataclasses.replace(TINY, epochs=epochs, lr=lr)
@@ -284,7 +291,8 @@ def test_resume_rejects_a_train_config_that_is_not_an_object(run, corpus, tmp_pa
     ("lr", -1, "lr must be positive"),
     ("lr", float("nan"), "lr must be positive and finite, got nan"),
     ("lr", float("inf"), "lr must be positive and finite, got inf"),
-], ids=["str-for-float", "float-for-int", "bool-for-int", "bad-value", "nan-lr", "inf-lr"])
+    ("seed", -1, "seed must be >= 0, got -1"),
+], ids=["str-for-float", "float-for-int", "bool-for-int", "bad-value", "nan-lr", "inf-lr", "negative-seed"])
 def test_resume_rejects_wrongly_typed_train_config_values(run, corpus, tmp_path, capsys, key, value, message):
     ckpt = _echo_train_config(run, tmp_path, lambda echo: {**echo, key: value})
     with pytest.raises(ValueError) as err:
@@ -524,8 +532,10 @@ def test_loss_decreases_over_training(corpus, tmp_path):
 
 
 def test_train_requires_enough_utterances(corpus, tmp_path):
-    with pytest.raises(ValueError, match="batch_size"):
+    with pytest.raises(ValueError) as err:
         trainer.train(corpus[1], TINY, tmp_path / "small")  # val split has 3 < batch 5
+    assert str(err.value) == f"{corpus[1]}: need at least batch_size=5 utterances, got 3"
+    assert not (tmp_path / "small").exists()
 
 
 # ------------------------------------------------------------------ sweeps
@@ -547,6 +557,13 @@ def test_sweep_single_point_equals_plain_train(corpus, tmp_path):
     assert rows[0]["mean_segments"] == last["mean_segments"]
     table = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert table == rows
+
+
+def test_sweep_points_name_their_directories():
+    points = trainer.sweep_points(TINY, "nsc_epoch", (0, 3))
+    assert [(name, value, config.add_nsc_epoch) for name, value, config in points] == [("nsc_epoch_0", 0, 0), ("nsc_epoch_3", 3, 3)]
+    with pytest.raises(ValueError, match="grid points 0.1 and 0.1 both map to the directory thres_0.10"):
+        trainer.sweep_points(TINY, "thres", (0.1, 0.1))
 
 
 def test_sweep_rejects_unknown_grid(corpus, tmp_path):
