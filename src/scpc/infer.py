@@ -13,7 +13,10 @@ caller (``segment``, ``tune`` and validation); its result is a plain,
 strictly increasing float64 array of times in seconds.
 Inference is forward-only: it runs the model without a tape, so each op's
 vjp is dropped and each intermediate freed once consumed; only the score
-curves are kept, so sweeping prominence never reruns the model.
+curves are kept, so sweeping prominence never reruns the model.  ``tune``
+hands every peak, scored by its prominence, to ``metrics.evaluate_grid``,
+which matches each utterance once per distinct kept set and scores ``eval``
+by the same loop.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def profile_utterance(net: model.SCPCModel, samples: np.ndarray, utt_id: str, th
     return UtteranceProfile(utt_id, dissim, word_scores, ends)
 
 
-def _profile_item(_inherited, net: model.SCPCModel, threads: int, entry: tuple[str, str]) -> UtteranceProfile:
+def _profile_item(_inherited, threads: int, net: model.SCPCModel, entry: tuple[str, str]) -> UtteranceProfile:
     return profile_utterance(net, audio.load_wav(entry[0]).samples, entry[1], threads)
 
 
@@ -109,24 +112,23 @@ def profile_corpus(net: model.SCPCModel, entries: list[tuple[str, str]], workers
     ``workers`` cores; identical to the sequential path.
 
     One process per file up to ``workers``, each with the cores left over
-    as encoder threads (``parallel.split_cores``): a one-file manifest runs
+    as encoder threads (``parallel.ForkGroup``): a one-file manifest runs
     on ``workers`` threads.  The children are forked once per call, which
     is once per ``segment`` or ``tune`` command, and exit when it returns.
     """
-    processes, threads = parallel.split_cores(workers, len(entries))
-    with parallel.ForkGroup(processes) as group:
-        return profile_with(group, net, entries, threads)
+    with parallel.ForkGroup(workers, len(entries)) as group:
+        return profile_with(group, net, entries)
 
 
-def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]], threads: int) -> list[UtteranceProfile]:
+def profile_with(group: parallel.ForkGroup, net: model.SCPCModel, entries: list[tuple[str, str]]) -> list[UtteranceProfile]:
     """``profile_corpus`` on an open group, which a training run forks once
     and reuses for validation every epoch: the entries are dealt to the
     processes as they come free, largest file first, each process receives
-    the model once per call and runs the encoder on ``threads`` threads.
+    the model once per call and runs the encoder on the group's threads.
 
     Audio is read one utterance at a time, so only the profiles accumulate.
     """
-    return list(group.map(_profile_item, entries, [os.path.getsize(wav) for wav, _ in entries], net, threads))
+    return list(group.map(_profile_item, entries, [os.path.getsize(wav) for wav, _ in entries], net))
 
 
 def _find_peaks(curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,43 +223,18 @@ def tune_prominence(
     R-value on a labeled set.
 
     Ties break toward the larger prominence (fewer boundaries).  Grid points
-    where no boundaries are predicted score as negative infinity.  Scores
-    are those of ``metrics.evaluate`` with ``durations``.  Each curve's peaks
-    are found and edge-stripped once.  The peaks kept at a higher prominence
-    are a subset of those kept at a lower one, so their count names the set:
-    each utterance is matched once per distinct count, and the integer
-    counts are pooled per grid point.
+    where no boundaries are predicted score as negative infinity.  Each
+    curve's peaks are found once, scored by their prominence, and
+    ``metrics.evaluate_grid`` scores them at every grid point as
+    ``metrics.evaluate`` scores ``predict``'s boundaries with ``durations``.
     """
     if not profiles:
         raise ValueError("tune_prominence: empty validation set")
-    peaks = {p.id: _peaks(p, level) for p in profiles}
-    if durations is not None:
-        # A peak's time and prominence are kept or dropped together.
-        for k, (times, prominences) in peaks.items():
-            keep = np.isin(times, metrics.strip_edges(times, durations[k]))
-            peaks[k] = times[keep], prominences[keep]
-    refs = metrics._references(refs, peaks, tolerance, durations)
-    grid = np.asarray(PROMINENCE_GRID)
-    n_hit = np.zeros(grid.size, dtype=np.int64)
-    n_pred = np.zeros(grid.size, dtype=np.int64)
-    for k, r_times in refs.items():
-        times, prominences = peaks[k]
-        # Peaks with prominence >= p, per grid point p.
-        kept = prominences.size - np.searchsorted(np.sort(prominences), grid, side="left")
-        for count in np.unique(kept):
-            at = kept == count
-            n_hit[at] += metrics._hits(times[prominences >= grid[at][0]], r_times, tolerance)
-        n_pred += kept
-    n_ref = sum(r.size for r in refs.values())
-    best_prom, best_rv, best_score = None, None, -np.inf
-    rows = []
-    for prom, hits, preds in zip(PROMINENCE_GRID, n_hit.tolist(), n_pred.tolist()):
-        rv = metrics._report(metrics.MatchResult(hits, preds, n_ref), len(refs), tolerance).r_value
-        rows.append((prom, rv))
-        score = -np.inf if rv is None else rv
-        if score >= best_score:
-            best_prom, best_rv, best_score = prom, rv, score
-    return TuneResult(best_prom, best_rv, tuple(rows))
+    reports = metrics.evaluate_grid({p.id: _peaks(p, level) for p in profiles}, refs, PROMINENCE_GRID, tolerance, durations)
+    rows = tuple((prom, report.r_value) for prom, report in zip(PROMINENCE_GRID, reports))
+    # max keeps the first of equal scores, so the reversed grid breaks ties upward.
+    prominence, r_value = max(reversed(rows), key=lambda row: -np.inf if row[1] is None else row[1])
+    return TuneResult(prominence, r_value, rows)
 
 
 def write_predictions(preds: Mapping[str, np.ndarray], out_dir: str | Path, level: str) -> Path:
@@ -298,6 +275,7 @@ def read_predictions(pred_dir: str | Path) -> dict[str, np.ndarray]:
     if not manifest.is_file():
         raise FileNotFoundError(f"no predictions.tsv in {pred_dir}")
     out: dict[str, np.ndarray] = {}
+    lines: dict[str, int] = {}   # utterance id -> line number
     for n, line in enumerate(manifest.read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -305,6 +283,8 @@ def read_predictions(pred_dir: str | Path) -> dict[str, np.ndarray]:
         if len(parts) != 2:
             raise ValueError(f"{manifest}:{n}: expected '<id><TAB><file>', got {line!r}")
         utt_id, fname = parts
+        if lines.setdefault(utt_id, n) != n:
+            raise ValueError(f"{manifest}:{n}: utterance id {utt_id!r} repeats line {lines[utt_id]}")
         path = pred_dir / fname
         try:
             times = np.array([float(v) for v in path.read_text().split()], dtype=np.float64)

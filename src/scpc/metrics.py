@@ -5,7 +5,8 @@ one-to-one, within a tolerance window (20 ms by default).  Corpus scores pool
 hit/prediction/reference counts over all utterances before computing rates,
 as the paper reports them.  The R-value combines the hit rate with the
 over-segmentation rate so that degenerate high-recall predictors score
-poorly.
+poorly.  ``evaluate_grid`` is the one corpus scoring loop: ``evaluate`` runs
+it at one threshold, and prominence tuning over the prominence grid.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "r_value",
     "strip_edges",
     "evaluate",
+    "evaluate_grid",
     "periodic_boundaries",
     "random_boundaries",
     "format_pct",
@@ -42,9 +44,6 @@ class MatchResult:
     n_hit: int
     n_pred: int
     n_ref: int
-
-    def __add__(self, other: "MatchResult") -> "MatchResult":
-        return MatchResult(self.n_hit + other.n_hit, self.n_pred + other.n_pred, self.n_ref + other.n_ref)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,12 @@ def strip_edges(times: Sequence[float], duration: float) -> np.ndarray:
     coincides with the utterance end and never counts toward scoring.
     """
     t = np.asarray(times, dtype=np.float64)
-    return t[(t > _EDGE_EPS) & (t < duration - _EDGE_EPS)]
+    return t[_inside(t, duration)]
+
+
+def _inside(t: np.ndarray, duration: float) -> np.ndarray:
+    """Which of the times ``t`` are neither at 0 nor at ``duration``."""
+    return (t > _EDGE_EPS) & (t < duration - _EDGE_EPS)
 
 
 def evaluate(
@@ -161,29 +165,31 @@ def evaluate(
     must cover exactly the same ids.  When ``durations`` is given, boundaries
     at each utterance's start or end are excluded from both sides before
     matching.  Hit, prediction and reference counts are pooled over the
-    corpus before the rates are computed.
+    corpus before the rates are computed: ``evaluate_grid`` at one
+    threshold, every prediction kept.
     """
-    for times in pred.values():
-        _check_sorted(np.asarray(times, dtype=np.float64), "predicted")
-    refs = _references(ref, pred, tolerance, durations)
-    total = MatchResult(0, 0, 0)
-    for utt_id, r_times in refs.items():
-        p_times = np.asarray(pred[utt_id], dtype=np.float64)
-        if durations is not None:
-            p_times = strip_edges(p_times, durations[utt_id])
-        total = total + MatchResult(_hits(p_times, r_times, tolerance), int(p_times.size), int(r_times.size))
-    return _report(total, len(refs), tolerance)
+    scored = {utt_id: (times, np.zeros(len(times))) for utt_id, times in pred.items()}
+    return evaluate_grid(scored, ref, (0.0,), tolerance, durations)[0]
 
 
-def _references(
+def evaluate_grid(
+    scored: Mapping[str, tuple[Sequence[float], Sequence[float]]],
     ref: Mapping[str, Sequence[float]],
-    pred: Mapping[str, object],
-    tolerance: float,
-    durations: Mapping[str, float] | None,
-) -> dict[str, np.ndarray]:
-    """``evaluate``'s references by sorted id, edge-stripped with
-    ``durations`` and checked sorted, after checking ``tolerance``; the
-    ids must be those of ``pred``."""
+    grid: Sequence[float],
+    tolerance: float = DEFAULT_TOLERANCE,
+    durations: Mapping[str, float] | None = None,
+) -> list[EvalReport]:
+    """``evaluate`` at each threshold of ``grid``, in its order.
+
+    ``scored`` maps utterance ids to (sorted times, one score per time); at
+    threshold g the predictions are the times scored >= g.  The times kept
+    at a higher threshold are a subset of those kept at a lower one, so
+    their count names the set: each utterance is matched once per distinct
+    count, and the integer counts are pooled per threshold.
+    """
+    pred = {utt_id: (np.asarray(t, dtype=np.float64), np.asarray(s, dtype=np.float64)) for utt_id, (t, s) in scored.items()}
+    for times, _ in pred.values():
+        _check_sorted(times, "predicted")
     _check_tolerance(tolerance)
     refs = {}
     for utt_id in sorted(ref):
@@ -198,15 +204,27 @@ def _references(
         raise ValueError(f"utterance id mismatch between predictions and references: missing {missing}, unexpected {extra}")
     if not refs:
         raise ValueError("evaluate() needs at least one utterance")
-    return refs
-
-
-def _report(total: MatchResult, n_utterances: int, tolerance: float) -> EvalReport:
-    """The rates of pooled counts, as ``evaluate`` reports them."""
-    p, r, f1 = precision_recall_f1(total)
-    os = over_segmentation(p, r)
-    rv = r_value(r, os) if os is not None else None
-    return EvalReport(p, r, f1, os, rv, total.n_hit, total.n_pred, total.n_ref, n_utterances, tolerance)
+    thresholds = np.asarray(grid, dtype=np.float64)
+    n_hit = np.zeros(thresholds.size, dtype=np.int64)
+    n_pred = np.zeros(thresholds.size, dtype=np.int64)
+    for utt_id, r_times in refs.items():
+        times, scores = pred[utt_id]
+        if durations is not None:   # a time and its score are kept or dropped together
+            inside = _inside(times, durations[utt_id])
+            times, scores = times[inside], scores[inside]
+        kept = scores.size - np.searchsorted(np.sort(scores), thresholds, side="left")
+        for count in np.unique(kept):
+            at = kept == count
+            n_hit[at] += _hits(times[scores >= thresholds[at][0]], r_times, tolerance)
+        n_pred += kept
+    n_ref = sum(r.size for r in refs.values())
+    reports = []
+    for hits, preds in zip(n_hit.tolist(), n_pred.tolist()):
+        p, r, f1 = precision_recall_f1(MatchResult(hits, preds, n_ref))
+        os = over_segmentation(p, r)
+        rv = r_value(r, os) if os is not None else None
+        reports.append(EvalReport(p, r, f1, os, rv, hits, preds, n_ref, len(refs), tolerance))
+    return reports
 
 
 def periodic_boundaries(duration: float, period: float = 0.040) -> np.ndarray:

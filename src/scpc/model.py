@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,10 @@ class ModelConfig:
     thres: float = 0.09    # peak threshold used for segmentation
 
     def __post_init__(self):
+        for f in fields(self):   # a float field takes an int too; bool fits neither
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.frame_dim < 1 or self.segment_dim < 1:
             raise ValueError(f"dims must be positive, got frame_dim={self.frame_dim} segment_dim={self.segment_dim}")
         if not 0.0 <= self.thres <= 1.0:

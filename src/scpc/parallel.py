@@ -1,18 +1,18 @@
 """Fork-and-pipe worker group, and threads inside one op of one process.
 
-A command's ``--workers`` is its core budget.  ``split_cores`` spends it on
-processes first, one per independent job up to the budget, and gives each
-process the cores left over as threads for its numpy work.
-
-``ForkGroup(n, inherited)`` forks ``n - 1`` children once, with the ``fork``
-start method, so every child holds ``inherited`` (the training corpus, say)
+A command's ``--workers`` is its core budget.  ``ForkGroup(workers, jobs,
+inherited)`` spends it on processes first, one per independent job up to
+the budget, and gives each process the cores left over as ``threads`` for
+its numpy work.  It forks its children once, with the ``fork`` start
+method, so every child holds ``inherited`` (the training corpus, say)
 through the fork and no audio is ever pickled.  Each child has its own
 ``Pipe`` and serves one request at a time.  ``map`` queues its items
 heaviest first and deals them from a counter shared through the fork:
-process i, the caller being 0, starts at position i and then takes the next
-position whenever it is free, calling ``fn(inherited, *args, item)``, a
-module-level function sent by reference.  The caller then receives each
-child's results on its own thread.  One process yields its results lazily.
+process i, the caller being 0, starts at position i and then takes the
+next position whenever it is free, calling ``fn(inherited, threads,
+*args, item)``, a module-level function sent by reference.  The caller
+then receives each child's results on its own thread.  One process yields
+its results lazily.
 
 Children ignore SIGINT and exit when their pipe reaches end of file: when
 the group closes, or when the parent dies without closing it.  A child that
@@ -31,17 +31,7 @@ import signal
 import threading
 from typing import Callable, Iterator, Sequence
 
-__all__ = ["ForkGroup", "split_cores", "fan_out"]
-
-
-def split_cores(workers: int, jobs: int) -> tuple[int, int]:
-    """(processes, threads per process) for a budget of ``workers`` cores
-    over ``jobs`` independent jobs: min(workers, jobs) processes, at least
-    one, and ``workers // processes`` threads in each."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    processes = max(1, min(workers, jobs))
-    return processes, workers // processes
+__all__ = ["ForkGroup", "fan_out"]
 
 
 def fan_out(fn: Callable[[int], None], n: int) -> None:
@@ -98,16 +88,22 @@ def _serve(conn, inherited, counter, rank, foreign) -> None:
 
 
 class ForkGroup:
-    """The calling process plus ``n - 1`` forked children (none for n <= 1)."""
+    """A budget of ``workers`` cores over ``jobs`` independent jobs: the
+    calling process plus forked children, max(1, min(workers, jobs))
+    processes in all, each running ``threads = workers // processes``."""
 
-    def __init__(self, n: int, inherited: object = None):
+    def __init__(self, workers: int, jobs: int, inherited: object = None):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        processes = max(1, min(workers, jobs))
+        self.threads = workers // processes
         self._inherited = inherited
         self._conns: list = []
         self._procs: list = []
         ctx = multiprocessing.get_context("fork")
         self._next = ctx.Value("q", 0)   # the next queue position to take, shared through the fork
         try:
-            for rank in range(1, n):
+            for rank in range(1, processes):
                 mine, theirs = ctx.Pipe()
                 self._conns.append(mine)
                 proc = ctx.Process(target=_serve, args=(theirs, inherited, self._next, rank, list(self._conns)), daemon=True)
@@ -119,13 +115,14 @@ class ForkGroup:
             raise
 
     def map(self, fn: Callable, items: Sequence, weights: Sequence[float], *args) -> Iterator:
-        """One result ``fn(inherited, *args, item)`` per item of ``items``, in their order.
+        """One result ``fn(inherited, threads, *args, item)`` per item of ``items``, in their order.
 
         Without children the results are computed lazily, one per step of
         the iterator.  Otherwise the items are queued by ``weights``,
         heaviest first, and dealt to the processes as they come free; the
         group closes if any item fails.
         """
+        args = (self.threads, *args)
         if not self._procs:
             return (fn(self._inherited, *args, item) for item in items)
         queue = sorted(enumerate(items), key=lambda pair: -weights[pair[0]])

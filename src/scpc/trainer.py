@@ -6,8 +6,9 @@ read from the environment or the command line.  A single optimizer
 writer updates the parameters; per-utterance randomness is derived
 functionally from (seed, epoch, utterance index), so two runs of the same
 build produce bitwise-identical checkpoints, whatever the number of worker
-processes and threads that compute the per-utterance gradients, and an interrupted run resumes
-on the exact loss trajectory from the checkpoint written after every epoch.
+processes and threads that compute the per-utterance gradients, and an
+interrupted run resumes on the exact loss trajectory from the checkpoint
+written after every epoch.
 The segment-level loss joins the total from ``add_nsc_epoch`` onward.
 """
 
@@ -193,12 +194,12 @@ def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
 
 # ------------------------------------------------------------- validation
 
-def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, tuple[dict[str, np.ndarray], dict[str, float]]], group: parallel.ForkGroup, threads: int) -> tuple[float | None, ...]:
+def _validate(net: model.SCPCModel, entries: list[tuple[str, str]], refs: dict[str, tuple[dict[str, np.ndarray], dict[str, float]]], group: parallel.ForkGroup) -> tuple[float | None, ...]:
     """Pooled R-values at the default prominence, one per level of
     ``infer.LEVELS``; ``refs`` maps a level to ``audio.load_references``'s
     (times, durations), the durations ``eval`` and ``tune`` score with.
-    Each process of ``group`` runs the encoder on ``threads`` threads."""
-    profiles = infer.profile_with(group, net, entries, threads)
+    Each process of ``group`` runs the encoder on the group's threads."""
+    profiles = infer.profile_with(group, net, entries)
     r_values = []
     for level in infer.LEVELS:
         preds = {p.id: infer.predict(p, level) for p in profiles}
@@ -222,7 +223,7 @@ def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: 
     return {k: grads[k] if k in grads else np.zeros_like(p) for k, p in params.items()}, report, graph.boundaries.n_segments
 
 
-def _step_item(items: list[tuple[str, np.ndarray]], params: dict[str, np.ndarray], config: TrainConfig, epoch: int, threads: int, i: int) -> tuple:
+def _step_item(items: list[tuple[str, np.ndarray]], threads: int, params: dict[str, np.ndarray], config: TrainConfig, epoch: int, i: int) -> tuple:
     """``_utterance_step`` for utterance ``i`` of the training corpus
     ``items``, on its own (seed, epoch, utterance) stream."""
     return _utterance_step(params, items[i][1], config, epoch >= config.add_nsc_epoch, np.random.default_rng([config.seed, epoch, i]), threads)
@@ -282,13 +283,13 @@ def _resume(path: str | Path, config: TrainConfig) -> tuple[model.SCPCModel, int
     )
 
 
-def _train_batch(group: parallel.ForkGroup, items: list[tuple[str, np.ndarray]], usable: list[bool], picks: np.ndarray, params: dict[str, np.ndarray], state: _OptState, config: TrainConfig, epoch: int, threads: int, totals: dict[str, float]) -> None:
+def _train_batch(group: parallel.ForkGroup, items: list[tuple[str, np.ndarray]], usable: list[bool], picks: np.ndarray, params: dict[str, np.ndarray], state: _OptState, config: TrainConfig, epoch: int, totals: dict[str, float]) -> None:
     """One update from the ``usable`` utterances among ``picks``; each one's
     losses and segment count join ``totals`` one at a time, in batch order."""
     batch = [int(idx) for idx in picks if usable[idx]]
     if not batch:
         return
-    steps = group.map(_step_item, batch, [items[idx][1].size for idx in batch], params, config, epoch, threads)
+    steps = group.map(_step_item, batch, [items[idx][1].size for idx in batch], params, config, epoch)
     # Fold in batch order, so the sums are the same for any group size.
     grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
     for idx, (utt_grads, report, n_segments) in zip(batch, steps):
@@ -338,7 +339,7 @@ def train(
     epoch, so a divergence (non-finite loss, reported with the offending
     utterance) leaves the last good checkpoint in place.
 
-    ``workers`` is the run's core budget (``parallel.split_cores``): the
+    ``workers`` is the run's core budget (``parallel.ForkGroup``): the
     run forks min(workers, batch_size) - 1 children once, each holding the
     training audio through the fork, and every process runs its encoder
     layers on the cores left over, workers // processes threads.  A
@@ -348,7 +349,6 @@ def train(
     ``workers``; one process folds each gradient before computing the
     next.  Validation profiles on the same processes and threads.
     """
-    processes, threads = parallel.split_cores(workers, config.batch_size)
     if resume_from is not None:
         net, start_epoch, state = _resume(resume_from, config)
     else:
@@ -371,27 +371,27 @@ def train(
     val_refs = {level: audio.load_references(val_rows, level) for level in infer.LEVELS}
 
     out = Path(out_dir)
-    echo_config(out, {"command": "train", "manifest": str(manifest_path), "val": val_manifest_path and str(val_manifest_path),
-                      "workers": workers, "resume": resume_from and str(resume_from), "config": dataclasses.asdict(config)})
     params = dict(net.params)
     ckpt_path = out / "checkpoint.npz"
     metrics_path = out / "metrics.jsonl"
     history: list[dict] = []
 
-    with parallel.ForkGroup(processes, items) as group, \
-            open(metrics_path, "w" if start_epoch == 0 else "a") as log:
-        for epoch in range(start_epoch, config.epochs):
-            order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
-            totals = {"l_nfc": 0.0, "l_nsc": 0.0, "nsc_n": 0, "segments": 0.0}
-            for start in range(0, len(order), config.batch_size):
-                _train_batch(group, items, usable, order[start : start + config.batch_size], params, state, config, epoch, threads, totals)
-            net = model.SCPCModel(net.config, dict(params))
-            r_values = _validate(net, val_entries, val_refs, group, threads) if val_entries else (None, None)
-            record = _epoch_record(epoch, totals, n_used, len(items) - n_used, r_values)
-            history.append(record)
-            log.write(json.dumps(record) + "\n")
-            log.flush()
-            _save_state(ckpt_path, net, state, epoch + 1, config)
+    with parallel.ForkGroup(workers, config.batch_size, items) as group:   # checks workers before the echo
+        echo_config(out, {"command": "train", "manifest": str(manifest_path), "val": val_manifest_path and str(val_manifest_path),
+                          "workers": workers, "resume": resume_from and str(resume_from), "config": dataclasses.asdict(config)})
+        with open(metrics_path, "w" if start_epoch == 0 else "a") as log:
+            for epoch in range(start_epoch, config.epochs):
+                order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
+                totals = {"l_nfc": 0.0, "l_nsc": 0.0, "nsc_n": 0, "segments": 0.0}
+                for start in range(0, len(order), config.batch_size):
+                    _train_batch(group, items, usable, order[start : start + config.batch_size], params, state, config, epoch, totals)
+                net = model.SCPCModel(net.config, dict(params))
+                r_values = _validate(net, val_entries, val_refs, group) if val_entries else (None, None)
+                record = _epoch_record(epoch, totals, n_used, len(items) - n_used, r_values)
+                history.append(record)
+                log.write(json.dumps(record) + "\n")
+                log.flush()
+                _save_state(ckpt_path, net, state, epoch + 1, config)
 
     return TrainResult(ckpt_path, metrics_path, history, net)
 

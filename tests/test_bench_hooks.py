@@ -2,9 +2,10 @@
 
 ``bench/tracing.py`` wraps ``scpc`` functions by name at run time and reads
 per-layer figures off the spans those names record.  Renaming one would not
-fail the program, only empty a benchmark column, so this test installs the
-tracer (loaded from its file, unchanged) on the package, runs one tiny
-training step and one profile, and checks that the spans it reads are there.
+fail the program, only empty a benchmark column, so these tests install the
+tracer (loaded from its file, unchanged) on the package, run one tiny
+training step and one profile, or one tune and one evaluate, and check that
+the spans it reads are there.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import scpc
-from scpc import audio, cli, infer, model, trainer  # noqa: F401  (cli loads every module the tracer wraps)
+from scpc import audio, cli, infer, metrics, model, trainer  # noqa: F401  (cli loads every module the tracer wraps)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -52,3 +53,20 @@ def test_tracer_records_the_spans_the_benchmark_reads(monkeypatch):
     assert tracer.counts["model.frames"] == 2 * model.n_frames(samples.size)
     # Uninstalled: the package runs unwrapped again.
     assert model.frame_latents.__module__ == "scpc.model" and not hasattr(model.frame_latents, "__wrapped__")
+
+
+def test_tracer_records_the_scoring_spans_the_benchmark_reads(monkeypatch):
+    utt = audio.generate_utterance(dataclasses.replace(audio.default_spec(seed=0), words_per_utterance=(2, 2)), 0)
+    net = model.SCPCModel.init(model.ModelConfig(frame_dim=8, segment_dim=8), seed=0)
+    profile = infer.profile_utterance(net, utt.waveform.samples, "u0")
+    refs, durations = {"u0": utt.phoneme_times}, {"u0": utt.waveform.samples.size / audio.SAMPLE_RATE}
+    tracer = load_tracing(monkeypatch).Tracer()
+    tracer.install(scpc)
+    try:
+        infer.tune_prominence([profile], refs, "phoneme", durations=durations)
+        metrics.evaluate({"u0": infer.predict(profile, "phoneme")}, refs, durations=durations)
+    finally:
+        tracer.uninstall()
+    names = [span[3] for span in tracer.spans]
+    assert names.count("infer.tune_prominence") == 1
+    assert names.count("metrics.evaluate") == 1

@@ -368,10 +368,12 @@ def test_resume_with_misshapen_optimizer_state_fails_in_one_line(workspace, tmp_
     assert "bad.npz: optimizer state extra/adam_v/seg_b1 is float64 (3,), expected float32 (8,)" in one_line_error(capsys, code)
 
 
-def unknown_model_key(arrays):
-    echo = json.loads(str(arrays["config_json"]))
-    echo["model"]["hidden"] = 3
-    arrays["config_json"] = np.asarray(json.dumps(echo))
+def set_model_field(name, value):
+    def edit(arrays):
+        echo = json.loads(str(arrays["config_json"]))
+        echo["model"][name] = value
+        arrays["config_json"] = np.asarray(json.dumps(echo))
+    return edit
 
 
 def set_version(value):
@@ -390,15 +392,17 @@ VERSION_MISMATCH = "bad.npz: checkpoint format version mismatch (found {}, expec
 
 
 @pytest.mark.parametrize("edit, message", [
-    (unknown_model_key, "bad.npz: unreadable model config"),
+    (set_model_field("hidden", 3), "bad.npz: unreadable model config"),
     (lambda a: a.pop("config_json"), "bad.npz: unreadable model config"),
+    (set_model_field("frame_dim", 8.0), "bad.npz: unreadable model config (ValueError: frame_dim must be int, got 8.0)"),
+    (set_model_field("thres", True), "bad.npz: unreadable model config (ValueError: thres must be float, got True)"),
     (set_version([1, 1]), VERSION_MISMATCH.format("shape (2,)")),
     (set_version("1"), VERSION_MISMATCH.format("'1'")),
     (set_version(1.5), VERSION_MISMATCH.format("1.5")),
     (set_version(True), VERSION_MISMATCH.format("True")),
     (lambda a: a.pop("format_version"), VERSION_MISMATCH.format("None")),
     (pickled_reference_ctx_b, "bad.npz: unreadable checkpoint entry param/ctx_b (Object arrays cannot be loaded"),
-], ids=["unknown_model_key", "no_config_json", "version_shape_2", "version_string", "version_float", "version_bool", "no_version",
+], ids=["unknown_model_key", "no_config_json", "float_frame_dim", "bool_thres", "version_shape_2", "version_string", "version_float", "version_bool", "no_version",
         "object_array"])
 def test_bad_checkpoint_config_fails_in_one_line(workspace, tmp_path, capsys, edit, message):
     bad = tmp_path / "bad.npz"
@@ -429,7 +433,8 @@ def test_non_npz_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, conte
     ("u00000\tu00000.txt\n", "0.1x\n", "u00000.txt: non-numeric boundary time"),
     ("u00000\tu00000.txt\n", "0.2\n0.1\n", "u00000.txt: boundary times must be finite and strictly increasing"),
     ("u00000\tu00000.txt\n", "0.1\nnan\n0.3\n", "u00000.txt: boundary times must be finite and strictly increasing"),
-], ids=["no_tab", "non_numeric", "decreasing", "nan"])
+    ("u00000\tu00000.txt\n\nu00000\tu00000.txt\n", "0.1\n", "predictions.tsv:3: utterance id 'u00000' repeats line 1"),
+], ids=["no_tab", "non_numeric", "decreasing", "nan", "repeated_id"])
 def test_bad_predictions_fail_in_one_line(workspace, tmp_path, capsys, line, file_text, message):
     pred = tmp_path / "pred"
     pred.mkdir()

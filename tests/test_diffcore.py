@@ -611,7 +611,7 @@ class TestConventions:
 
     # Public names the pipeline never uses, each kept for a stated reader.
     NO_PIPELINE_CALLER = {
-        "metrics.match": "the matching rule's unit API; scoring runs the same walk inside metrics.evaluate and infer.tune_prominence",
+        "metrics.match": "the matching rule's unit API; scoring runs the same walk inside metrics.evaluate_grid",
         "metrics.periodic_boundaries": "a baseline the acceptance gate scores the model against",
         "metrics.random_boundaries": "a baseline the acceptance gate scores the model against",
         "boundary.peak_scores": "boundary_indicator's forward stage, which the tests and the demo read",
@@ -647,9 +647,6 @@ class TestConventions:
     # Private names that one module of src/scpc reads from another, each with
     # the reason it is read there rather than made public.
     CROSS_MODULE_PRIVATE = {
-        "infer -> metrics._references": "tune_prominence scores against evaluate's references, checked and edge-stripped alike",
-        "infer -> metrics._hits": "tune_prominence counts hits with evaluate's greedy walk, on arrays it has already sorted",
-        "infer -> metrics._report": "tune_prominence turns pooled counts into rates as evaluate reports them",
         "cli -> infer._check_prominence": "segment checks --prominence with predict's own rule before profiling",
         "cli -> metrics._check_tolerance": "tune checks --tol with evaluate's own rule before profiling",
     }

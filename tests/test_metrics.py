@@ -124,6 +124,50 @@ class TestEvaluate:
         assert report.r_value is None
 
 
+def _pooled_by_hand(pred, ref, tolerance, durations):
+    """The corpus report built step by step from the public parts: edges
+    stripped on both sides, one ``match`` per utterance, counts summed."""
+    n_hit = n_pred = n_ref = 0
+    for utt_id in ref:
+        p, r = pred[utt_id], ref[utt_id]
+        if durations is not None:
+            p, r = metrics.strip_edges(p, durations[utt_id]), metrics.strip_edges(r, durations[utt_id])
+        counts = metrics.match(p, r, tolerance)
+        n_hit, n_pred, n_ref = n_hit + counts.n_hit, n_pred + counts.n_pred, n_ref + counts.n_ref
+    precision, recall, f1 = metrics.precision_recall_f1(metrics.MatchResult(n_hit, n_pred, n_ref))
+    os = metrics.over_segmentation(precision, recall)
+    rv = None if os is None else metrics.r_value(recall, os)
+    return metrics.EvalReport(precision, recall, f1, os, rv, n_hit, n_pred, n_ref, len(ref), tolerance)
+
+
+def test_pooled_scores_equal_an_explicit_loop_at_every_threshold():
+    # Times on a 10 ms grid, edges included, with scores that tie, so
+    # several thresholds keep the same set; the top thresholds keep none.
+    rng = np.random.default_rng(5)
+    grid = tuple(i / 20 for i in range(12))
+    seen_empty = 0
+    for _ in range(20):
+        scored, ref, durations = {}, {}, {}
+        for u in range(int(rng.integers(1, 5))):
+            n_frames = int(rng.integers(1, 60))
+            frames = np.arange(n_frames + 1)
+            times = np.sort(rng.choice(frames, size=int(rng.integers(0, n_frames + 2)), replace=False)) * 0.01
+            scored[f"u{u}"] = times, np.round(0.5 * rng.random(times.size), 1)
+            n_ref = int(rng.integers(0, 10))
+            jittered = rng.choice(frames, size=n_ref) * 0.01 + rng.uniform(-0.012, 0.012, n_ref)
+            ref[f"u{u}"] = np.sort(jittered).clip(0.0, n_frames * 0.01)
+            durations[f"u{u}"] = n_frames * 0.01
+        for tolerance in (0.010, 0.020):
+            for durs in (None, durations):
+                rows = metrics.evaluate_grid(scored, ref, grid, tolerance, durs)
+                expected = [_pooled_by_hand({k: t[s >= g] for k, (t, s) in scored.items()}, ref, tolerance, durs) for g in grid]
+                assert rows == expected
+                pred = {k: t for k, (t, _) in scored.items()}
+                assert metrics.evaluate(pred, ref, tolerance, durs) == _pooled_by_hand(pred, ref, tolerance, durs)
+                seen_empty += rows[-1].n_pred == 0
+    assert seen_empty
+
+
 class TestBaselines:
     def test_periodic_interior_only(self):
         times = metrics.periodic_boundaries(0.200, period=0.040)

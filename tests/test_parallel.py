@@ -39,13 +39,20 @@ def run_cli(*argv) -> int:
 
 # ----------------------------------------------------- cores and dealing
 
-def test_split_cores_spends_processes_first_then_threads():
-    assert parallel.split_cores(2, 8) == (2, 1)
-    assert parallel.split_cores(2, 1) == (1, 2)
-    assert parallel.split_cores(5, 2) == (2, 2)
-    assert parallel.split_cores(2, 0) == (1, 2)   # an empty manifest: one process
+def _threads_of(_inherited, threads, _item):
+    return threads
+
+
+def test_fork_group_spends_processes_first_then_threads():
+    # (workers, jobs, processes, threads); no jobs is an empty manifest: one process.
+    for workers, jobs, processes, threads in [(2, 8, 2, 1), (2, 1, 1, 2), (5, 2, 2, 2), (2, 0, 1, 2)]:
+        with parallel.ForkGroup(workers, jobs) as group:
+            assert (len(group._procs) + 1, group.threads) == (processes, threads)
+            # One item per process, so each hands its thread count to fn.
+            assert list(group.map(_threads_of, range(processes), [1.0] * processes)) == [threads] * processes
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        parallel.split_cores(0, 4)
+        parallel.ForkGroup(0, 4)
+    assert multiprocessing.active_children() == []
 
 
 def test_fan_out_joins_every_thread_and_raises_a_helpers_error():
@@ -65,7 +72,7 @@ def test_fan_out_joins_every_thread_and_raises_a_helpers_error():
     assert threading.active_count() == threads_before
 
 
-def _tag(inherited, offset, item):
+def _tag(inherited, _threads, offset, item):
     time.sleep(0.005)
     return inherited[item] + offset, os.getpid()
 
@@ -74,14 +81,14 @@ def test_map_returns_results_in_item_order_from_every_process():
     # Folding by exact float64 sums hides a misordered reply from the
     # byte-identity tests, so the order is pinned here.
     items = list(range(7))
-    with parallel.ForkGroup(3, inherited=[10 * i for i in items]) as group:
+    with parallel.ForkGroup(3, len(items), inherited=[10 * i for i in items]) as group:
         out = list(group.map(_tag, items, [3, 1, 4, 1, 5, 9, 2], 1))
     assert [value for value, _ in out] == [10 * i + 1 for i in items]
     assert len({pid for _, pid in out}) == 3
     assert multiprocessing.active_children() == []
 
 
-def _sleep(_inherited, item):
+def _sleep(_inherited, _threads, item):
     time.sleep(item)
     return os.getpid()
 
@@ -90,13 +97,13 @@ def test_a_slow_item_holds_up_no_other_item():
     # Equal weights do not see the slow item: a static split by weight
     # would give its process three of the quick ones too.
     items = [0.5] + [0.01] * 7
-    with parallel.ForkGroup(2) as group:
+    with parallel.ForkGroup(2, len(items)) as group:
         pids = list(group.map(_sleep, items, [1.0] * 8))
     assert pids.count(pids[0]) == 1
     assert len(set(pids)) == 2
 
 
-def _fail_in_child(_inherited, parent, item):
+def _fail_in_child(_inherited, _threads, parent, item):
     if os.getpid() == parent:
         time.sleep(0.3 if item == 0 else 0.01)
     elif item >= 2:
@@ -107,13 +114,13 @@ def _fail_in_child(_inherited, parent, item):
 def test_an_error_in_a_child_mid_queue_surfaces_and_closes_the_group():
     # The parent starts on item 0 and the child on item 1; the child then
     # takes item 2, which fails, while the parent is still busy.
-    group = parallel.ForkGroup(2)
+    group = parallel.ForkGroup(2, 8)
     with pytest.raises(ValueError, match=r"item \d failed in a child"):
         group.map(_fail_in_child, list(range(8)), [8 - i for i in range(8)], os.getpid())
     assert group._procs == [] and multiprocessing.active_children() == []
 
 
-def _ident(_inherited, item):
+def _ident(_inherited, _threads, item):
     return item
 
 
@@ -122,7 +129,7 @@ def test_no_item_is_dealt_twice_or_skipped_under_contention():
     # process keeps taking from the counter: a lost update would repeat or
     # skip an item.
     items = list(range(20000))
-    with parallel.ForkGroup(4) as group:
+    with parallel.ForkGroup(4, len(items)) as group:
         for _ in range(3):
             assert list(group.map(_ident, items, [1.0] * len(items))) == items
 
@@ -130,11 +137,11 @@ def test_no_item_is_dealt_twice_or_skipped_under_contention():
 def test_one_process_computes_each_result_when_it_is_taken():
     calls = []
 
-    def record(_inherited, item):
+    def record(_inherited, _threads, item):
         calls.append(item)
         return item
 
-    results = parallel.ForkGroup(1).map(record, [3, 1, 2], [1, 2, 3])
+    results = parallel.ForkGroup(1, 3).map(record, [3, 1, 2], [1, 2, 3])
     assert calls == []
     assert next(results) == 3 and calls == [3]
     assert list(results) == [1, 2] and calls == [3, 1, 2]
@@ -343,7 +350,7 @@ def _exited(pid: int) -> bool:
 def test_children_exit_when_the_parent_is_killed():
     src = Path(parallel.__file__).resolve().parents[1]
     script = ("import time; from scpc import parallel\n"
-              "group = parallel.ForkGroup(3)\n"
+              "group = parallel.ForkGroup(3, 3)\n"
               "print(*(p.pid for p in group._procs), flush=True)\n"
               "time.sleep(60)\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
