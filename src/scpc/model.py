@@ -36,6 +36,7 @@ __all__ = [
     "ModelConfig",
     "SCPCModel",
     "UtteranceGraph",
+    "param_shapes",
     "n_frames",
     "frame_latents",
     "segment_latents",
@@ -99,24 +100,22 @@ class SCPCModel:
     def init(cls, config: ModelConfig = ModelConfig(), seed: int = 0) -> "SCPCModel":
         """Uniform fan-in initialization, fully determined by the seed."""
         rng = np.random.default_rng([seed, 0xC0DE])
-        p, q = config.frame_dim, config.segment_dim
         params: dict[str, np.ndarray] = {}
-        c_in = 1
-        for i, (k, _) in enumerate(zip(KERNELS, STRIDES)):
-            c_out = p
-            params[f"frame_conv{i}_w"] = _uniform(rng, (c_out, c_in, k), c_in * k)
-            # Small positive bias keeps silent windows off the relu dead zone
-            # at init; LATENT_EPS is the durable nonzero guarantee.
-            params[f"frame_conv{i}_b"] = np.full(c_out, 0.01, dtype=np.float32)
-            c_in = c_out
-        params["seg_w1"] = _uniform(rng, (p, q), p)
-        params["seg_b1"] = np.zeros(q, dtype=np.float32)
-        params["seg_w2"] = _uniform(rng, (q, q), q)
-        params["seg_b2"] = np.zeros(q, dtype=np.float32)
-        params["ctx_w_in"] = _uniform(rng, (q, q), q)
-        params["ctx_w_h"] = _uniform(rng, (q, q), q)
-        params["ctx_b"] = np.zeros(q, dtype=np.float32)
+        for name, shape in param_shapes(config).items():
+            if len(shape) > 1:   # a conv weight (c_out, c_in, k) or a matrix (in, out)
+                params[name] = _uniform(rng, shape, shape[1] * shape[2] if len(shape) == 3 else shape[0])
+            else:   # a small positive conv bias keeps silent windows off the relu dead zone at init
+                params[name] = np.full(shape, 0.01 if name.startswith("frame_conv") else 0.0, dtype=np.float32)
         return cls(config, params)
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order init draws and checkpoints store them."""
+    p, q = config.frame_dim, config.segment_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, k in enumerate(KERNELS):   # conv weights are (c_out, c_in, k)
+        shapes.update({f"frame_conv{i}_w": (p, p if i else 1, k), f"frame_conv{i}_b": (p,)})
+    return {**shapes, "seg_w1": (p, q), "seg_b1": (q,), "seg_w2": (q, q), "seg_b2": (q,), "ctx_w_in": (q, q), "ctx_w_h": (q, q), "ctx_b": (q,)}
 
 
 def frame_latents(params: dict[str, np.ndarray], samples: np.ndarray, threads: int = 1, tape: dc.Tape | None = None) -> np.ndarray:
@@ -241,11 +240,10 @@ def load_checkpoint(path: str | Path) -> tuple[SCPCModel, dict[str, np.ndarray],
         raise ValueError(f"{path}: checkpoint model takes sample_rate {rate!r}; only {SAMPLE_RATE} Hz input is supported")
     params = {k[len("param/") :]: a for k, a in arrays.items() if k.startswith("param/")}
     extras = {k[len("extra/") :]: a for k, a in arrays.items() if k.startswith("extra/")}
-    expected = SCPCModel.init(config, seed=0).params
+    expected = param_shapes(config)
     if set(params) != set(expected):
         raise ValueError(f"{path}: checkpoint parameter set does not match this model (missing {sorted(set(expected) - set(params))})")
-    for name, ref in expected.items():
-        found = params[name]
-        if found.shape != ref.shape or found.dtype != ref.dtype:
-            raise ValueError(f"{path}: parameter {name} is {found.dtype} {found.shape}, expected {ref.dtype} {ref.shape}")
+    for name, found in params.items():
+        if found.shape != expected[name] or found.dtype != np.float32:
+            raise ValueError(f"{path}: parameter {name} is {found.dtype} {found.shape}, expected float32 {expected[name]}")
     return SCPCModel(config, params), extras, config_raw.get("train")

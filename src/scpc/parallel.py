@@ -5,14 +5,15 @@ inherited)`` spends it on processes first, one per independent job up to
 the budget, and gives each process the cores left over as ``threads`` for
 its numpy work.  It forks its children once, with the ``fork`` start
 method, so every child holds ``inherited`` (the training corpus, say)
-through the fork and no audio is ever pickled.  Each child has its own
-``Pipe`` and serves one request at a time.  ``map`` queues its items
-heaviest first and deals them from a counter shared through the fork:
-process i, the caller being 0, starts at position i and then takes the
-next position whenever it is free, calling ``fn(inherited, threads,
-*args, item)``, a module-level function sent by reference.  The caller
-then receives each child's results on its own thread.  One process yields
-its results lazily.
+through the fork and no audio is ever pickled; arrays in an anonymous
+``mmap.mmap(-1, n)`` made before the fork stay shared both ways.  Each
+child has its own ``Pipe`` and serves one request at a time.  ``map``
+queues its items heaviest first and deals them from a counter shared
+through the fork: process i, the caller being 0, starts at position i and
+then takes the next position whenever it is free, calling ``fn(inherited,
+threads, *args, item)``, a module-level function sent by reference.  The
+caller then receives each child's results on its own thread.  One process
+yields its results lazily.
 
 Children ignore SIGINT and exit when their pipe reaches end of file: when
 the group closes, or when the parent dies without closing it.  A child that

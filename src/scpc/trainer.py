@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,9 +166,8 @@ class _OptState:
 
 def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     total = 0.0
-    for name in sorted(grads):
-        g = grads[name]
-        total += float(np.sum(g * g))
+    for name in sorted(grads):   # each name's own sum, in a fixed order
+        total += float(np.sum(grads[name] * grads[name]))
     norm = float(np.sqrt(total))
     if norm > max_norm > 0:
         scale = max_norm / norm
@@ -189,7 +189,7 @@ def _apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
         state.m[name] = m.astype(np.float32)
         state.v[name] = v.astype(np.float32)
         step = config.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        params[name] = (params[name].astype(np.float64) - step).astype(np.float32)
+        params[name][...] = params[name].astype(np.float64) - step
 
 
 # ------------------------------------------------------------- validation
@@ -223,10 +223,30 @@ def _utterance_step(params: dict[str, np.ndarray], samples: np.ndarray, config: 
     return {k: grads[k] if k in grads else np.zeros_like(p) for k, p in params.items()}, report, graph.boundaries.n_segments
 
 
-def _step_item(items: list[tuple[str, np.ndarray]], threads: int, params: dict[str, np.ndarray], config: TrainConfig, epoch: int, i: int) -> tuple:
-    """``_utterance_step`` for utterance ``i`` of the training corpus
-    ``items``, on its own (seed, epoch, utterance) stream."""
-    return _utterance_step(params, items[i][1], config, epoch >= config.add_nsc_epoch, np.random.default_rng([config.seed, epoch, i]), threads)
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Named views of the 1-d ``flat``, one per entry of ``shapes``, end to end in its order."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1]))}
+
+
+def _arena(net: model.SCPCModel, slots: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Views of ``net``'s parameters, copied into a new anonymous mapping that
+    forks share, and the (slots, parameter count) float32 gradient slots after them."""
+    shapes = model.param_shapes(net.config)
+    flat = np.frombuffer(mmap.mmap(-1, 4 * (1 + slots) * sum(p.size for p in net.params.values())), dtype=np.float32).reshape(1 + slots, -1)
+    np.concatenate([net.params[k].ravel() for k in shapes], out=flat[0])
+    return _views(flat[0], shapes), flat[1:]
+
+
+def _step_item(shared: tuple, threads: int, config: TrainConfig, epoch: int, item: tuple[int, int]) -> tuple[bool, obj.LossReport, int]:
+    """``_utterance_step`` for ``item = (pos, i)``, utterance ``i`` of ``shared = (items, params,
+    slots)``, on its own (seed, epoch, utterance) stream, its gradient into slot ``pos`` modulo
+    the slot count: whether its loss is finite, its loss terms and its segment count."""
+    (items, params, slots), (pos, i) = shared, item
+    grads, report, n_segments = _utterance_step(params, items[i][1], config, epoch >= config.add_nsc_epoch, np.random.default_rng([config.seed, epoch, i]), threads)
+    if grads is not None:
+        np.concatenate([g.ravel() for g in grads.values()], out=slots[pos % len(slots)])
+    return grads is not None, report, n_segments
 
 
 @dataclass(frozen=True)
@@ -283,28 +303,27 @@ def _resume(path: str | Path, config: TrainConfig) -> tuple[model.SCPCModel, int
     )
 
 
-def _train_batch(group: parallel.ForkGroup, items: list[tuple[str, np.ndarray]], usable: list[bool], picks: np.ndarray, params: dict[str, np.ndarray], state: _OptState, config: TrainConfig, epoch: int, totals: dict[str, float]) -> None:
-    """One update from the ``usable`` utterances among ``picks``; each one's
-    losses and segment count join ``totals`` one at a time, in batch order."""
+def _train_batch(group: parallel.ForkGroup, shared: tuple, usable: list[bool], picks: np.ndarray, state: _OptState, config: TrainConfig, epoch: int, totals: dict[str, float]) -> None:
+    """One update of ``shared``'s parameters from the ``usable`` utterances among ``picks``;
+    each one's losses and segment count join ``totals`` one at a time, in batch order."""
+    items, params, slots = shared
     batch = [int(idx) for idx in picks if usable[idx]]
     if not batch:
         return
-    steps = group.map(_step_item, batch, [items[idx][1].size for idx in batch], params, config, epoch)
+    steps = group.map(_step_item, list(enumerate(batch)), [items[idx][1].size for idx in batch], config, epoch)
     # Fold in batch order, so the sums are the same for any group size.
-    grads = {k: np.zeros(p.shape, dtype=np.float64) for k, p in params.items()}
-    for idx, (utt_grads, report, n_segments) in zip(batch, steps):
-        if utt_grads is None:
+    flat = np.zeros(slots.shape[1], dtype=np.float64)
+    for pos, (idx, (finite, report, n_segments)) in enumerate(zip(batch, steps)):
+        if not finite:
             raise DivergenceError(f"non-finite loss on utterance {items[idx][0]} in epoch {epoch}; last-good checkpoint retained")
-        for k in params:
-            grads[k] += utt_grads[k].astype(np.float64)
-        del utt_grads   # not held through the next step of a one-process group
+        flat += slots[pos % len(slots)]   # before a one-slot group steps into it again
         totals["l_nfc"] += report.nfc
         totals["segments"] += n_segments
         if report.nsc is not None:
             totals["l_nsc"] += report.nsc
             totals["nsc_n"] += 1
-    for k in grads:
-        grads[k] /= len(batch)
+    flat /= len(batch)
+    grads = _views(flat, {k: p.shape for k, p in params.items()})
     norm = _clip_global_norm(grads, GRAD_CLIP_NORM)
     if not np.isfinite(norm):
         raise DivergenceError(f"non-finite gradient norm in epoch {epoch}; last-good checkpoint retained")
@@ -341,13 +360,15 @@ def train(
 
     ``workers`` is the run's core budget (``parallel.ForkGroup``): the
     run forks min(workers, batch_size) - 1 children once, each holding the
-    training audio through the fork, and every process runs its encoder
-    layers on the cores left over, workers // processes threads.  A
-    batch's utterances are dealt to the processes as they come free,
-    longest first, and their gradients, losses and divergence checks are
-    folded in batch order, so every output is byte-identical for any
-    ``workers``; one process folds each gradient before computing the
-    next.  Validation profiles on the same processes and threads.
+    training audio, the parameters and a gradient slot per batch position
+    through the fork (the last two in a shared mapping, so no array
+    crosses a pipe), and every process runs its encoder layers on the
+    cores left over, workers // processes threads.  A batch's utterances
+    are dealt to the processes as they come free, longest first, and
+    folded in batch order with their losses and divergence checks, so
+    every output is byte-identical for any ``workers``; one process folds
+    each gradient, through one slot, before computing the next.
+    Validation profiles on the same processes and threads.
     """
     if resume_from is not None:
         net, start_epoch, state = _resume(resume_from, config)
@@ -370,13 +391,14 @@ def train(
     val_entries = [(str(wav), utt_id) for utt_id, (wav, _, _) in val_rows.items()]
     val_refs = {level: audio.load_references(val_rows, level) for level in infer.LEVELS}
 
+    params, slots = _arena(net, config.batch_size if min(workers, config.batch_size) > 1 else 1)
+    net, shared = model.SCPCModel(net.config, params), (items, params, slots)
     out = Path(out_dir)
-    params = dict(net.params)
     ckpt_path = out / "checkpoint.npz"
     metrics_path = out / "metrics.jsonl"
     history: list[dict] = []
 
-    with parallel.ForkGroup(workers, config.batch_size, items) as group:   # checks workers before the echo
+    with parallel.ForkGroup(workers, config.batch_size, shared) as group:   # checks workers before the echo
         echo_config(out, {"command": "train", "manifest": str(manifest_path), "val": val_manifest_path and str(val_manifest_path),
                           "workers": workers, "resume": resume_from and str(resume_from), "config": dataclasses.asdict(config)})
         with open(metrics_path, "w" if start_epoch == 0 else "a") as log:
@@ -384,8 +406,7 @@ def train(
                 order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
                 totals = {"l_nfc": 0.0, "l_nsc": 0.0, "nsc_n": 0, "segments": 0.0}
                 for start in range(0, len(order), config.batch_size):
-                    _train_batch(group, items, usable, order[start : start + config.batch_size], params, state, config, epoch, totals)
-                net = model.SCPCModel(net.config, dict(params))
+                    _train_batch(group, shared, usable, order[start : start + config.batch_size], state, config, epoch, totals)
                 r_values = _validate(net, val_entries, val_refs, group) if val_entries else (None, None)
                 record = _epoch_record(epoch, totals, n_used, len(items) - n_used, r_values)
                 history.append(record)

@@ -106,6 +106,10 @@ class TestInit:
         m = small_model()
         assert all(v.dtype == np.float32 for v in m.params.values())
 
+    def test_param_shapes_lists_every_parameter_in_init_order(self):
+        m = small_model()
+        assert list(model.param_shapes(m.config).items()) == [(k, v.shape) for k, v in m.params.items()]
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="thres"):
             model.ModelConfig(thres=1.5)
@@ -211,6 +215,17 @@ class TestCheckpoint:
         for name in m.params:
             np.testing.assert_array_equal(loaded.params[name], m.params[name])
         np.testing.assert_array_equal(extras_back["adam_m/seg_w1"], extras["adam_m/seg_w1"])
+
+    def test_load_draws_no_model(self, tmp_path, monkeypatch):
+        # The structural check reads model.param_shapes, not a fresh init.
+        path = tmp_path / "ckpt.npz"
+        model.save_checkpoint(path, small_model())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random model")
+
+        monkeypatch.setattr(model.SCPCModel, "init", refuse)
+        assert set(model.load_checkpoint(path)[0].params) == set(model.param_shapes(model.ModelConfig(8, 6)))
 
     def test_other_sample_rate_rejected(self, tmp_path):
         # The model echo ends with the one rate the encoder takes.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import subprocess
 import sys
@@ -217,6 +218,20 @@ def test_one_utterance_batches_on_threads_then_a_forking_run(data, tmp_path):
     assert threading.active_count() == threads_before
 
 
+def test_a_resumed_two_worker_run_matches_a_straight_one_worker_run(data, tmp_path):
+    manifest, val = data / "train" / "manifest.tsv", data / "val" / "manifest.tsv"
+    full, part = tmp_path / "full.cfg", tmp_path / "part.cfg"
+    full.write_text("epochs = 3\nadd_nsc_epoch = 1\n")
+    part.write_text("epochs = 2\nadd_nsc_epoch = 1\n")
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert run_cli("train", "--manifest", manifest, "--val", val, "--config", full, "--out", straight, "--workers", 1) == 0
+    assert run_cli("train", "--manifest", manifest, "--val", val, "--config", part, "--out", resumed, "--workers", 2) == 0
+    assert run_cli("train", "--manifest", manifest, "--val", val, "--config", full, "--out", resumed, "--workers", 2,
+                   "--resume", resumed / "checkpoint.npz") == 0
+    assert multiprocessing.active_children() == []
+    assert _outputs(resumed) == _outputs(straight)
+
+
 def _inference_outputs(out: Path) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "config_resolved.json"}
@@ -269,6 +284,25 @@ def corpus(tmp_path_factory):
 def test_train_leaves_no_children(corpus, tmp_path):
     trainer.train(corpus, TINY, tmp_path / "out", workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_training_pickles_no_array(corpus, tmp_path, monkeypatch):
+    # The parameters and gradient slots live in a mapping the group shares,
+    # so a request carries utterance indices and a reply loss terms; the
+    # parameters alone are 398 kB at the default widths.
+    log = tmp_path / "sent.log"
+    send = multiprocessing.connection.Connection._send_bytes
+
+    def logged(self, buf):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {len(buf)}\n")
+        send(self, buf)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "_send_bytes", logged)
+    trainer.train(corpus, dataclasses.replace(TINY, epochs=2, frame_dim=64, segment_dim=64), tmp_path / "out", workers=2)
+    sent = [tuple(int(v) for v in line.split()) for line in log.read_text().splitlines()]
+    assert len({pid for pid, _ in sent}) == 2, "the parent and its child both send"
+    assert max(size for _, size in sent) < 16 * 1024, sorted(sent, key=lambda s: -s[1])[:3]
 
 
 def _child_first_victims(manifest) -> tuple[str, str]:

@@ -343,10 +343,11 @@ def test_divergence_names_utterance_and_keeps_checkpoint(corpus, tmp_path, monke
         assert np.array_equal(kept.params[k], good.model.params[k])
 
 
-def test_one_process_folds_each_gradient_before_the_next_step(tmp_path):
+def test_one_process_folds_each_gradient_before_the_next_step(tmp_path, monkeypatch):
     # At one worker a batch of 8 holds no more per-utterance gradients at
     # its peak than a batch of 1 does.  The longest utterance, whose step
-    # sets the peak, comes last in the batch, after 7 gradients.
+    # sets the peak, comes last in the batch, after 7 gradients.  tracemalloc
+    # does not see the shared mapping, so its slot count is checked too.
     spec = dataclasses.replace(audio.default_spec(seed=7), words_per_utterance=(6, 12))
     rows = list(audio.read_manifest(audio.save_corpus(audio.generate_corpus(spec, 8), tmp_path / "corpus")).values())
     rows.sort(key=lambda row: audio.load_wav(row[0]).samples.size)
@@ -354,7 +355,15 @@ def test_one_process_folds_each_gradient_before_the_next_step(tmp_path):
     rows.insert(last, rows.pop())
     manifest = tmp_path / "manifest.tsv"
     audio.write_manifest(rows, manifest)
-    peaks = {}
+    peaks, slots = {}, {}
+    arena = trainer._arena
+
+    def counted(net, n_slots):
+        params, held = arena(net, n_slots)
+        slots[batch_size] = held.shape[0]
+        return params, held
+
+    monkeypatch.setattr(trainer, "_arena", counted)
     for batch_size in (1, 8):
         config = trainer.TrainConfig(epochs=1, batch_size=batch_size, add_nsc_epoch=0)
         tracemalloc.start()
@@ -365,6 +374,7 @@ def test_one_process_folds_each_gradient_before_the_next_step(tmp_path):
             tracemalloc.stop()
     gradient = sum(p.nbytes for p in model.SCPCModel.init(model.ModelConfig()).params.values())
     assert peaks[8] - peaks[1] < gradient, f"peaks {peaks}, one gradient {gradient} bytes"
+    assert slots == {1: 1, 8: 1}
 
 
 def _long_samples(seconds):
